@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qfe_bench::{candidates_for, default_params, Scale};
-use qfe_core::DatabaseGenerator;
+use qfe_core::{DatabaseGenerator, GenerationContext};
 
 fn bench(c: &mut Criterion) {
     let scale = Scale::Small;
@@ -25,8 +25,8 @@ fn bench(c: &mut Criterion) {
             &candidates,
             |b, candidates| {
                 b.iter(|| {
-                    generator
-                        .generate(&workload.database, &result, candidates)
+                    GenerationContext::new(&workload.database, &result, candidates)
+                        .and_then(|ctx| generator.generate_with_context(&ctx))
                         .map(|g| g.partition.group_count())
                         .unwrap_or(0)
                 })

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|skyline-parallel|rounds|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
+//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|qbo-batch|service|chaos|cluster] [--paper-scale] [--fleet-sessions N]
 //! ```
 //!
 //! The default scale is `Small` (reduced cardinalities, runs in seconds);
@@ -13,11 +13,10 @@
 use qfe_bench::{
     ablation_estimator, chaos_fleet_json, chaos_fleet_summary, cluster_chaos_json,
     cluster_chaos_summary, extra_entropy, extra_initial_size, manager_report, qbo_batch_json,
-    qbo_batch_measurements, qbo_batch_report, rounds_json, rounds_measurements, rounds_report,
-    run_chaos_fleet, run_cluster_chaos, run_service_fleet, service_fleet_json,
-    service_fleet_summary, skyline_parallel_json, skyline_parallel_report, skyline_parallel_rows,
-    table1, table2, table3, table4, table5, table6, table7, user_study, ChaosFleetConfig,
-    ClusterChaosConfig, Scale, ServiceFleetConfig,
+    qbo_batch_measurements, qbo_batch_report, run_chaos_fleet, run_cluster_chaos,
+    run_service_fleet, service_fleet_json, service_fleet_summary, table1, table2, table3, table4,
+    table5, table6, table7, user_study, ChaosFleetConfig, ClusterChaosConfig, Scale,
+    ServiceFleetConfig,
 };
 
 fn main() {
@@ -96,26 +95,6 @@ fn main() {
         println!("{}", qbo_batch_report(&rows, join_rows));
         let json = qbo_batch_json(scale, &rows, join_rows);
         let path = "BENCH_qbo.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    if want("skyline-parallel") {
-        let rows = skyline_parallel_rows(scale, &[1, 2, 4, 8], 3);
-        println!("{}", skyline_parallel_report(&rows));
-        let json = skyline_parallel_json(scale, &rows);
-        let path = "BENCH_skyline.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    if want("rounds") {
-        let rows = rounds_measurements(scale, &[10, 50, 200]);
-        println!("{}", rounds_report(&rows));
-        let json = rounds_json(scale, &rows);
-        let path = "BENCH_rounds.json";
         match std::fs::write(path, &json) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),

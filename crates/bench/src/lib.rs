@@ -31,9 +31,9 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use qfe_core::{
-    apply_edits, pick_stc_dtc_subset, skyline_stc_dtc_pairs, AdvancePath, CellEdit, CostModelKind,
-    CostParams, DatabaseGenerator, GenerationContext, IterationEstimator, OracleUser, QfeSession,
-    SessionReport, SimulatedHumanUser, WorstCaseUser,
+    pick_stc_dtc_subset, skyline_stc_dtc_pairs, CostModelKind, CostParams, DatabaseGenerator,
+    GenerationContext, IterationEstimator, OracleUser, QfeSession, SessionReport,
+    SimulatedHumanUser, WorstCaseUser,
 };
 use qfe_datasets::{
     adult_scaled, baseball_scaled, entropy_variants, initial_size_variants, scientific_scaled,
@@ -41,7 +41,7 @@ use qfe_datasets::{
 };
 use qfe_qbo::{grow_candidates, grow_candidates_mode, QboConfig, QueryGenerator, VerifyStats};
 use qfe_query::{evaluate, QueryResult, SpjQuery};
-use qfe_relation::{Database, Value};
+use qfe_relation::Database;
 
 /// Dataset scale for the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -542,8 +542,10 @@ pub fn table7(scale: Scale) -> String {
         if candidates.len() < 2 {
             continue;
         }
+        let ctx = GenerationContext::new(&workload.database, &result, &candidates)
+            .expect("context builds");
         let generated = generator
-            .generate(&workload.database, &result, &candidates)
+            .generate_with_context(&ctx)
             .expect("generation succeeds");
         writeln!(
             out,
@@ -778,131 +780,6 @@ pub fn ablation_estimator(scale: Scale) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel skyline scaling
-// ---------------------------------------------------------------------------
-
-/// One row of the parallel-skyline scaling measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct SkylineScalingRow {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Best-of-N wall-clock seconds for the enumeration.
-    pub seconds: f64,
-    /// (STC, DTC) pairs examined.
-    pub enumerated: usize,
-    /// Skyline pairs kept.
-    pub pairs: usize,
-}
-
-/// Builds the table5 (scientific, Q2, 19 candidates) generation context used
-/// by the skyline scaling measurements.
-pub fn skyline_scaling_context(scale: Scale) -> GenerationContext {
-    let workload = scale.scientific();
-    let target = workload.query("Q2").expect("query").clone();
-    let result = workload.example_result("Q2").expect("result");
-    let candidates = candidates_for(&workload.database, &target, 19);
-    GenerationContext::new(&workload.database, &result, &candidates).expect("context builds")
-}
-
-/// Measures Algorithm 3 at the given worker counts on the table5 workload.
-///
-/// Every run uses the same generous δ so the full cost-level-1..2 enumeration
-/// completes (the result is identical at every thread count — the parallel
-/// merge is deterministic); each row is the best of `repeats` runs.
-pub fn skyline_parallel_rows(
-    scale: Scale,
-    thread_counts: &[usize],
-    repeats: usize,
-) -> Vec<SkylineScalingRow> {
-    use qfe_core::skyline_stc_dtc_pairs_with_threads;
-    let ctx = skyline_scaling_context(scale);
-    let budget = Duration::from_secs(120);
-    let mut rows = Vec::new();
-    for &threads in thread_counts {
-        let mut best = f64::INFINITY;
-        let mut enumerated = 0;
-        let mut pairs = 0;
-        for _ in 0..repeats.max(1) {
-            let start = std::time::Instant::now();
-            let outcome = skyline_stc_dtc_pairs_with_threads(&ctx, budget, threads);
-            let secs = start.elapsed().as_secs_f64();
-            if secs < best {
-                best = secs;
-            }
-            enumerated = outcome.enumerated;
-            pairs = outcome.pairs.len();
-        }
-        rows.push(SkylineScalingRow {
-            threads,
-            seconds: best,
-            enumerated,
-            pairs,
-        });
-    }
-    rows
-}
-
-/// Human-readable parallel-skyline scaling table.
-pub fn skyline_parallel_report(rows: &[SkylineScalingRow]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Parallel skyline scaling (scientific, Q2, 19 candidates; full enumeration)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<9} {:>12} {:>12} {:>10} {:>9}",
-        "threads", "time (s)", "pairs seen", "kept", "speedup"
-    )
-    .unwrap();
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    for r in rows {
-        writeln!(
-            out,
-            "{:<9} {:>12.4} {:>12} {:>10} {:>8.2}x",
-            r.threads,
-            r.seconds,
-            r.enumerated,
-            r.pairs,
-            base / r.seconds.max(1e-12)
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// The parallel-skyline scaling measurement as a JSON document
-/// (`BENCH_skyline.json`), so future revisions can track the perf trajectory.
-pub fn skyline_parallel_json(scale: Scale, rows: &[SkylineScalingRow]) -> String {
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    let mut out = String::new();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"skyline-parallel\",\n");
-    out.push_str("  \"workload\": \"scientific-q2-19-candidates\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
-    out.push_str("  \"rows\": [\n");
-    let n = rows.len();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"seconds\": {:.6}, \"enumerated\": {}, \"kept\": {}, \"speedup\": {:.3}}}{}\n",
-            r.threads,
-            r.seconds,
-            r.enumerated,
-            r.pairs,
-            base / r.seconds.max(1e-12),
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
 // QBO batched candidate verification (columnar vs. row)
 // ---------------------------------------------------------------------------
 
@@ -1068,7 +945,7 @@ pub fn qbo_batch_json(scale: Scale, rows: &[QboBatchMeasurement], join_rows: usi
     let n = rows.len();
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \"generate_rows_scanned\": {}, \"generate_candidates_checked\": {}, \"generate_signature_hits\": {}, \"generate_term_bitmap_hits\": {}, \"generate_term_bitmap_misses\": {}, \"generate_term_bitmap_repairs\": {}, \"generate_term_bitmap_invalidations\": {}, \"speedup\": {:.3}}}{}\n",
+            "    {{\"mode\": \"{}\", \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \"generate_rows_scanned\": {}, \"generate_candidates_checked\": {}, \"generate_signature_hits\": {}, \"generate_term_bitmap_hits\": {}, \"generate_term_bitmap_misses\": {}, \"generate_term_bitmap_invalidations\": {}, \"speedup\": {:.3}}}{}\n",
             r.mode,
             r.seconds,
             r.candidates,
@@ -1078,235 +955,8 @@ pub fn qbo_batch_json(scale: Scale, rows: &[QboBatchMeasurement], join_rows: usi
             r.stats.signature_hits,
             r.stats.term_bitmap_hits,
             r.stats.term_bitmap_misses,
-            r.stats.term_bitmap_repairs,
             r.stats.term_bitmap_invalidations,
             base / r.seconds.max(1e-12),
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Differential round maintenance: advance vs. fresh rebuild
-// ---------------------------------------------------------------------------
-
-/// Aggregated measurement of one multi-round editing session of the `rounds`
-/// scenario: every round applies one single-cell edit and advances the
-/// generation context differentially, timed against building the context from
-/// scratch on the edited database.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundsMeasurement {
-    /// Rounds in the session.
-    pub rounds: usize,
-    /// Total wall-clock seconds spent in `advance_with_report`.
-    pub advance_seconds: f64,
-    /// Total wall-clock seconds spent in fresh `GenerationContext::new`
-    /// rebuilds on the same edited databases.
-    pub rebuild_seconds: f64,
-    /// Joined cells patched across the session (per-round = edit fan-out).
-    pub rows_touched: usize,
-    /// Cached term bitmaps repaired in place by the persistent
-    /// [`qfe_query::TermBitmapCache`] carried across the session.
-    pub bits_repaired: u64,
-    /// Rounds that fell back to a full rebuild (expected 0: the edits avoid
-    /// key columns).
-    pub full_rebuilds: usize,
-}
-
-impl RoundsMeasurement {
-    /// How many times cheaper the differential advance is than a fresh
-    /// rebuild, over the whole session.
-    pub fn speedup(&self) -> f64 {
-        self.rebuild_seconds / self.advance_seconds.max(1e-12)
-    }
-
-    /// Mean advance time per round in milliseconds.
-    pub fn advance_ms_per_round(&self) -> f64 {
-        self.advance_seconds * 1000.0 / self.rounds.max(1) as f64
-    }
-
-    /// Mean fresh-rebuild time per round in milliseconds.
-    pub fn rebuild_ms_per_round(&self) -> f64 {
-        self.rebuild_seconds * 1000.0 / self.rounds.max(1) as f64
-    }
-}
-
-/// Finds a single-cell edit that can be flipped back and forth forever
-/// without changing any active domain: a modifiable (non-key) selection
-/// attribute with two values of multiplicity ≥ 2, and a base row holding the
-/// first.
-fn pick_flip_edit(ctx: &GenerationContext) -> Option<(String, usize, String, Value, Value)> {
-    let db = ctx.database();
-    let modifiable = ctx.modifiable_attributes();
-    for (attr, &ok) in ctx.class_space().attributes().iter().zip(modifiable) {
-        if !ok {
-            continue;
-        }
-        let Ok(table) = db.table(&attr.table) else {
-            continue;
-        };
-        let Some(col_idx) = table.schema().column_index(&attr.base_column) else {
-            continue;
-        };
-        let rows = table.rows();
-        let mut counts: Vec<(&Value, usize)> = Vec::new();
-        for row in rows {
-            let Some(v) = row.get(col_idx) else { continue };
-            if v.is_null() {
-                continue;
-            }
-            match counts.iter_mut().find(|(u, _)| *u == v) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((v, 1)),
-            }
-        }
-        let mut frequent = counts.iter().filter(|(_, c)| *c >= 2).map(|(v, _)| *v);
-        let (Some(a), Some(b)) = (frequent.next(), frequent.next()) else {
-            continue;
-        };
-        let row = rows.iter().position(|r| r.get(col_idx) == Some(a))?;
-        return Some((
-            attr.table.clone(),
-            row,
-            attr.base_column.clone(),
-            a.clone(),
-            b.clone(),
-        ));
-    }
-    None
-}
-
-/// Runs the `rounds` scenario: for each session length, a chain of
-/// single-cell feedback rounds on the scientific Q2 workload, comparing the
-/// differential [`GenerationContext::advance_with_report`] against a fresh
-/// [`GenerationContext::new`] on the edited database every round. A
-/// persistent [`qfe_query::TermBitmapCache`] rides along the whole session,
-/// repaired from each round's [`qfe_relation::CellDelta`]s.
-pub fn rounds_measurements(scale: Scale, session_lengths: &[usize]) -> Vec<RoundsMeasurement> {
-    use qfe_query::TermBitmapCache;
-
-    let workload = scale.scientific();
-    let target = workload.query("Q2").expect("query").clone();
-    let result = workload.example_result("Q2").expect("result");
-    let candidates = candidates_for(&workload.database, &target, 10);
-    let surviving: Vec<usize> = (0..candidates.len()).collect();
-
-    let mut out = Vec::new();
-    for &rounds in session_lengths {
-        let mut ctx = GenerationContext::new(&workload.database, &result, &candidates)
-            .expect("context builds");
-        let (table, row, column, a, b) = pick_flip_edit(&ctx).expect("flippable attribute");
-        // Warm a persistent term cache against the session's columnar mirror.
-        let mut cache = TermBitmapCache::new();
-        for bound in ctx.bound_queries() {
-            std::hint::black_box(bound.selection_bitmap(ctx.columnar(), &mut cache));
-        }
-        let mut db = workload.database.clone();
-        let mut m = RoundsMeasurement {
-            rounds,
-            advance_seconds: 0.0,
-            rebuild_seconds: 0.0,
-            rows_touched: 0,
-            bits_repaired: 0,
-            full_rebuilds: 0,
-        };
-        for round in 0..rounds {
-            let edit = CellEdit {
-                table: table.clone(),
-                row,
-                column: column.clone(),
-                new_value: if round % 2 == 0 { b.clone() } else { a.clone() },
-            };
-            let start = std::time::Instant::now();
-            let (next, report) = ctx
-                .advance_with_report(&surviving, std::slice::from_ref(&edit))
-                .expect("advance succeeds");
-            m.advance_seconds += start.elapsed().as_secs_f64();
-            m.rows_touched += report.cell_deltas.len();
-            if report.path == AdvancePath::FullRebuild {
-                m.full_rebuilds += 1;
-                cache.invalidate_all();
-            }
-            for delta in &report.cell_deltas {
-                if delta.restructured {
-                    cache.invalidate_all();
-                } else {
-                    m.bits_repaired += cache.apply_delta(delta);
-                }
-            }
-            db = apply_edits(&db, &[edit]).expect("edit applies");
-            let start = std::time::Instant::now();
-            let fresh = GenerationContext::new(&db, &result, &candidates).expect("fresh rebuild");
-            m.rebuild_seconds += start.elapsed().as_secs_f64();
-            std::hint::black_box(&fresh);
-            ctx = next;
-        }
-        out.push(m);
-    }
-    out
-}
-
-/// Human-readable `rounds` table.
-pub fn rounds_report(rows: &[RoundsMeasurement]) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Differential round maintenance, advance vs. fresh rebuild (scientific, Q2, 10 candidates, single-cell edits)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<9} {:>16} {:>16} {:>13} {:>14} {:>14} {:>9}",
-        "rounds",
-        "advance ms/rd",
-        "rebuild ms/rd",
-        "rows touched",
-        "bits repaired",
-        "full rebuilds",
-        "speedup"
-    )
-    .unwrap();
-    for r in rows {
-        writeln!(
-            out,
-            "{:<9} {:>16.4} {:>16.4} {:>13} {:>14} {:>14} {:>8.1}x",
-            r.rounds,
-            r.advance_ms_per_round(),
-            r.rebuild_ms_per_round(),
-            r.rows_touched,
-            r.bits_repaired,
-            r.full_rebuilds,
-            r.speedup()
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// The `rounds` measurement as a JSON document (`BENCH_rounds.json`), so
-/// future revisions can track the perf trajectory.
-pub fn rounds_json(scale: Scale, rows: &[RoundsMeasurement]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"rounds\",\n");
-    out.push_str("  \"workload\": \"scientific-q2-10-candidates-single-cell-edits\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str("  \"sessions\": [\n");
-    let n = rows.len();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rounds\": {}, \"advance_seconds\": {:.6}, \"rebuild_seconds\": {:.6}, \"advance_ms_per_round\": {:.4}, \"rebuild_ms_per_round\": {:.4}, \"rows_touched\": {}, \"bitmap_bits_repaired\": {}, \"full_rebuilds\": {}, \"speedup\": {:.3}}}{}\n",
-            r.rounds,
-            r.advance_seconds,
-            r.rebuild_seconds,
-            r.advance_ms_per_round(),
-            r.rebuild_ms_per_round(),
-            r.rows_touched,
-            r.bits_repaired,
-            r.full_rebuilds,
-            r.speedup(),
             if i + 1 == n { "" } else { "," }
         ));
     }

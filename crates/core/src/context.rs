@@ -12,13 +12,14 @@
 //! * **Bit-packed reasoning.** Class/candidate matching and outcome
 //!   signatures run on the [`OutcomeKernel`]'s interned class ids and
 //!   per-class match bitsets — branch-light word operations with no interior
-//!   mutability, which makes the context `Sync` and lets the skyline search
-//!   fan out across threads.
-//! * **Incremental advancement.** Between feedback rounds the candidate set
-//!   only shrinks and `D` changes only by explicitly applied cell edits;
+//!   mutability, so the context is `Sync` and can be shared by concurrent
+//!   sessions.
+//! * **Shared advancement.** Within a session `D` and `R` never change and
+//!   each answer only shrinks the candidate set, so
 //!   [`GenerationContext::advance`] derives the next round's context from the
-//!   previous one — reusing the join, the join index and the cached active
-//!   domains — instead of recomputing everything from the database.
+//!   previous one — `Arc`-sharing the database, the join, its columnar mirror
+//!   and join index, reusing the cached active domains and remapping the
+//!   source classes — instead of recomputing everything from the database.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,30 +27,18 @@ use std::sync::Arc;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery};
 use qfe_relation::{
-    foreign_key_join, CellDelta, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple, Value,
+    foreign_key_join, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple, Value,
 };
 
 use crate::cost::balance_score;
 use crate::error::{QfeError, Result};
-use crate::kernel::{KernelReuse, MatchScratch, OutcomeKernel, PairStats};
+use crate::kernel::{MatchScratch, OutcomeKernel, PairStats};
 use crate::tuple_class::{TupleClass, TupleClassSpace};
-
-/// Process-wide count of [`GenerationContext::advance`] calls that fell back
-/// to a full rebuild because a cell edit touched a key column.
-static FULL_REBUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of `advance` full-rebuild fallbacks (edits touching
-/// primary- or foreign-key columns). A steadily climbing counter in a
-/// workload that should stay on the delta path signals a regression; set the
-/// `QFE_LOG_REBUILD` environment variable to also log each occurrence.
-pub fn advance_full_rebuilds() -> u64 {
-    FULL_REBUILDS.load(Ordering::Relaxed)
-}
 
 /// Advances sampled by the `QFE_PARANOIA` self-check mode.
 static PARANOIA_CHECKS: AtomicU64 = AtomicU64::new(0);
-/// Self-checks where the delta-maintained context diverged from a fresh
-/// rebuild (each one degraded gracefully to the rebuild).
+/// Self-checks where the advanced context diverged from a fresh rebuild
+/// (each one degraded gracefully to the rebuild).
 static PARANOIA_MISMATCHES: AtomicU64 = AtomicU64::new(0);
 /// Rolling advance counter for the every-Nth sampling mode.
 static PARANOIA_TICK: AtomicU64 = AtomicU64::new(0);
@@ -61,8 +50,8 @@ pub fn paranoia_checks() -> u64 {
 }
 
 /// How many `QFE_PARANOIA` self-checks caught a divergence (and fell back
-/// to the fresh rebuild). Any nonzero value is a delta-maintenance bug that
-/// the paranoia mode has *contained* but that should be reported.
+/// to the fresh rebuild). Any nonzero value is an advancement bug that the
+/// paranoia mode has *contained* but that should be reported.
 pub fn paranoia_mismatches() -> u64 {
     PARANOIA_MISMATCHES.load(Ordering::Relaxed)
 }
@@ -82,40 +71,29 @@ fn paranoia_interval() -> Option<u64> {
     })
 }
 
-/// Which maintenance tier [`GenerationContext::advance`] took for the
-/// relational state (database, join, columnar mirror).
+/// Which path [`GenerationContext::advance`] took for the relational state
+/// (database, join, columnar mirror).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePath {
     /// No cell edits: the database, join, columnar mirror and join index are
     /// all `Arc`-shared with the predecessor context.
     SharedNoEdit,
-    /// Cell edits were patched in place at join-row granularity; only state
-    /// derived from the edited columns was recomputed.
-    DeltaPatched,
-    /// An edit touched a primary- or foreign-key column (the join structure
-    /// changed): the successor was rebuilt from the edited database.
+    /// Cell edits were applied: the successor was rebuilt from the edited
+    /// database.
     FullRebuild,
 }
 
-/// What [`GenerationContext::advance_with_report`] did, for benchmarks,
-/// regression logging and delta-driven cache maintenance.
+/// What [`GenerationContext::advance_with_report`] did, for benchmarks and
+/// the `QFE_PARANOIA` self-check.
 #[derive(Debug, Clone)]
 pub struct AdvanceReport {
-    /// The relational maintenance tier taken.
+    /// The relational path taken.
     pub path: AdvancePath,
-    /// How the successor's outcome kernel was obtained.
-    pub kernel: KernelReuse,
-    /// One delta per patched columnar cell (join-row granularity). Feed these
-    /// to [`qfe_query::TermBitmapCache::apply_delta`] to repair cached term
-    /// bitmaps instead of recomputing them.
-    pub cell_deltas: Vec<CellDelta>,
-    /// Join-column indices whose values changed (sorted, deduplicated).
-    pub edited_columns: Vec<usize>,
     /// True when the `QFE_PARANOIA` mode spot-validated this advance
     /// against a fresh rebuild.
     pub paranoia_checked: bool,
-    /// Why the self-check rejected the delta-maintained context, when it
-    /// did. The returned context is then the fresh rebuild (and
+    /// Why the self-check rejected the advanced context, when it did. The
+    /// returned context is then the fresh rebuild (and
     /// [`AdvanceReport::path`] reads [`AdvancePath::FullRebuild`]).
     pub paranoia_mismatch: Option<String>,
 }
@@ -158,8 +136,7 @@ pub enum Outcome {
 /// Per-iteration state shared by the skyline search (Algorithm 3), the subset
 /// selection (Algorithm 4) and the realization of modifications.
 ///
-/// The context is immutable after construction and `Sync`: the parallel
-/// skyline enumeration shares one context across worker threads.
+/// The context is immutable after construction and `Sync`.
 #[derive(Debug)]
 pub struct GenerationContext {
     db: Arc<Database>,
@@ -168,13 +145,12 @@ pub struct GenerationContext {
     join_tables: Vec<String>,
     join: Arc<JoinedRelation>,
     /// Columnar mirror of [`Self::join`]: typed vectors, sorted string
-    /// dictionaries and null bitmaps. Built once per join; `advance` keeps it
-    /// fresh via [`ColumnarJoin::patch_cell`] (or shares it untouched when no
-    /// edits were applied). The context reads its active domains off it (the
-    /// sorted dictionaries *are* the domains) and exposes it via
+    /// dictionaries and null bitmaps. Built once per join and shared by
+    /// `advance`. The context reads its active domains off it (the sorted
+    /// dictionaries *are* the domains) and exposes it via
     /// [`Self::columnar`] for vectorized candidate evaluation
     /// (`BoundQuery::selection_bitmap` + `TermBitmapCache`, which keys its
-    /// validity on the mirror's generation counter).
+    /// validity on the mirror's generation).
     columnar: Arc<ColumnarJoin>,
     join_index: Arc<JoinIndex>,
     bound: Vec<BoundQuery>,
@@ -234,7 +210,7 @@ impl GenerationContext {
             columnar.active_domain(col)
         })?;
         let space = TupleClassSpace::build_with_domains(&join, &queries, &column_domains)?;
-        Ok(Self::assemble(
+        Self::assemble(
             db,
             original_result,
             queries,
@@ -245,19 +221,13 @@ impl GenerationContext {
             column_domains,
             space,
             None,
-            None,
-        )?
-        .0)
+        )
     }
 
     /// Shared tail of [`Self::new_shared`] and [`Self::advance`]: everything
     /// derived from the join, the domains and the candidate set. When
     /// `source_classes` is `None` every join row is classified from scratch;
-    /// `advance` passes the incrementally remapped table instead. When
-    /// `previous` carries the predecessor context (and whether the candidate
-    /// list is unchanged), the outcome kernel is derived differentially via
-    /// [`OutcomeKernel::advance_from`]; the returned [`KernelReuse`] says
-    /// which tier applied.
+    /// `advance` passes the remapped table instead.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         db: Arc<Database>,
@@ -270,8 +240,7 @@ impl GenerationContext {
         column_domains: BTreeMap<usize, Vec<Value>>,
         space: TupleClassSpace,
         source_classes: Option<BTreeMap<TupleClass, Vec<usize>>>,
-        previous: Option<(&GenerationContext, bool)>,
-    ) -> Result<(Self, KernelReuse)> {
+    ) -> Result<Self> {
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join))
@@ -286,24 +255,10 @@ impl GenerationContext {
             bound[0].projection_indices().iter().copied().collect();
 
         let modifiable = modifiable_attributes(&db, &space);
-        let (kernel, kernel_reuse) = match previous {
-            Some((prev, queries_unchanged)) => OutcomeKernel::advance_from(
-                &prev.kernel,
-                &prev.space,
-                &space,
-                queries_unchanged,
-                &queries,
-                &join,
-                &projection_columns,
-            )?,
-            None => (
-                OutcomeKernel::build(&space, &queries, &join, &projection_columns)?,
-                KernelReuse::Rebuilt,
-            ),
-        };
+        let kernel = OutcomeKernel::build(&space, &queries, &join, &projection_columns)?;
         let block_realizable = block_realizability(&db, &space);
 
-        let context = GenerationContext {
+        Ok(GenerationContext {
             db,
             original_result,
             queries,
@@ -319,30 +274,22 @@ impl GenerationContext {
             column_domains,
             kernel,
             block_realizable,
-        };
-        Ok((context, kernel_reuse))
+        })
     }
 
     /// Derives the context of the *next* feedback round from this one.
     ///
     /// `surviving` holds the indices (into [`Self::queries`], strictly
-    /// ascending) of the candidates kept by the user's answer; `edits` are
-    /// the cell edits applied to `D` since this context was built (empty in
-    /// the standard loop, where `D` never changes). Instead of recomputing
-    /// the join and rescanning the database, the successor context reuses:
+    /// ascending) of the candidates kept by the user's answer. With no
+    /// `edits` (the feedback loop never changes `D`), the successor
+    /// `Arc`-shares the database, the join, its columnar mirror and the join
+    /// index, reuses the cached active domains, and remaps the source-class
+    /// table through the old-block → new-block refinement induced by the
+    /// shrunken term set. Non-empty `edits` are applied to `D` and the
+    /// successor is rebuilt from the edited database.
     ///
-    /// * the join and join index (`Arc`-shared when `edits` is empty; rows
-    ///   patched in place otherwise — edits never touch key columns, so the
-    ///   join *structure* is invariant),
-    /// * the cached per-column active domains (recomputed only for edited
-    ///   columns),
-    /// * the source-class table, remapped through the old-block → new-block
-    ///   refinement induced by the shrunken term set.
-    ///
-    /// The result is equivalent to `GenerationContext::new` on the edited
-    /// database and surviving candidates. Edits touching primary- or
-    /// foreign-key columns (which would change the join structure) fall back
-    /// to a full rebuild.
+    /// The result is equivalent to `GenerationContext::new` on the (edited)
+    /// database and the surviving candidates.
     pub fn advance(
         &self,
         surviving: &[usize],
@@ -351,11 +298,8 @@ impl GenerationContext {
         Ok(self.advance_with_report(surviving, edits)?.0)
     }
 
-    /// [`Self::advance`] plus an [`AdvanceReport`] describing exactly how the
-    /// successor was derived: which relational tier applied, how the outcome
-    /// kernel was obtained, and the per-cell deltas that callers holding a
-    /// [`qfe_query::TermBitmapCache`] can use to repair cached term bitmaps
-    /// instead of recomputing them.
+    /// [`Self::advance`] plus an [`AdvanceReport`] saying which path was
+    /// taken and whether the `QFE_PARANOIA` self-check audited it.
     pub fn advance_with_report(
         &self,
         surviving: &[usize],
@@ -373,155 +317,59 @@ impl GenerationContext {
             });
         }
         let queries: Vec<SpjQuery> = surviving.iter().map(|&i| self.queries[i].clone()).collect();
-        // Strictly ascending indices within range keep the whole candidate
-        // list exactly when the lengths match.
-        let queries_unchanged = surviving.len() == self.queries.len();
-
-        // Edits to key columns change the join structure: rebuild fully.
-        // `apply_edits` clones the database but `Arc`-shares every table the
-        // edits do not touch, so even the fallback copies only edited tables.
-        if edits
-            .iter()
-            .any(|e| is_key_column(&self.db, &e.table, &e.column))
-        {
-            FULL_REBUILDS.fetch_add(1, Ordering::Relaxed);
-            if std::env::var_os("QFE_LOG_REBUILD").is_some() {
-                eprintln!(
-                    "qfe: advance fell back to a full rebuild (key-column edit; total {})",
-                    advance_full_rebuilds()
-                );
-            }
-            let db = crate::realize::apply_edits(&self.db, edits)?;
-            let context =
-                Self::new_shared(Arc::new(db), Arc::clone(&self.original_result), queries)?;
-            let report = AdvanceReport {
-                path: AdvancePath::FullRebuild,
-                kernel: KernelReuse::Rebuilt,
-                cell_deltas: Vec::new(),
-                edited_columns: Vec::new(),
-                paranoia_checked: false,
-                paranoia_mismatch: None,
-            };
-            return Ok((context, report));
-        }
-
-        // Database, join and columnar mirror: shared when unchanged, patched
-        // in place otherwise. Each patched cell yields a `CellDelta` stamped
-        // with the column's old and new edit epochs; term-bitmap caches use
-        // them to flip single bits instead of recomputing whole bitmaps.
-        let mut cell_deltas: Vec<CellDelta> = Vec::new();
-        let (db, join, columnar, affected_rows) = if edits.is_empty() {
-            (
-                Arc::clone(&self.db),
-                Arc::clone(&self.join),
-                Arc::clone(&self.columnar),
-                BTreeSet::new(),
-            )
-        } else {
-            let db = Arc::new(crate::realize::apply_edits(&self.db, edits)?);
-            let mut join = (*self.join).clone();
-            let mut columnar = (*self.columnar).clone();
-            let mut affected: BTreeSet<usize> = BTreeSet::new();
-            for edit in edits {
-                for &jrow in self.join_index.joined_rows_of(&edit.table, edit.row) {
-                    affected.insert(jrow);
-                    for (col_idx, col) in self.join.columns().iter().enumerate() {
-                        if col.table == edit.table
-                            && col.column == edit.column
-                            && self.join.rows()[jrow].provenance.get(&edit.table) == Some(&edit.row)
-                        {
-                            join.patch_cell(jrow, col_idx, edit.new_value.clone());
-                            cell_deltas.push(columnar.patch_cell(jrow, col_idx, &edit.new_value));
-                        }
-                    }
-                }
-            }
-            (db, Arc::new(join), Arc::new(columnar), affected)
-        };
-        let join_index = Arc::clone(&self.join_index);
-
-        // Active domains: reuse the cache except for edited columns.
-        let edited_join_columns: BTreeSet<usize> = join
-            .columns()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                edits
-                    .iter()
-                    .any(|e| e.table == c.table && e.column == c.column)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let mut needed_columns: BTreeSet<usize> = BTreeSet::new();
-        for q in &queries {
-            for term in q.predicate.all_terms() {
-                needed_columns.insert(
-                    join.resolve_column(term.attribute())
-                        .map_err(QfeError::from)?,
-                );
-            }
-        }
-        let column_domains: BTreeMap<usize, Vec<Value>> = needed_columns
-            .into_iter()
-            .map(|col| {
-                // The (columnar) domain scan runs only for columns whose
-                // values actually changed or that the cache never saw.
-                let domain = if edited_join_columns.contains(&col) {
-                    columnar.active_domain(col)
-                } else {
-                    match self.column_domains.get(&col) {
-                        Some(cached) => cached.clone(),
-                        None => columnar.active_domain(col),
-                    }
-                };
-                (col, domain)
-            })
-            .collect();
-
-        let space = TupleClassSpace::build_with_domains(&join, &queries, &column_domains)?;
-
-        // Incremental re-partitioning: remap the previous round's source
-        // classes through the old-block → new-block refinement (fewer
-        // candidates ⇒ fewer terms ⇒ coarser blocks) instead of classifying
-        // every join row again. Edited rows are classified directly; a failed
-        // embedding (should not happen) falls back to full classification.
-        let source_classes = self.remap_source_classes(&space, &join, &affected_rows);
-        debug_assert!(
-            source_classes.is_none()
-                || source_classes.as_ref() == Some(&space.source_classes(&join)),
-            "refinement remap disagrees with direct classification"
-        );
-
-        let (context, kernel_reuse) = Self::assemble(
-            db,
-            Arc::clone(&self.original_result),
-            queries,
-            self.join_tables.clone(),
-            join,
-            columnar,
-            join_index,
-            column_domains,
-            space,
-            source_classes,
-            Some((self, queries_unchanged)),
-        )?;
-        let report = AdvanceReport {
-            path: if edits.is_empty() {
-                AdvancePath::SharedNoEdit
-            } else {
-                AdvancePath::DeltaPatched
-            },
-            kernel: kernel_reuse,
-            cell_deltas,
-            edited_columns: edited_join_columns.iter().copied().collect(),
+        let report = |path| AdvanceReport {
+            path,
             paranoia_checked: false,
             paranoia_mismatch: None,
         };
-        self.paranoia_check(context, report)
+
+        if !edits.is_empty() {
+            // `apply_edits` clones the database but `Arc`-shares every table
+            // the edits do not touch.
+            let db = crate::realize::apply_edits(&self.db, edits)?;
+            let context =
+                Self::new_shared(Arc::new(db), Arc::clone(&self.original_result), queries)?;
+            return Ok((context, report(AdvancePath::FullRebuild)));
+        }
+
+        // The surviving candidates' terms are a subset of this round's, so
+        // their domains come from the cache.
+        let column_domains = TupleClassSpace::active_domains_with(&self.join, &queries, |col| {
+            self.column_domains
+                .get(&col)
+                .cloned()
+                .unwrap_or_else(|| self.columnar.active_domain(col))
+        })?;
+        let space = TupleClassSpace::build_with_domains(&self.join, &queries, &column_domains)?;
+
+        // Fewer candidates ⇒ fewer terms ⇒ coarser blocks: remap the previous
+        // round's source classes instead of classifying every join row again.
+        // A failed embedding (should not happen) falls back to full
+        // classification.
+        let source_classes = self.remap_source_classes(&space);
+        debug_assert!(
+            source_classes.is_none()
+                || source_classes.as_ref() == Some(&space.source_classes(&self.join)),
+            "refinement remap disagrees with direct classification"
+        );
+
+        let context = Self::assemble(
+            Arc::clone(&self.db),
+            Arc::clone(&self.original_result),
+            queries,
+            self.join_tables.clone(),
+            Arc::clone(&self.join),
+            Arc::clone(&self.columnar),
+            Arc::clone(&self.join_index),
+            column_domains,
+            space,
+            source_classes,
+        )?;
+        self.paranoia_check(context, report(AdvancePath::SharedNoEdit))
     }
 
-    /// The `QFE_PARANOIA` self-check: spot-validate a delta-maintained
-    /// successor against a fresh rebuild from the same database and
+    /// The `QFE_PARANOIA` self-check: spot-validate an advanced successor
+    /// against a fresh rebuild from the same database and
     /// candidates. On divergence the advance **degrades gracefully** — the
     /// fresh rebuild is returned (correctness preserved), the mismatch is
     /// counted and logged, and the report says what happened. Disabled (the
@@ -552,16 +400,12 @@ impl GenerationContext {
             Some(reason) => {
                 PARANOIA_MISMATCHES.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
-                    "qfe: QFE_PARANOIA caught a delta-repair divergence ({reason}); \
+                    "qfe: QFE_PARANOIA caught an advance divergence ({reason}); \
                      degrading to the fresh rebuild (total mismatches {})",
                     paranoia_mismatches()
                 );
                 report.paranoia_mismatch = Some(reason);
-                // The delta-maintained context is discarded, so its deltas
-                // must not be used to repair downstream caches either.
                 report.path = AdvancePath::FullRebuild;
-                report.kernel = KernelReuse::Rebuilt;
-                report.cell_deltas.clear();
                 Ok((fresh, report))
             }
         }
@@ -571,8 +415,8 @@ impl GenerationContext {
     /// join rows, domain partitions, source classes, projection columns —
     /// against `other`, returning a description of the first divergence, or
     /// `None` when the two are equivalent. This is the equivalence the
-    /// differential round-maintenance tests assert; the `QFE_PARANOIA` mode
-    /// runs it in production as a self-check.
+    /// round-advancement tests assert; the `QFE_PARANOIA` mode runs it in
+    /// production as a self-check.
     pub fn divergence_from(&self, other: &GenerationContext) -> Option<String> {
         if self.queries.len() != other.queries.len() {
             return Some(format!(
@@ -624,13 +468,10 @@ impl GenerationContext {
     /// Remaps this context's source classes into the successor class space
     /// via the old-block → new-block refinement. Returns `None` when some old
     /// block does not embed into a single new block (then direct
-    /// classification is the only option). Rows in `affected` (edited) are
-    /// classified directly.
+    /// classification is the only option).
     fn remap_source_classes(
         &self,
         new_space: &TupleClassSpace,
-        new_join: &JoinedRelation,
-        affected: &BTreeSet<usize>,
     ) -> Option<BTreeMap<TupleClass, Vec<usize>>> {
         let new_attrs = new_space.attributes();
         // For each new attribute position: (old position, old-block → new-block map).
@@ -658,19 +499,11 @@ impl GenerationContext {
                 .iter()
                 .map(|(old_pos, map)| map[old_class[*old_pos]])
                 .collect();
-            let members = remapped.entry(new_class).or_default();
-            members.extend(rows.iter().filter(|r| !affected.contains(r)));
-        }
-        // Edited rows: classify directly against the new space.
-        for &jrow in affected {
-            if let Some(class) = new_space.classify(&new_join.rows()[jrow].tuple) {
-                remapped.entry(class).or_default().push(jrow);
-            }
+            remapped.entry(new_class).or_default().extend(rows);
         }
         for members in remapped.values_mut() {
             members.sort_unstable();
         }
-        remapped.retain(|_, members| !members.is_empty());
         Some(remapped)
     }
 
@@ -708,8 +541,8 @@ impl GenerationContext {
     /// dictionaries, null bitmaps). The context computes its active domains
     /// from it, and embedders evaluate candidates against it vectorized
     /// ([`qfe_query::BoundQuery::selection_bitmap`] with a
-    /// `TermBitmapCache`). Kept fresh by [`Self::advance`]: shared untouched
-    /// across rounds without edits, patched cell-by-cell otherwise.
+    /// `TermBitmapCache`). Shared untouched across rounds by
+    /// [`Self::advance`].
     pub fn columnar(&self) -> &ColumnarJoin {
         &self.columnar
     }
@@ -1279,8 +1112,8 @@ mod tests {
         for (a, f) in advanced.join().rows().iter().zip(fresh.join().rows()) {
             assert_eq!(a.tuple, f.tuple);
         }
-        // The patched columnar mirror tracks the patched join cell-for-cell
-        // (and its generation advanced, invalidating term-bitmap caches).
+        // The rebuilt columnar mirror tracks the edited join cell-for-cell
+        // (and has a new generation, invalidating term-bitmap caches).
         assert!(advanced.columnar().generation() > ctx.columnar().generation());
         for (r, jr) in advanced.join().rows().iter().enumerate() {
             for c in 0..advanced.join().arity() {
@@ -1305,19 +1138,12 @@ mod tests {
     fn advance_report_names_the_tier_taken() {
         let ctx = employee_context();
 
-        // All candidates survive, no edits: everything shared, kernel reused.
-        let (_, report) = ctx.advance_with_report(&[0, 1, 2], &[]).unwrap();
+        // Pruned candidates, no edits: everything relational is shared.
+        let (advanced, report) = ctx.advance_with_report(&[0, 2], &[]).unwrap();
         assert_eq!(report.path, AdvancePath::SharedNoEdit);
-        assert_eq!(report.kernel, KernelReuse::Reused);
-        assert!(report.cell_deltas.is_empty());
-        assert!(report.edited_columns.is_empty());
+        assert!(Arc::ptr_eq(&advanced.columnar, &ctx.columnar));
 
-        // Pruned candidates: the class geometry changes, kernel rebuilt.
-        let (_, report) = ctx.advance_with_report(&[0, 2], &[]).unwrap();
-        assert_eq!(report.path, AdvancePath::SharedNoEdit);
-        assert_eq!(report.kernel, KernelReuse::Rebuilt);
-
-        // A non-key cell edit: delta path, one delta for the one joined row.
+        // Any cell edit rebuilds from the edited database.
         let edits = vec![crate::realize::CellEdit {
             table: "Employee".to_string(),
             row: 1,
@@ -1325,32 +1151,9 @@ mod tests {
             new_value: Value::Int(3900),
         }];
         let (advanced, report) = ctx.advance_with_report(&[0, 1, 2], &edits).unwrap();
-        assert_eq!(report.path, AdvancePath::DeltaPatched);
-        assert_eq!(report.cell_deltas.len(), 1);
-        let salary_col = ctx.join().resolve_column("salary").unwrap();
-        assert_eq!(report.cell_deltas[0].column, salary_col);
-        assert_eq!(report.cell_deltas[0].row, 1);
-        assert_eq!(report.cell_deltas[0].old, Value::Int(4200));
-        assert_eq!(report.cell_deltas[0].new, Value::Int(3900));
-        assert_eq!(report.edited_columns, vec![salary_col]);
-        // The deltas carry the epochs the advanced mirror now exposes.
-        assert_eq!(
-            advanced.columnar().column_epoch(salary_col),
-            report.cell_deltas[0].epoch
-        );
-
-        // A key-column edit forces the audited full-rebuild fallback.
-        let before = advance_full_rebuilds();
-        let key_edit = vec![crate::realize::CellEdit {
-            table: "Employee".to_string(),
-            row: 1,
-            column: "Eid".to_string(),
-            new_value: Value::Int(99),
-        }];
-        let (_, report) = ctx.advance_with_report(&[0, 1, 2], &key_edit).unwrap();
         assert_eq!(report.path, AdvancePath::FullRebuild);
-        assert_eq!(report.kernel, KernelReuse::Rebuilt);
-        assert_eq!(advance_full_rebuilds(), before + 1);
+        assert!(!Arc::ptr_eq(&advanced.db, &ctx.db));
+        assert!(report.paranoia_mismatch.is_none());
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Combines the skyline enumeration (Algorithm 3), the subset selection
 //! (Algorithm 4) and the realization of tuple-class pairs into a modified
 //! database `D'` that partitions the remaining candidate queries, minimizing
-//! the user-effort cost model.
+//! the user-effort cost model. The caller owns the round's
+//! [`GenerationContext`]: it builds the first one with
+//! [`GenerationContext::new`] and derives each later one with
+//! [`GenerationContext::advance`].
 
 use std::time::{Duration, Instant};
 
-use qfe_query::{partition_queries, QueryPartition, QueryResult, SpjQuery};
+use qfe_query::{partition_queries, QueryPartition};
 use qfe_relation::{Database, EditOp};
 
 use crate::context::GenerationContext;
@@ -15,9 +18,7 @@ use crate::cost::CostParams;
 use crate::error::Result;
 use crate::pick::pick_stc_dtc_subset;
 use crate::realize::{apply_edits, edits_to_ops};
-use crate::skyline::{
-    skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, SkylineMemo, SkylineOutcome,
-};
+use crate::skyline::skyline_stc_dtc_pairs;
 
 /// The Database Generator (Algorithm 2).
 #[derive(Debug, Clone, Default)]
@@ -50,6 +51,9 @@ pub struct GeneratedDatabase {
     pub best_binary_x: Option<usize>,
     /// Time spent in Algorithm 3.
     pub skyline_time: Duration,
+    /// Whether Algorithm 3 stopped at the time budget δ (its pairs are then
+    /// the best found so far, not the full skyline).
+    pub skyline_timed_out: bool,
     /// Time spent in Algorithm 4.
     pub pick_time: Duration,
     /// Time spent applying the modification and re-partitioning.
@@ -74,80 +78,12 @@ impl DatabaseGenerator {
         &self.params
     }
 
-    /// Runs Algorithm 2 for one iteration: builds the per-iteration context,
+    /// Runs Algorithm 2 for one iteration against the round's context:
     /// enumerates skyline pairs, picks the best subset and realizes it.
-    pub fn generate(
-        &self,
-        db: &Database,
-        original_result: &QueryResult,
-        queries: &[SpjQuery],
-    ) -> Result<GeneratedDatabase> {
-        let ctx = GenerationContext::new(db, original_result, queries)?;
-        self.generate_with_context(&ctx)
-    }
-
-    /// Runs Algorithm 2 for the round *after* `previous`: the context is
-    /// derived incrementally via [`GenerationContext::advance`] (shared join,
-    /// join index and domain caches; remapped source classes) instead of
-    /// being recomputed from the database. `surviving` are the candidate
-    /// indices kept by the user's answer; `edits` any cell edits applied to
-    /// `D` since `previous` was built (empty in the standard loop).
-    ///
-    /// Returns the advanced context alongside the generation result so the
-    /// caller can keep it for the next round.
-    pub fn generate_incremental(
-        &self,
-        previous: &GenerationContext,
-        surviving: &[usize],
-        edits: &[crate::realize::CellEdit],
-    ) -> Result<(std::sync::Arc<GenerationContext>, GeneratedDatabase)> {
-        let ctx = std::sync::Arc::new(previous.advance(surviving, edits)?);
-        let generated = self.generate_with_context(&ctx)?;
-        Ok((ctx, generated))
-    }
-
-    /// [`Self::generate_incremental`] with a cross-round [`SkylineMemo`]:
-    /// the successor context is derived differentially and the skyline
-    /// enumeration serves unchanged `(cost level, source class)` cells from
-    /// the memo. The result is identical to [`Self::generate_incremental`]
-    /// whenever the skyline enumeration completes within its budget.
-    pub fn generate_incremental_memoized(
-        &self,
-        previous: &GenerationContext,
-        surviving: &[usize],
-        edits: &[crate::realize::CellEdit],
-        memo: &mut SkylineMemo,
-    ) -> Result<(std::sync::Arc<GenerationContext>, GeneratedDatabase)> {
-        let ctx = std::sync::Arc::new(previous.advance(surviving, edits)?);
-        let generated = self.generate_with_context_memoized(&ctx, memo)?;
-        Ok((ctx, generated))
-    }
-
-    /// Runs Algorithm 2 against a pre-built context (used by the experiment
-    /// harness to time the individual steps on a fixed context).
     pub fn generate_with_context(&self, ctx: &GenerationContext) -> Result<GeneratedDatabase> {
+        // Step 1: Algorithm 3.
         let skyline = skyline_stc_dtc_pairs(ctx, self.params.skyline_time_budget);
-        self.finish_with_skyline(ctx, skyline)
-    }
 
-    /// [`Self::generate_with_context`] with a memoized skyline enumeration:
-    /// per-`(cost level, source class)` results are reused across rounds when
-    /// the candidate set and class geometry did not change.
-    pub fn generate_with_context_memoized(
-        &self,
-        ctx: &GenerationContext,
-        memo: &mut SkylineMemo,
-    ) -> Result<GeneratedDatabase> {
-        let skyline = skyline_stc_dtc_pairs_memoized(ctx, self.params.skyline_time_budget, memo);
-        self.finish_with_skyline(ctx, skyline)
-    }
-
-    /// Steps 2 and 3 of Algorithm 2, shared by the memoized and plain paths.
-    fn finish_with_skyline(
-        &self,
-        ctx: &GenerationContext,
-        skyline: SkylineOutcome,
-    ) -> Result<GeneratedDatabase> {
         // Step 2: Algorithm 4.
         let pick_start = Instant::now();
         let picked = pick_stc_dtc_subset(ctx, &skyline.pairs, &self.params, skyline.best_binary_x)?;
@@ -171,6 +107,7 @@ impl DatabaseGenerator {
             skyline_pair_count: skyline.pairs.len(),
             best_binary_x: skyline.best_binary_x,
             skyline_time: skyline.elapsed,
+            skyline_timed_out: skyline.timed_out,
             pick_time,
             modify_time,
         })
@@ -180,7 +117,7 @@ impl DatabaseGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfe_query::{evaluate, ComparisonOp, DnfPredicate, Term};
+    use qfe_query::{evaluate, ComparisonOp, DnfPredicate, QueryResult, SpjQuery, Term};
     use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema};
 
     fn employee_db() -> (Database, Vec<SpjQuery>, QueryResult) {
@@ -222,12 +159,19 @@ mod tests {
         (db, queries, result)
     }
 
+    fn generate(
+        db: &Database,
+        result: &QueryResult,
+        queries: &[SpjQuery],
+    ) -> Result<GeneratedDatabase> {
+        let ctx = GenerationContext::new(db, result, queries)?;
+        DatabaseGenerator::default().generate_with_context(&ctx)
+    }
+
     #[test]
     fn generated_database_partitions_the_candidates() {
         let (db, queries, result) = employee_db();
-        let generated = DatabaseGenerator::default()
-            .generate(&db, &result, &queries)
-            .unwrap();
+        let generated = generate(&db, &result, &queries).unwrap();
         assert!(generated.partition.group_count() >= 2);
         assert_eq!(
             generated.partition.sizes().iter().sum::<usize>(),
@@ -255,9 +199,7 @@ mod tests {
     #[test]
     fn exact_partition_matches_edit_based_expectation() {
         let (db, queries, result) = employee_db();
-        let generated = DatabaseGenerator::default()
-            .generate(&db, &result, &queries)
-            .unwrap();
+        let generated = generate(&db, &result, &queries).unwrap();
         // Every group's queries produce identical results on D'; different
         // groups produce different results.
         for g in &generated.partition.groups {
@@ -271,32 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_generation_matches_plain_generation() {
-        let (db, queries, result) = employee_db();
-        let generator = DatabaseGenerator::default();
-        let ctx = GenerationContext::new(&db, &result, &queries).unwrap();
-        let plain = generator.generate_with_context(&ctx).unwrap();
-        let mut memo = SkylineMemo::new();
-        // Two rounds against the same context: the second is served from the
-        // memo and must produce the identical database.
-        for _ in 0..2 {
-            let memoized = generator
-                .generate_with_context_memoized(&ctx, &mut memo)
-                .unwrap();
-            assert_eq!(memoized.database, plain.database);
-            assert_eq!(memoized.edits, plain.edits);
-            assert_eq!(memoized.db_edit_cost, plain.db_edit_cost);
-            assert_eq!(memoized.skyline_pair_count, plain.skyline_pair_count);
-        }
-        assert!(memo.hits() > 0);
-    }
-
-    #[test]
     fn single_candidate_cannot_be_split() {
         let (db, queries, result) = employee_db();
-        let err = DatabaseGenerator::default()
-            .generate(&db, &result, &queries[..1])
-            .unwrap_err();
+        let err = generate(&db, &result, &queries[..1]).unwrap_err();
         assert!(matches!(
             err,
             crate::error::QfeError::NoDistinguishingDatabase { .. }

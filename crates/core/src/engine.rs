@@ -37,7 +37,6 @@ use crate::delta::{DatabaseDelta, ResultDelta};
 use crate::driver::{QfeOutcome, QfeSession};
 use crate::error::{QfeError, Result};
 use crate::feedback::{FeedbackChoice, FeedbackRound};
-use crate::skyline::SkylineMemo;
 use crate::stats::{IterationStats, SessionReport};
 
 /// What the engine needs next.
@@ -72,10 +71,6 @@ struct RoundContextCache {
     /// Positions (into the cached context's query list) kept by the answer;
     /// `None` while the round is unanswered.
     surviving: Option<Vec<usize>>,
-    /// Cross-round skyline memo: per-`(cost level, source class)` enumeration
-    /// results reused whenever the candidate set and class geometry survive a
-    /// round (the memo self-invalidates on its fingerprint otherwise).
-    memo: SkylineMemo,
 }
 
 /// The resumable state machine behind a QFE session (Algorithm 1, sans-IO).
@@ -198,6 +193,7 @@ impl QfeEngine {
             skyline_pairs: generated.skyline_pair_count,
             execution_time: machine_time,
             skyline_time: generated.skyline_time,
+            skyline_timed_out: generated.skyline_timed_out,
             pick_time: generated.pick_time,
             modify_time: generated.modify_time,
             db_cost: generated.db_edit_cost,
@@ -219,52 +215,28 @@ impl QfeEngine {
     /// never change within a session) and building one from the shared
     /// example pair otherwise. The context used is cached for the next round.
     fn generate_round(&mut self) -> Result<GeneratedDatabase> {
-        let generator = DatabaseGenerator::new(self.params.clone());
-        // The skyline memo travels with the cached context; it keys its
-        // validity on a fingerprint of the candidate set and class geometry,
-        // so carrying it across a fallback rebuild is safe.
-        let mut memo = SkylineMemo::new();
-        if let Some(cache) = self.round_ctx.take() {
-            memo = cache.memo;
-            if let Some(surviving) = cache.surviving {
-                match generator.generate_incremental_memoized(
-                    &cache.ctx,
-                    &surviving,
-                    &[],
-                    &mut memo,
-                ) {
-                    Ok((ctx, generated)) => {
-                        self.round_ctx = Some(RoundContextCache {
-                            ctx,
-                            surviving: None,
-                            memo,
-                        });
-                        return Ok(generated);
-                    }
-                    // Indistinguishability is a result, not a failure of the
-                    // incremental path.
-                    Err(e @ QfeError::NoDistinguishingDatabase { .. }) => return Err(e),
-                    // Any other incremental failure falls through to a full
-                    // rebuild — never let the cache break a session.
-                    Err(_) => {}
-                }
-            }
-        }
-        let queries: Vec<SpjQuery> = self
-            .remaining
-            .iter()
-            .map(|&i| self.candidates[i].clone())
-            .collect();
-        let ctx = Arc::new(GenerationContext::new_shared(
-            Arc::clone(&self.database),
-            Arc::clone(&self.result),
-            queries,
-        )?);
-        let generated = generator.generate_with_context_memoized(&ctx, &mut memo)?;
+        let advanced = self
+            .round_ctx
+            .take()
+            .and_then(|cache| Some(cache.ctx.advance(&cache.surviving?, &[])));
+        let ctx = match advanced {
+            Some(Ok(ctx)) => ctx,
+            // No answered round to advance from, or the advance failed: build
+            // from the shared example pair — never let the cache break a
+            // session.
+            None | Some(Err(_)) => GenerationContext::new_shared(
+                Arc::clone(&self.database),
+                Arc::clone(&self.result),
+                self.remaining
+                    .iter()
+                    .map(|&i| self.candidates[i].clone())
+                    .collect(),
+            )?,
+        };
+        let generated = DatabaseGenerator::new(self.params.clone()).generate_with_context(&ctx)?;
         self.round_ctx = Some(RoundContextCache {
-            ctx,
+            ctx: Arc::new(ctx),
             surviving: None,
-            memo,
         });
         Ok(generated)
     }

@@ -23,8 +23,8 @@
 //!   change a projected column?" without consulting the column sets.
 //!
 //! Everything is immutable after construction, so the kernel — and with it
-//! the whole `GenerationContext` — is `Sync` and can be shared across the
-//! skyline worker threads without locks.
+//! the whole `GenerationContext` — is `Sync`. Each context builds its own
+//! kernel; nothing is carried across rounds.
 
 use std::collections::BTreeSet;
 
@@ -95,26 +95,6 @@ impl PairStats {
             _ => None,
         }
     }
-}
-
-/// How a successor context obtained its outcome kernel (reported by
-/// [`GenerationContext::advance_with_report`](crate::GenerationContext::advance_with_report)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelReuse {
-    /// Queries, domain blocks and projection unchanged: the previous round's
-    /// kernel was cloned verbatim (conjunct bitsets, dense table and all).
-    Reused,
-    /// Queries unchanged and the class geometry (attribute columns, per
-    /// attribute block counts) survived, but some blocks' contents changed:
-    /// only the affected per-`(attribute, block)` conjunct bitsets were
-    /// recomputed and only the dense-table entries of classes touching a
-    /// changed block were patched in place.
-    Repaired {
-        /// Number of `(attribute, block)` conjunct-bitset slots recomputed.
-        blocks_patched: usize,
-    },
-    /// The candidate set or the class geometry changed: built from scratch.
-    Rebuilt,
 }
 
 /// The bit-packed class-level reasoning kernel. See the module docs.
@@ -240,125 +220,6 @@ impl OutcomeKernel {
             }
         }
         Ok(kernel)
-    }
-
-    /// Derives the kernel for a successor context from the previous round's.
-    ///
-    /// Three tiers, cheapest first: when the candidate set, attribute columns
-    /// and per-attribute block counts *and contents* are all unchanged the
-    /// previous kernel is cloned verbatim ([`KernelReuse::Reused`]); when only
-    /// some blocks' contents changed under the same geometry, the affected
-    /// per-`(attribute, block)` conjunct bitsets are recomputed and the
-    /// dense-table rows of classes touching a changed block are patched in
-    /// place ([`KernelReuse::Repaired`]); any structural change falls back to
-    /// [`OutcomeKernel::build`] ([`KernelReuse::Rebuilt`]). Every tier
-    /// produces a kernel bit-identical to a fresh build.
-    pub fn advance_from(
-        previous: &OutcomeKernel,
-        prev_space: &TupleClassSpace,
-        space: &TupleClassSpace,
-        queries_unchanged: bool,
-        queries: &[SpjQuery],
-        join: &JoinedRelation,
-        projection_columns: &BTreeSet<usize>,
-    ) -> Result<(OutcomeKernel, KernelReuse)> {
-        let prev_attrs = prev_space.attributes();
-        let attrs = space.attributes();
-        let compatible = queries_unchanged
-            && prev_attrs.len() == attrs.len()
-            && prev_attrs
-                .iter()
-                .zip(attrs)
-                .all(|(p, n)| p.column == n.column && p.blocks.len() == n.blocks.len());
-        if !compatible {
-            return Ok((
-                OutcomeKernel::build(space, queries, join, projection_columns)?,
-                KernelReuse::Rebuilt,
-            ));
-        }
-
-        let mut kernel = previous.clone();
-        kernel.projection_touch = attrs
-            .iter()
-            .map(|a| projection_columns.contains(&a.column))
-            .collect();
-
-        let changed_attrs: Vec<usize> = prev_attrs
-            .iter()
-            .zip(attrs)
-            .enumerate()
-            .filter(|(_, (p, n))| p.blocks != n.blocks)
-            .map(|(pos, _)| pos)
-            .collect();
-        if changed_attrs.is_empty() {
-            return Ok((kernel, KernelReuse::Reused));
-        }
-
-        // Recompute the changed attributes' conjunct bitsets exactly as
-        // `build` does and record which (attribute, block) slots actually
-        // changed bits — block-content changes that leave every term's truth
-        // value intact need no table patching at all.
-        let (conj_total, conj_ranges) = conjunct_layout(queries);
-        debug_assert_eq!(conj_total, kernel.conj_total);
-        let terms_by_pos = terms_by_position(queries, &conj_ranges, join, attrs)?;
-        let mut dirty: Vec<Option<Vec<bool>>> = vec![None; attrs.len()];
-        let mut blocks_patched = 0usize;
-        for &pos in &changed_attrs {
-            let fresh = attr_conjunct_ok(
-                &attrs[pos],
-                &terms_by_pos[pos],
-                conj_total,
-                kernel.conj_words,
-            );
-            let cw = kernel.conj_words;
-            let old = &kernel.attr_conj_ok[pos];
-            let mut flags = vec![false; attrs[pos].blocks.len()];
-            for (b, flag) in flags.iter_mut().enumerate() {
-                if old[b * cw..(b + 1) * cw] != fresh[b * cw..(b + 1) * cw] {
-                    *flag = true;
-                    blocks_patched += 1;
-                }
-            }
-            if flags.iter().any(|&f| f) {
-                dirty[pos] = Some(flags);
-            }
-            kernel.attr_conj_ok[pos] = fresh;
-        }
-        if blocks_patched == 0 {
-            return Ok((kernel, KernelReuse::Repaired { blocks_patched: 0 }));
-        }
-
-        // Patch only the dense-table rows of classes that touch a dirty
-        // block. The table is taken out for the duration so that
-        // `compute_match_words` runs the factorized path against the already
-        // repaired conjunct bitsets.
-        if let Some(mut table) = kernel.table.take() {
-            let total = kernel
-                .class_count
-                .expect("dense table implies a finite class count");
-            let mut scratch = kernel.scratch();
-            let mut class = vec![0usize; kernel.block_counts.len()];
-            for id in 0..total {
-                let touched = class
-                    .iter()
-                    .enumerate()
-                    .any(|(pos, &b)| dirty[pos].as_ref().is_some_and(|f| f[b]));
-                if touched {
-                    let bits = kernel.compute_match_words(&class, &mut scratch);
-                    table[id * kernel.query_words..(id + 1) * kernel.query_words]
-                        .copy_from_slice(bits);
-                }
-                for pos in (0..class.len()).rev() {
-                    class[pos] += 1;
-                    if class[pos] < kernel.block_counts[pos] {
-                        break;
-                    }
-                    class[pos] = 0;
-                }
-            }
-            kernel.table = Some(table);
-        }
-        Ok((kernel, KernelReuse::Repaired { blocks_patched }))
     }
 
     /// Whether the dense per-class table is materialized.
@@ -724,83 +585,6 @@ mod tests {
                 class[pos] = 0;
             }
         }
-    }
-
-    #[test]
-    fn advance_from_reuses_repairs_and_rebuilds() {
-        let queries = vec![
-            q(DnfPredicate::single(Term::eq("dept", "IT"))),
-            q(DnfPredicate::single(Term::compare(
-                "salary",
-                ComparisonOp::Gt,
-                4000i64,
-            ))),
-        ];
-        let (join, space, queries) = setup(queries);
-        let proj = std::collections::BTreeSet::new();
-        let kernel = OutcomeKernel::build(&space, &queries, &join, &proj).unwrap();
-
-        // Identical geometry and block contents: verbatim reuse.
-        let (reused, how) =
-            OutcomeKernel::advance_from(&kernel, &space, &space, true, &queries, &join, &proj)
-                .unwrap();
-        assert_eq!(how, KernelReuse::Reused);
-        assert_eq!(reused.attr_conj_ok, kernel.attr_conj_ok);
-        assert_eq!(reused.table, kernel.table);
-
-        // Changed candidate set: full rebuild.
-        let fewer = vec![queries[0].clone()];
-        let space_fewer = TupleClassSpace::build(&join, &fewer).unwrap();
-        let (_, how) =
-            OutcomeKernel::advance_from(&kernel, &space, &space_fewer, false, &fewer, &join, &proj)
-                .unwrap();
-        assert_eq!(how, KernelReuse::Rebuilt);
-
-        // Same geometry, changed block contents: an edit that renames a
-        // department shifts the dept attribute's value sets without changing
-        // the truth-vector group count, so the kernel repairs in place and
-        // stays bit-identical to a fresh build.
-        let employee2 = Table::with_rows(
-            TableSchema::new(
-                "Employee",
-                vec![
-                    ColumnDef::new("Eid", DataType::Int),
-                    ColumnDef::new("name", DataType::Text),
-                    ColumnDef::new("gender", DataType::Text),
-                    ColumnDef::new("dept", DataType::Text),
-                    ColumnDef::new("salary", DataType::Int),
-                ],
-            )
-            .unwrap()
-            .with_primary_key(&["Eid"])
-            .unwrap(),
-            vec![
-                tuple![1i64, "Alice", "F", "Sales", 3700i64],
-                tuple![2i64, "Bob", "M", "IT", 4200i64],
-                tuple![3i64, "Celina", "F", "Support", 3000i64],
-                tuple![4i64, "Darren", "M", "IT", 5000i64],
-            ],
-        )
-        .unwrap();
-        let mut db2 = Database::new();
-        db2.add_table(employee2).unwrap();
-        let join2 = foreign_key_join(&db2, &["Employee".to_string()]).unwrap();
-        let space2 = TupleClassSpace::build(&join2, &queries).unwrap();
-        assert_ne!(
-            space.attributes()[0].blocks.len() + space.attributes()[1].blocks.len(),
-            0
-        );
-        let (repaired, how) =
-            OutcomeKernel::advance_from(&kernel, &space, &space2, true, &queries, &join2, &proj)
-                .unwrap();
-        assert!(
-            matches!(how, KernelReuse::Repaired { .. }),
-            "expected the repair tier, got {how:?}"
-        );
-        let fresh = OutcomeKernel::build(&space2, &queries, &join2, &proj).unwrap();
-        assert_eq!(repaired.attr_conj_ok, fresh.attr_conj_ok);
-        assert_eq!(repaired.table, fresh.table);
-        assert_eq!(repaired.projection_touch, fresh.projection_touch);
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! thinks, serializes to a [`SessionSnapshot`] for cross-process resume, and
 //! scales to many concurrent users behind a [`SessionManager`].
 //!
-//! ## The generation kernel: bitsets, threads, incremental contexts
+//! ## The generation kernel: bitsets, a columnar join, shared contexts
 //!
 //! The per-round hot path (Algorithms 3–4) runs on a dense bit-packed kernel
-//! prepared once per [`GenerationContext`]:
+//! built fresh for every [`GenerationContext`]:
 //!
 //! * **Interned tuple classes.** Every class gets a mixed-radix id over its
 //!   per-attribute block indices; candidate matching is a per-class bitset
@@ -40,22 +40,12 @@
 //!   block)` conjunct bitsets otherwise. Outcome signatures (Lemma 5.1) pack
 //!   into 2 bits per pair and partition sizes come from popcounts. There is
 //!   no interior mutability: `GenerationContext` is `Sync`.
-//! * **Parallel skyline.** [`skyline_stc_dtc_pairs`] shards Algorithm 3 over
-//!   `(cost level, source class)` tasks with `std::thread::scope` under a
-//!   shared atomic deadline, then merges per-source results deterministically
-//!   — whenever the enumeration completes within the δ budget, the parallel
-//!   outcome is byte-identical to the sequential one at every thread count
-//!   (timed-out runs are best-effort, as sequentially). Skewed class spaces
-//!   — few sources, huge per-source fan-out — are *sub-source sharded*:
-//!   when the (level, source) grid cannot keep every worker four tasks deep,
-//!   each cell splits into contiguous changed-attribute combination ranges
-//!   whose shard results merge back in enumeration order, preserving the
-//!   deterministic outcome. Threading knobs: the worker count defaults to
-//!   `std::thread::available_parallelism` (capped by the task grid), can be
-//!   pinned with [`skyline_stc_dtc_pairs_with_threads`], and is overridable
-//!   process-wide with the `QFE_SKYLINE_THREADS` environment variable. The δ
-//!   budget is checked against a precomputed deadline at an adaptive interval
-//!   (tightening past 80% of the budget) so overshoot stays bounded.
+//! * **Sequential skyline.** [`skyline_stc_dtc_pairs`] walks Algorithm 3's
+//!   (cost level, source class, destination) space in one deterministic
+//!   order. The δ budget is checked against a precomputed deadline at an
+//!   adaptive interval (tightening past 80% of the budget) so overshoot
+//!   stays bounded; [`SkylineOutcome::timed_out`] (recorded per round as
+//!   [`IterationStats::skyline_timed_out`]) says when δ cut it short.
 //! * **Columnar join mirror.** Every [`GenerationContext`] carries a
 //!   [`qfe_relation::ColumnarJoin`] — typed `i64`/`f64`/bool vectors,
 //!   dictionary-coded strings with per-column *sorted* dictionaries, and null
@@ -68,41 +58,18 @@
 //!   memoized per (column, op, literal) in a `qfe_query::TermBitmapCache`
 //!   shared by every candidate bound to the join. `qfe-qbo`'s batched
 //!   candidate verification (`BatchVerifier`/`verify_batch`) runs on the
-//!   same machinery over its own per-join mirrors. The mirror is rebuilt
-//!   only when the join itself is rebuilt; see the next bullet for when it
-//!   is merely patched.
-//! * **Incremental per-round contexts.** Between rounds the candidate set
-//!   only shrinks and `D` changes only by explicit cell edits;
-//!   [`GenerationContext::advance`] reuses the join, the columnar mirror,
-//!   the join index and cached active domains, and remaps source classes
-//!   through the old→new block refinement instead of reclassifying every
-//!   row. Without edits the mirror is `Arc`-shared untouched; with edits it
-//!   is patched cell-by-cell ([`qfe_relation::ColumnarJoin::patch_cell`]).
-//!   [`QfeEngine`] advances its cached round context automatically, and the
-//!   engine, its snapshots and every per-round context share one `Arc`'d
-//!   copy of `(D, R)`.
-//! * **Differential round maintenance.** The cost of
-//!   [`GenerationContext::advance`] is proportional to the *edit*, not to
-//!   `|D|`, end to end. Each patched cell yields a
-//!   [`qfe_relation::CellDelta`] stamped with per-column edit epochs
-//!   ([`qfe_relation::ColumnarJoin::column_epoch`]); a
-//!   `qfe_query::TermBitmapCache` consumes it via `apply_delta`, flipping
-//!   the one changed bit in each cached bitmap whose term touches the
-//!   patched column while every other column's entries stay live (structural
-//!   changes — dictionary remaps, type demotions — fall back to wholesale
-//!   invalidation). The outcome kernel is derived differentially too
-//!   ([`KernelReuse`]): cloned verbatim when queries and domain blocks
-//!   survive, repaired per changed `(attribute, block)` slot when only block
-//!   contents moved, rebuilt otherwise. The skyline keeps a cross-round
-//!   [`SkylineMemo`] of per-`(cost level, source class)` results
-//!   ([`skyline_stc_dtc_pairs_memoized`]) so only pairs whose cells changed
-//!   are re-enumerated. [`GenerationContext::advance_with_report`] returns
-//!   an [`AdvanceReport`] naming the tier taken ([`AdvancePath`]) plus the
-//!   deltas; key-column edits (which change the join structure) fall back to
-//!   a counted full rebuild ([`advance_full_rebuilds`], log it with
-//!   `QFE_LOG_REBUILD=1`) that still `Arc`-shares untouched tables. Every
-//!   fast path is byte-identical to a fresh rebuild — property-tested across
-//!   random multi-round edit sequences.
+//!   same machinery over its own per-join mirrors.
+//! * **Shared per-round contexts.** Within a session `D` and `R` never
+//!   change and each answer only shrinks the candidate set;
+//!   [`GenerationContext::advance`] `Arc`-shares the database, the join, the
+//!   columnar mirror and the join index, reuses the cached active domains,
+//!   and remaps source classes through the old→new block refinement instead
+//!   of reclassifying every row. [`QfeEngine`] advances its cached round
+//!   context itself, and the engine, its snapshots and every per-round
+//!   context share one `Arc`'d copy of `(D, R)`.
+//!   [`GenerationContext::advance_with_report`] names the path taken
+//!   ([`AdvancePath`]); the `QFE_PARANOIA` mode audits advances against a
+//!   fresh build (see [`paranoia_checks`]).
 //!
 //! ## Step-API quickstart
 //!
@@ -210,8 +177,8 @@ mod tuple_class;
 
 pub use alt_cost::AltCostModel;
 pub use context::{
-    advance_full_rebuilds, paranoia_checks, paranoia_mismatches, AdvancePath, AdvanceReport,
-    ClassPair, GenerationContext, Outcome,
+    paranoia_checks, paranoia_mismatches, AdvancePath, AdvanceReport, ClassPair, GenerationContext,
+    Outcome,
 };
 pub use cost::{
     balance_score, estimate_iterations, objective, user_effort_cost, CostInputs, CostModelKind,
@@ -231,7 +198,6 @@ pub use feedback::{
     WorstCaseUser,
 };
 pub use join_groups::{group_by_join_schema, run_grouped};
-pub use kernel::KernelReuse;
 pub use manager::{SessionId, SessionManager};
 pub use pick::{pick_stc_dtc_subset, PickOutcome};
 pub use realize::{
@@ -241,8 +207,7 @@ pub use realize::{
 pub use serial::WorkloadPayload;
 pub use set_semantics::{all_set_semantics, mixed_semantics, with_set_semantics};
 pub use skyline::{
-    skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, skyline_stc_dtc_pairs_with_threads,
-    SkylineMemo, SkylineOutcome,
+    skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, SkylineMemo, SkylineOutcome,
 };
 pub use stats::{IterationStats, SessionReport};
 pub use tuple_class::{SelectionAttribute, TupleClass, TupleClassSpace};

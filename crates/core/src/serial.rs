@@ -205,6 +205,7 @@ impl ToJson for IterationStats {
             ("skyline_pairs", self.skyline_pairs.to_json()),
             ("execution_time", self.execution_time.to_json()),
             ("skyline_time", self.skyline_time.to_json()),
+            ("skyline_timed_out", self.skyline_timed_out.to_json()),
             ("pick_time", self.pick_time.to_json()),
             ("modify_time", self.modify_time.to_json()),
             ("db_cost", self.db_cost.to_json()),
@@ -225,6 +226,11 @@ impl FromJson for IterationStats {
             skyline_pairs: json.field("skyline_pairs")?.as_usize()?,
             execution_time: FromJson::from_json(json.field("execution_time")?)?,
             skyline_time: FromJson::from_json(json.field("skyline_time")?)?,
+            // Absent in snapshots parked before the field existed.
+            skyline_timed_out: match json.get("skyline_timed_out") {
+                Some(flag) => flag.as_bool()?,
+                None => false,
+            },
             pick_time: FromJson::from_json(json.field("pick_time")?)?,
             modify_time: FromJson::from_json(json.field("modify_time")?)?,
             db_cost: json.field("db_cost")?.as_usize()?,
@@ -423,6 +429,7 @@ mod tests {
             skyline_pairs: 41,
             execution_time: Duration::from_micros(1234),
             skyline_time: Duration::from_micros(900),
+            skyline_timed_out: true,
             pick_time: Duration::from_micros(200),
             modify_time: Duration::from_micros(134),
             db_cost: 2,
@@ -432,6 +439,46 @@ mod tests {
             user_time: Duration::from_secs(5),
         };
         roundtrip(&stats);
+    }
+
+    #[test]
+    fn iteration_stats_without_timeout_flag_decode_as_not_timed_out() {
+        // Snapshots parked before `skyline_timed_out` existed lack the field.
+        let stats = IterationStats {
+            iteration: 1,
+            candidate_count: 3,
+            group_count: 2,
+            skyline_pairs: 4,
+            execution_time: Duration::from_micros(50),
+            skyline_time: Duration::from_micros(20),
+            skyline_timed_out: true,
+            pick_time: Duration::from_micros(20),
+            modify_time: Duration::from_micros(10),
+            db_cost: 1,
+            result_cost: 2,
+            modified_relations: 1,
+            modified_tuples: 1,
+            user_time: Duration::ZERO,
+        };
+        let mut json = stats.to_json();
+        if let Json::Object(pairs) = &mut json {
+            pairs.retain(|(key, _)| key != "skyline_timed_out");
+        }
+        assert!(json.get("skyline_timed_out").is_none());
+        let back = IterationStats::from_json_str(&json.render()).unwrap();
+        assert!(!back.skyline_timed_out);
+        assert_eq!(
+            back,
+            IterationStats {
+                skyline_timed_out: false,
+                ..stats
+            }
+        );
+        // A present flag of the wrong kind is still an error.
+        if let Json::Object(pairs) = &mut json {
+            pairs.push(("skyline_timed_out".into(), Json::Int(1)));
+        }
+        assert!(IterationStats::from_json_str(&json.render()).is_err());
     }
 
     #[test]

@@ -7,54 +7,24 @@
 //! threshold δ is exhausted, returning everything collected up to that point
 //! (the paper's Section 5.3).
 //!
-//! # Parallel enumeration
-//!
-//! The enumeration is embarrassingly parallel over source classes: each
-//! worker owns its own match-bitset scratch buffers and walks a disjoint set
-//! of sources (work-stealing over a shared atomic cursor), all sharing one
-//! immutable [`GenerationContext`] (`Sync` thanks to the bitset kernel).
-//! Per-source results are merged *in source order* with the exact rules the
-//! sequential loop applies, so whenever the enumeration completes within the
-//! δ budget (`timed_out == false`) the parallel outcome — `pairs` order,
-//! `min_balance`, `best_binary_x` — is byte-identical to the sequential one.
-//! A timed-out run stops at whichever tasks the workers happened to reach, so
-//! its (best-effort) result depends on timing and thread count, exactly as a
-//! timed-out sequential run depends on timing.
-//! [`skyline_stc_dtc_pairs`] picks the worker count from
-//! `std::thread::available_parallelism` (overridable with the
-//! `QFE_SKYLINE_THREADS` environment variable);
-//! [`skyline_stc_dtc_pairs_with_threads`] pins it explicitly.
-//!
-//! **Sub-source sharding.** Skewed class spaces — few source classes, each
-//! with a huge destination fan-out — would leave workers idle if tasks only
-//! split at (cost level, source class). When the (level, source) task count
-//! cannot keep every worker busy ([`SHARD_OVERSUBSCRIPTION`]-fold), each
-//! task is further split into contiguous ranges of changed-attribute
-//! *combinations* (the outer dimension of the destination enumeration, see
-//! [`TupleClassSpace::for_each_destination_class_in_combos`](crate::TupleClassSpace::for_each_destination_class_in_combos)).
-//! Shard results are merged back in combination order with the same
-//! running-minimum rules before the cross-source merge, so the outcome stays
-//! byte-identical to the sequential one at any thread count.
+//! The enumeration is one sequential walk: cost levels ascending, source
+//! classes in order, destinations in [`TupleClassSpace`] order, so a run that
+//! finishes within δ is a deterministic function of the context.
 //!
 //! # Deadline handling
 //!
-//! The δ budget is enforced against a precomputed `Instant` deadline shared
-//! through an atomic flag: once one worker observes the deadline, every
-//! worker stops at its next check. Workers re-check the clock every
-//! [`TIME_CHECK_INTERVAL`] examined pairs while far from the deadline and
-//! every [`NEAR_DEADLINE_CHECK_INTERVAL`] pairs once past ~80% of the budget,
-//! which keeps the δ overshoot bounded even when individual pairs are cheap.
+//! The δ budget is enforced against a precomputed `Instant` deadline. The
+//! clock is consulted every [`TIME_CHECK_INTERVAL`] examined pairs while far
+//! from the deadline and every [`NEAR_DEADLINE_CHECK_INTERVAL`] pairs once
+//! past ~80% of the budget, which keeps the δ overshoot bounded even when
+//! individual pairs are cheap.
+//!
+//! [`TupleClassSpace`]: crate::TupleClassSpace
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use qfe_query::SpjQuery;
-
 use crate::context::{ClassPair, GenerationContext};
-use crate::domain::DomainBlock;
-use crate::tuple_class::TupleClass;
 
 /// The result of the skyline enumeration.
 #[derive(Debug, Clone)]
@@ -72,8 +42,6 @@ pub struct SkylineOutcome {
     pub elapsed: Duration,
     /// Whether enumeration stopped because the time threshold δ was reached.
     pub timed_out: bool,
-    /// Number of worker threads used (1 = sequential).
-    pub threads: usize,
 }
 
 /// How often (in examined pairs) the time budget is re-checked while far from
@@ -84,72 +52,48 @@ const TIME_CHECK_INTERVAL: usize = 64;
 /// δ overshoot.
 const NEAR_DEADLINE_CHECK_INTERVAL: usize = 8;
 
-/// How many tasks per worker the parallel enumeration aims for. When the
-/// plain (cost level, source class) grid falls short, tasks are sub-sharded
-/// over changed-attribute combination ranges until every worker can expect
-/// this many.
-const SHARD_OVERSUBSCRIPTION: usize = 4;
-
-/// Shared deadline state: a precomputed `Instant` plus a flag that fans the
-/// first observation out to every worker.
-struct Deadline {
+/// Deadline bookkeeping: counts examined pairs and consults the clock only at
+/// the adaptive interval.
+struct Ticker {
     hard: Instant,
     soft: Instant,
-    expired: AtomicBool,
+    count: usize,
+    next_check: usize,
+    expired: bool,
 }
 
-impl Deadline {
-    fn new(start: Instant, budget: Duration) -> Deadline {
+impl Ticker {
+    fn new(start: Instant, budget: Duration) -> Ticker {
         let hard = start
             .checked_add(budget)
             .unwrap_or_else(|| start + Duration::from_secs(86_400));
         let soft = start.checked_add(budget.mul_f64(0.8)).unwrap_or(hard);
-        Deadline {
+        Ticker {
             hard,
             soft,
-            expired: AtomicBool::new(false),
-        }
-    }
-
-    fn is_expired(&self) -> bool {
-        self.expired.load(Ordering::Relaxed)
-    }
-}
-
-/// Per-worker deadline bookkeeping: counts examined pairs and consults the
-/// clock only at the adaptive interval.
-struct Ticker<'a> {
-    deadline: &'a Deadline,
-    count: usize,
-    next_check: usize,
-}
-
-impl<'a> Ticker<'a> {
-    fn new(deadline: &'a Deadline) -> Ticker<'a> {
-        Ticker {
-            deadline,
             count: 0,
             next_check: TIME_CHECK_INTERVAL,
+            expired: false,
         }
     }
 
     /// Registers one examined pair; returns `true` when the enumeration must
-    /// stop (deadline reached here or in another worker).
+    /// stop.
     #[inline]
     fn tick(&mut self) -> bool {
         self.count += 1;
         if self.count < self.next_check {
             return false;
         }
-        if self.deadline.is_expired() {
+        if self.expired {
             return true;
         }
         let now = Instant::now();
-        if now > self.deadline.hard {
-            self.deadline.expired.store(true, Ordering::Relaxed);
+        if now > self.hard {
+            self.expired = true;
             return true;
         }
-        let interval = if now > self.deadline.soft {
+        let interval = if now > self.soft {
             NEAR_DEADLINE_CHECK_INTERVAL
         } else {
             TIME_CHECK_INTERVAL
@@ -159,278 +103,77 @@ impl<'a> Ticker<'a> {
     }
 }
 
-/// What one worker collected for one source class at one cost level.
-struct SourceLevelResult {
-    /// Index of the source class (for the deterministic merge order).
-    source_idx: usize,
-    /// Pairs tied at `local_min`, in enumeration order. Empty when nothing
-    /// reached the entering minimum.
-    kept: Vec<ClassPair>,
-    /// The minimum balance this source reached (seeded with the entering
-    /// global minimum).
-    local_min: f64,
-    /// The strictly-best binary partitioning seen at this source:
-    /// `(balance, smaller subset size)`, first occurrence wins ties.
-    best_binary: Option<(f64, usize)>,
-    /// Pairs examined at this source.
-    enumerated: usize,
-}
-
-/// Enumerates one source class at one cost level, restricted to the given
-/// range of changed-attribute combinations (`0..usize::MAX` = the whole
-/// source; sub-source shards pass narrower ranges).
-fn enumerate_source_level(
-    ctx: &GenerationContext,
-    source_idx: usize,
-    source: &TupleClass,
-    edit_cost: usize,
-    combos: std::ops::Range<usize>,
-    entering_min: f64,
-    ticker: &mut Ticker<'_>,
-) -> SourceLevelResult {
-    let mut result = SourceLevelResult {
-        source_idx,
-        kept: Vec::new(),
-        local_min: entering_min,
-        best_binary: None,
-        enumerated: 0,
-    };
-    let mut src_scratch = ctx.match_scratch();
-    let mut dst_scratch = ctx.match_scratch();
-    // Hoist the source bitset out of the destination loop.
-    let source_bits = ctx.class_match_words(source, &mut src_scratch).to_vec();
-    let _ = ctx.class_space().for_each_destination_class_in_combos(
-        source,
-        edit_cost,
-        ctx.modifiable_attributes(),
-        combos,
-        |destination, changed| {
-            result.enumerated += 1;
-            if ticker.tick() {
-                return ControlFlow::Break(());
-            }
-            let dest_bits = ctx.class_match_words(destination, &mut dst_scratch);
-            let projection_changed = ctx.projection_touched(changed);
-            let stats = ctx.pair_stats(&source_bits, dest_bits, projection_changed);
-            let balance = stats.balance();
-            // A pair that does not split the candidates (a single subset) is
-            // useless for discrimination and is never kept.
-            if !balance.is_finite() {
-                return ControlFlow::Continue(());
-            }
-            if let Some(smaller) = stats.binary_smaller() {
-                let better = match result.best_binary {
-                    Some((b, _)) => balance < b,
-                    None => true,
-                };
-                if better {
-                    result.best_binary = Some((balance, smaller));
-                }
-            }
-            if balance < result.local_min {
-                result.local_min = balance;
-                result.kept.clear();
-            } else if balance > result.local_min {
-                return ControlFlow::Continue(());
-            }
-            result.kept.push(ClassPair {
-                source: source.clone(),
-                destination: destination.clone(),
-                changed_attributes: changed.to_vec(),
-            });
-            ControlFlow::Continue(())
-        },
-    );
-    result
-}
-
 /// Runs Algorithm 3 over the context's source-tuple classes.
 ///
 /// `time_budget` is the paper's δ threshold: once exceeded, the enumeration
-/// stops and returns the pairs collected so far. The worker count comes from
-/// the `QFE_SKYLINE_THREADS` environment variable when set, otherwise from
-/// `std::thread::available_parallelism` (capped by the number of source
-/// classes; tiny class spaces run sequentially).
+/// stops and returns the pairs collected so far.
 pub fn skyline_stc_dtc_pairs(ctx: &GenerationContext, time_budget: Duration) -> SkylineOutcome {
-    skyline_stc_dtc_pairs_with_threads(ctx, time_budget, auto_threads(ctx))
-}
-
-/// [`skyline_stc_dtc_pairs`] with an explicit worker count (1 = sequential).
-/// Whenever the enumeration completes within `time_budget` (the returned
-/// [`SkylineOutcome::timed_out`] is `false`), the result is identical for
-/// every thread count; a timed-out run is best-effort and timing-dependent.
-pub fn skyline_stc_dtc_pairs_with_threads(
-    ctx: &GenerationContext,
-    time_budget: Duration,
-    threads: usize,
-) -> SkylineOutcome {
     let start = Instant::now();
-    let deadline = Deadline::new(start, time_budget);
-    let sources: Vec<&TupleClass> = ctx.source_classes().keys().collect();
-    let attribute_count = ctx.class_space().attribute_count();
-    let levels = attribute_count.max(1);
-    // Sub-source sharding lets more workers than source classes pull their
-    // weight; the hard cap is the sharded task-grid size.
-    let threads = threads.clamp(1, (sources.len() * levels * SHARD_OVERSUBSCRIPTION).max(1));
-
-    // Collect per-(cost level, source) results. Sequentially the running
-    // minimum prunes what later sources keep; the parallel workers instead
-    // seed every task with `+∞` — the deterministic merge below discards
-    // exactly the same pairs, so the two modes are byte-identical (a source
-    // whose local minimum exceeds the final level minimum contributes
-    // nothing either way).
-    let mut results: Vec<Vec<SourceLevelResult>> = if threads <= 1 {
-        let mut ticker = Ticker::new(&deadline);
-        let mut min_so_far = f64::INFINITY;
-        let mut per_level = Vec::with_capacity(levels);
-        'seq: for edit_cost in 1..=levels {
-            let mut level_results = Vec::with_capacity(sources.len());
-            for (idx, source) in sources.iter().enumerate() {
-                if deadline.is_expired() {
-                    per_level.push(level_results);
-                    break 'seq;
-                }
-                let r = enumerate_source_level(
-                    ctx,
-                    idx,
-                    source,
-                    edit_cost,
-                    0..usize::MAX,
-                    min_so_far,
-                    &mut ticker,
-                );
-                if r.local_min < min_so_far {
-                    min_so_far = r.local_min;
-                }
-                level_results.push(r);
+    let mut ticker = Ticker::new(start, time_budget);
+    let mut pairs: Vec<ClassPair> = Vec::new();
+    let mut min_balance = f64::INFINITY;
+    // The strictly-best binary partitioning seen: `(balance, smaller subset
+    // size)`, first occurrence wins ties.
+    let mut best_binary: Option<(f64, usize)> = None;
+    let mut enumerated = 0usize;
+    let mut src_scratch = ctx.match_scratch();
+    let mut dst_scratch = ctx.match_scratch();
+    let levels = ctx.class_space().attribute_count().max(1);
+    for edit_cost in 1..=levels {
+        // This level's pairs tied at its running minimum, which starts from
+        // the best balance of the cheaper levels.
+        let mut level_min = min_balance;
+        let mut level_pairs: Vec<ClassPair> = Vec::new();
+        for source in ctx.source_classes().keys() {
+            if ticker.expired {
+                break;
             }
-            per_level.push(level_results);
-        }
-        per_level
-    } else {
-        // One flat work-stealing pass over every task — no per-level
-        // barrier, workers are spawned exactly once. A task is normally one
-        // (cost level, source class); when that grid is too coarse to keep
-        // the workers busy (skewed class spaces with few sources), each cell
-        // is sub-sharded into contiguous changed-attribute combination
-        // ranges.
-        struct ShardTask {
-            level: usize,
-            source_idx: usize,
-            shard: usize,
-            combos: std::ops::Range<usize>,
-        }
-        let base_tasks = levels * sources.len();
-        let target_shards = if base_tasks >= threads * SHARD_OVERSUBSCRIPTION {
-            1
-        } else {
-            (threads * SHARD_OVERSUBSCRIPTION).div_ceil(base_tasks)
-        };
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(base_tasks);
-        for level in 1..=levels {
-            let combo_count = ctx
-                .class_space()
-                .destination_combo_count(level, ctx.modifiable_attributes());
-            let shards = target_shards.min(combo_count.max(1));
-            for source_idx in 0..sources.len() {
-                if shards <= 1 {
-                    tasks.push(ShardTask {
-                        level,
-                        source_idx,
-                        shard: 0,
-                        combos: 0..usize::MAX,
+            // Hoist the source bitset out of the destination loop.
+            let source_bits = ctx.class_match_words(source, &mut src_scratch).to_vec();
+            let _ = ctx.class_space().for_each_destination_class(
+                source,
+                edit_cost,
+                ctx.modifiable_attributes(),
+                |destination, changed| {
+                    enumerated += 1;
+                    if ticker.tick() {
+                        return ControlFlow::Break(());
+                    }
+                    let dest_bits = ctx.class_match_words(destination, &mut dst_scratch);
+                    let projection_changed = ctx.projection_touched(changed);
+                    let stats = ctx.pair_stats(&source_bits, dest_bits, projection_changed);
+                    let balance = stats.balance();
+                    // A pair that does not split the candidates (a single
+                    // subset) is useless for discrimination and never kept.
+                    if !balance.is_finite() {
+                        return ControlFlow::Continue(());
+                    }
+                    if let Some(smaller) = stats.binary_smaller() {
+                        if best_binary.is_none_or(|(b, _)| balance < b) {
+                            best_binary = Some((balance, smaller));
+                        }
+                    }
+                    if balance < level_min {
+                        level_min = balance;
+                        level_pairs.clear();
+                    } else if balance > level_min {
+                        return ControlFlow::Continue(());
+                    }
+                    level_pairs.push(ClassPair {
+                        source: source.clone(),
+                        destination: destination.clone(),
+                        changed_attributes: changed.to_vec(),
                     });
-                } else {
-                    let per_shard = combo_count.div_ceil(shards);
-                    let mut start = 0;
-                    let mut shard = 0;
-                    while start < combo_count {
-                        let end = (start + per_shard).min(combo_count);
-                        tasks.push(ShardTask {
-                            level,
-                            source_idx,
-                            shard,
-                            combos: start..end,
-                        });
-                        shard += 1;
-                        start = end;
-                    }
-                }
-            }
+                    ControlFlow::Continue(())
+                },
+            );
         }
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(tasks.len()).max(1);
-        let mut flat: Vec<(usize, usize, SourceLevelResult)> = std::thread::scope(|scope| {
-            let tasks = &tasks;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, usize, SourceLevelResult)> = Vec::new();
-                        let mut ticker = Ticker::new(&deadline);
-                        loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            if t >= tasks.len() || deadline.is_expired() {
-                                break;
-                            }
-                            let task = &tasks[t];
-                            local.push((
-                                task.level,
-                                task.shard,
-                                enumerate_source_level(
-                                    ctx,
-                                    task.source_idx,
-                                    sources[task.source_idx],
-                                    task.level,
-                                    task.combos.clone(),
-                                    f64::INFINITY,
-                                    &mut ticker,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("skyline worker panicked"))
-                .collect()
-        });
-        // Merge sub-source shards back into one result per (level, source),
-        // in combination order, with the running-minimum rules the
-        // single-task enumeration applies — the combination ranges partition
-        // the source's enumeration order, so this is exact.
-        flat.sort_unstable_by_key(|(level, shard, r)| (*level, r.source_idx, *shard));
-        let mut per_level: Vec<Vec<SourceLevelResult>> = (0..levels).map(|_| Vec::new()).collect();
-        for (level, _, r) in flat {
-            let bucket = &mut per_level[level - 1];
-            match bucket.last_mut() {
-                Some(prev) if prev.source_idx == r.source_idx => {
-                    prev.enumerated += r.enumerated;
-                    if let Some((b, x)) = r.best_binary {
-                        let better = match prev.best_binary {
-                            Some((pb, _)) => b < pb,
-                            None => true,
-                        };
-                        if better {
-                            prev.best_binary = Some((b, x));
-                        }
-                    }
-                    if r.local_min < prev.local_min {
-                        prev.local_min = r.local_min;
-                        prev.kept = r.kept;
-                    } else if r.local_min == prev.local_min {
-                        prev.kept.extend(r.kept);
-                    }
-                }
-                _ => bucket.push(r),
-            }
+        pairs.append(&mut level_pairs);
+        min_balance = level_min;
+        if ticker.expired {
+            break;
         }
-        per_level
-    };
-
-    let (pairs, min_balance, best_binary, enumerated) = merge_level_results(&mut results);
-    let timed_out = deadline.is_expired();
+    }
 
     SkylineOutcome {
         pairs,
@@ -438,241 +181,45 @@ pub fn skyline_stc_dtc_pairs_with_threads(
         best_binary_x: best_binary.map(|(_, x)| x),
         enumerated,
         elapsed: start.elapsed(),
-        timed_out,
-        threads,
+        timed_out: ticker.expired,
     }
 }
 
-/// Deterministic merge of per-(level, source) results in (level, source)
-/// order — reproduces the sequential running-minimum and first-best
-/// tie-breaking semantics, so any collection mode (sequential, parallel,
-/// memoized) that produces complete per-source results merges to the same
-/// outcome. Returns `(pairs, min_balance, best_binary, enumerated)`;
-/// destructive on `kept`.
-fn merge_level_results(
-    results: &mut [Vec<SourceLevelResult>],
-) -> (Vec<ClassPair>, f64, Option<(f64, usize)>, usize) {
-    let mut pairs: Vec<ClassPair> = Vec::new();
-    let mut min_balance = f64::INFINITY;
-    let mut best_binary: Option<(f64, usize)> = None;
-    let mut enumerated = 0usize;
-    for level_results in results.iter_mut() {
-        let mut level_min = min_balance;
-        for r in level_results.iter() {
-            enumerated += r.enumerated;
-            if r.local_min < level_min {
-                level_min = r.local_min;
-            }
-        }
-        for r in level_results.iter_mut() {
-            // First strictly-better binary partitioning wins, in source order.
-            if let Some((b, x)) = r.best_binary {
-                let better = match best_binary {
-                    Some((gb, _)) => b < gb,
-                    None => true,
-                };
-                if better {
-                    best_binary = Some((b, x));
-                }
-            }
-            if r.local_min == level_min && !r.kept.is_empty() {
-                pairs.append(&mut r.kept);
-            }
-        }
-        min_balance = level_min;
-    }
-    (pairs, min_balance, best_binary, enumerated)
-}
-
-/// Fingerprint of everything a memo cell's value depends on besides its own
-/// `(cost level, source class)` key: the candidate queries, the class-space
-/// geometry (attribute columns and domain-block contents), the modifiable
-/// mask and the projection columns. Any difference invalidates every cell.
-#[derive(Debug, Clone, PartialEq)]
-struct MemoFingerprint {
-    queries: Vec<SpjQuery>,
-    attributes: Vec<(usize, Vec<DomainBlock>)>,
-    modifiable: Vec<bool>,
-    projection_columns: BTreeSet<usize>,
-}
-
-impl MemoFingerprint {
-    fn of(ctx: &GenerationContext) -> MemoFingerprint {
-        MemoFingerprint {
-            queries: ctx.queries().to_vec(),
-            attributes: ctx
-                .class_space()
-                .attributes()
-                .iter()
-                .map(|a| (a.column, a.blocks.clone()))
-                .collect(),
-            modifiable: ctx.modifiable_attributes().to_vec(),
-            projection_columns: ctx.projection_columns().clone(),
-        }
-    }
-}
-
-/// The complete enumeration result of one `(cost level, source class)` cell.
-#[derive(Debug, Clone)]
-struct MemoCell {
-    kept: Vec<ClassPair>,
-    local_min: f64,
-    best_binary: Option<(f64, usize)>,
-    enumerated: usize,
-}
-
-/// Cross-round memo for [`skyline_stc_dtc_pairs_memoized`]: caches the
-/// per-`(cost level, source class)` enumeration results keyed on a
-/// fingerprint of the candidate set and the class-space geometry.
-///
-/// Between feedback rounds a single cell edit typically leaves the geometry
-/// (and hence the fingerprint) intact while only a few source classes gain or
-/// lose member rows — and a cell's value depends on the *class*, not on which
-/// rows inhabit it, so every cell seen before is served from the memo and
-/// only genuinely new source classes are enumerated.
+/// A pass-through kept for callers that thread a memo through their rounds
+/// (the `perfbench` replay does). Nothing is cached: within a session every
+/// round has a smaller candidate set than the last, so no enumeration result
+/// could ever be reused.
 #[derive(Debug, Clone, Default)]
 pub struct SkylineMemo {
-    fingerprint: Option<MemoFingerprint>,
-    cells: BTreeMap<(usize, TupleClass), MemoCell>,
-    hits: u64,
-    recomputed: u64,
+    enumerations: u64,
 }
 
 impl SkylineMemo {
-    /// An empty memo.
+    /// A fresh memo.
     pub fn new() -> SkylineMemo {
         SkylineMemo::default()
     }
 
-    /// Cells served from the memo across all lookups.
+    /// Results served from the memo: always 0.
     pub fn hits(&self) -> u64 {
-        self.hits
+        0
     }
 
-    /// Cells enumerated (and cached) because they were absent.
+    /// Enumerations run through this memo (every call enumerates).
     pub fn recomputed_cells(&self) -> u64 {
-        self.recomputed
-    }
-
-    /// Number of cached cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the memo holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Drops every cached cell (the counters are kept).
-    pub fn clear(&mut self) {
-        self.cells.clear();
-        self.fingerprint = None;
+        self.enumerations
     }
 }
 
-/// [`skyline_stc_dtc_pairs`] with a cross-round [`SkylineMemo`]: source
-/// classes whose `(level, class)` cell is cached are served from the memo,
-/// only new cells are enumerated. Whenever the enumeration completes within
-/// `time_budget` the outcome is byte-identical to the sequential
-/// (single-thread) enumeration — cells are seeded with `+∞` exactly like the
-/// parallel workers, and the deterministic merge discards the same pairs.
-/// Cells are cached only when their enumeration ran to completion, so a
-/// timed-out run never poisons the memo.
+/// [`skyline_stc_dtc_pairs`], counted on `memo`. Kept only for the callers
+/// described at [`SkylineMemo`].
 pub fn skyline_stc_dtc_pairs_memoized(
     ctx: &GenerationContext,
     time_budget: Duration,
     memo: &mut SkylineMemo,
 ) -> SkylineOutcome {
-    let start = Instant::now();
-    let deadline = Deadline::new(start, time_budget);
-    let fingerprint = MemoFingerprint::of(ctx);
-    if memo.fingerprint.as_ref() != Some(&fingerprint) {
-        memo.cells.clear();
-        memo.fingerprint = Some(fingerprint);
-    }
-
-    let sources: Vec<&TupleClass> = ctx.source_classes().keys().collect();
-    let levels = ctx.class_space().attribute_count().max(1);
-    let mut ticker = Ticker::new(&deadline);
-    let mut results: Vec<Vec<SourceLevelResult>> = Vec::with_capacity(levels);
-    'outer: for level in 1..=levels {
-        let mut level_results = Vec::with_capacity(sources.len());
-        for (idx, source) in sources.iter().enumerate() {
-            if deadline.is_expired() {
-                results.push(level_results);
-                break 'outer;
-            }
-            let key = (level, (*source).clone());
-            if let Some(cell) = memo.cells.get(&key) {
-                memo.hits += 1;
-                level_results.push(SourceLevelResult {
-                    source_idx: idx,
-                    kept: cell.kept.clone(),
-                    local_min: cell.local_min,
-                    best_binary: cell.best_binary,
-                    enumerated: cell.enumerated,
-                });
-                continue;
-            }
-            let r = enumerate_source_level(
-                ctx,
-                idx,
-                source,
-                level,
-                0..usize::MAX,
-                f64::INFINITY,
-                &mut ticker,
-            );
-            // Only complete cells are cacheable: a deadline hit mid-source
-            // truncates the enumeration.
-            if !deadline.is_expired() {
-                memo.recomputed += 1;
-                memo.cells.insert(
-                    key,
-                    MemoCell {
-                        kept: r.kept.clone(),
-                        local_min: r.local_min,
-                        best_binary: r.best_binary,
-                        enumerated: r.enumerated,
-                    },
-                );
-            }
-            level_results.push(r);
-        }
-        results.push(level_results);
-    }
-
-    let (pairs, min_balance, best_binary, enumerated) = merge_level_results(&mut results);
-    let timed_out = deadline.is_expired();
-
-    SkylineOutcome {
-        pairs,
-        min_balance,
-        best_binary_x: best_binary.map(|(_, x)| x),
-        enumerated,
-        elapsed: start.elapsed(),
-        timed_out,
-        threads: 1,
-    }
-}
-
-/// Picks the default worker count: the `QFE_SKYLINE_THREADS` environment
-/// variable when set, otherwise the machine's available parallelism, capped
-/// by the number of source classes.
-fn auto_threads(ctx: &GenerationContext) -> usize {
-    if let Ok(v) = std::env::var("QFE_SKYLINE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    // Sub-source sharding keeps extra workers productive even when there are
-    // fewer source classes than cores; the useful ceiling is the task grid.
-    let levels = ctx.class_space().attribute_count().max(1);
-    hw.min((ctx.source_classes().len() * levels).max(1))
+    memo.enumerations += 1;
+    skyline_stc_dtc_pairs(ctx, time_budget)
 }
 
 #[cfg(test)]
@@ -749,94 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_enumeration_is_bit_identical_to_sequential() {
+    fn memo_is_a_counting_pass_through() {
         let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
-        for threads in [2usize, 3, 4, 8] {
-            let parallel =
-                skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), threads);
-            assert_eq!(parallel.pairs, sequential.pairs, "{threads} threads");
-            assert_eq!(
-                parallel.min_balance.to_bits(),
-                sequential.min_balance.to_bits()
-            );
-            assert_eq!(parallel.best_binary_x, sequential.best_binary_x);
-            assert_eq!(parallel.enumerated, sequential.enumerated);
-        }
-    }
-
-    #[test]
-    fn sub_source_sharding_stays_bit_identical_on_skewed_spaces() {
-        // The employee context has only 2 source classes over 3 levels: any
-        // worker count ≥ 2 falls below the oversubscription target, so every
-        // (level, source) cell is sub-sharded over combination ranges — and
-        // worker counts beyond the source-class count must still merge to the
-        // sequential result.
-        let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
-        for threads in [2usize, 5, 16, 64] {
-            let parallel =
-                skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), threads);
-            assert!(parallel.threads > 1, "{threads} workers requested");
-            assert_eq!(parallel.pairs, sequential.pairs, "{threads} threads");
-            assert_eq!(
-                parallel.min_balance.to_bits(),
-                sequential.min_balance.to_bits()
-            );
-            assert_eq!(parallel.best_binary_x, sequential.best_binary_x);
-            assert_eq!(parallel.enumerated, sequential.enumerated);
-        }
-    }
-
-    #[test]
-    fn memoized_enumeration_is_bit_identical_and_hits_on_reuse() {
-        let ctx = employee_context();
-        let sequential = skyline_stc_dtc_pairs_with_threads(&ctx, Duration::from_secs(30), 1);
+        let budget = Duration::from_secs(30);
+        let plain = skyline_stc_dtc_pairs(&ctx, budget);
         let mut memo = SkylineMemo::new();
-
-        // Cold memo: everything recomputed, result identical to sequential.
-        let cold = skyline_stc_dtc_pairs_memoized(&ctx, Duration::from_secs(30), &mut memo);
-        assert_eq!(cold.pairs, sequential.pairs);
-        assert_eq!(cold.min_balance.to_bits(), sequential.min_balance.to_bits());
-        assert_eq!(cold.best_binary_x, sequential.best_binary_x);
-        assert_eq!(cold.enumerated, sequential.enumerated);
-        assert_eq!(memo.hits(), 0);
-        assert!(memo.recomputed_cells() > 0);
-        assert!(!memo.is_empty());
-
-        // Warm memo, same context: every cell served from the cache, result
-        // still identical.
-        let recomputed_before = memo.recomputed_cells();
-        let warm = skyline_stc_dtc_pairs_memoized(&ctx, Duration::from_secs(30), &mut memo);
-        assert_eq!(warm.pairs, sequential.pairs);
-        assert_eq!(warm.min_balance.to_bits(), sequential.min_balance.to_bits());
-        assert_eq!(warm.best_binary_x, sequential.best_binary_x);
-        assert_eq!(warm.enumerated, sequential.enumerated);
-        assert_eq!(memo.recomputed_cells(), recomputed_before);
-        assert_eq!(memo.hits() as usize, memo.len());
-
-        // A changed candidate set invalidates the fingerprint: the memo is
-        // rebuilt and the result matches the new context's sequential run.
-        let pruned = ctx.advance(&[0, 1], &[]).unwrap();
-        let pruned_seq = skyline_stc_dtc_pairs_with_threads(&pruned, Duration::from_secs(30), 1);
-        let after = skyline_stc_dtc_pairs_memoized(&pruned, Duration::from_secs(30), &mut memo);
-        assert_eq!(after.pairs, pruned_seq.pairs);
-        assert_eq!(
-            after.min_balance.to_bits(),
-            pruned_seq.min_balance.to_bits()
-        );
-        assert_eq!(after.enumerated, pruned_seq.enumerated);
-    }
-
-    #[test]
-    fn memo_clear_drops_cells() {
-        let ctx = employee_context();
-        let mut memo = SkylineMemo::new();
-        let _ = skyline_stc_dtc_pairs_memoized(&ctx, Duration::from_secs(30), &mut memo);
-        assert!(!memo.is_empty());
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.len(), 0);
+        for round in 1..=2 {
+            let memoized = skyline_stc_dtc_pairs_memoized(&ctx, budget, &mut memo);
+            assert_eq!(memoized.pairs, plain.pairs);
+            assert_eq!(memoized.min_balance.to_bits(), plain.min_balance.to_bits());
+            assert_eq!(memoized.best_binary_x, plain.best_binary_x);
+            assert_eq!(memoized.enumerated, plain.enumerated);
+            assert_eq!(memo.hits(), 0);
+            assert_eq!(memo.recomputed_cells(), round);
+        }
     }
 
     #[test]

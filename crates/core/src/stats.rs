@@ -25,6 +25,10 @@ pub struct IterationStats {
     pub execution_time: Duration,
     /// Time spent in Algorithm 3 (skyline enumeration).
     pub skyline_time: Duration,
+    /// Whether Algorithm 3 stopped at the time budget δ: the round was then
+    /// generated from the best pairs found so far, so its outcome depends on
+    /// timing.
+    pub skyline_timed_out: bool,
     /// Time spent in Algorithm 4 (subset selection).
     pub pick_time: Duration,
     /// Time spent applying the modification and re-partitioning.
@@ -179,6 +183,7 @@ mod tests {
             skyline_pairs: 50,
             execution_time: Duration::from_millis(100),
             skyline_time: Duration::from_millis(60),
+            skyline_timed_out: false,
             pick_time: Duration::from_millis(20),
             modify_time: Duration::from_millis(20),
             db_cost,

@@ -256,52 +256,6 @@ impl TupleClassSpace {
         source: &TupleClass,
         modify_count: usize,
         modifiable: &[bool],
-        visit: F,
-    ) -> std::ops::ControlFlow<()>
-    where
-        F: FnMut(&TupleClass, &[usize]) -> std::ops::ControlFlow<()>,
-    {
-        self.for_each_destination_class_in_combos(
-            source,
-            modify_count,
-            modifiable,
-            0..usize::MAX,
-            visit,
-        )
-    }
-
-    /// The number of changed-position combinations
-    /// [`Self::for_each_destination_class`] walks for one source at one cost
-    /// level: `C(modifiable positions, modify_count)`. The unit of the
-    /// skyline's sub-source work sharding.
-    pub fn destination_combo_count(&self, modify_count: usize, modifiable: &[bool]) -> usize {
-        let n = (0..self.attributes.len())
-            .filter(|&i| modifiable.get(i).copied().unwrap_or(true))
-            .count();
-        if modify_count == 0 || modify_count > n {
-            return 0;
-        }
-        // C(n, k), saturating (attribute counts are tiny in practice).
-        let mut c: usize = 1;
-        for i in 1..=modify_count {
-            c = c.saturating_mul(n - modify_count + i) / i;
-        }
-        c
-    }
-
-    /// [`Self::for_each_destination_class`] restricted to the changed-position
-    /// combinations with (lexicographic) index in `combos` — the enumeration
-    /// order is exactly the corresponding contiguous slice of the full
-    /// enumeration, so walking `0..a`, `a..b`, `b..` in turn visits every
-    /// destination once, in the full order. This is how the parallel skyline
-    /// shards a single skewed source class across workers without giving up
-    /// its deterministic merge.
-    pub fn for_each_destination_class_in_combos<F>(
-        &self,
-        source: &TupleClass,
-        modify_count: usize,
-        modifiable: &[bool],
-        combos: std::ops::Range<usize>,
         mut visit: F,
     ) -> std::ops::ControlFlow<()>
     where
@@ -312,7 +266,7 @@ impl TupleClassSpace {
         let positions: Vec<usize> = (0..self.attributes.len())
             .filter(|&i| modifiable.get(i).copied().unwrap_or(true))
             .collect();
-        if modify_count == 0 || modify_count > positions.len() || combos.is_empty() {
+        if modify_count == 0 || modify_count > positions.len() {
             return ControlFlow::Continue(());
         }
         // One scratch class mutated in place; one scratch combination buffer.
@@ -320,20 +274,7 @@ impl TupleClassSpace {
         let mut chosen: Vec<usize> = vec![0; modify_count];
         let mut alt: Vec<usize> = vec![0; modify_count];
         let mut combo: Vec<usize> = (0..modify_count).collect();
-        let mut combo_idx: usize = 0;
-        'combos: loop {
-            if combo_idx >= combos.end {
-                break 'combos;
-            }
-            let in_range = combo_idx >= combos.start;
-            combo_idx += 1;
-            if !in_range {
-                // Skip to the next combination without enumerating blocks.
-                if !advance_combination(&mut combo, positions.len()) {
-                    break 'combos;
-                }
-                continue 'combos;
-            }
+        loop {
             for (slot, &ci) in combo.iter().enumerate() {
                 chosen[slot] = positions[ci];
             }
@@ -396,7 +337,7 @@ impl TupleClassSpace {
                 scratch[pos] = source[pos];
             }
             if !advance_combination(&mut combo, positions.len()) {
-                break 'combos;
+                break;
             }
         }
         ControlFlow::Continue(())
@@ -627,45 +568,6 @@ mod tests {
                 ));
             }
             assert!(outcomes.len() <= 4);
-        }
-    }
-
-    #[test]
-    fn combo_range_enumeration_is_a_contiguous_slice_of_the_full_order() {
-        let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
-        let source = space.classify(&join.rows()[1].tuple).unwrap();
-        let modifiable = vec![true; space.attribute_count()];
-        assert_eq!(
-            space.destination_combo_count(1, &modifiable),
-            space.attribute_count()
-        );
-        assert_eq!(
-            space.destination_combo_count(space.attribute_count() + 1, &modifiable),
-            0
-        );
-        assert_eq!(space.destination_combo_count(0, &modifiable), 0);
-        for k in 1..=space.attribute_count() {
-            let full = space.destination_classes(&source, k, &modifiable);
-            let combos = space.destination_combo_count(k, &modifiable);
-            assert!(combos >= 1);
-            // Walking the combination range in chunks re-concatenates to the
-            // full enumeration, in the full order.
-            let mut pieces = Vec::new();
-            let cuts = [0, combos / 3, 2 * combos / 3, combos];
-            for w in cuts.windows(2) {
-                let _ = space.for_each_destination_class_in_combos(
-                    &source,
-                    k,
-                    &modifiable,
-                    w[0]..w[1],
-                    |c, ch| {
-                        pieces.push((c.clone(), ch.to_vec()));
-                        std::ops::ControlFlow::Continue(())
-                    },
-                );
-            }
-            assert_eq!(pieces, full, "modify_count {k}");
         }
     }
 

@@ -1,42 +1,38 @@
-//! The `QFE_PARANOIA` self-check mode: delta-maintained advances are
-//! spot-validated against a fresh rebuild, and a divergence degrades
-//! gracefully to the rebuilt context instead of serving drifted state.
+//! The `QFE_PARANOIA` self-check mode: advances are spot-validated against a
+//! fresh rebuild, and a divergence degrades gracefully to the rebuilt context
+//! instead of serving drifted state.
 //!
 //! This lives in its own integration-test binary because the sampling
 //! interval is parsed from the environment once per process — the variable
 //! must be set before the first `advance` anywhere in the process.
 
-use qfe_core::{paranoia_checks, paranoia_mismatches, AdvancePath, CellEdit, GenerationContext};
-use qfe_relation::Value;
+use qfe_core::{paranoia_checks, paranoia_mismatches, AdvancePath, GenerationContext};
 
 #[test]
-fn paranoia_mode_spot_validates_delta_advances() {
+fn paranoia_mode_spot_validates_shrinking_advances() {
     std::env::set_var("QFE_PARANOIA", "1");
 
     let (db, result, candidates, _) = qfe_datasets::example_1_1();
     let ctx = GenerationContext::new(&db, &result, &candidates).unwrap();
 
-    // An edited advance takes the delta path and gets spot-checked.
-    let edits = vec![CellEdit {
-        table: "Employee".to_string(),
-        row: 0,
-        column: "salary".to_string(),
-        new_value: Value::Int(4100),
-    }];
-    let (advanced, report) = ctx.advance_with_report(&[0, 1, 2], &edits).unwrap();
-    assert_eq!(report.path, AdvancePath::DeltaPatched);
+    // A candidate-shrinking advance without edits — the path every feedback
+    // round takes — shares the relational state, remaps the source classes
+    // and gets audited.
+    let (advanced, report) = ctx.advance_with_report(&[0, 2], &[]).unwrap();
+    assert_eq!(report.path, AdvancePath::SharedNoEdit);
     assert!(
         report.paranoia_checked,
         "QFE_PARANOIA=1 checks every advance"
     );
     assert!(
         report.paranoia_mismatch.is_none(),
-        "a correct delta repair must pass its own audit: {:?}",
+        "a correct advance must pass its own audit: {:?}",
         report.paranoia_mismatch
     );
+    assert_eq!(advanced.query_count(), 2);
 
-    // The no-edit (Arc-shared) advance is audited too.
-    let (_, report) = advanced.advance_with_report(&[0, 1, 2], &[]).unwrap();
+    // The next round shrinks again and is audited too.
+    let (_, report) = advanced.advance_with_report(&[1], &[]).unwrap();
     assert_eq!(report.path, AdvancePath::SharedNoEdit);
     assert!(report.paranoia_checked);
     assert!(report.paranoia_mismatch.is_none());

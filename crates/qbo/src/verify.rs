@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery, TermBitmapCache};
-use qfe_relation::{Bitmap, CellDelta, ColumnarJoin, JoinedRelation, Value};
+use qfe_relation::{Bitmap, ColumnarJoin, JoinedRelation};
 
 /// Counters describing what a [`BatchVerifier`] did — the raw material for
 /// the `qbo-batch` bench scenario (candidates/sec, rows scanned).
@@ -52,11 +52,8 @@ pub struct VerifyStats {
     pub term_bitmap_hits: u64,
     /// Term bitmaps computed (one typed column scan each).
     pub term_bitmap_misses: u64,
-    /// Cached term bitmaps repaired in place after a cell patch (one bit
-    /// flipped per repair instead of a column scan).
-    pub term_bitmap_repairs: u64,
-    /// Cached term bitmaps invalidated (stale-epoch recomputes plus wholesale
-    /// drops on structural changes).
+    /// Cached term bitmaps recomputed because they were cached for another
+    /// columnar mirror.
     pub term_bitmap_invalidations: u64,
 }
 
@@ -70,7 +67,6 @@ impl VerifyStats {
         self.rows_scanned += other.rows_scanned;
         self.term_bitmap_hits += other.term_bitmap_hits;
         self.term_bitmap_misses += other.term_bitmap_misses;
-        self.term_bitmap_repairs += other.term_bitmap_repairs;
         self.term_bitmap_invalidations += other.term_bitmap_invalidations;
     }
 }
@@ -157,80 +153,13 @@ impl BatchVerifier {
     }
 
     /// The counters accumulated so far. The term-bitmap counters are read off
-    /// the live cache, so repairs applied by [`Self::apply_cell_patch`] show
-    /// up here too.
+    /// the live cache.
     pub fn stats(&self) -> VerifyStats {
         let mut stats = self.stats;
         stats.term_bitmap_hits = self.cache.hits();
         stats.term_bitmap_misses = self.cache.misses();
-        stats.term_bitmap_repairs = self.cache.repairs();
         stats.term_bitmap_invalidations = self.cache.invalidations();
         stats
-    }
-
-    /// Applies a single-cell edit to the verifier's columnar mirror and
-    /// repairs its caches in place.
-    ///
-    /// The term-bitmap cache flips the one changed bit in every cached bitmap
-    /// on the patched column (wholesale invalidation if the patch restructured
-    /// the column), and cached verdicts whose projection reads the patched
-    /// column are dropped — every other verdict stays valid because its
-    /// signature pins the selected rows and its projected columns are
-    /// untouched.
-    ///
-    /// The caller must apply the same edit to the [`JoinedRelation`] it passes
-    /// to subsequent [`Self::verify`] calls; `row` and `column` are indices
-    /// into that join.
-    pub fn apply_cell_patch(&mut self, row: usize, column: usize, value: &Value) -> CellDelta {
-        let delta = self.columnar.patch_cell(row, column, value);
-        if delta.restructured {
-            self.cache.invalidate_all();
-        } else {
-            self.cache.apply_delta(&delta);
-        }
-        self.verdicts
-            .retain(|(proj, _, _), _| !proj.contains(&delta.column));
-        delta
-    }
-
-    /// Re-verifies only the candidates that `delta` (from
-    /// [`Self::apply_cell_patch`]) can affect; `prior[i]` must be the verdict
-    /// of `queries[i]` on the pre-patch state.
-    ///
-    /// A candidate is unaffected exactly when none of its terms resolves to
-    /// the patched column and its projection excludes it: its selection
-    /// bitmap and materialized result are then byte-identical to before, so
-    /// the prior verdict is replayed without touching the join. Returns the
-    /// post-patch verdicts and how many candidates were actually re-verified.
-    pub fn reverify_after_patch(
-        &mut self,
-        join: &JoinedRelation,
-        queries: &[SpjQuery],
-        prior: &[bool],
-        delta: &CellDelta,
-    ) -> (Vec<bool>, usize) {
-        debug_assert_eq!(queries.len(), prior.len());
-        let mut verdicts = Vec::with_capacity(queries.len());
-        let mut reverified = 0usize;
-        for (query, &was) in queries.iter().zip(prior) {
-            let Ok(bound) = BoundQuery::bind(query, join) else {
-                // Unbindable before and after: unverified either way.
-                verdicts.push(false);
-                continue;
-            };
-            let affected =
-                bound.projection_indices().contains(&delta.column)
-                    || query.predicate.all_terms().iter().any(|term| {
-                        join.resolve_column(term.attribute()).ok() == Some(delta.column)
-                    });
-            if affected {
-                reverified += 1;
-                verdicts.push(self.verify(join, query));
-            } else {
-                verdicts.push(was);
-            }
-        }
-        (verdicts, reverified)
     }
 
     /// The expected result candidates are checked against.
@@ -365,98 +294,6 @@ mod tests {
         assert!(!verifier.verify(&join, &q(DnfPredicate::always_true())));
         assert_eq!(verifier.stats().cardinality_rejects, 1);
         assert_eq!(verifier.distinct_signatures(), 0);
-    }
-
-    #[test]
-    fn patched_verifier_matches_fresh_verification() {
-        let db = employee_db();
-        let mut join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let expected =
-            evaluate_on_join(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
-        let frontier = vec![
-            q(DnfPredicate::single(Term::eq("gender", "M"))),
-            q(DnfPredicate::single(Term::compare(
-                "salary",
-                ComparisonOp::Gt,
-                4000i64,
-            ))),
-            q(DnfPredicate::single(Term::eq("dept", "IT"))),
-            q(DnfPredicate::single(Term::eq("gender", "F"))),
-            q(DnfPredicate::single(Term::eq("wage", 1i64))),
-        ];
-        let mut verifier = BatchVerifier::new(&join, &expected);
-        let prior = verifier.verify_batch(&join, &frontier);
-        assert_eq!(prior, vec![true, true, true, false, false]);
-
-        // Demote Bob's salary below the > 4000 threshold: the salary
-        // candidate must flip, everything else must replay its prior verdict.
-        let salary_col = join.resolve_column("salary").unwrap();
-        let bob_row = 1;
-        let delta = verifier.apply_cell_patch(bob_row, salary_col, &Value::Int(3900));
-        assert_eq!(delta.column, salary_col);
-        assert_eq!(delta.old, Value::Int(4200));
-        assert!(!delta.restructured);
-        join.patch_cell(bob_row, salary_col, Value::Int(3900));
-
-        let (verdicts, reverified) =
-            verifier.reverify_after_patch(&join, &frontier, &prior, &delta);
-        // Only the salary candidate touches the patched column.
-        assert_eq!(reverified, 1);
-        assert_eq!(verdicts, vec![true, false, true, false, false]);
-        // The narrowed verdicts equal a from-scratch batch on the patched join.
-        assert_eq!(verdicts, verify_batch(&join, &frontier, &expected));
-        let stats = verifier.stats();
-        assert!(stats.term_bitmap_repairs > 0, "{stats:?}");
-    }
-
-    #[test]
-    fn restructuring_patch_invalidates_and_stays_correct() {
-        let db = employee_db();
-        let mut join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let expected =
-            evaluate_on_join(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
-        let frontier = vec![
-            q(DnfPredicate::single(Term::eq("gender", "M"))),
-            q(DnfPredicate::single(Term::compare(
-                "salary",
-                ComparisonOp::Gt,
-                4000i64,
-            ))),
-        ];
-        let mut verifier = BatchVerifier::new(&join, &expected);
-        let prior = verifier.verify_batch(&join, &frontier);
-        // A type-violating patch (text into the int salary column) demotes
-        // the column to the Mixed fallback: the whole cache drops, yet the
-        // narrowed verdicts stay exact.
-        let salary_col = join.resolve_column("salary").unwrap();
-        let delta = verifier.apply_cell_patch(1, salary_col, &Value::Text("n/a".into()));
-        assert!(delta.restructured);
-        join.patch_cell(1, salary_col, Value::Text("n/a".into()));
-        let (verdicts, _) = verifier.reverify_after_patch(&join, &frontier, &prior, &delta);
-        assert_eq!(verdicts, verify_batch(&join, &frontier, &expected));
-        assert!(verifier.stats().term_bitmap_invalidations > 0);
-    }
-
-    #[test]
-    fn patch_drops_only_verdicts_projecting_the_column() {
-        let db = employee_db();
-        let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let expected =
-            evaluate_on_join(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
-        let mut verifier = BatchVerifier::new(&join, &expected);
-        verifier.verify(&join, &q(DnfPredicate::single(Term::eq("gender", "M"))));
-        let salary_projection = SpjQuery::new(
-            vec!["Employee"],
-            vec!["salary"],
-            DnfPredicate::single(Term::eq("gender", "M")),
-        );
-        verifier.verify(&join, &salary_projection);
-        assert_eq!(verifier.distinct_signatures(), 2);
-        let salary_col = join.resolve_column("salary").unwrap();
-        verifier.apply_cell_patch(0, salary_col, &Value::Int(3701));
-        // The name-projecting verdict survives; the salary-projecting one is
-        // dropped because its materialization would now differ.
-        assert_eq!(verifier.distinct_signatures(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use qfe_relation::{float_total_cmp, Bitmap, CellDelta, ColumnData, ColumnarJoin, Value};
+use qfe_relation::{float_total_cmp, Bitmap, ColumnData, ColumnarJoin, Value};
 
 use crate::predicate::{ComparisonOp, Term};
 
@@ -67,38 +67,28 @@ fn shape_of(term: &Term) -> TermShape {
     }
 }
 
-/// One cached term bitmap, stamped with the epoch of the column state it was
+/// One cached term bitmap, stamped with the generation of the mirror it was
 /// computed against.
 #[derive(Debug)]
 struct CachedBitmap {
-    epoch: u64,
+    generation: u64,
     bitmap: Bitmap,
 }
 
 /// A per-join cache of term selection bitmaps, shared across every candidate
 /// query bound to that join. See the module docs.
 ///
-/// Validity is tracked **per column**: each cached bitmap is stamped with the
-/// [`column_epoch`](ColumnarJoin::column_epoch) of the column state it was
-/// computed against, and epochs are allocated from a process-wide counter
-/// (fresh on every build and every patch). Handing the cache a *different*
-/// mirror, or the same mirror after an in-place patch, therefore invalidates
-/// exactly the entries on the changed columns — every other column's bitmaps
-/// stay live. Only a mirror and its un-patched clone share epochs, and those
-/// are bit-identical.
-///
-/// Better still, a single-cell patch does not have to invalidate at all:
-/// [`TermBitmapCache::apply_delta`] consumes the [`CellDelta`] emitted by
-/// [`ColumnarJoin::patch_cell`] and *repairs* each cached bitmap on the
-/// patched column by re-evaluating one row against one term — flipping a
-/// single bit and advancing the entry's epoch, so the subsequent lookup is a
-/// plain hit.
+/// Each cached bitmap is stamped with the
+/// [`generation`](ColumnarJoin::generation) of the mirror it was computed
+/// against. Generations are process-unique per build, so handing the cache a
+/// *different* mirror recomputes the entry instead of serving bits of another
+/// join; only a mirror and its clone share a generation, and those are
+/// identical.
 #[derive(Debug, Default)]
 pub struct TermBitmapCache {
     map: HashMap<(usize, TermShape), CachedBitmap>,
     hits: u64,
     misses: u64,
-    repairs: u64,
     invalidations: u64,
 }
 
@@ -109,68 +99,33 @@ impl TermBitmapCache {
     }
 
     /// The selection bitmap of `term` over column `col`, computed on first
-    /// use and served from the cache afterwards. An entry whose column epoch
-    /// no longer matches `columnar` is recomputed in place (counted as both a
-    /// miss and an invalidation).
+    /// use and served from the cache afterwards. An entry computed against
+    /// another mirror is recomputed in place (counted as both a miss and an
+    /// invalidation).
     pub fn term_bitmap(&mut self, columnar: &ColumnarJoin, col: usize, term: &Term) -> &Bitmap {
-        let epoch = columnar.column_epoch(col);
+        let generation = columnar.generation();
         match self.map.entry((col, shape_of(term))) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let entry = e.into_mut();
-                if entry.epoch == epoch {
+                if entry.generation == generation {
                     self.hits += 1;
                 } else {
                     self.misses += 1;
                     self.invalidations += 1;
                     entry.bitmap = compute_term_bitmap(columnar, col, term);
-                    entry.epoch = epoch;
+                    entry.generation = generation;
                 }
                 &entry.bitmap
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.misses += 1;
                 &e.insert(CachedBitmap {
-                    epoch,
+                    generation,
                     bitmap: compute_term_bitmap(columnar, col, term),
                 })
                 .bitmap
             }
         }
-    }
-
-    /// Repairs the cache after a single-cell patch: every cached bitmap on
-    /// the patched column that was valid immediately before the patch gets
-    /// its one affected bit re-evaluated (`delta.new` against the entry's
-    /// term) and its epoch advanced, so it stays live without recomputation.
-    /// Entries on other columns are untouched (their epochs never moved);
-    /// entries that were already stale stay stale and will recompute lazily
-    /// on next use. Returns the number of bitmaps repaired.
-    pub fn apply_delta(&mut self, delta: &CellDelta) -> u64 {
-        let mut repaired = 0;
-        for ((col, shape), entry) in self.map.iter_mut() {
-            if *col != delta.column || entry.epoch != delta.prev_epoch {
-                continue;
-            }
-            // The bit-level contract: NULL rows are always clear, for every
-            // term kind — mirroring `compute_term_bitmap`'s null mask.
-            if shape_eval(shape, &delta.new) {
-                entry.bitmap.set(delta.row);
-            } else {
-                entry.bitmap.unset(delta.row);
-            }
-            entry.epoch = delta.epoch;
-            repaired += 1;
-        }
-        self.repairs += repaired;
-        repaired
-    }
-
-    /// Drops every cached bitmap (structural-change fallback: row count or
-    /// column layout of the join changed, so per-bit repair is meaningless).
-    /// Counts one invalidation per dropped entry.
-    pub fn invalidate_all(&mut self) {
-        self.invalidations += self.map.len() as u64;
-        self.map.clear();
     }
 
     /// Cache hits served so far.
@@ -183,13 +138,7 @@ impl TermBitmapCache {
         self.misses
     }
 
-    /// Single-bit repairs applied by [`Self::apply_delta`] so far.
-    pub fn repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Entries invalidated (recomputed after an epoch mismatch, or dropped
-    /// by [`Self::invalidate_all`]) so far.
+    /// Entries recomputed because they were cached for another mirror.
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
@@ -202,20 +151,6 @@ impl TermBitmapCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// `Term::eval` with the attribute erased: evaluates a [`TermShape`] against
-/// one attribute value, with identical SQL semantics (NULL never satisfies
-/// any term kind; membership uses `Value` equality).
-fn shape_eval(shape: &TermShape, value: &Value) -> bool {
-    if value.is_null() {
-        return false;
-    }
-    match shape {
-        TermShape::Compare(op, TaggedLiteral(_, lit)) => !lit.is_null() && op.eval(value, lit),
-        TermShape::In(lits) => lits.iter().any(|TaggedLiteral(_, v)| v == value),
-        TermShape::NotIn(lits) => !lits.iter().any(|TaggedLiteral(_, v)| v == value),
     }
 }
 
@@ -281,16 +216,6 @@ pub fn compute_term_bitmap(columnar: &ColumnarJoin, col: usize, term: &Term) -> 
             let mut b = Bitmap::new(rows);
             for (r, &x) in v.iter().enumerate() {
                 if term.eval(&Value::Float(x)) {
-                    b.set(r);
-                }
-            }
-            b
-        }
-        // Mixed fallback: the row evaluator, one value at a time.
-        (ColumnData::Mixed(v), term) => {
-            let mut b = Bitmap::new(rows);
-            for (r, x) in v.iter().enumerate() {
-                if term.eval(x) {
                     b.set(r);
                 }
             }
@@ -539,8 +464,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeated_terms_and_invalidates_on_patch() {
-        let (join, mut columnar) = setup();
+    fn cache_hits_on_repeated_terms() {
+        let (join, columnar) = setup();
         let mut cache = TermBitmapCache::new();
         let term = Term::eq("name", "bob");
         let col = join.resolve_column("name").unwrap();
@@ -551,57 +476,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-
-        // A patch bumps the column's epoch: without a delta repair, the
-        // cached entry recomputes (counted as a miss + invalidation).
-        columnar.patch_cell(0, col, &Value::Text("eve".into()));
-        let third = cache.term_bitmap(&columnar, col, &term).clone();
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.invalidations(), 1);
-        assert!(third.is_zero(), "bob no longer appears");
-    }
-
-    #[test]
-    fn apply_delta_repairs_patched_column_and_keeps_others_live() {
-        let (join, mut columnar) = setup();
-        let mut cache = TermBitmapCache::new();
-        let name_col = join.resolve_column("name").unwrap();
-        let score_col = join.resolve_column("score").unwrap();
-        let name_term = Term::eq("name", "bob");
-        let score_term = Term::compare("score", ComparisonOp::Le, 1.75f64);
-        let _ = cache.term_bitmap(&columnar, name_col, &name_term);
-        let _ = cache.term_bitmap(&columnar, score_col, &score_term);
-        assert_eq!(cache.misses(), 2);
-
-        // Patch one score cell and repair: the score entry flips one bit,
-        // the name entry is untouched, and both subsequent lookups are hits.
-        let delta = columnar.patch_cell(2, score_col, &Value::Float(0.5));
-        assert_eq!(cache.apply_delta(&delta), 1);
-        assert_eq!(cache.repairs(), 1);
-        let repaired = cache.term_bitmap(&columnar, score_col, &score_term).clone();
-        let _ = cache.term_bitmap(&columnar, name_col, &name_term);
-        assert_eq!(cache.hits(), 2, "both entries stay live after the repair");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(
-            repaired,
-            compute_term_bitmap(&columnar, score_col, &score_term)
-        );
-        assert!(repaired.get(2), "2.0 -> 0.5 now satisfies score <= 1.75");
-
-        // A NULL patch must clear the bit (NULL never satisfies any term).
-        let delta = columnar.patch_cell(2, score_col, &Value::Null);
-        assert_eq!(cache.apply_delta(&delta), 1);
-        let repaired = cache.term_bitmap(&columnar, score_col, &score_term).clone();
-        assert!(!repaired.get(2));
-        assert_eq!(
-            repaired,
-            compute_term_bitmap(&columnar, score_col, &score_term)
-        );
-
-        // invalidate_all drops everything (structural fallback).
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        assert_eq!(cache.invalidations(), 2);
+        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]
@@ -707,6 +582,7 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         let _ = cache.term_bitmap(&columnar_b, col, &term);
         assert_eq!(cache.misses(), 2, "distinct mirror must invalidate");
+        assert_eq!(cache.invalidations(), 1);
     }
 
     #[test]

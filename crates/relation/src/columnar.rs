@@ -16,14 +16,14 @@
 //! * **null bitmaps** — SQL comparisons against NULL are never satisfied, so
 //!   a term's selection bitmap is computed branchlessly and masked with the
 //!   column's null bitmap;
-//! * **patch hooks** — [`ColumnarJoin::patch_cell`] mirrors
-//!   [`JoinedRelation::patch_cell`], and a [`generation`](ColumnarJoin::generation)
-//!   counter lets term-bitmap caches (in `qfe-query`) invalidate cheaply when
-//!   the underlying join changes between feedback rounds.
+//! * **a generation stamp** — every build gets a process-unique
+//!   [`generation`](ColumnarJoin::generation), so a term-bitmap cache (in
+//!   `qfe-query`) handed a different mirror recomputes instead of serving
+//!   bits computed for another join.
 //!
-//! Columns whose stored values do not conform to the declared type (possible
-//! only through unchecked joined-row patching) fall back to a row-of-values
-//! representation that preserves exact semantics.
+//! Every stored value conforms to its column's declared type: joins are built
+//! from table rows, which `Table` validates (and coerces) on insertion and
+//! update.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,45 +32,9 @@ use crate::join::JoinedRelation;
 use crate::types::DataType;
 use crate::value::Value;
 
-/// Process-wide epoch allocator: every freshly built mirror *and* every
-/// patched column gets an epoch no other mirror state has ever had, so a
-/// term-bitmap cache keyed on column epochs can never be fooled by a
-/// different mirror that happens to share a counter value (e.g. two mirrors
-/// both starting at 0 across feedback rounds).
+/// Process-wide generation allocator: every freshly built mirror gets a
+/// generation no other mirror has ever had.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn next_generation() -> u64 {
-    GENERATION.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The record of one [`ColumnarJoin::patch_cell`]: which cell changed, what
-/// it held before and after, and the column's epoch transition. This is the
-/// unit of differential maintenance — `qfe-query`'s term-bitmap cache flips
-/// one bit per cached term on the patched column instead of recomputing, and
-/// `qfe-qbo`/`qfe-core` use `column` to narrow re-verification to candidates
-/// that actually read it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellDelta {
-    /// Joined-row index of the patched cell.
-    pub row: usize,
-    /// Joined-column index of the patched cell.
-    pub column: usize,
-    /// The value the cell held before the patch.
-    pub old: Value,
-    /// The value the cell holds after the patch.
-    pub new: Value,
-    /// The patched column's epoch *before* this patch — a cache entry is
-    /// repairable iff it was computed at exactly this epoch.
-    pub prev_epoch: u64,
-    /// The patched column's epoch *after* this patch.
-    pub epoch: u64,
-    /// True when the patch restructured the column representation (sorted
-    /// dictionary insert remapping codes, or demotion to the `Mixed`
-    /// fallback) rather than overwriting one slot in place. Single-bit
-    /// repairs remain valid either way — the flag exists for callers that
-    /// want to account structural rewrites separately.
-    pub restructured: bool,
-}
 
 /// The typed backing store of one joined column.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,9 +54,6 @@ pub enum ColumnData {
     },
     /// Boolean column (null rows hold `false`).
     Bool(Vec<bool>),
-    /// Fallback for columns with values that do not conform to the declared
-    /// type: plain values, evaluated row-at-a-time.
-    Mixed(Vec<Value>),
 }
 
 /// One column of a [`ColumnarJoin`]: typed data plus a null bitmap.
@@ -115,7 +76,6 @@ impl ColumnarColumn {
             ColumnData::Float(v) => Value::Float(v[row]),
             ColumnData::Str { codes, dict } => Value::Text(dict[codes[row] as usize].clone()),
             ColumnData::Bool(v) => Value::Bool(v[row]),
-            ColumnData::Mixed(v) => v[row].clone(),
         }
     }
 }
@@ -125,10 +85,7 @@ impl ColumnarColumn {
 pub struct ColumnarJoin {
     columns: Vec<ColumnarColumn>,
     rows: usize,
-    /// Per-column edit epochs: `epochs[c]` changes (to a process-unique
-    /// value) exactly when column `c` is patched, so caches keyed per column
-    /// survive edits to *other* columns.
-    epochs: Vec<u64>,
+    generation: u64,
 }
 
 impl ColumnarJoin {
@@ -141,12 +98,10 @@ impl ColumnarJoin {
             .enumerate()
             .map(|(col, meta)| build_column(join, col, meta.data_type, rows))
             .collect();
-        let epoch = next_generation();
-        let epochs = vec![epoch; columns.len()];
         ColumnarJoin {
             columns,
             rows,
-            epochs,
+            generation: GENERATION.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -170,102 +125,16 @@ impl ColumnarJoin {
         &self.columns[idx]
     }
 
-    /// The mirror's generation: the maximum of the per-column edit epochs.
-    /// Epochs are allocated from a process-wide counter at build time and
-    /// re-allocated per patched column by every [`Self::patch_cell`], so no
-    /// two distinct mirror states (even of different joins, even across
-    /// rounds) ever share one. A `clone` shares its source's epochs — their
-    /// contents are identical until one of them is patched.
+    /// The mirror's generation, allocated from a process-wide counter at
+    /// build time: no two builds (even of the same join) share one, while a
+    /// `clone` keeps its source's — their contents are identical.
     pub fn generation(&self) -> u64 {
-        self.epochs.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The edit epoch of one column. Changes (to a process-unique value)
-    /// exactly when that column is patched; caches keyed per `(column,
-    /// epoch)` survive patches to other columns. See [`Self::generation`].
-    pub fn column_epoch(&self, col: usize) -> u64 {
-        self.epochs[col]
+        self.generation
     }
 
     /// The value of `(row, col)`, decoded back to a [`Value`].
     pub fn value_at(&self, row: usize, col: usize) -> Value {
         self.columns[col].value_at(row)
-    }
-
-    /// Overwrites one cell, keeping the columnar mirror in sync with
-    /// [`JoinedRelation::patch_cell`] on the source join, and returns the
-    /// [`CellDelta`] describing the edit (old/new value plus the column's
-    /// epoch transition) so downstream caches can repair themselves instead
-    /// of recomputing. Dictionary columns absorb unseen strings by inserting
-    /// into the sorted dictionary (codes are remapped); a value that does not
-    /// fit the column's typed store demotes the column to the exact
-    /// row-of-values fallback.
-    ///
-    /// # Panics
-    /// Panics when `row` or `col` is out of range.
-    pub fn patch_cell(&mut self, row: usize, col: usize, value: &Value) -> CellDelta {
-        assert!(col < self.columns.len(), "patch_cell: column out of range");
-        assert!(row < self.rows, "patch_cell: row out of range");
-        let old = self.columns[col].value_at(row);
-        let prev_epoch = self.epochs[col];
-        let epoch = next_generation();
-        self.epochs[col] = epoch;
-        let mut restructured = false;
-        let column = &mut self.columns[col];
-        if value.is_null() {
-            column.nulls.set(row);
-            return CellDelta {
-                row,
-                column: col,
-                old,
-                new: Value::Null,
-                prev_epoch,
-                epoch,
-                restructured,
-            };
-        }
-        match (&mut column.data, value) {
-            (ColumnData::Int(v), Value::Int(i)) => v[row] = *i,
-            (ColumnData::Float(v), Value::Float(f)) => v[row] = *f,
-            // No Float-column ← Int arm: the mirrored join keeps the exact
-            // Int, and `i as f64` rounds beyond 2^53 — such patches demote to
-            // the exact fallback below instead.
-            (ColumnData::Bool(v), Value::Bool(b)) => v[row] = *b,
-            (ColumnData::Str { codes, dict }, Value::Text(s)) => {
-                let code = match dict.binary_search_by(|d| d.as_str().cmp(s.as_str())) {
-                    Ok(pos) => pos as u32,
-                    Err(pos) => {
-                        dict.insert(pos, s.clone());
-                        for c in codes.iter_mut() {
-                            if *c as usize >= pos {
-                                *c += 1;
-                            }
-                        }
-                        restructured = true;
-                        pos as u32
-                    }
-                };
-                codes[row] = code;
-            }
-            (ColumnData::Mixed(v), value) => v[row] = value.clone(),
-            (_, value) => {
-                // Type-violating patch: demote to the exact fallback.
-                let mut decoded: Vec<Value> = (0..self.rows).map(|r| column.value_at(r)).collect();
-                decoded[row] = value.clone();
-                column.data = ColumnData::Mixed(decoded);
-                restructured = true;
-            }
-        }
-        self.columns[col].nulls.unset(row);
-        CellDelta {
-            row,
-            column: col,
-            old,
-            new: value.clone(),
-            prev_epoch,
-            epoch,
-            restructured,
-        }
     }
 
     /// Distinct values appearing in the column — exactly what
@@ -329,15 +198,6 @@ impl ColumnarJoin {
                     out.push(Value::Bool(true));
                 }
             }
-            ColumnData::Mixed(v) => {
-                let mut vals: Vec<Value> = (0..self.rows)
-                    .filter(|&r| !column.nulls.get(r))
-                    .map(|r| v[r].clone())
-                    .collect();
-                vals.sort();
-                vals.dedup();
-                out.extend(vals);
-            }
         }
         out
     }
@@ -363,26 +223,6 @@ fn build_column(
 ) -> ColumnarColumn {
     let mut nulls = Bitmap::new(rows);
     let value_of = |r: usize| join.rows()[r].tuple.get(col).unwrap_or(&Value::Null);
-
-    // Verify the column really is homogeneous in its declared type; joined
-    // rows normally are (table insertion validates), but patched joins could
-    // hold anything.
-    let conforms = (0..rows).all(|r| {
-        let v = value_of(r);
-        v.is_null() || type_matches(v, declared)
-    });
-    if !conforms {
-        let data: Vec<Value> = (0..rows).map(|r| value_of(r).clone()).collect();
-        for (r, v) in data.iter().enumerate() {
-            if v.is_null() {
-                nulls.set(r);
-            }
-        }
-        return ColumnarColumn {
-            data: ColumnData::Mixed(data),
-            nulls,
-        };
-    }
 
     let data = match declared {
         DataType::Int => {
@@ -441,16 +281,6 @@ fn build_column(
         }
     };
     ColumnarColumn { data, nulls }
-}
-
-fn type_matches(v: &Value, declared: DataType) -> bool {
-    matches!(
-        (v, declared),
-        (Value::Int(_), DataType::Int)
-            | (Value::Float(_), DataType::Float)
-            | (Value::Bool(_), DataType::Bool)
-            | (Value::Text(_), DataType::Text)
-    )
 }
 
 #[cfg(test)]
@@ -543,95 +373,13 @@ mod tests {
     }
 
     #[test]
-    fn patch_cell_tracks_joined_relation_patches() {
-        let db = mixed_db();
-        let mut join = full_foreign_key_join(&db).unwrap();
-        let mut cj = ColumnarJoin::from_join(&join);
-        let g0 = cj.generation();
-        let name_col = join.resolve_column("name").unwrap();
-        let score_col = join.resolve_column("score").unwrap();
-
-        // Patch with an unseen string: the dictionary absorbs it.
-        join.patch_cell(0, name_col, Value::Text("carol".into()));
-        cj.patch_cell(0, name_col, &Value::Text("carol".into()));
-        // Patch a float, a null, and an un-null.
-        join.patch_cell(2, score_col, Value::Float(9.5));
-        cj.patch_cell(2, score_col, &Value::Float(9.5));
-        join.patch_cell(0, score_col, Value::Null);
-        cj.patch_cell(0, score_col, &Value::Null);
-        join.patch_cell(1, score_col, Value::Float(2.0));
-        cj.patch_cell(1, score_col, &Value::Float(2.0));
-        assert!(cj.generation() > g0);
-
-        for (r, jr) in join.rows().iter().enumerate() {
-            for c in 0..join.arity() {
-                assert_eq!(
-                    cj.value_at(r, c),
-                    jr.tuple.get(c).cloned().unwrap_or(Value::Null),
-                    "cell ({r},{c})"
-                );
-            }
-        }
-        assert_eq!(cj.active_domain(name_col), join.active_domain(name_col));
-        assert_eq!(cj.active_domain(score_col), join.active_domain(score_col));
-    }
-
-    #[test]
-    fn patch_cell_reports_delta_and_touches_only_its_column_epoch() {
+    fn every_build_gets_a_fresh_generation() {
         let db = mixed_db();
         let join = full_foreign_key_join(&db).unwrap();
-        let mut cj = ColumnarJoin::from_join(&join);
-        let name_col = join.resolve_column("name").unwrap();
-        let score_col = join.resolve_column("score").unwrap();
-        let name_epoch = cj.column_epoch(name_col);
-        let score_epoch = cj.column_epoch(score_col);
-
-        // In-dictionary patch: no restructuring, epoch moves for score only.
-        let d = cj.patch_cell(2, score_col, &Value::Float(9.5));
-        assert_eq!(d.row, 2);
-        assert_eq!(d.column, score_col);
-        assert_eq!(d.old, Value::Float(0.5));
-        assert_eq!(d.new, Value::Float(9.5));
-        assert_eq!(d.prev_epoch, score_epoch);
-        assert_eq!(d.epoch, cj.column_epoch(score_col));
-        assert!(!d.restructured);
-        assert!(cj.column_epoch(score_col) > score_epoch);
-        assert_eq!(cj.column_epoch(name_col), name_epoch);
-
-        // NULL patch reports old value and Null new value.
-        let d = cj.patch_cell(2, score_col, &Value::Null);
-        assert_eq!(d.old, Value::Float(9.5));
-        assert_eq!(d.new, Value::Null);
-
-        // Unseen string forces a dictionary insert: restructured.
-        let d = cj.patch_cell(0, name_col, &Value::Text("carol".into()));
-        assert!(d.restructured);
-        assert_eq!(d.old, Value::Text("bob".into()));
-
-        // A clone shares epochs until one of them is patched.
-        let copy = cj.clone();
-        assert_eq!(copy.column_epoch(name_col), cj.column_epoch(name_col));
-        assert_eq!(copy.generation(), cj.generation());
-    }
-
-    #[test]
-    fn type_violating_patch_demotes_to_mixed() {
-        let db = mixed_db();
-        let join = full_foreign_key_join(&db).unwrap();
-        let mut cj = ColumnarJoin::from_join(&join);
-        let id_col = join.resolve_column("id").unwrap();
-        cj.patch_cell(1, id_col, &Value::Text("oops".into()));
-        assert!(matches!(cj.column(id_col).data, ColumnData::Mixed(_)));
-        assert_eq!(cj.value_at(1, id_col), Value::Text("oops".into()));
-        assert_eq!(cj.value_at(0, id_col), Value::Int(1));
-
-        // An Int patched into a Float column keeps the *exact* Int (the join
-        // it mirrors does) — no lossy f64 conversion.
-        let score_col = join.resolve_column("score").unwrap();
-        let big = (1i64 << 53) + 1;
-        cj.patch_cell(2, score_col, &Value::Int(big));
-        assert!(matches!(cj.column(score_col).data, ColumnData::Mixed(_)));
-        assert!(matches!(cj.value_at(2, score_col), Value::Int(x) if x == big));
+        let a = ColumnarJoin::from_join(&join);
+        let b = ColumnarJoin::from_join(&join);
+        assert_ne!(a.generation(), b.generation());
+        assert_eq!(a.clone().generation(), a.generation());
     }
 
     #[test]

@@ -84,20 +84,6 @@ impl JoinedRelation {
         self.rows.len()
     }
 
-    /// Overwrites one cell of one joined row.
-    ///
-    /// This is the primitive for *incrementally* tracking base-table cell
-    /// edits: when an edit cannot change the join structure (key columns are
-    /// never edited), patching the affected cells in place is equivalent to
-    /// recomputing the whole join against the edited database.
-    ///
-    /// # Panics
-    /// Panics when `row` or `col` is out of range.
-    pub fn patch_cell(&mut self, row: usize, col: usize, value: Value) {
-        assert!(col < self.columns.len(), "patch_cell: column out of range");
-        self.rows[row].tuple.set(col, value);
-    }
-
     /// True if the join is empty.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()

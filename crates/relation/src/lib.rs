@@ -57,7 +57,7 @@ mod types;
 mod value;
 
 pub use bitmap::Bitmap;
-pub use columnar::{float_total_cmp, CellDelta, ColumnData, ColumnarColumn, ColumnarJoin};
+pub use columnar::{float_total_cmp, ColumnData, ColumnarColumn, ColumnarJoin};
 pub use database::Database;
 pub use edit::{
     diff_tables, min_edit_databases, min_edit_rows, min_edit_tables, EditOp, EXACT_MATCHING_LIMIT,

@@ -44,31 +44,11 @@
 //!
 //! The columnar mirror of a join is built **once per join** — when a
 //! `GenerationContext` is constructed and when a QBO verification pass
-//! starts — and is only rebuilt when the join itself is (different join
-//! schema, or a key-column edit that changes the join structure). Between
-//! feedback rounds `GenerationContext::advance` either `Arc`-shares the
-//! mirror untouched (no edits) or patches the edited cells in place.
-//!
-//! ## Differential round maintenance
-//!
-//! Round-over-round cost scales with the **edit**, not the database. Each
-//! [`patch_cell`](relation::ColumnarJoin::patch_cell) returns a
-//! [`CellDelta`](relation::CellDelta) (row, column, old/new value, column
-//! edit epochs); [`TermBitmapCache::apply_delta`](query::TermBitmapCache)
-//! flips the one affected bit of every cached bitmap on the patched column
-//! instead of recomputing, falling back to wholesale invalidation only when
-//! the patch restructures the column (dictionary insert, type demotion).
-//! Downstream, the outcome kernel repairs only the classes whose rows moved,
-//! the QBO [`BatchVerifier`](qbo::BatchVerifier) re-verifies only candidates
-//! whose terms or projection touch the patched column
-//! (`reverify_after_patch`), and the skyline re-enumerates only (source,
-//! destination) class pairs whose blocks changed, via a cross-round
-//! [`SkylineMemo`](core::SkylineMemo). Key-column edits fall back to a full
-//! rebuild (counted by [`advance_full_rebuilds`](core::advance_full_rebuilds)
-//! and logged when `QFE_LOG_REBUILD` is set), with untouched tables still
-//! `Arc`-shared. Every fast path is property-tested byte-identical to a
-//! fresh rebuild (`tests/differential.rs`); `experiments -- rounds` records
-//! the advance-vs-rebuild trajectory in `BENCH_rounds.json`.
+//! starts. Within a session `D` never changes, so between feedback rounds
+//! `GenerationContext::advance` `Arc`-shares the database, the join, its
+//! mirror and its join index, and only the candidate-derived state (class
+//! space, source classes, outcome kernel) is rebuilt for the smaller
+//! candidate set.
 //!
 //! ## Quick start
 //!
@@ -303,10 +283,10 @@
 //! retry budget, honoring `Retry-After`, retrying `503`s and ambiguous
 //! transport failures only when the request is idempotent.
 //!
-//! **The delta machinery itself is suspect.** Setting `QFE_PARANOIA=1`
+//! **Round advancement itself is suspect.** Setting `QFE_PARANOIA=1`
 //! (or `=N` for every `N`-th advance) makes
 //! [`GenerationContext::advance_with_report`](core::GenerationContext::advance_with_report)
-//! audit each delta-maintained round against a fresh rebuild; on a
+//! audit each advanced round against a fresh rebuild; on a
 //! mismatch it logs the divergence, counts it
 //! ([`paranoia_mismatches`](core::paranoia_mismatches)), and degrades
 //! gracefully by serving the rebuilt context.
