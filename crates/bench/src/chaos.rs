@@ -1,9 +1,11 @@
-//! The fault-injected fleet: the service-fleet workload run under scripted
-//! chaos at **both** layers — a [`FaultyStore`] injecting I/O errors, torn
-//! writes and latency under the session host, and a [`FlakyHandler`]
-//! dropping, duplicating and delaying responses in front of it — proving
-//! the robustness claim end to end: zero lost sessions and zero duplicate
-//! answer effects, under a pinned seed so CI replays the exact schedule.
+//! The fault-injected fleet: concurrent clients driving Example 1.1 sessions
+//! over real HTTP against an in-process `qfe-server`, with park churn, under
+//! scripted chaos at **both** layers — a [`FaultyStore`] injecting I/O
+//! errors, torn writes and latency under the session host, and a
+//! [`FlakyHandler`] dropping, duplicating and delaying responses in front of
+//! it — proving the robustness claim end to end: zero lost sessions and zero
+//! duplicate answer effects, under a pinned seed so CI replays the exact
+//! schedule.
 //!
 //! Clients talk through [`HttpClient::with_retry`] using idempotency keys
 //! on every mutating verb; the driver additionally retries `5xx` outcomes

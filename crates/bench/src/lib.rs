@@ -5,14 +5,15 @@
 //! entropy, the user study) against the synthetic `qfe-datasets` workloads.
 //!
 //! The `experiments` binary prints the tables
-//! (`cargo run -p qfe-bench --bin experiments --release -- all`); the
-//! Criterion benches under `benches/` time the underlying kernels.
+//! (`cargo run -p qfe-bench --bin experiments --release -- all`) and runs
+//! the session-manager throughput scenario and the chaos/cluster fleet
+//! gates. Timing the engine's layers is the job of `perfbench/`, the
+//! repo's one steady benchmark.
 
 #![forbid(unsafe_code)]
 
 mod chaos;
 mod cluster;
-mod service;
 
 pub use chaos::{
     chaos_fault_plan, chaos_fleet_json, chaos_fleet_summary, run_chaos_fleet, ChaosFleetConfig,
@@ -21,10 +22,6 @@ pub use chaos::{
 pub use cluster::{
     cluster_chaos_json, cluster_chaos_summary, cluster_fault_plan, run_cluster_chaos,
     ClusterChaosConfig, ClusterChaosReport,
-};
-pub use service::{
-    run_service_fleet, service_fleet_json, service_fleet_summary, ServiceFleetConfig,
-    ServiceFleetReport,
 };
 
 use std::fmt::Write as _;
@@ -39,7 +36,7 @@ use qfe_datasets::{
     adult_scaled, baseball_scaled, entropy_variants, initial_size_variants, scientific_scaled,
     Workload,
 };
-use qfe_qbo::{grow_candidates, grow_candidates_mode, QboConfig, QueryGenerator, VerifyStats};
+use qfe_qbo::{grow_candidates, QboConfig, QueryGenerator};
 use qfe_query::{evaluate, QueryResult, SpjQuery};
 use qfe_relation::Database;
 
@@ -776,191 +773,6 @@ pub fn ablation_estimator(scale: Scale) -> String {
         )
         .unwrap();
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// QBO batched candidate verification (columnar vs. row)
-// ---------------------------------------------------------------------------
-
-/// One measured QBO generate-and-verify run.
-#[derive(Debug, Clone)]
-pub struct QboBatchMeasurement {
-    /// `"row"` (per-candidate row evaluation, the pre-columnar baseline) or
-    /// `"columnar"` (batched bitmap verification).
-    pub mode: &'static str,
-    /// Best-of-N wall-clock seconds for the full generate + grow pipeline.
-    pub seconds: f64,
-    /// Candidates produced (identical across modes, asserted by the caller).
-    pub candidates: usize,
-    /// Verification counters of the generation stage.
-    pub stats: VerifyStats,
-}
-
-impl QboBatchMeasurement {
-    /// Verified candidates per second over the whole pipeline.
-    pub fn candidates_per_sec(&self) -> f64 {
-        self.candidates as f64 / self.seconds.max(1e-12)
-    }
-}
-
-/// The QBO generate-and-verify workload of the `qbo-batch` scenario: the
-/// table5 setup (scientific database, Q2), generating candidates and growing
-/// them by constant/operator mutation to `want` total.
-///
-/// Returns the per-mode measurements (row baseline first) plus the join row
-/// count. Panics if the two modes disagree on the candidate set — the
-/// columnar path must be a pure performance change.
-pub fn qbo_batch_measurements(
-    scale: Scale,
-    want: usize,
-    repeats: usize,
-) -> (Vec<QboBatchMeasurement>, usize) {
-    let workload = scale.scientific();
-    let target = workload.query("Q2").expect("query").clone();
-    let result = workload.example_result("Q2").expect("result");
-    let join_rows = qfe_relation::foreign_key_join(&workload.database, &target.tables)
-        .map(|j| j.len())
-        .unwrap_or(0);
-
-    let run = |columnar: bool| -> (f64, Vec<SpjQuery>, VerifyStats) {
-        let config = QboConfig {
-            max_join_tables: target.tables.len().max(1),
-            columnar_verify: columnar,
-            ..QboConfig::default()
-        };
-        let generator = QueryGenerator::new(config);
-        let mut best = f64::INFINITY;
-        let mut candidates = Vec::new();
-        let mut stats = VerifyStats::default();
-        for _ in 0..repeats.max(1) {
-            let start = std::time::Instant::now();
-            let (base, s) = generator
-                .generate_with_stats(&workload.database, &result)
-                .expect("candidate generation");
-            let grown = if base.len() < want {
-                grow_candidates_mode(&workload.database, &result, &base, want, columnar)
-                    .expect("candidate growth")
-            } else {
-                base
-            };
-            let secs = start.elapsed().as_secs_f64();
-            if secs < best {
-                best = secs;
-            }
-            candidates = grown;
-            stats = s;
-        }
-        (best, candidates, stats)
-    };
-
-    let (row_secs, row_candidates, row_stats) = run(false);
-    let (col_secs, col_candidates, col_stats) = run(true);
-    let sql = |qs: &[SpjQuery]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
-    assert_eq!(
-        sql(&row_candidates),
-        sql(&col_candidates),
-        "columnar and row verification must accept byte-identical candidate sets"
-    );
-
-    (
-        vec![
-            QboBatchMeasurement {
-                mode: "row",
-                seconds: row_secs,
-                candidates: row_candidates.len(),
-                stats: row_stats,
-            },
-            QboBatchMeasurement {
-                mode: "columnar",
-                seconds: col_secs,
-                candidates: col_candidates.len(),
-                stats: col_stats,
-            },
-        ],
-        join_rows,
-    )
-}
-
-/// Human-readable `qbo-batch` table.
-pub fn qbo_batch_report(rows: &[QboBatchMeasurement], join_rows: usize) -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "QBO generate-and-verify, columnar batch vs. row baseline (scientific, Q2, {join_rows} join rows)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "(time and cand/sec cover the full generate + grow pipeline; the verify counters cover the generation stage only)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<10} {:>10} {:>12} {:>12} {:>14} {:>12} {:>10} {:>9}",
-        "mode",
-        "time (s)",
-        "candidates",
-        "cand/sec",
-        "rows scanned",
-        "checked",
-        "sig hits",
-        "speedup"
-    )
-    .unwrap();
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    for r in rows {
-        writeln!(
-            out,
-            "{:<10} {:>10.4} {:>12} {:>12.0} {:>14} {:>12} {:>10} {:>8.2}x",
-            r.mode,
-            r.seconds,
-            r.candidates,
-            r.candidates_per_sec(),
-            r.stats.rows_scanned,
-            r.stats.candidates_checked,
-            r.stats.signature_hits,
-            base / r.seconds.max(1e-12)
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// The `qbo-batch` measurement as a JSON document (`BENCH_qbo.json`), so
-/// future revisions can track the perf trajectory.
-pub fn qbo_batch_json(scale: Scale, rows: &[QboBatchMeasurement], join_rows: usize) -> String {
-    let base = rows.first().map(|r| r.seconds).unwrap_or(0.0);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"qbo-batch\",\n");
-    out.push_str("  \"workload\": \"scientific-q2-generate-and-verify\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"join_rows\": {join_rows},\n"));
-    // `seconds` times the full generate + grow pipeline; the `generate_*`
-    // counters cover the generation stage (the mutation frontier's verifiers
-    // are per-join and not aggregated here).
-    out.push_str("  \"stats_scope\": \"generate-stage\",\n");
-    out.push_str("  \"modes\": [\n");
-    let n = rows.len();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"seconds\": {:.6}, \"candidates\": {}, \"candidates_per_sec\": {:.1}, \"generate_rows_scanned\": {}, \"generate_candidates_checked\": {}, \"generate_signature_hits\": {}, \"generate_term_bitmap_hits\": {}, \"generate_term_bitmap_misses\": {}, \"generate_term_bitmap_invalidations\": {}, \"speedup\": {:.3}}}{}\n",
-            r.mode,
-            r.seconds,
-            r.candidates,
-            r.candidates_per_sec(),
-            r.stats.rows_scanned,
-            r.stats.candidates_checked,
-            r.stats.signature_hits,
-            r.stats.term_bitmap_hits,
-            r.stats.term_bitmap_misses,
-            r.stats.term_bitmap_invalidations,
-            base / r.seconds.max(1e-12),
-            if i + 1 == n { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 

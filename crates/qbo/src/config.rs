@@ -8,6 +8,9 @@
 /// number of joined relations, the maximum number of selection predicates in
 /// each conjunct, etc." and that the authors "configured QBO to generate as
 /// many candidate queries as possible". These knobs mirror that interface.
+/// They bound only the search: how a candidate is verified is not
+/// configurable — every one goes through a columnar
+/// [`BatchVerifier`](crate::BatchVerifier).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QboConfig {
     /// Maximum number of relations in a candidate query's join.
@@ -25,12 +28,6 @@ pub struct QboConfig {
     /// Whether to try inferring the projection by value matching when the
     /// result's column names do not resolve against the join.
     pub infer_projection_by_values: bool,
-    /// Whether candidate verification runs through the columnar
-    /// [`BatchVerifier`](crate::BatchVerifier) (bitmap algebra over a shared
-    /// term cache) instead of row-at-a-time evaluation. The two paths accept
-    /// byte-identical candidate sets; the row path exists for benchmarking
-    /// and differential testing.
-    pub columnar_verify: bool,
 }
 
 impl Default for QboConfig {
@@ -43,7 +40,6 @@ impl Default for QboConfig {
             max_candidates: 64,
             max_in_list: 6,
             infer_projection_by_values: true,
-            columnar_verify: true,
         }
     }
 }
@@ -60,7 +56,6 @@ impl QboConfig {
             max_candidates: 256,
             max_in_list: 10,
             infer_projection_by_values: true,
-            columnar_verify: true,
         }
     }
 
@@ -75,7 +70,6 @@ impl QboConfig {
             max_candidates: 16,
             max_in_list: 4,
             infer_projection_by_values: false,
-            columnar_verify: true,
         }
     }
 }

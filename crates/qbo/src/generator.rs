@@ -1,6 +1,6 @@
 //! The candidate-query generator (the paper's Query Generator module).
 
-use qfe_query::{evaluate_on_join, QueryResult, SpjQuery};
+use qfe_query::{QueryResult, SpjQuery};
 use qfe_relation::{foreign_key_join, Database};
 
 use crate::config::QboConfig;
@@ -44,8 +44,8 @@ impl QueryGenerator {
     }
 
     /// [`Self::generate`] plus the verification counters (candidates checked,
-    /// signature-cache replays, rows scanned) — the raw material for the
-    /// `qbo-batch` bench scenario.
+    /// signature-cache replays, rows scanned), summed over the
+    /// [`BatchVerifier`] of every join schema searched.
     pub fn generate_with_stats(
         &self,
         db: &Database,
@@ -93,18 +93,11 @@ impl QueryGenerator {
                         break;
                     }
                     let query = SpjQuery::new(tables.clone(), projection.clone(), predicate);
-                    // Verify against the real evaluator (defence in depth: the
-                    // enumeration already checked row membership).
-                    let verified = if self.config.columnar_verify {
-                        verifier
-                            .get_or_insert_with(|| BatchVerifier::new(&join, result))
-                            .verify(&join, &query)
-                    } else {
-                        stats.candidates_checked += 1;
-                        stats.rows_scanned += join.len() as u64;
-                        matches!(
-                            evaluate_on_join(&query, &join), Ok(r) if r.bag_equal(result))
-                    };
+                    // Verify against the columnar evaluator (defence in
+                    // depth: the enumeration already checked row membership).
+                    let verified = verifier
+                        .get_or_insert_with(|| BatchVerifier::new(&join, result))
+                        .verify(&join, &query);
                     if verified {
                         let key = query.to_string();
                         if seen.insert(key) {

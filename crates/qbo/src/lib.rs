@@ -14,7 +14,8 @@
 //! mechanism the paper uses to scale the candidate count in its Table 6
 //! experiment.
 //!
-//! Verification is *batched*: every candidate enumerated on a join is checked
+//! Verification is *batched* and has one path: every candidate enumerated on
+//! a join, and every mutation [`grow_candidates`] proposes, is checked
 //! through one [`BatchVerifier`] — a columnar mirror of the join
 //! (`qfe_relation::ColumnarJoin`) plus a shared per-(column, op, literal)
 //! term-bitmap cache — so a candidate's selection is bitmap algebra over
@@ -76,10 +77,7 @@ pub use config::QboConfig;
 pub use error::{QboError, Result};
 pub use generator::QueryGenerator;
 pub use join_enum::connected_table_subsets;
-pub use mutation::{
-    grow_candidates, grow_candidates_mode, mutate_constants, mutate_constants_mode,
-    mutate_operators, mutate_operators_mode,
-};
+pub use mutation::{grow_candidates, mutate_constants, mutate_operators};
 pub use predicate_enum::{enumerate_predicates, split_rows, AttributeSpace, RowSplit};
 pub use projection::candidate_projections;
 pub use verify::{verify_batch, BatchVerifier, VerifyStats};

@@ -9,64 +9,45 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use qfe_query::{evaluate, ComparisonOp, Conjunct, DnfPredicate, QueryResult, SpjQuery, Term};
+use qfe_query::{ComparisonOp, Conjunct, DnfPredicate, QueryResult, SpjQuery, Term};
 use qfe_relation::{foreign_key_join, Database, JoinedRelation, Value};
 
 use crate::error::Result;
 use crate::verify::BatchVerifier;
 
 /// Lazily built per-join-signature state shared by every mutation of queries
-/// over the same tables: the foreign-key join plus (in columnar mode) a
-/// [`BatchVerifier`] whose term-bitmap cache carries across the whole
-/// mutation frontier — a mutation perturbs one term, so every other term of
-/// the mutated predicate is a cache hit.
+/// over the same tables: the foreign-key join plus a [`BatchVerifier`] whose
+/// term-bitmap cache carries across the whole mutation frontier — a mutation
+/// perturbs one term, so every other term of the mutated predicate is a
+/// cache hit.
 struct JoinVerifiers<'a> {
     db: &'a Database,
     result: &'a QueryResult,
-    columnar: bool,
-    by_tables: BTreeMap<Vec<String>, Option<(JoinedRelation, Option<BatchVerifier>)>>,
+    by_tables: BTreeMap<Vec<String>, Option<(JoinedRelation, BatchVerifier)>>,
 }
 
 impl<'a> JoinVerifiers<'a> {
-    fn new(db: &'a Database, result: &'a QueryResult, columnar: bool) -> Self {
+    fn new(db: &'a Database, result: &'a QueryResult) -> Self {
         JoinVerifiers {
             db,
             result,
-            columnar,
             by_tables: BTreeMap::new(),
         }
     }
 
-    /// The join (and verifier, in columnar mode) for `tables`; `None` when
-    /// the join cannot be computed.
-    fn entry(&mut self, tables: &[String]) -> Option<&mut (JoinedRelation, Option<BatchVerifier>)> {
-        let (db, result, columnar) = (self.db, self.result, self.columnar);
+    /// The join and verifier for `tables`; `None` when the join cannot be
+    /// computed.
+    fn entry(&mut self, tables: &[String]) -> Option<&mut (JoinedRelation, BatchVerifier)> {
+        let (db, result) = (self.db, self.result);
         self.by_tables
             .entry(tables.to_vec())
             .or_insert_with(|| {
                 foreign_key_join(db, tables).ok().map(|join| {
-                    let verifier = columnar.then(|| BatchVerifier::new(&join, result));
+                    let verifier = BatchVerifier::new(&join, result);
                     (join, verifier)
                 })
             })
             .as_mut()
-    }
-
-    /// Whether `mutated` reproduces the expected result — through the shared
-    /// columnar verifier, or the row evaluator in row mode.
-    fn verify(
-        join: &JoinedRelation,
-        verifier: &mut Option<BatchVerifier>,
-        db: &Database,
-        result: &QueryResult,
-        mutated: &SpjQuery,
-    ) -> bool {
-        match verifier {
-            Some(v) => v.verify(join, mutated),
-            None => evaluate(mutated, db)
-                .map(|r| r.bag_equal(result))
-                .unwrap_or(false),
-        }
     }
 }
 
@@ -80,22 +61,9 @@ pub fn mutate_constants(
     base: &[SpjQuery],
     extra: usize,
 ) -> Result<Vec<SpjQuery>> {
-    mutate_constants_mode(db, result, base, extra, true)
-}
-
-/// [`mutate_constants`] with the verification path pinned: `columnar = false`
-/// re-evaluates every mutation row-at-a-time (benchmark baseline /
-/// differential testing). Both modes accept byte-identical candidate sets.
-pub fn mutate_constants_mode(
-    db: &Database,
-    result: &QueryResult,
-    base: &[SpjQuery],
-    extra: usize,
-    columnar: bool,
-) -> Result<Vec<SpjQuery>> {
     let mut seen: BTreeSet<String> = base.iter().map(|q| q.to_string()).collect();
     let mut out: Vec<SpjQuery> = Vec::new();
-    let mut verifiers = JoinVerifiers::new(db, result, columnar);
+    let mut verifiers = JoinVerifiers::new(db, result);
 
     'outer: for query in base {
         let Some((join, verifier)) = verifiers.entry(&query.tables) else {
@@ -145,7 +113,7 @@ pub fn mutate_constants_mode(
                     if seen.contains(&sql) {
                         continue;
                     }
-                    if JoinVerifiers::verify(join, verifier, db, result, &mutated) {
+                    if verifier.verify(join, &mutated) {
                         seen.insert(sql);
                         out.push(mutated);
                         if out.len() >= extra {
@@ -167,32 +135,13 @@ pub fn mutate_operators(
     base: &[SpjQuery],
     extra: usize,
 ) -> Result<Vec<SpjQuery>> {
-    mutate_operators_mode(db, result, base, extra, true)
-}
-
-/// [`mutate_operators`] with the verification path pinned (see
-/// [`mutate_constants_mode`]).
-pub fn mutate_operators_mode(
-    db: &Database,
-    result: &QueryResult,
-    base: &[SpjQuery],
-    extra: usize,
-    columnar: bool,
-) -> Result<Vec<SpjQuery>> {
     let mut seen: BTreeSet<String> = base.iter().map(|q| q.to_string()).collect();
     let mut out = Vec::new();
-    let mut verifiers = JoinVerifiers::new(db, result, columnar);
+    let mut verifiers = JoinVerifiers::new(db, result);
     'outer: for query in base {
-        // Operator mutation needs no join of its own; only the columnar path
-        // builds (and caches) one to verify against. Row mode evaluates each
-        // mutation directly, as the pre-columnar baseline did.
-        let mut entry = None;
-        if columnar {
-            match verifiers.entry(&query.tables) {
-                Some(e) => entry = Some(e),
-                None => continue,
-            }
-        }
+        let Some((join, verifier)) = verifiers.entry(&query.tables) else {
+            continue;
+        };
         for (ci, conjunct) in query.predicate.conjuncts().iter().enumerate() {
             for (ti, term) in conjunct.terms().iter().enumerate() {
                 let Term::Compare {
@@ -224,15 +173,7 @@ pub fn mutate_operators_mode(
                 if seen.contains(&sql) {
                     continue;
                 }
-                let verified = match &mut entry {
-                    Some((join, verifier)) => {
-                        JoinVerifiers::verify(join, verifier, db, result, &mutated)
-                    }
-                    None => evaluate(&mutated, db)
-                        .map(|r| r.bag_equal(result))
-                        .unwrap_or(false),
-                };
-                if verified {
+                if verifier.verify(join, &mutated) {
                     seen.insert(sql);
                     out.push(mutated);
                     if out.len() >= extra {
@@ -253,36 +194,22 @@ pub fn grow_candidates(
     base: &[SpjQuery],
     target_total: usize,
 ) -> Result<Vec<SpjQuery>> {
-    grow_candidates_mode(db, result, base, target_total, true)
-}
-
-/// [`grow_candidates`] with the verification path pinned: `columnar = false`
-/// re-evaluates every mutation row-at-a-time against a freshly computed join
-/// (the pre-columnar behaviour — kept as the benchmark baseline and for
-/// differential testing). Both modes return byte-identical candidate sets.
-pub fn grow_candidates_mode(
-    db: &Database,
-    result: &QueryResult,
-    base: &[SpjQuery],
-    target_total: usize,
-    columnar: bool,
-) -> Result<Vec<SpjQuery>> {
     let mut all = base.to_vec();
     if all.len() >= target_total {
         all.truncate(target_total);
         return Ok(all);
     }
     let extra = target_total - all.len();
-    let by_constants = mutate_constants_mode(db, result, &all, extra, columnar)?;
+    let by_constants = mutate_constants(db, result, &all, extra)?;
     all.extend(by_constants);
     if all.len() < target_total {
-        let by_ops = mutate_operators_mode(db, result, &all, target_total - all.len(), columnar)?;
+        let by_ops = mutate_operators(db, result, &all, target_total - all.len())?;
         all.extend(by_ops);
     }
     // Second-generation constant mutations (mutations of mutations) if still
     // short of the target.
     if all.len() < target_total {
-        let more = mutate_constants_mode(db, result, &all, target_total - all.len(), columnar)?;
+        let more = mutate_constants(db, result, &all, target_total - all.len())?;
         all.extend(more);
     }
     Ok(all)
@@ -307,6 +234,7 @@ fn replace_term(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qfe_query::evaluate;
     use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema};
 
     fn db() -> Database {

@@ -32,8 +32,9 @@ use std::collections::HashMap;
 use qfe_query::{BoundQuery, QueryResult, SpjQuery, TermBitmapCache};
 use qfe_relation::{Bitmap, ColumnarJoin, JoinedRelation};
 
-/// Counters describing what a [`BatchVerifier`] did — the raw material for
-/// the `qbo-batch` bench scenario (candidates/sec, rows scanned).
+/// Counters describing what a [`BatchVerifier`] did. They feed the QBO layer
+/// of perfbench's trace (candidates checked, verified ratio, rows scanned,
+/// term-bitmap hit ratio).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// Candidates checked (including signature-cache replays).

@@ -136,23 +136,10 @@ impl BoundQuery {
         acc
     }
 
-    /// Evaluates the bound query through the vectorized columnar path.
-    ///
-    /// `columnar` must mirror `join` (same rows in the same order); the
-    /// result is identical to [`Self::evaluate`].
-    pub fn evaluate_columnar(
-        &self,
-        join: &JoinedRelation,
-        columnar: &ColumnarJoin,
-        cache: &mut TermBitmapCache,
-    ) -> QueryResult {
-        let bitmap = self.selection_bitmap(columnar, cache);
-        self.materialize_selection(join, &bitmap)
-    }
-
     /// Materializes the query's result from a precomputed selection bitmap
-    /// over `join` (projection + `DISTINCT` dedup) — the shared tail of
-    /// [`Self::evaluate_columnar`] and batched verification in `qfe-qbo`.
+    /// over `join` (projection + `DISTINCT` dedup). With the bitmap of
+    /// [`Self::selection_bitmap`] the result equals [`Self::evaluate`]'s;
+    /// batched verification in `qfe-qbo` runs this pair.
     pub fn materialize_selection(&self, join: &JoinedRelation, bitmap: &Bitmap) -> QueryResult {
         let rows = bitmap
             .iter_ones()
@@ -178,19 +165,6 @@ impl BoundQuery {
 /// uses the foreign-key join of the candidate queries' shared join schema.
 pub fn evaluate_on_join(query: &SpjQuery, join: &JoinedRelation) -> Result<QueryResult> {
     Ok(BoundQuery::bind(query, join)?.evaluate(join))
-}
-
-/// [`evaluate_on_join`] through the vectorized columnar path: the selection
-/// runs as bitmap algebra over `cache`'s per-term bitmaps instead of touching
-/// rows. `columnar` must mirror `join`; results are identical to the row
-/// evaluator's.
-pub fn evaluate_on_join_columnar(
-    query: &SpjQuery,
-    join: &JoinedRelation,
-    columnar: &ColumnarJoin,
-    cache: &mut TermBitmapCache,
-) -> Result<QueryResult> {
-    Ok(BoundQuery::bind(query, join)?.evaluate_columnar(join, columnar, cache))
 }
 
 /// Evaluates a query against a database by first computing the foreign-key

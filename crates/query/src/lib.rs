@@ -52,11 +52,8 @@ mod sql;
 mod vectorized;
 
 pub use error::{QueryError, Result};
-pub use eval::{evaluate, evaluate_on_join, evaluate_on_join_columnar, BoundQuery};
-pub use partition::{
-    partition_bound_queries, partition_queries, partition_queries_on_join, QueryGroup,
-    QueryPartition,
-};
+pub use eval::{evaluate, evaluate_on_join, BoundQuery};
+pub use partition::{partition_queries, QueryGroup, QueryPartition};
 pub use predicate::{ComparisonOp, Conjunct, DnfPredicate, Term};
 pub use result::QueryResult;
 pub use spj::SpjQuery;

@@ -7,10 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use qfe_relation::{Database, JoinedRelation, Tuple};
+use qfe_relation::{Database, Tuple};
 
 use crate::error::Result;
-use crate::eval::{evaluate, evaluate_on_join, BoundQuery};
+use crate::eval::evaluate;
 use crate::result::QueryResult;
 use crate::spj::SpjQuery;
 
@@ -119,27 +119,6 @@ pub fn partition_queries(queries: &[SpjQuery], db: &Database) -> Result<QueryPar
     Ok(partition_by_results(results))
 }
 
-/// Partitions `queries` by their results on a precomputed join (all queries
-/// must be expressible over that join).
-pub fn partition_queries_on_join(
-    queries: &[SpjQuery],
-    join: &JoinedRelation,
-) -> Result<QueryPartition> {
-    let mut results = Vec::with_capacity(queries.len());
-    for q in queries {
-        results.push(evaluate_on_join(q, join)?);
-    }
-    Ok(partition_by_results(results))
-}
-
-/// Partitions pre-bound queries by their results on a join. This is the hot
-/// path used by QFE's database generator, which re-evaluates the same bound
-/// candidates against many candidate modified databases.
-pub fn partition_bound_queries(bound: &[BoundQuery], join: &JoinedRelation) -> QueryPartition {
-    let results = bound.iter().map(|b| b.evaluate(join)).collect();
-    partition_by_results(results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,22 +209,6 @@ mod tests {
         assert_eq!(p.group_count(), 2);
         assert_eq!(p.group_of(0), p.group_of(1));
         assert_ne!(p.group_of(0), p.group_of(2));
-    }
-
-    #[test]
-    fn partition_on_precomputed_join_matches_database_partition() {
-        let db = employee_db();
-        let join = qfe_relation::foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let qs = candidates();
-        let p1 = partition_queries(&qs, &db).unwrap();
-        let p2 = partition_queries_on_join(&qs, &join).unwrap();
-        assert_eq!(p1.sizes(), p2.sizes());
-        let bound: Vec<BoundQuery> = qs
-            .iter()
-            .map(|q| BoundQuery::bind(q, &join).unwrap())
-            .collect();
-        let p3 = partition_bound_queries(&bound, &join);
-        assert_eq!(p1.sizes(), p3.sizes());
     }
 
     #[test]

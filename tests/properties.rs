@@ -488,7 +488,7 @@ fn random_mixed_query(rng: &mut StdRng) -> SpjQuery {
 
 #[test]
 fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
-    use qfe_query::{evaluate_on_join, evaluate_on_join_columnar, TermBitmapCache};
+    use qfe_query::{evaluate_on_join, TermBitmapCache};
     use qfe_relation::ColumnarJoin;
     let mut rng = StdRng::seed_from_u64(109);
     for _ in 0..48 {
@@ -511,25 +511,115 @@ fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
             }
             // ...and row-for-row agreement of the materialized results.
             let row_result = evaluate_on_join(&query, &join).unwrap();
-            let col_result =
-                evaluate_on_join_columnar(&query, &join, &columnar, &mut cache).unwrap();
+            let col_result = bound.materialize_selection(&join, &bitmap);
             assert_eq!(row_result.rows(), col_result.rows(), "{query}");
         }
     }
 }
 
+/// [`build_mixed`] plus a child table `U(uid, tid → T.id)` holding 0–2 rows
+/// per `T` row, so the foreign-key join repeats (and drops) parent rows.
+fn build_mixed_with_child(rng: &mut StdRng) -> Database {
+    let mut db = build_mixed(rng);
+    let parents = db.table("T").unwrap().len() as i64;
+    let schema = TableSchema::new(
+        "U",
+        vec![
+            ColumnDef::new("uid", DataType::Int),
+            ColumnDef::new("tid", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["uid"])
+    .unwrap();
+    let mut rows = Vec::new();
+    for tid in 0..parents {
+        for _ in 0..rng.gen_range(0usize..3) {
+            rows.push(Tuple::new(vec![
+                Value::Int(rows.len() as i64),
+                Value::Int(tid),
+            ]));
+        }
+    }
+    db.add_table(Table::with_rows(schema, rows).unwrap())
+        .unwrap();
+    db.add_foreign_key(qfe_relation::ForeignKey::new("U", "tid", "T", "id"))
+        .unwrap();
+    db
+}
+
+/// A copy of `query` with its first resolvable comparison constant swapped
+/// for another value of that column's active domain in `join` — the shape of
+/// a constant mutation, which shares every other term with its source.
+fn swap_one_constant(
+    rng: &mut StdRng,
+    query: &SpjQuery,
+    join: &qfe_relation::JoinedRelation,
+) -> Option<SpjQuery> {
+    let mut conjuncts = query.predicate.conjuncts().to_vec();
+    for conjunct in conjuncts.iter_mut() {
+        let mut terms = conjunct.terms().to_vec();
+        for term in terms.iter_mut() {
+            let Term::Compare {
+                attribute, value, ..
+            } = term
+            else {
+                continue;
+            };
+            let Ok(col) = join.resolve_column(attribute) else {
+                continue;
+            };
+            let others: Vec<Value> = join
+                .active_domain(col)
+                .into_iter()
+                .filter(|v| v != value)
+                .collect();
+            if others.is_empty() {
+                continue;
+            }
+            *value = others[rng.gen_range(0..others.len())].clone();
+            *conjunct = qfe_query::Conjunct::new(terms);
+            let mut swapped = query.clone();
+            swapped.predicate = DnfPredicate::new(conjuncts);
+            return Some(swapped);
+        }
+    }
+    None
+}
+
 #[test]
 fn verify_batch_agrees_with_per_query_row_verification() {
-    use qfe_qbo::verify_batch;
+    use qfe_qbo::{verify_batch, BatchVerifier, VerifyStats};
     use qfe_query::evaluate_on_join;
     let mut rng = StdRng::seed_from_u64(111);
-    for _ in 0..32 {
-        let db = build_mixed(&mut rng);
-        let join = foreign_key_join(&db, &["T".to_string()]).unwrap();
-        let mut frontier: Vec<SpjQuery> = (0..12).map(|_| random_mixed_query(&mut rng)).collect();
+    let mut stats = VerifyStats::default();
+    for case in 0..32 {
+        // Alternate a single table with a two-table foreign-key join.
+        let (db, tables) = if case % 2 == 0 {
+            (build_mixed(&mut rng), vec!["T".to_string()])
+        } else {
+            (
+                build_mixed_with_child(&mut rng),
+                vec!["T".to_string(), "U".to_string()],
+            )
+        };
+        let join = foreign_key_join(&db, &tables).unwrap();
+        let mut frontier: Vec<SpjQuery> = (0..12)
+            .map(|_| {
+                let mut q = random_mixed_query(&mut rng);
+                q.tables = tables.clone();
+                q
+            })
+            .collect();
+        // Constant-swapped copies share all but one term with their source.
+        let swapped: Vec<SpjQuery> = frontier
+            .iter()
+            .filter_map(|q| swap_one_constant(&mut rng, q, &join))
+            .collect();
+        frontier.extend(swapped);
         // An unresolvable attribute must count as unverified, not error.
         frontier.push(SpjQuery::new(
-            vec!["T"],
+            tables.clone(),
             vec!["name"],
             DnfPredicate::single(Term::eq("wage", 1i64)),
         ));
@@ -543,14 +633,21 @@ fn verify_batch_agrees_with_per_query_row_verification() {
                 .unwrap_or(false);
             assert_eq!(v, row_verdict, "{query}");
         }
+        let mut verifier = BatchVerifier::new(&join, &expected);
+        assert_eq!(verifier.verify_batch(&join, &frontier), verdicts);
+        stats.absorb(&verifier.stats());
     }
+    // The run must reach the verifier's caches, not only its cold path.
+    assert!(stats.term_bitmap_hits > 0, "{stats:?}");
+    assert!(stats.signature_hits > 0, "{stats:?}");
 }
 
 #[test]
-fn qbo_columnar_and_row_paths_accept_identical_candidate_sets() {
-    use qfe_qbo::{grow_candidates_mode, QboConfig, QueryGenerator};
+fn qbo_candidates_and_grown_candidates_reproduce_the_result() {
+    use qfe_qbo::{grow_candidates, QueryGenerator};
+    use qfe_query::evaluate_on_join;
     let mut rng = StdRng::seed_from_u64(112);
-    let mut checked = 0;
+    let (mut checked, mut grown_total) = (0, 0);
     for _ in 0..16 {
         let rows = employee_rows(&mut rng);
         let db = build_employee(&rows);
@@ -567,32 +664,21 @@ fn qbo_columnar_and_row_paths_accept_identical_candidate_sets() {
         if result.is_empty() {
             continue;
         }
-        let columnar_gen = QueryGenerator::new(QboConfig::default());
-        let row_gen = QueryGenerator::new(QboConfig {
-            columnar_verify: false,
-            ..QboConfig::default()
-        });
-        let a = columnar_gen.generate(&db, &result);
-        let b = row_gen.generate(&db, &result);
-        let (a, b) = match (a, b) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(_), Err(_)) => continue,
-            (a, b) => panic!("paths disagree on failure: {a:?} vs {b:?}"),
+        let Ok(generated) = QueryGenerator::default().generate(&db, &result) else {
+            continue;
         };
-        let sql = |qs: &[SpjQuery]| qs.iter().map(|q| q.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            sql(&a),
-            sql(&b),
-            "generator candidate sets must be byte-identical"
-        );
-        let grown_columnar = grow_candidates_mode(&db, &result, &a, a.len() + 8, true).unwrap();
-        let grown_row = grow_candidates_mode(&db, &result, &a, a.len() + 8, false).unwrap();
-        assert_eq!(
-            sql(&grown_columnar),
-            sql(&grown_row),
-            "mutation frontiers must be byte-identical"
-        );
+        let grown = grow_candidates(&db, &result, &generated, generated.len() + 8).unwrap();
+        assert_eq!(grown[..generated.len()], generated[..]);
+        grown_total += grown.len() - generated.len();
+        for query in &grown {
+            let join = foreign_key_join(&db, &query.tables).unwrap();
+            assert!(
+                evaluate_on_join(query, &join).unwrap().bag_equal(&result),
+                "{query} does not reproduce R"
+            );
+        }
         checked += 1;
     }
     assert!(checked >= 8, "too few non-degenerate random instances");
+    assert!(grown_total > 0, "no instance grew a mutated candidate");
 }
