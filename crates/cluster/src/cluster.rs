@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use qfe_core::{QfeEngine, QfeError, QfeSession, Result, SessionId, SessionSnapshot, Step};
 use qfe_snapstore::{
     parse_session_store_key, session_store_key, FsckReport, HostConfig, ParkAllReport, ParkReceipt,
-    SessionBackend, SessionHost, SnapshotStore, StoreError,
+    SessionBackend, SessionHost, SessionLocks, SnapshotStore, StoreError,
 };
 use qfe_wire::Json;
 
@@ -44,13 +44,29 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// How a state-changing verb's effect reaches the shared store before it
+/// is reported. (Park and resume write or read the store themselves and
+/// take no commit policy.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// Write through; a refused write is absorbed. Answers and rejections:
+    /// failing one whose effect is already in memory would make the
+    /// client's retry find no pending round.
+    BestEffort,
+    /// Write through or fail the verb. Steps: the client answers the round
+    /// a step returns, so the round must survive a crash; a retried step
+    /// re-presents it from memory.
+    Required,
+}
+
 /// Tuning for a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of shard hosts in the fleet.
     pub shards: usize,
-    /// Per-shard resident-engine watermark (see
-    /// [`HostConfig::max_resident`]). `None` disables pressure parking.
+    /// Per-shard resident-engine watermark: after every request, the
+    /// shard's longest-idle sessions are parked until at most this many
+    /// engines stay on its heap. `None` disables pressure parking.
     pub max_resident_per_shard: Option<usize>,
     /// Consecutive failed health probes before [`Cluster::heartbeat_tick`]
     /// declares a shard dead and fails it over.
@@ -234,12 +250,12 @@ pub struct Cluster {
     store: Arc<dyn SnapshotStore>,
     shards: Vec<Shard>,
     router: ShardRouter,
-    /// One lock per session id, created on first touch. A verb holds its
-    /// session's lock across engine-op + checkpoint; migration, failover,
-    /// drain, and delete take the same lock before touching the session —
-    /// so a session is only ever mutated from one place at a time, even
-    /// while the fleet is being killed and restarted under it.
-    locks: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
+    /// One lock per session id. A verb holds its session's lock across
+    /// engine-op + checkpoint; migration, failover, drain, delete and the
+    /// watermark take the same lock before touching the session — so a
+    /// session is only ever mutated from one place at a time, even while
+    /// the fleet is being killed and restarted under it.
+    locks: SessionLocks,
     next_id: AtomicU64,
     migrations: AtomicU64,
     failovers: AtomicU64,
@@ -258,12 +274,11 @@ impl Cluster {
                 message: "a cluster needs at least one shard".to_string(),
             });
         }
-        let host_config = HostConfig {
-            max_resident: config.max_resident_per_shard,
-        };
+        // The hosts run no watermark of their own: the cluster runs the
+        // hosts' policy under its session locks (`Cluster::enforce_watermark`).
         let shards = (0..config.shards)
             .map(|i| {
-                SessionHost::open(Arc::clone(&store), host_config.clone())
+                SessionHost::open(Arc::clone(&store), HostConfig::default())
                     .map(|host| Shard::new(i, host))
             })
             .collect::<Result<Vec<_>>>()?;
@@ -280,7 +295,7 @@ impl Cluster {
             store,
             shards,
             router: ShardRouter::default(),
-            locks: Mutex::new(HashMap::new()),
+            locks: SessionLocks::default(),
             next_id: AtomicU64::new(next_id),
             migrations: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
@@ -307,16 +322,6 @@ impl Cluster {
     /// The routing table.
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    fn session_lock(&self, key: u64) -> Arc<Mutex<()>> {
-        Arc::clone(
-            self.locks
-                .lock()
-                .expect("session lock table poisoned")
-                .entry(key)
-                .or_default(),
-        )
     }
 
     fn stored(&self, key: u64) -> Result<bool> {
@@ -370,21 +375,21 @@ impl Cluster {
         Ok(target)
     }
 
-    /// Runs `f` against the session's shard under the session lock. When
-    /// `durable` is set (every state-changing verb), a successful `f` is
-    /// followed by a write-through checkpoint — and if the shard was killed
-    /// while `f` ran, the verb reports failure instead, because its effect
-    /// died with the evicted engine and must be replayed elsewhere.
+    /// Runs `f` against the session's shard under the session lock, then
+    /// writes the verb's effect through as `commit` says (`None`: nothing to
+    /// write). If the shard was killed while `f` ran, a committing verb
+    /// reports failure instead, because its effect died with the evicted
+    /// engine and must be replayed elsewhere. The shard's watermark is
+    /// enforced after the lock is released.
     fn with_shard<T>(
         &self,
         id: SessionId,
-        durable: bool,
+        commit: Option<Commit>,
         f: impl Fn(&SessionHost) -> Result<T>,
     ) -> Result<T> {
         let key = id.as_u64();
         for _ in 0..ROUTE_ATTEMPTS {
-            let lock = self.session_lock(key);
-            let _guard = lock.lock().expect("session lock poisoned");
+            let guard = self.locks.lock(id);
             let shard_index = self.claim_route(key)?;
             let shard = &self.shards[shard_index];
             if !shard.is_serving() {
@@ -393,35 +398,12 @@ impl Cluster {
             }
             let result = f(shard.host());
             shard.record_served();
-            if durable && result.is_ok() {
-                if shard.is_serving() {
-                    match shard.host().checkpoint(id) {
-                        Ok(_) => {
-                            self.checkpoints.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // The watermark parked it right after the verb —
-                        // the park already wrote the post-verb state.
-                        Err(QfeError::UnknownSession { .. }) => {}
-                        // Best-effort: the verb stays committed in memory
-                        // and the session's durable copy lags one verb. A
-                        // crash before the next checkpoint rolls back to
-                        // the previous round, which the deterministic
-                        // engine simply re-presents.
-                        Err(_) => {
-                            self.checkpoint_failures.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                } else {
-                    // The shard was killed while the verb ran: the engine
-                    // (and this verb's un-checkpointed effect) is gone.
-                    // Failing the request keeps exactly-once intact — the
-                    // client retries and replays on the session's new home.
-                    return Err(QfeError::Store {
-                        context: format!("cluster s{key}"),
-                        message: "shard killed during the request; retry".to_string(),
-                    });
-                }
-            }
+            let result = match (result, commit) {
+                (Ok(value), Some(commit)) => self.write_through(id, shard, commit).map(|()| value),
+                (result, _) => result,
+            };
+            drop(guard);
+            self.enforce_watermark(shard);
             return result;
         }
         Err(QfeError::Store {
@@ -430,11 +412,63 @@ impl Cluster {
         })
     }
 
+    /// The write-through checkpoint after a verb succeeded on `shard`.
+    /// Caller holds the session lock.
+    fn write_through(&self, id: SessionId, shard: &Shard, commit: Commit) -> Result<()> {
+        if !shard.is_serving() {
+            // The shard was killed while the verb ran: the engine (and this
+            // verb's un-checkpointed effect) is gone. Failing the request
+            // keeps exactly-once intact — the client retries and replays on
+            // the session's new home.
+            return Err(QfeError::Store {
+                context: format!("cluster s{}", id.as_u64()),
+                message: "shard killed during the request; retry".to_string(),
+            });
+        }
+        match shard.host().checkpoint(id) {
+            Ok(_) => {
+                self.checkpoints.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+            Err(e) => {
+                self.checkpoint_failures.fetch_add(1, Ordering::SeqCst);
+                match commit {
+                    // The verb stays committed in memory and the durable
+                    // copy lags one verb. A crash before the next checkpoint
+                    // rolls back to the pending round, which the client's
+                    // next step re-presents and it answers again.
+                    Commit::BestEffort => Ok(()),
+                    Commit::Required => Err(e),
+                }
+            }
+        }
+    }
+
+    /// Runs the host watermark ([`SessionHost::park_excess`]) on `shard`
+    /// with [`ClusterConfig::max_resident_per_shard`]. A session is parked
+    /// only under its cluster lock, so the park never writes the effect of
+    /// a verb still waiting for its write-through (a kill could yet fail
+    /// that verb), and only while the shard serves.
+    fn enforce_watermark(&self, shard: &Shard) {
+        if let Some(max) = self.config.max_resident_per_shard {
+            shard.host().park_excess(max, |id| {
+                self.locks.try_lock(id).filter(|_| shard.is_serving())
+            });
+        }
+    }
+
+    /// [`Cluster::enforce_watermark`] on every shard — after failover and
+    /// drain, which can rehome many sessions onto one survivor.
+    fn enforce_watermarks(&self) {
+        for shard in &self.shards {
+            self.enforce_watermark(shard);
+        }
+    }
+
     fn place(&self, engine: QfeEngine) -> Result<SessionId> {
         let id = SessionId::from_u64(self.next_id.fetch_add(1, Ordering::SeqCst));
         let key = id.as_u64();
-        let lock = self.session_lock(key);
-        let _guard = lock.lock().expect("session lock poisoned");
+        let guard = self.locks.lock(id);
         let shard_index = self.pick_assignable(key)?;
         let shard = &self.shards[shard_index];
         if let Err(e) = shard.host().adopt_as(id, engine) {
@@ -445,16 +479,13 @@ impl Cluster {
         // store, a shard kill would lose it unrecoverably. This checkpoint
         // is mandatory — on failure the placement is rolled back so the
         // client's retry starts clean.
-        match shard.host().checkpoint(id) {
-            Ok(_) => {}
-            // The watermark parked it during adoption — already durable.
-            Err(QfeError::UnknownSession { .. }) => {}
-            Err(e) => {
-                shard.host().manager().evict(id);
-                return Err(e);
-            }
+        if let Err(e) = shard.host().checkpoint(id) {
+            shard.host().manager().evict(id);
+            return Err(e);
         }
         self.router.set(key, shard_index);
+        drop(guard);
+        self.enforce_watermark(shard);
         Ok(id)
     }
 
@@ -472,12 +503,14 @@ impl Cluster {
     /// Advances a session on whichever shard owns it, rehydrating and
     /// re-routing as needed.
     pub fn step(&self, id: SessionId) -> Result<Step> {
-        self.with_shard(id, true, |host| host.step(id))
+        self.with_shard(id, Some(Commit::Required), |host| host.step(id))
     }
 
     /// Answers a session's pending round.
     pub fn answer(&self, id: SessionId, choice_idx: usize) -> Result<()> {
-        self.with_shard(id, true, |host| host.answer(id, choice_idx))
+        self.with_shard(id, Some(Commit::BestEffort), |host| {
+            host.answer(id, choice_idx)
+        })
     }
 
     /// Answers with the user's reported deliberation time.
@@ -487,32 +520,31 @@ impl Cluster {
         choice_idx: usize,
         user_time: Duration,
     ) -> Result<()> {
-        self.with_shard(id, true, |host| {
+        self.with_shard(id, Some(Commit::BestEffort), |host| {
             host.answer_timed(id, choice_idx, user_time)
         })
     }
 
     /// Rejects every presented result of the pending round.
     pub fn reject(&self, id: SessionId) -> Result<()> {
-        self.with_shard(id, true, |host| host.reject(id))
+        self.with_shard(id, Some(Commit::BestEffort), |host| host.reject(id))
     }
 
     /// Parks a session to the shared store wherever it lives.
     pub fn park(&self, id: SessionId) -> Result<ParkReceipt> {
-        self.with_shard(id, false, |host| host.park(id))
+        self.with_shard(id, None, |host| host.park(id))
     }
 
     /// Ensures a session is resident on its routed shard.
     pub fn resume(&self, id: SessionId) -> Result<bool> {
-        self.with_shard(id, false, |host| host.resume(id))
+        self.with_shard(id, None, |host| host.resume(id))
     }
 
     /// Stops hosting a session fleet-wide: engine, routing entry, and the
     /// shared store record.
     pub fn evict(&self, id: SessionId) -> Result<bool> {
         let key = id.as_u64();
-        let lock = self.session_lock(key);
-        let _guard = lock.lock().expect("session lock poisoned");
+        let _guard = self.locks.lock(id);
         let mut found = false;
         if let Some(shard) = self.router.get(key) {
             if self.shards[shard].is_serving() {
@@ -543,8 +575,7 @@ impl Cluster {
                 message: format!("target shard {target} is not accepting sessions"),
             });
         }
-        let lock = self.session_lock(key);
-        let _guard = lock.lock().expect("session lock poisoned");
+        let guard = self.locks.lock(id);
         let source = self.router.get(key);
         if source == Some(target) {
             return Ok(false);
@@ -565,7 +596,10 @@ impl Cluster {
             }
         }
         self.router.set(key, target);
-        target_shard.host().resume(id)?;
+        let resumed = target_shard.host().resume(id);
+        drop(guard);
+        self.enforce_watermark(target_shard);
+        resumed?;
         self.migrations.fetch_add(1, Ordering::SeqCst);
         Ok(true)
     }
@@ -582,8 +616,7 @@ impl Cluster {
         shard.record_kill();
         let mut dropped = 0;
         for id in shard.host().manager().session_ids() {
-            let lock = self.session_lock(id.as_u64());
-            let _guard = lock.lock().expect("session lock poisoned");
+            let _guard = self.locks.lock(id);
             if shard.host().manager().evict(id) {
                 dropped += 1;
             }
@@ -602,8 +635,7 @@ impl Cluster {
         }
         let mut moved = 0;
         for key in self.router.routed_to(index) {
-            let lock = self.session_lock(key);
-            let _guard = lock.lock().expect("session lock poisoned");
+            let _guard = self.locks.lock(SessionId::from_u64(key));
             // Revalidate under the lock: a concurrent request may already
             // have claimed a new home, or the shard may have restarted.
             if self.router.get(key) != Some(index) || shard.is_serving() {
@@ -617,6 +649,7 @@ impl Cluster {
             let _ = self.shards[target].host().resume(SessionId::from_u64(key));
             moved += 1;
         }
+        self.enforce_watermarks();
         Ok(moved)
     }
 
@@ -653,10 +686,9 @@ impl Cluster {
         // every other path holds at most one session lock) so no verb is
         // in flight while the shard's sessions move.
         let keys = self.router.routed_to(index);
-        let locks: Vec<Arc<Mutex<()>>> = keys.iter().map(|&k| self.session_lock(k)).collect();
-        let guards: Vec<_> = locks
+        let guards: Vec<_> = keys
             .iter()
-            .map(|l| l.lock().expect("session lock poisoned"))
+            .map(|&k| self.locks.lock(SessionId::from_u64(k)))
             .collect();
         let sweep = shard.host().park_all(deadline);
         if !sweep.is_complete() {
@@ -678,6 +710,7 @@ impl Cluster {
         }
         drop(guards);
         shard.set_state(ShardState::Down);
+        self.enforce_watermarks();
         Ok(DrainOutcome {
             sweep,
             reassigned,
@@ -1135,6 +1168,155 @@ mod tests {
         let new_id = second.create(&other).unwrap();
         assert!(new_id.as_u64() > id.as_u64());
         assert_eq!(drive(&second, id, &target), target.label.clone().unwrap());
+    }
+
+    /// A one-shard cluster over `store` that keeps at most one engine
+    /// resident.
+    fn watermarked(store: Arc<dyn SnapshotStore>) -> Cluster {
+        Cluster::open(
+            store,
+            ClusterConfig {
+                shards: 1,
+                max_resident_per_shard: Some(1),
+                ..ClusterConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// A store whose `n`-th `put_session` under `key` is refused.
+    fn refusing_nth_put(key: &str, n: u64) -> Arc<dyn SnapshotStore> {
+        let plan = FaultPlan::new(5).with_rule(FaultRule {
+            op: "put_session".to_string(),
+            key_contains: Some(key.to_string()),
+            trigger: FaultTrigger::Nth(n),
+            action: FaultAction::Error,
+            limit: None,
+        });
+        Arc::new(FaultyStore::new(Arc::new(MemoryStore::new()), plan))
+    }
+
+    fn round_of(step: Step) -> qfe_core::FeedbackRound {
+        match step {
+            Step::AwaitFeedback(round) => round,
+            Step::Done(_) => panic!("a feedback round was expected"),
+        }
+    }
+
+    #[test]
+    fn the_watermark_never_parks_a_session_whose_lock_is_held() {
+        let cluster = watermarked(Arc::new(MemoryStore::new()));
+        let (session, target) = session_and_target(1);
+        let x = cluster.create(&session).unwrap();
+        let y = cluster.create(&session_and_target(2).0).unwrap();
+        // Creating y parked x; stepping x parks y.
+        round_of(cluster.step(x).unwrap());
+        assert!(!cluster.shards()[0].host().manager().contains(y));
+        // While a request holds x's lock, x is off limits to the sweep that
+        // follows y's verb, even though x is the longest idle.
+        {
+            let _in_flight = cluster.locks.lock(x);
+            round_of(cluster.step(y).unwrap());
+            assert!(cluster.shards()[0].host().manager().contains(x));
+            assert_eq!(cluster.resident_count(), 2);
+        }
+        // Once the lock is free the next sweep restores the watermark.
+        round_of(cluster.step(x).unwrap());
+        assert_eq!(cluster.resident_count(), 1);
+        assert_eq!(drive(&cluster, x, &target), target.label.clone().unwrap());
+    }
+
+    #[test]
+    fn rehoming_sessions_onto_a_survivor_keeps_its_watermark() {
+        let cluster = Cluster::open(
+            Arc::new(MemoryStore::new()),
+            ClusterConfig {
+                shards: 2,
+                max_resident_per_shard: Some(1),
+                ..ClusterConfig::default()
+            },
+        )
+        .unwrap();
+        let resident = |shard: usize| cluster.shards()[shard].host().resident_count();
+        let mut sessions = Vec::new();
+        while cluster.router().routed_to(0).len() < 3 {
+            let (session, target) = session_and_target(sessions.len() % 3);
+            let id = cluster.create(&session).unwrap();
+            round_of(cluster.step(id).unwrap());
+            sessions.push((id, target));
+        }
+        // Failover moves every session of the dead shard onto the survivor.
+        cluster.kill_shard(0).unwrap();
+        assert!(cluster.fail_over(0).unwrap() >= 3);
+        assert!(resident(1) <= 1, "failover left {} resident", resident(1));
+        // Drain moves them all back.
+        cluster.restart_shard(0).unwrap();
+        assert!(cluster.drain_shard(1, None).unwrap().completed);
+        assert!(resident(0) <= 1, "drain left {} resident", resident(0));
+        // Migration rehydrates on the target next to its resident session.
+        cluster.restart_shard(1).unwrap();
+        for &(id, _) in &sessions[..2] {
+            assert!(cluster.migrate(id, 1).unwrap());
+            assert!(resident(1) <= 1, "migration left {} resident", resident(1));
+        }
+        for (id, target) in sessions {
+            assert_eq!(drive(&cluster, id, &target), target.label.clone().unwrap());
+        }
+    }
+
+    #[test]
+    fn a_refused_watermark_park_does_not_fail_the_answer_that_swept() {
+        // put_session "s1" #1 is y's birth; #2 is the park the sweep after
+        // x's answer attempts.
+        let cluster = watermarked(refusing_nth_put("s1", 2));
+        let (session, target) = session_and_target(1);
+        let x = cluster.create(&session).unwrap();
+        let round = round_of(cluster.step(x).unwrap());
+        let y = cluster.create(&session_and_target(2).0).unwrap();
+        assert!(
+            !cluster.shards()[0].host().manager().contains(x),
+            "y's birth parked x"
+        );
+        // The answer rehydrates x, commits, and its sweep fails to park y:
+        // the answer still succeeds, and exactly once.
+        let choice = OracleUser::new(target.clone()).choose(&round).unwrap();
+        cluster.answer(x, choice).unwrap();
+        assert!(
+            cluster.shards()[0].host().manager().contains(y),
+            "y stays resident"
+        );
+        assert!(
+            cluster.answer(x, choice).is_err(),
+            "the round was consumed once"
+        );
+        assert_eq!(drive(&cluster, x, &target), target.label.clone().unwrap());
+        let (_, y_target) = session_and_target(2);
+        assert_eq!(
+            drive(&cluster, y, &y_target),
+            y_target.label.clone().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_step_whose_round_is_not_durable_fails_so_a_crash_cannot_eat_the_round() {
+        // put_session "s0" #1 is the birth; #2 is the first step's
+        // write-through checkpoint.
+        let cluster =
+            Cluster::open(refusing_nth_put("s0", 2), ClusterConfig::with_shards(2)).unwrap();
+        let (session, target) = session_and_target(1);
+        let x = cluster.create(&session).unwrap();
+        assert!(matches!(cluster.step(x), Err(QfeError::Store { .. })));
+        assert_eq!(cluster.status().checkpoint_failures, 1);
+        // The shard dies before the client retries: the retried step
+        // re-generates the round from the durable copy, so the answer that
+        // follows finds it pending.
+        cluster
+            .kill_shard(cluster.router().get(x.as_u64()).unwrap())
+            .unwrap();
+        let round = round_of(cluster.step(x).unwrap());
+        let choice = OracleUser::new(target.clone()).choose(&round).unwrap();
+        cluster.answer(x, choice).unwrap();
+        assert_eq!(drive(&cluster, x, &target), target.label.clone().unwrap());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Tables: a schema plus an ordered bag of tuples.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::error::{RelationError, Result};
@@ -29,10 +30,27 @@ impl Table {
     }
 
     /// Creates a table and bulk-inserts rows, validating each one.
+    ///
+    /// One pass: primary-key uniqueness is checked against a set of the keys
+    /// seen so far, so rows fail in the same order, with the same first
+    /// error, as inserting them one by one with [`Table::insert`].
     pub fn with_rows(schema: TableSchema, rows: Vec<Tuple>) -> Result<Self> {
         let mut t = Table::new(schema);
+        t.rows.reserve(rows.len());
+        let mut keys = HashSet::new();
         for r in rows {
-            t.insert(r)?;
+            let tuple = t.validate(&r)?;
+            if t.schema.has_primary_key() {
+                let key = t.key_of(&tuple);
+                if keys.contains(&key) {
+                    return Err(RelationError::PrimaryKeyViolation {
+                        table: t.name().to_string(),
+                        key: format!("{:?}", key),
+                    });
+                }
+                keys.insert(key);
+            }
+            t.rows.push(tuple);
         }
         Ok(t)
     }
@@ -553,6 +571,110 @@ mod tests {
         assert_eq!(count_of(&tuple!["F"]), Some(2));
         // Runs come out in sorted order.
         assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// `with_rows` as it was before the key set: one `insert` per row, each
+    /// scanning every earlier row. The oracle for the property test below.
+    fn insert_loop(schema: TableSchema, rows: Vec<Tuple>) -> Result<Table> {
+        let mut t = Table::new(schema);
+        for r in rows {
+            t.insert(r)?;
+        }
+        Ok(t)
+    }
+
+    /// Schemas covering a single key, a composite key over a nullable text
+    /// and a float column (so Int keys are coerced), and no key at all.
+    fn property_schemas() -> Vec<TableSchema> {
+        let cols = || {
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::nullable("tag", DataType::Text),
+                ColumnDef::new("x", DataType::Float),
+            ]
+        };
+        vec![
+            TableSchema::new("Single", cols())
+                .unwrap()
+                .with_primary_key(&["id"])
+                .unwrap(),
+            TableSchema::new("Composite", cols())
+                .unwrap()
+                .with_primary_key(&["tag", "x"])
+                .unwrap(),
+            TableSchema::new("Bag", cols()).unwrap(),
+        ]
+    }
+
+    /// A random cell for column `col` from a small domain (so keys repeat),
+    /// now and then NULL or of the wrong type.
+    fn random_cell(rng: &mut rand::rngs::StdRng, col: usize) -> Value {
+        use rand::Rng;
+        match rng.gen_range(0..40) {
+            0 => return Value::Null,
+            1 => return Value::Bool(true),
+            _ => {}
+        }
+        match col {
+            0 => Value::Int(rng.gen_range(0..30)),
+            1 if rng.gen_bool(0.2) => Value::Null,
+            1 => Value::Text(["a", "b", "é"][rng.gen_range(0..3usize)].to_string()),
+            // Int and Float spellings of the same numbers.
+            _ if rng.gen_bool(0.5) => Value::Int(rng.gen_range(0..4)),
+            _ => Value::Float(rng.gen_range(0..4) as f64),
+        }
+    }
+
+    #[test]
+    fn with_rows_matches_the_insert_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let (mut ok, mut key_violations) = (0, 0);
+        for trial in 0..3_000 {
+            let schema = property_schemas().swap_remove(trial % 3);
+            let rows: Vec<Tuple> = (0..rng.gen_range(0..25))
+                .map(|_| {
+                    let arity = if rng.gen_range(0..60) == 0 { 2 } else { 3 };
+                    Tuple::new((0..arity).map(|c| random_cell(&mut rng, c)).collect())
+                })
+                .collect();
+            let got = Table::with_rows(schema.clone(), rows.clone());
+            let want = insert_loop(schema, rows.clone());
+            assert_eq!(got, want, "rows {rows:?}");
+            match want {
+                Ok(_) => ok += 1,
+                Err(RelationError::PrimaryKeyViolation { .. }) => key_violations += 1,
+                Err(_) => {}
+            }
+        }
+        // The generator reaches both outcomes often enough to mean something.
+        assert!(
+            ok > 300 && key_violations > 300,
+            "{ok} ok, {key_violations} key violations"
+        );
+    }
+
+    /// Complexity guard: checking each row's key against every earlier row
+    /// takes ~1.25e9 key comparisons here; the key set takes 50k lookups.
+    /// No timing assert — the test harness's own timeout is the failure.
+    #[test]
+    fn fifty_thousand_keyed_rows_build_in_linear_time() {
+        let schema = property_schemas().swap_remove(0);
+        let rows: Vec<Tuple> = (0..50_000i64).map(|i| tuple![i, "a", i % 7]).collect();
+        let t = Table::with_rows(schema.clone(), rows.clone()).unwrap();
+        assert_eq!(t.len(), 50_000);
+        assert_eq!(t.row(9).unwrap().get(2), Some(&Value::Float(2.0)));
+        // A duplicate at the very end is still found, naming the key.
+        let mut dup = rows;
+        dup.push(tuple![49_999i64, "b", 0i64]);
+        let err = Table::with_rows(schema, dup).unwrap_err();
+        assert_eq!(
+            err,
+            RelationError::PrimaryKeyViolation {
+                table: "Single".into(),
+                key: "[Int(49999)]".into(),
+            }
+        );
     }
 
     #[test]

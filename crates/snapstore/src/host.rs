@@ -8,19 +8,24 @@
 //! the store's index entry — the PIMDAL framing: keep cold state off the
 //! memory bus entirely.
 //!
-//! Durability: parking writes the session through [`park_snapshot`];
+//! Each session's verbs, parks and checkpoints run under that session's
+//! lock, so a watermark park never snapshots an engine mid-verb and never
+//! evicts one a request is using.
+//!
+//! Durability: parking writes the session through [`SessionHost::park`];
 //! rehydration leaves the stored copy in place, so a crash after resume
 //! falls back to the last parked state instead of losing the session.
 //! The copy is replaced on the next park.
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qfe_core::{
     QfeEngine, QfeError, QfeSession, Result, SessionId, SessionManager, SessionSnapshot, Step,
 };
 
-use crate::park::{load_snapshot, park_snapshot, ParkReceipt};
+use crate::park::{load_snapshot, park_snapshot, ParkReceipt, WorkloadCache};
 use crate::store::{SnapshotStore, StoreError};
 
 /// Converts a store failure into the core error vocabulary.
@@ -28,6 +33,56 @@ fn store_qfe(e: StoreError) -> QfeError {
     QfeError::Store {
         context: e.context,
         message: e.message,
+    }
+}
+
+/// One lock per session id: a session's verbs run under its lock, and so
+/// does anything else that snapshots or moves it. Only held ids take room.
+#[derive(Debug, Default)]
+pub struct SessionLocks {
+    held: Mutex<HashSet<SessionId>>,
+    released: Condvar,
+}
+
+/// A held [`SessionLocks`] entry; dropping it releases the session.
+#[derive(Debug)]
+pub struct SessionGuard<'a> {
+    locks: &'a SessionLocks,
+    id: SessionId,
+}
+
+impl SessionLocks {
+    fn held(&self) -> std::sync::MutexGuard<'_, HashSet<SessionId>> {
+        self.held.lock().expect("session lock table poisoned")
+    }
+
+    /// Blocks until no one else holds the session, then holds it.
+    pub fn lock(&self, id: SessionId) -> SessionGuard<'_> {
+        let mut held = self.held();
+        while !held.insert(id) {
+            held = self
+                .released
+                .wait(held)
+                .expect("session lock table poisoned");
+        }
+        SessionGuard { locks: self, id }
+    }
+
+    /// Holds the session if no one else does.
+    pub fn try_lock(&self, id: SessionId) -> Option<SessionGuard<'_>> {
+        // A guard is built only on success: dropping one releases `id`.
+        if self.held().insert(id) {
+            Some(SessionGuard { locks: self, id })
+        } else {
+            None
+        }
+    }
+}
+
+impl Drop for SessionGuard<'_> {
+    fn drop(&mut self) {
+        self.locks.held().remove(&self.id);
+        self.locks.released.notify_all();
     }
 }
 
@@ -80,6 +135,8 @@ pub struct SessionHost {
     manager: SessionManager,
     store: Arc<dyn SnapshotStore>,
     config: HostConfig,
+    workloads: WorkloadCache,
+    locks: SessionLocks,
 }
 
 /// The store key a session parks under — shared vocabulary between the
@@ -117,6 +174,8 @@ impl SessionHost {
             manager,
             store,
             config,
+            workloads: WorkloadCache::default(),
+            locks: SessionLocks::default(),
         })
     }
 
@@ -134,7 +193,7 @@ impl SessionHost {
     /// (or this one) if the resident watermark is exceeded.
     pub fn create(&self, session: &QfeSession) -> Result<SessionId> {
         let id = self.manager.create(session);
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
     }
 
@@ -142,7 +201,7 @@ impl SessionHost {
     /// over the wire).
     pub fn adopt(&self, engine: QfeEngine) -> Result<SessionId> {
         let id = self.manager.adopt(engine);
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
     }
 
@@ -151,31 +210,36 @@ impl SessionHost {
     /// any one shard's manager. Fails when the id is already resident.
     pub fn adopt_as(&self, id: SessionId, engine: QfeEngine) -> Result<()> {
         self.manager.adopt_as(id, engine)?;
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(())
     }
 
     /// Restores a session from a snapshot under a fresh id.
     pub fn restore(&self, snapshot: SessionSnapshot) -> Result<SessionId> {
         let id = self.manager.restore(snapshot)?;
-        self.enforce_watermark()?;
+        self.enforce_watermark();
         Ok(id)
+    }
+
+    /// Runs `verb` under the session's lock with the session resident
+    /// (rehydrated first if parked), then enforces the watermark.
+    fn serve<T>(&self, id: SessionId, verb: impl FnOnce() -> Result<T>) -> Result<T> {
+        let result = {
+            let _guard = self.locks.lock(id);
+            self.ensure_resident(id).and_then(|()| verb())
+        };
+        self.enforce_watermark();
+        result
     }
 
     /// Advances a session, rehydrating it from the store first if parked.
     pub fn step(&self, id: SessionId) -> Result<Step> {
-        self.ensure_resident(id)?;
-        let step = self.manager.step(id);
-        self.enforce_watermark()?;
-        step
+        self.serve(id, || self.manager.step(id))
     }
 
     /// Answers a session's pending round, rehydrating first if parked.
     pub fn answer(&self, id: SessionId, choice_idx: usize) -> Result<()> {
-        self.ensure_resident(id)?;
-        let answered = self.manager.answer(id, choice_idx);
-        self.enforce_watermark()?;
-        answered
+        self.serve(id, || self.manager.answer(id, choice_idx))
     }
 
     /// [`SessionManager::answer_timed`] with transparent rehydration.
@@ -185,29 +249,29 @@ impl SessionHost {
         choice_idx: usize,
         user_time: Duration,
     ) -> Result<()> {
-        self.ensure_resident(id)?;
-        let answered = self.manager.answer_timed(id, choice_idx, user_time);
-        self.enforce_watermark()?;
-        answered
+        self.serve(id, || self.manager.answer_timed(id, choice_idx, user_time))
     }
 
     /// Rejects a session's pending round, rehydrating first if parked.
     pub fn reject(&self, id: SessionId) -> Result<()> {
-        self.ensure_resident(id)?;
-        let rejected = self.manager.reject(id);
-        self.enforce_watermark()?;
-        rejected
+        self.serve(id, || self.manager.reject(id))
     }
 
     /// Parks a session: snapshots it to the store (workload payload stored
     /// once, content-addressed) and evicts the engine from memory. Parking
     /// an already-parked session is a no-op that reports the stored record.
     pub fn park(&self, id: SessionId) -> Result<ParkReceipt> {
+        let _guard = self.locks.lock(id);
+        self.park_held(id)
+    }
+
+    /// [`SessionHost::park`] for a caller holding the session's lock.
+    fn park_held(&self, id: SessionId) -> Result<ParkReceipt> {
         let key = store_key(id);
         match self.manager.snapshot(id) {
             Ok(snapshot) => {
-                let receipt =
-                    park_snapshot(self.store.as_ref(), &key, &snapshot).map_err(store_qfe)?;
+                let receipt = park_snapshot(self.store.as_ref(), &self.workloads, &key, &snapshot)
+                    .map_err(store_qfe)?;
                 self.manager.evict(id);
                 Ok(receipt)
             }
@@ -223,8 +287,15 @@ impl SessionHost {
     /// crash that loses the resident engine rolls the session back only to
     /// this verb boundary instead of to its last explicit park.
     pub fn checkpoint(&self, id: SessionId) -> Result<ParkReceipt> {
+        let _guard = self.locks.lock(id);
         let snapshot = self.manager.snapshot(id)?;
-        park_snapshot(self.store.as_ref(), &store_key(id), &snapshot).map_err(store_qfe)
+        park_snapshot(
+            self.store.as_ref(),
+            &self.workloads,
+            &store_key(id),
+            &snapshot,
+        )
+        .map_err(store_qfe)
     }
 
     /// Ensures a session is resident, rehydrating it if parked. Returns
@@ -233,8 +304,7 @@ impl SessionHost {
         if self.manager.contains(id) {
             return Ok(false);
         }
-        self.ensure_resident(id)?;
-        self.enforce_watermark()?;
+        self.serve(id, || Ok(()))?;
         Ok(true)
     }
 
@@ -280,6 +350,31 @@ impl SessionHost {
         }
     }
 
+    /// Parks the longest-idle sessions until at most `max` engines stay on
+    /// the heap — the watermark policy, run after every request by the host
+    /// itself and by a cluster over its shards. A session is parked only
+    /// under its lock, and only when `claim` also yields a guard for it (a
+    /// cluster passes its own session lock); a session whose lock or claim
+    /// is taken is in use and is skipped this time. A refused park leaves
+    /// the session resident: it never fails the request that triggered the
+    /// sweep, whose own effect is already committed. Returns the number
+    /// parked.
+    pub fn park_excess<G>(&self, max: usize, claim: impl Fn(SessionId) -> Option<G>) -> usize {
+        let idle = self.manager.idle_sessions();
+        let excess = idle.len().saturating_sub(max);
+        let mut parked = 0;
+        for &(id, _) in &idle[..excess] {
+            let Some(_claim) = claim(id) else { continue };
+            let Some(_guard) = self.locks.try_lock(id) else {
+                continue;
+            };
+            if self.manager.contains(id) && self.park_held(id).is_ok() {
+                parked += 1;
+            }
+        }
+        parked
+    }
+
     /// True when the session is resident or parked.
     pub fn contains(&self, id: SessionId) -> Result<bool> {
         if self.manager.contains(id) {
@@ -314,6 +409,7 @@ impl SessionHost {
     /// Stops hosting a session entirely: evicts the engine and deletes any
     /// parked record. Returns `false` when the id was unknown everywhere.
     pub fn evict(&self, id: SessionId) -> Result<bool> {
+        let _guard = self.locks.lock(id);
         let resident = self.manager.evict(id);
         let parked = self
             .store
@@ -362,40 +458,21 @@ impl SessionHost {
         }))
     }
 
+    /// Rehydrates a parked session. Caller holds the session's lock, so no
+    /// one else can rehydrate it concurrently.
     fn ensure_resident(&self, id: SessionId) -> Result<()> {
         if self.manager.contains(id) {
             return Ok(());
         }
-        let key = store_key(id);
-        let snapshot = load_snapshot(self.store.as_ref(), &key)
+        let snapshot = load_snapshot(self.store.as_ref(), &self.workloads, &store_key(id))
             .map_err(store_qfe)?
             .ok_or(QfeError::UnknownSession { id: id.as_u64() })?;
-        match self.manager.restore_as(id, snapshot) {
-            Ok(()) => Ok(()),
-            // Another thread rehydrated the same session between our check
-            // and our adopt; the session is resident, which is all we need.
-            Err(QfeError::Store { .. }) if self.manager.contains(id) => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.manager.restore_as(id, snapshot)
     }
 
-    fn enforce_watermark(&self) -> Result<()> {
-        let Some(max) = self.config.max_resident else {
-            return Ok(());
-        };
-        loop {
-            let idle = self.manager.idle_sessions();
-            if idle.len() <= max {
-                return Ok(());
-            }
-            for (id, _) in &idle[..idle.len() - max.min(idle.len())] {
-                match self.park(*id) {
-                    Ok(_) => {}
-                    // A concurrent request already parked or evicted it.
-                    Err(QfeError::UnknownSession { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+    fn enforce_watermark(&self) {
+        if let Some(max) = self.config.max_resident {
+            self.park_excess(max, |_| Some(()));
         }
     }
 }
@@ -617,5 +694,167 @@ mod tests {
         assert!(second.evict(id).unwrap());
         assert!(!second.contains(id).unwrap());
         assert!(!second.evict(id).unwrap());
+    }
+
+    fn round_of(step: Step) -> qfe_core::FeedbackRound {
+        match step {
+            Step::AwaitFeedback(round) => round,
+            Step::Done(_) => panic!("a feedback round was expected"),
+        }
+    }
+
+    #[test]
+    fn the_watermark_never_parks_a_session_whose_lock_is_held() {
+        let host = SessionHost::open(
+            Arc::new(MemoryStore::new()),
+            HostConfig::with_max_resident(1),
+        )
+        .unwrap();
+        let (session, target) = session_and_target(1);
+        let x = host.create(&session).unwrap();
+        let y = host.create(&session_and_target(2).0).unwrap();
+        // Creating y parked x; stepping x parks y.
+        round_of(host.step(x).unwrap());
+        assert!(!host.manager().contains(y));
+        // While a request holds x, x is off limits to the sweep that follows
+        // y's verb, even though x is the longest idle.
+        {
+            let _in_flight = host.locks.lock(x);
+            round_of(host.step(y).unwrap());
+            assert!(host.manager().contains(x));
+            assert_eq!(host.resident_count(), 2);
+        }
+        // Once x is free the next sweep restores the watermark.
+        round_of(host.step(x).unwrap());
+        assert_eq!(host.resident_count(), 1);
+        assert_eq!(drive(&host, x, &target), target.label.clone().unwrap());
+    }
+
+    #[test]
+    fn a_refused_watermark_park_does_not_fail_the_verb_that_swept() {
+        // The first put_session under "s1" is the park of y that the sweep
+        // after x's answer attempts.
+        let plan = crate::FaultPlan::new(5).with_rule(crate::FaultRule {
+            op: "put_session".to_string(),
+            key_contains: Some("s1".to_string()),
+            trigger: crate::FaultTrigger::Nth(1),
+            action: crate::FaultAction::Error,
+            limit: None,
+        });
+        let store = crate::FaultyStore::new(Arc::new(MemoryStore::new()), plan);
+        let host = SessionHost::open(Arc::new(store), HostConfig::with_max_resident(1)).unwrap();
+        let (session, target) = session_and_target(1);
+        let x = host.create(&session).unwrap();
+        let round = round_of(host.step(x).unwrap());
+        let y = host.create(&session_and_target(2).0).unwrap();
+        assert!(!host.manager().contains(x), "y's birth parked x");
+        // The answer rehydrates x and commits; its sweep fails to park y.
+        // The answer still succeeds, and exactly once.
+        let choice = OracleUser::new(target.clone()).choose(&round).unwrap();
+        host.answer(x, choice).unwrap();
+        assert!(host.manager().contains(y), "y stays resident");
+        assert!(host.answer(x, choice).is_err(), "the round was consumed");
+        assert_eq!(drive(&host, x, &target), target.label.clone().unwrap());
+        let (_, y_target) = session_and_target(2);
+        assert_eq!(drive(&host, y, &y_target), y_target.label.clone().unwrap());
+    }
+
+    fn parked_session(store: &Arc<dyn SnapshotStore>, idx: usize) -> (SessionId, SpjQuery) {
+        let host = SessionHost::open(Arc::clone(store), HostConfig::default()).unwrap();
+        let (session, target) = session_and_target(idx);
+        let id = host.create(&session).unwrap();
+        let _ = host.step(id).unwrap();
+        host.park(id).unwrap();
+        (id, target)
+    }
+
+    fn snapshot_of(host: &SessionHost, id: SessionId) -> SessionSnapshot {
+        host.manager().snapshot(id).unwrap()
+    }
+
+    #[test]
+    fn rehydrated_sessions_share_one_decoded_workload() {
+        let store: Arc<dyn SnapshotStore> = Arc::new(MemoryStore::new());
+        let (a, target) = parked_session(&store, 1);
+        let (b, _) = parked_session(&store, 2);
+        // A cold host decodes the workload once; both sessions point at it.
+        let host = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
+        host.resume(a).unwrap();
+        host.resume(b).unwrap();
+        let (sa, sb) = (snapshot_of(&host, a), snapshot_of(&host, b));
+        assert!(Arc::ptr_eq(&sa.database, &sb.database));
+        assert!(Arc::ptr_eq(&sa.result, &sb.result));
+        // Re-parking reports the same receipt a fresh render would.
+        let receipt = host.park(a).unwrap();
+        let (workload, _) = sa.split();
+        let text = workload.canonical_text();
+        assert_eq!(receipt.workload_hash, qfe_wire::content_hash(&text));
+        assert_eq!(receipt.workload_bytes, text.len());
+        assert!(receipt.workload_was_shared);
+        assert_eq!(drive(&host, a, &target), target.label.clone().unwrap());
+    }
+
+    #[test]
+    fn a_workload_that_does_not_match_its_hash_fails_only_its_session() {
+        let store: Arc<dyn SnapshotStore> = Arc::new(MemoryStore::new());
+        // Plant a different, well-formed workload under the address of the
+        // real one before any session parks: parks then see it as shared.
+        let (session, _) = session_and_target(0);
+        let (workload, _) = session.start().snapshot().split();
+        let hash = qfe_wire::content_hash(&workload.canonical_text());
+        // Same D, but R emptied: well-formed, and not what the hash names.
+        let planted = qfe_core::WorkloadPayload {
+            database: Arc::clone(&workload.database),
+            result: Arc::new(qfe_query::QueryResult::empty(
+                workload.result.columns().to_vec(),
+            )),
+        };
+        store
+            .put_workload(&hash, &planted.canonical_text())
+            .unwrap();
+        let (bad, _) = parked_session(&store, 1);
+
+        let host = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
+        for _ in 0..2 {
+            // Not cached: the second attempt re-checks and fails again.
+            let err = host.step(bad).unwrap_err();
+            assert!(matches!(err, QfeError::Store { .. }), "{err}");
+            assert!(err.to_string().contains("does not match its content hash"));
+            assert!(err.to_string().contains(&format!("s{}", bad.as_u64())));
+        }
+        // Other sessions on the host are unaffected.
+        let (session, target) = session_and_target(2);
+        let id = host.create(&session).unwrap();
+        assert_eq!(drive(&host, id, &target), target.label.clone().unwrap());
+    }
+
+    #[test]
+    fn a_workload_lost_from_the_store_is_rewritten_on_the_next_park() {
+        let root = std::env::temp_dir().join(format!("qfe-host-lost-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store: Arc<dyn SnapshotStore> = Arc::new(crate::DirStore::open(&root).unwrap());
+        let host = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
+        let (session, target) = session_and_target(1);
+        let id = host.create(&session).unwrap();
+        let _ = host.step(id).unwrap();
+        let first = host.park(id).unwrap();
+        assert!(!first.workload_was_shared);
+        // Rehydrate (the cache now holds the workload), then lose the file.
+        host.resume(id).unwrap();
+        let file = root
+            .join("workloads")
+            .join(format!("{}.json", first.workload_hash));
+        std::fs::remove_file(&file).unwrap();
+        assert!(!store.has_workload(&first.workload_hash).unwrap());
+
+        let again = host.park(id).unwrap();
+        assert!(!again.workload_was_shared, "the lost workload is re-put");
+        assert_eq!(again.workload_hash, first.workload_hash);
+        assert_eq!(again.workload_bytes, first.workload_bytes);
+        assert!(store.has_workload(&first.workload_hash).unwrap());
+        // A cold host resumes it from the rewritten copy.
+        let cold = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
+        assert_eq!(drive(&cold, id, &target), target.label.clone().unwrap());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -16,12 +16,13 @@
 //!   serialized once, keyed by the hash of its canonical JSON text
 //!   ([`qfe_wire::content_hash`]), and every parked session on that workload
 //!   stores only a tiny state document referencing the hash. Thousands of
-//!   parked sessions share one copy of the bulk data (see
-//!   [`park_snapshot`] / [`load_snapshot`]).
+//!   parked sessions share one copy of the bulk data, and a host serving
+//!   sessions on one workload decodes it once for all of them.
 //! * [`SessionHost`] — a [`SessionManager`] wrapped with a store and a
 //!   memory-pressure watermark: sessions over the resident limit are parked
 //!   longest-idle-first, and any request for a parked session transparently
-//!   rehydrates it under its original id.
+//!   rehydrates it under its original id. Each session's requests and parks
+//!   are serialized by its entry in [`SessionLocks`].
 //!
 //! Failures surface as [`QfeError::Store`] with a context string naming the
 //! operation and key — a corrupt or missing snapshot produces a clean error
@@ -64,8 +65,9 @@ pub use dir::DirStore;
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultTrigger, FaultyStore, InjectedFault};
 pub use fsck::{FsckReport, QuarantinedRecord};
 pub use host::{
-    parse_session_store_key, session_store_key, HostConfig, ParkAllReport, SessionHost,
+    parse_session_store_key, session_store_key, HostConfig, ParkAllReport, SessionGuard,
+    SessionHost, SessionLocks,
 };
 pub use log::LogStore;
-pub use park::{load_snapshot, park_snapshot, ParkReceipt};
+pub use park::ParkReceipt;
 pub use store::{MemoryStore, SnapshotStore, StoreError, StoreResult};

@@ -198,12 +198,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary and is valid UTF-8 (the input is a &str).
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let text = std::str::from_utf8(&self.bytes[start..start + run])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -343,6 +349,157 @@ mod tests {
         ] {
             roundtrip(&j);
         }
+    }
+
+    /// The string decoder before runs were copied whole: one character at a
+    /// time, each decoded from the rest of the document. Kept as the oracle
+    /// for `string_scanner_matches_the_per_character_decoder`.
+    fn per_character_string(p: &mut Parser<'_>) -> WireResult<String> {
+        p.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            match p.peek() {
+                None => return Err(p.error("unterminated string")),
+                Some(b'"') => {
+                    p.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    p.pos += 1;
+                    match p.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'u') => {
+                            p.pos += 1;
+                            let code = p.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&code) {
+                                if !p.eat_keyword("\\u") {
+                                    return Err(p.error("unpaired surrogate"));
+                                }
+                                let low = p.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(p.error("invalid low surrogate"));
+                                }
+                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                char::from_u32(combined)
+                            } else {
+                                char::from_u32(code)
+                            };
+                            match c {
+                                Some(c) => out.push(c),
+                                None => return Err(p.error("invalid \\u escape")),
+                            }
+                            continue;
+                        }
+                        _ => return Err(p.error("invalid escape sequence")),
+                    }
+                    p.pos += 1;
+                }
+                Some(_) => {
+                    let rest = &p.bytes[p.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| p.error("invalid UTF-8"))?;
+                    let c = s.chars().next().expect("peeked a byte");
+                    out.push(c);
+                    p.pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// One random piece of a string literal's body: plain characters of
+    /// every UTF-8 width, quotes, and well-formed or broken escapes.
+    fn random_piece(rng: &mut rand::rngs::StdRng) -> String {
+        use rand::Rng;
+        let any_char = |rng: &mut rand::rngs::StdRng| -> char {
+            let ranges = [
+                (0x20, 0x80),
+                (0x80, 0x800),
+                (0x800, 0xD800),
+                (0xE000, 0x1_0000),
+                (0x1_0000, 0x11_0000),
+            ];
+            let (lo, hi) = ranges[rng.gen_range(0..ranges.len())];
+            char::from_u32(rng.gen_range(lo..hi)).unwrap_or('\u{FFFD}')
+        };
+        let hex = |code: u32| format!("\\u{code:04x}");
+        match rng.gen_range(0..12) {
+            0..=3 => (0..rng.gen_range(1..6)).map(|_| any_char(rng)).collect(),
+            4 => ["é", "€", "😀", "漢", "\u{7ff}", "\u{10ffff}"][rng.gen_range(0..6usize)]
+                .to_string(),
+            5 => "\"".to_string(),
+            6 => {
+                let escapes = ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f"];
+                escapes[rng.gen_range(0..escapes.len())].to_string()
+            }
+            7 => hex(rng.gen_range(0..0x1_0000)),
+            // A surrogate pair, well-formed or not.
+            8 => {
+                let high = rng.gen_range(0xD800..0xDC00);
+                let low = if rng.gen_bool(0.7) {
+                    rng.gen_range(0xDC00..0xE000)
+                } else {
+                    rng.gen_range(0..0x1_0000)
+                };
+                format!("{}{}", hex(high), hex(low))
+            }
+            // An unpaired high or a lone low surrogate.
+            9 => hex(rng.gen_range(0xD800..0xE000)),
+            10 => ["\\q", "\\u12", "\\u12G4", "\\", "\\u", "\\ud800\\u"][rng.gen_range(0..6usize)]
+                .to_string(),
+            _ => " ".to_string(),
+        }
+    }
+
+    #[test]
+    fn string_scanner_matches_the_per_character_decoder() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..20_000 {
+            let mut text = String::from("\"");
+            for _ in 0..rng.gen_range(0..12) {
+                text.push_str(&random_piece(&mut rng));
+            }
+            if rng.gen_bool(0.8) {
+                text.push('"');
+            }
+            let parser = || Parser {
+                bytes: text.as_bytes(),
+                pos: 0,
+                depth: 0,
+            };
+            let (mut new, mut old) = (parser(), parser());
+            let got = new.string();
+            let want = per_character_string(&mut old);
+            assert_eq!(got, want, "input {text:?}");
+            assert_eq!(new.pos, old.pos, "input {text:?}");
+        }
+    }
+
+    /// Complexity guard: a string decoder that rescans the rest of the
+    /// document per character needs ~10^12 byte steps here and never
+    /// finishes; a linear one takes milliseconds. No timing assert — the
+    /// test harness's own timeout is the failure.
+    #[test]
+    fn one_mebibyte_string_parses_in_linear_time() {
+        let body: String = "plain ascii, é€😀 and \\n escapes "
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let doc = format!("{{\"blob\":\"{body}\",\"n\":1}}");
+        let parsed = Json::parse(&doc).unwrap();
+        let blob = parsed.get("blob").unwrap().as_str().unwrap();
+        assert_eq!(
+            blob.chars().filter(|&c| c == '😀').count(),
+            body.matches('😀').count()
+        );
+        assert_eq!(blob.len(), body.len() - body.matches("\\n").count());
     }
 
     #[test]

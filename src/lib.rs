@@ -128,8 +128,10 @@
 //! records truncated away), or `dir:PATH` (one JSON file per parked session —
 //! `ls`/`cat`/`rm` are your admin tools). With `--max-resident N`, the
 //! longest-idle sessions park to the store automatically whenever more than
-//! `N` engines are resident; any request to a parked session transparently
-//! rehydrates it. Parked state is split: the per-session document references
+//! `N` engines are resident (a session a request is using waits for the
+//! next sweep, and a park the store refuses leaves the session resident
+//! without failing the request); any request to a parked session
+//! transparently rehydrates it. Parked state is split: the per-session document references
 //! the example pair `(D, R)` by content hash, so a thousand sessions on one
 //! workload store the workload once.
 //!
