@@ -1,101 +1,53 @@
-//! Shared per-iteration state of the database generator.
+//! Per-round state of the database generator, and the session state it is
+//! built from.
 //!
-//! At each feedback iteration the database generator works with the original
-//! pair `(D, R)`, the surviving candidate queries `QC'`, their shared
-//! foreign-key join, the join index (for side-effect accounting), and the
-//! tuple-class space derived from `QC'`.  [`GenerationContext`] bundles that
-//! state and provides the cheap, class-level reasoning (query/class matching,
-//! outcome signatures, balance scores) that Algorithms 3 and 4 are built on.
+//! Within a session `D` and `R` never change and each answer only shrinks
+//! the candidate set `QC'`, so the state comes in two parts:
 //!
-//! Two properties matter for scale:
+//! * [`SessionJoin`], built once per session and shared by `Arc`: the
+//!   example pair `(D, R)`, the candidates' foreign-key join, its columnar
+//!   mirror and the join index (for side-effect accounting, Section 5.4.1).
+//! * [`GenerationContext`], built each round by one constructor,
+//!   [`GenerationContext::for_round`], from the session join and the
+//!   surviving candidates: the bound queries, the tuple-class space, the
+//!   source classes, the outcome kernel, the modifiable attributes and block
+//!   realizability. It provides the cheap, class-level reasoning
+//!   (query/class matching, outcome signatures, balance scores) that
+//!   Algorithms 3 and 4 are built on.
 //!
-//! * **Bit-packed reasoning.** Class/candidate matching and outcome
-//!   signatures run on the [`OutcomeKernel`]'s interned class ids and
-//!   per-class match bitsets — branch-light word operations with no interior
-//!   mutability, so the context is `Sync` and can be shared by concurrent
-//!   sessions.
-//! * **Shared advancement.** Within a session `D` and `R` never change and
-//!   each answer only shrinks the candidate set, so
-//!   [`GenerationContext::advance`] derives the next round's context from the
-//!   previous one — `Arc`-sharing the database, the join, its columnar mirror
-//!   and join index, reusing the cached active domains and remapping the
-//!   source classes — instead of recomputing everything from the database.
+//! Class/candidate matching and outcome signatures run on the
+//! [`OutcomeKernel`]'s interned class ids and per-class match bitsets —
+//! branch-light word operations with no interior mutability, so both parts
+//! are `Sync` and can be shared by concurrent sessions.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery};
-use qfe_relation::{
-    foreign_key_join, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple, Value,
-};
+use qfe_relation::{foreign_key_join, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple};
 
 use crate::cost::balance_score;
 use crate::error::{QfeError, Result};
 use crate::kernel::{MatchScratch, OutcomeKernel, PairStats};
 use crate::tuple_class::{TupleClass, TupleClassSpace};
 
-/// Advances sampled by the `QFE_PARANOIA` self-check mode.
-static PARANOIA_CHECKS: AtomicU64 = AtomicU64::new(0);
-/// Self-checks where the advanced context diverged from a fresh rebuild
-/// (each one degraded gracefully to the rebuild).
-static PARANOIA_MISMATCHES: AtomicU64 = AtomicU64::new(0);
-/// Rolling advance counter for the every-Nth sampling mode.
-static PARANOIA_TICK: AtomicU64 = AtomicU64::new(0);
-
-/// How many `advance` calls the `QFE_PARANOIA` mode has spot-validated
-/// against a fresh rebuild this process.
-pub fn paranoia_checks() -> u64 {
-    PARANOIA_CHECKS.load(Ordering::Relaxed)
-}
-
-/// How many `QFE_PARANOIA` self-checks caught a divergence (and fell back
-/// to the fresh rebuild). Any nonzero value is an advancement bug that the
-/// paranoia mode has *contained* but that should be reported.
-pub fn paranoia_mismatches() -> u64 {
-    PARANOIA_MISMATCHES.load(Ordering::Relaxed)
-}
-
-/// Sampling interval of the `QFE_PARANOIA` self-check mode, parsed once:
-/// unset/`0`/`off` → disabled, `1`/`always`/`on` → every advance, a number
-/// `N` → every Nth advance.
-fn paranoia_interval() -> Option<u64> {
-    static MODE: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| {
-        let value = std::env::var("QFE_PARANOIA").ok()?;
-        match value.trim().to_ascii_lowercase().as_str() {
-            "" | "0" | "off" | "false" => None,
-            "1" | "always" | "on" | "true" => Some(1),
-            other => other.parse::<u64>().ok().filter(|&n| n > 0),
-        }
-    })
-}
-
 /// Which path [`GenerationContext::advance`] took for the relational state
 /// (database, join, columnar mirror).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePath {
-    /// No cell edits: the database, join, columnar mirror and join index are
-    /// all `Arc`-shared with the predecessor context.
+    /// No cell edits: the successor was built on the predecessor's
+    /// [`SessionJoin`].
     SharedNoEdit,
     /// Cell edits were applied: the successor was rebuilt from the edited
     /// database.
     FullRebuild,
 }
 
-/// What [`GenerationContext::advance_with_report`] did, for benchmarks and
-/// the `QFE_PARANOIA` self-check.
+/// What [`GenerationContext::advance_with_report`] did.
 #[derive(Debug, Clone)]
 pub struct AdvanceReport {
     /// The relational path taken.
     pub path: AdvancePath,
-    /// True when the `QFE_PARANOIA` mode spot-validated this advance
-    /// against a fresh rebuild.
-    pub paranoia_checked: bool,
-    /// Why the self-check rejected the advanced context, when it did. The
-    /// returned context is then the fresh rebuild (and
-    /// [`AdvanceReport::path`] reads [`AdvancePath::FullRebuild`]).
-    pub paranoia_mismatch: Option<String>,
 }
 
 /// A candidate single-tuple modification at the tuple-class level: a
@@ -133,35 +85,61 @@ pub enum Outcome {
     Replaced,
 }
 
-/// Per-iteration state shared by the skyline search (Algorithm 3), the subset
+/// The session part of the generator's state: the example pair `(D, R)`,
+/// the join schema the candidates share, their foreign-key join, its
+/// columnar mirror and the join index. Fixed for a whole session; every
+/// round's [`GenerationContext`] shares it by `Arc`.
+#[derive(Debug)]
+pub struct SessionJoin {
+    db: Arc<Database>,
+    original_result: Arc<QueryResult>,
+    join_tables: Vec<String>,
+    join: JoinedRelation,
+    /// Columnar mirror of [`Self::join`]: typed vectors, sorted string
+    /// dictionaries and null bitmaps. The class space reads its active
+    /// domains off it (the sorted dictionaries *are* the domains), and
+    /// embedders evaluate candidates against it vectorized
+    /// (`BoundQuery::selection_bitmap` + `TermBitmapCache`, which keys its
+    /// validity on the mirror's generation).
+    columnar: ColumnarJoin,
+    join_index: JoinIndex,
+}
+
+impl SessionJoin {
+    /// Joins `join_tables` over `db` and builds the join's columnar mirror
+    /// and join index.
+    fn new(
+        db: Arc<Database>,
+        original_result: Arc<QueryResult>,
+        join_tables: Vec<String>,
+    ) -> Result<Self> {
+        let join = foreign_key_join(&db, &join_tables)?;
+        let columnar = ColumnarJoin::from_join(&join);
+        let join_index = JoinIndex::build(&join);
+        Ok(SessionJoin {
+            db,
+            original_result,
+            join_tables,
+            join,
+            columnar,
+            join_index,
+        })
+    }
+}
+
+/// Per-round state shared by the skyline search (Algorithm 3), the subset
 /// selection (Algorithm 4) and the realization of modifications.
 ///
 /// The context is immutable after construction and `Sync`.
 #[derive(Debug)]
 pub struct GenerationContext {
-    db: Arc<Database>,
-    original_result: Arc<QueryResult>,
+    session: Arc<SessionJoin>,
     queries: Vec<SpjQuery>,
-    join_tables: Vec<String>,
-    join: Arc<JoinedRelation>,
-    /// Columnar mirror of [`Self::join`]: typed vectors, sorted string
-    /// dictionaries and null bitmaps. Built once per join and shared by
-    /// `advance`. The context reads its active domains off it (the sorted
-    /// dictionaries *are* the domains) and exposes it via
-    /// [`Self::columnar`] for vectorized candidate evaluation
-    /// (`BoundQuery::selection_bitmap` + `TermBitmapCache`, which keys its
-    /// validity on the mirror's generation).
-    columnar: Arc<ColumnarJoin>,
-    join_index: Arc<JoinIndex>,
     bound: Vec<BoundQuery>,
     space: TupleClassSpace,
     source_classes: BTreeMap<TupleClass, Vec<usize>>,
     modifiable: Vec<bool>,
     projection_columns: BTreeSet<usize>,
-    /// Cached active domains of the selection-predicate columns (what
-    /// `join.active_domain` returned at build time) — reused by
-    /// [`Self::advance`] so successor contexts skip the join scans.
-    column_domains: BTreeMap<usize, Vec<Value>>,
     kernel: OutcomeKernel,
     /// Per attribute, per block: whether the block's representative conforms
     /// to the base column's declared type (i.e. the block is realizable as a
@@ -173,6 +151,19 @@ fn assert_sync_send<T: Sync + Send>() {}
 #[allow(dead_code)]
 fn generation_context_is_sync() {
     assert_sync_send::<GenerationContext>();
+}
+
+/// The join schema every one of `queries` shares (the Section 5
+/// assumption).
+fn shared_join_tables(queries: &[SpjQuery]) -> Result<Vec<String>> {
+    let tables = queries
+        .first()
+        .ok_or(QfeError::NoCandidates)?
+        .join_signature();
+    if queries.iter().any(|q| q.join_signature() != tables) {
+        return Err(QfeError::MixedJoinSchemas);
+    }
+    Ok(tables)
 }
 
 impl GenerationContext {
@@ -188,90 +179,54 @@ impl GenerationContext {
         )
     }
 
-    /// [`Self::new`] without copying `D` and `R`: the context shares the
-    /// caller's `Arc`s, so a session engine, its manager snapshots and every
-    /// per-round context reference one copy of the example pair.
+    /// [`Self::new`] without copying `D` and `R`: builds the
+    /// [`SessionJoin`] on the caller's `Arc`s, then the round on it.
     pub fn new_shared(
         db: Arc<Database>,
         original_result: Arc<QueryResult>,
         queries: Vec<SpjQuery>,
     ) -> Result<Self> {
-        if queries.is_empty() {
-            return Err(QfeError::NoCandidates);
-        }
-        let join_tables = queries[0].join_signature();
-        if queries.iter().any(|q| q.join_signature() != join_tables) {
-            return Err(QfeError::MixedJoinSchemas);
-        }
-        let join = Arc::new(foreign_key_join(&db, &join_tables)?);
-        let columnar = Arc::new(ColumnarJoin::from_join(&join));
-        let join_index = Arc::new(JoinIndex::build(&join));
-        let column_domains = TupleClassSpace::active_domains_with(&join, &queries, |col| {
-            columnar.active_domain(col)
-        })?;
-        let space = TupleClassSpace::build_with_domains(&join, &queries, &column_domains)?;
-        Self::assemble(
-            db,
-            original_result,
-            queries,
-            join_tables,
-            join,
-            columnar,
-            join_index,
-            column_domains,
-            space,
-            None,
-        )
+        let join_tables = shared_join_tables(&queries)?;
+        let session = SessionJoin::new(db, original_result, join_tables)?;
+        Self::for_round(Arc::new(session), queries)
     }
 
-    /// Shared tail of [`Self::new_shared`] and [`Self::advance`]: everything
-    /// derived from the join, the domains and the candidate set. When
-    /// `source_classes` is `None` every join row is classified from scratch;
-    /// `advance` passes the remapped table instead.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        db: Arc<Database>,
-        original_result: Arc<QueryResult>,
-        queries: Vec<SpjQuery>,
-        join_tables: Vec<String>,
-        join: Arc<JoinedRelation>,
-        columnar: Arc<ColumnarJoin>,
-        join_index: Arc<JoinIndex>,
-        column_domains: BTreeMap<usize, Vec<Value>>,
-        space: TupleClassSpace,
-        source_classes: Option<BTreeMap<TupleClass, Vec<usize>>>,
-    ) -> Result<Self> {
+    /// Builds one round's context on a session join: partitions the
+    /// candidates' selection attributes into a tuple-class space, binds the
+    /// candidates, classifies every join row into its source class and
+    /// builds the outcome kernel. Every way of obtaining a context ends
+    /// here.
+    ///
+    /// The candidates must share the session join's schema
+    /// ([`QfeError::MixedJoinSchemas`] otherwise).
+    pub fn for_round(session: Arc<SessionJoin>, queries: Vec<SpjQuery>) -> Result<Self> {
+        if shared_join_tables(&queries)? != session.join_tables {
+            return Err(QfeError::MixedJoinSchemas);
+        }
+        let join = &session.join;
+        let space = TupleClassSpace::build(join, &session.columnar, &queries)?;
         let bound: Vec<BoundQuery> = queries
             .iter()
-            .map(|q| BoundQuery::bind(q, &join))
+            .map(|q| BoundQuery::bind(q, join))
             .collect::<std::result::Result<_, _>>()?;
-        let source_classes = match source_classes {
-            Some(classes) => classes,
-            None => space.source_classes(&join),
-        };
+        let source_classes = space.source_classes(join);
 
         // Projection columns (shared by all candidates: R determines ℓ).
         let projection_columns: BTreeSet<usize> =
             bound[0].projection_indices().iter().copied().collect();
 
-        let modifiable = modifiable_attributes(&db, &space);
-        let kernel = OutcomeKernel::build(&space, &queries, &join, &projection_columns)?;
-        let block_realizable = block_realizability(&db, &space);
+        let modifiable = modifiable_attributes(&session.db, &space);
+        let kernel = OutcomeKernel::build(&space, &queries, join, &projection_columns)?;
+        let block_realizable = block_realizability(&session.db, &space);
 
         Ok(GenerationContext {
-            db,
-            original_result,
+            session,
             queries,
-            join_tables,
-            join,
-            columnar,
-            join_index,
             bound,
             space,
             source_classes,
             modifiable,
             projection_columns,
-            column_domains,
             kernel,
             block_realizable,
         })
@@ -281,15 +236,9 @@ impl GenerationContext {
     ///
     /// `surviving` holds the indices (into [`Self::queries`], strictly
     /// ascending) of the candidates kept by the user's answer. With no
-    /// `edits` (the feedback loop never changes `D`), the successor
-    /// `Arc`-shares the database, the join, its columnar mirror and the join
-    /// index, reuses the cached active domains, and remaps the source-class
-    /// table through the old-block → new-block refinement induced by the
-    /// shrunken term set. Non-empty `edits` are applied to `D` and the
-    /// successor is rebuilt from the edited database.
-    ///
-    /// The result is equivalent to `GenerationContext::new` on the (edited)
-    /// database and the surviving candidates.
+    /// `edits` (the feedback loop never changes `D`) the successor is built
+    /// on this context's [`SessionJoin`]; non-empty `edits` are applied to
+    /// `D` and the successor is rebuilt from the edited database.
     pub fn advance(
         &self,
         surviving: &[usize],
@@ -299,7 +248,7 @@ impl GenerationContext {
     }
 
     /// [`Self::advance`] plus an [`AdvanceReport`] saying which path was
-    /// taken and whether the `QFE_PARANOIA` self-check audited it.
+    /// taken.
     pub fn advance_with_report(
         &self,
         surviving: &[usize],
@@ -317,209 +266,38 @@ impl GenerationContext {
             });
         }
         let queries: Vec<SpjQuery> = surviving.iter().map(|&i| self.queries[i].clone()).collect();
-        let report = |path| AdvanceReport {
-            path,
-            paranoia_checked: false,
-            paranoia_mismatch: None,
-        };
-
-        if !edits.is_empty() {
+        let (context, path) = if edits.is_empty() {
+            let context = Self::for_round(Arc::clone(&self.session), queries)?;
+            (context, AdvancePath::SharedNoEdit)
+        } else {
             // `apply_edits` clones the database but `Arc`-shares every table
             // the edits do not touch.
-            let db = crate::realize::apply_edits(&self.db, edits)?;
-            let context =
-                Self::new_shared(Arc::new(db), Arc::clone(&self.original_result), queries)?;
-            return Ok((context, report(AdvancePath::FullRebuild)));
-        }
-
-        // The surviving candidates' terms are a subset of this round's, so
-        // their domains come from the cache.
-        let column_domains = TupleClassSpace::active_domains_with(&self.join, &queries, |col| {
-            self.column_domains
-                .get(&col)
-                .cloned()
-                .unwrap_or_else(|| self.columnar.active_domain(col))
-        })?;
-        let space = TupleClassSpace::build_with_domains(&self.join, &queries, &column_domains)?;
-
-        // Fewer candidates ⇒ fewer terms ⇒ coarser blocks: remap the previous
-        // round's source classes instead of classifying every join row again.
-        // A failed embedding (should not happen) falls back to full
-        // classification.
-        let source_classes = self.remap_source_classes(&space);
-        debug_assert!(
-            source_classes.is_none()
-                || source_classes.as_ref() == Some(&space.source_classes(&self.join)),
-            "refinement remap disagrees with direct classification"
-        );
-
-        let context = Self::assemble(
-            Arc::clone(&self.db),
-            Arc::clone(&self.original_result),
-            queries,
-            self.join_tables.clone(),
-            Arc::clone(&self.join),
-            Arc::clone(&self.columnar),
-            Arc::clone(&self.join_index),
-            column_domains,
-            space,
-            source_classes,
-        )?;
-        self.paranoia_check(context, report(AdvancePath::SharedNoEdit))
-    }
-
-    /// The `QFE_PARANOIA` self-check: spot-validate an advanced successor
-    /// against a fresh rebuild from the same database and
-    /// candidates. On divergence the advance **degrades gracefully** — the
-    /// fresh rebuild is returned (correctness preserved), the mismatch is
-    /// counted and logged, and the report says what happened. Disabled (the
-    /// common case) this is one relaxed atomic load.
-    fn paranoia_check(
-        &self,
-        context: GenerationContext,
-        mut report: AdvanceReport,
-    ) -> Result<(GenerationContext, AdvanceReport)> {
-        let Some(every) = paranoia_interval() else {
-            return Ok((context, report));
+            let db = crate::realize::apply_edits(self.database(), edits)?;
+            let result = Arc::clone(&self.session.original_result);
+            let context = Self::new_shared(Arc::new(db), result, queries)?;
+            (context, AdvancePath::FullRebuild)
         };
-        if !PARANOIA_TICK
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
-        {
-            return Ok((context, report));
-        }
-        PARANOIA_CHECKS.fetch_add(1, Ordering::Relaxed);
-        report.paranoia_checked = true;
-        let fresh = Self::new_shared(
-            Arc::clone(&context.db),
-            Arc::clone(&context.original_result),
-            context.queries.clone(),
-        )?;
-        match context.divergence_from(&fresh) {
-            None => Ok((context, report)),
-            Some(reason) => {
-                PARANOIA_MISMATCHES.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "qfe: QFE_PARANOIA caught an advance divergence ({reason}); \
-                     degrading to the fresh rebuild (total mismatches {})",
-                    paranoia_mismatches()
-                );
-                report.paranoia_mismatch = Some(reason);
-                report.path = AdvancePath::FullRebuild;
-                Ok((fresh, report))
-            }
-        }
+        Ok((context, AdvanceReport { path }))
     }
 
-    /// Compares every artifact this context derives from the database —
-    /// join rows, domain partitions, source classes, projection columns —
-    /// against `other`, returning a description of the first divergence, or
-    /// `None` when the two are equivalent. This is the equivalence the
-    /// round-advancement tests assert; the `QFE_PARANOIA` mode runs it in
-    /// production as a self-check.
-    pub fn divergence_from(&self, other: &GenerationContext) -> Option<String> {
-        if self.queries.len() != other.queries.len() {
-            return Some(format!(
-                "candidate count {} vs {}",
-                self.queries.len(),
-                other.queries.len()
-            ));
-        }
-        if self.join.len() != other.join.len() {
-            return Some(format!(
-                "join row count {} vs {}",
-                self.join.len(),
-                other.join.len()
-            ));
-        }
-        for (row, (a, b)) in self.join.rows().iter().zip(other.join.rows()).enumerate() {
-            if a.tuple != b.tuple {
-                return Some(format!("join row {row} tuples differ"));
-            }
-        }
-        let (ours, theirs) = (self.space.attributes(), other.space.attributes());
-        if ours.len() != theirs.len() {
-            return Some(format!(
-                "class-space attribute count {} vs {}",
-                ours.len(),
-                theirs.len()
-            ));
-        }
-        for (a, b) in ours.iter().zip(theirs) {
-            if a.column != b.column {
-                return Some(format!(
-                    "class-space attribute column {} vs {}",
-                    a.column, b.column
-                ));
-            }
-            if a.blocks != b.blocks {
-                return Some(format!("domain partition differs on {}", a.reference));
-            }
-        }
-        if self.source_classes != other.source_classes {
-            return Some("source classes differ".to_string());
-        }
-        if self.projection_columns != other.projection_columns {
-            return Some("projection columns differ".to_string());
-        }
-        None
-    }
-
-    /// Remaps this context's source classes into the successor class space
-    /// via the old-block → new-block refinement. Returns `None` when some old
-    /// block does not embed into a single new block (then direct
-    /// classification is the only option).
-    fn remap_source_classes(
-        &self,
-        new_space: &TupleClassSpace,
-    ) -> Option<BTreeMap<TupleClass, Vec<usize>>> {
-        let new_attrs = new_space.attributes();
-        // For each new attribute position: (old position, old-block → new-block map).
-        let mut maps: Vec<(usize, Vec<usize>)> = Vec::with_capacity(new_attrs.len());
-        for na in new_attrs {
-            let old_pos = self
-                .space
-                .attributes()
-                .iter()
-                .position(|oa| oa.column == na.column)?;
-            let old_blocks = &self.space.attributes()[old_pos].blocks;
-            let mut map = Vec::with_capacity(old_blocks.len());
-            for ob in old_blocks {
-                let target = na
-                    .blocks
-                    .iter()
-                    .position(|nb| nb.contains(ob.representative()))?;
-                map.push(target);
-            }
-            maps.push((old_pos, map));
-        }
-        let mut remapped: BTreeMap<TupleClass, Vec<usize>> = BTreeMap::new();
-        for (old_class, rows) in &self.source_classes {
-            let new_class: TupleClass = maps
-                .iter()
-                .map(|(old_pos, map)| map[old_class[*old_pos]])
-                .collect();
-            remapped.entry(new_class).or_default().extend(rows);
-        }
-        for members in remapped.values_mut() {
-            members.sort_unstable();
-        }
-        Some(remapped)
+    /// The session part this round was built on.
+    pub fn session_join(&self) -> &Arc<SessionJoin> {
+        &self.session
     }
 
     /// The original database `D`.
     pub fn database(&self) -> &Database {
-        &self.db
+        &self.session.db
     }
 
     /// The original database `D`, shared.
     pub fn database_arc(&self) -> &Arc<Database> {
-        &self.db
+        &self.session.db
     }
 
     /// The original example result `R`.
     pub fn original_result(&self) -> &QueryResult {
-        &self.original_result
+        &self.session.original_result
     }
 
     /// The surviving candidate queries.
@@ -529,27 +307,27 @@ impl GenerationContext {
 
     /// The shared join schema (sorted table names).
     pub fn join_tables(&self) -> &[String] {
-        &self.join_tables
+        &self.session.join_tables
     }
 
     /// The foreign-key join of the candidate queries' tables over `D`.
     pub fn join(&self) -> &JoinedRelation {
-        &self.join
+        &self.session.join
     }
 
     /// The columnar mirror of [`Self::join`] (typed vectors, sorted string
-    /// dictionaries, null bitmaps). The context computes its active domains
-    /// from it, and embedders evaluate candidates against it vectorized
-    /// ([`qfe_query::BoundQuery::selection_bitmap`] with a
-    /// `TermBitmapCache`). Shared untouched across rounds by
-    /// [`Self::advance`].
+    /// dictionaries, null bitmaps). The class space computes its active
+    /// domains from it, and embedders evaluate candidates against it
+    /// vectorized ([`qfe_query::BoundQuery::selection_bitmap`] with a
+    /// `TermBitmapCache`). Part of the [`SessionJoin`], so every round of a
+    /// session sees the same mirror.
     pub fn columnar(&self) -> &ColumnarJoin {
-        &self.columnar
+        &self.session.columnar
     }
 
     /// The join index of [`Self::join`].
     pub fn join_index(&self) -> &JoinIndex {
-        &self.join_index
+        &self.session.join_index
     }
 
     /// The candidate queries bound against [`Self::join`].
@@ -767,27 +545,29 @@ impl GenerationContext {
         &self,
         edits: &[crate::realize::CellEdit],
     ) -> Vec<(usize, Tuple, Tuple)> {
+        let join = self.join();
         let mut patched: BTreeMap<usize, Tuple> = BTreeMap::new();
         for edit in edits {
-            for &jrow in self.join_index.joined_rows_of(&edit.table, edit.row) {
+            let Some(table) = join.table_position(&edit.table) else {
+                continue;
+            };
+            // The join column that originates from the edited base cell.
+            let column = join
+                .columns()
+                .iter()
+                .position(|c| c.table == edit.table && c.column == edit.column);
+            for &jrow in self.join_index().joined_rows_of(table, edit.row) {
                 let entry = patched
                     .entry(jrow)
-                    .or_insert_with(|| self.join.rows()[jrow].tuple.clone());
-                // Patch every join column that originates from the edited
-                // base cell.
-                for (col_idx, col) in self.join.columns().iter().enumerate() {
-                    if col.table == edit.table
-                        && col.column == edit.column
-                        && self.join.rows()[jrow].provenance.get(&edit.table) == Some(&edit.row)
-                    {
-                        entry.set(col_idx, edit.new_value.clone());
-                    }
+                    .or_insert_with(|| join.rows()[jrow].tuple.clone());
+                if let Some(column) = column {
+                    entry.set(column, edit.new_value.clone());
                 }
             }
         }
         patched
             .into_iter()
-            .map(|(jrow, tuple)| (jrow, self.join.rows()[jrow].tuple.clone(), tuple))
+            .map(|(jrow, tuple)| (jrow, join.rows()[jrow].tuple.clone(), tuple))
             .collect()
     }
 }
@@ -850,7 +630,7 @@ fn block_realizability(db: &Database, space: &TupleClassSpace) -> Vec<Vec<bool>>
 mod tests {
     use super::*;
     use qfe_query::{ComparisonOp, DnfPredicate, Term};
-    use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema};
+    use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema, Value};
 
     fn employee_context() -> GenerationContext {
         let employee = Table::with_rows(
@@ -904,7 +684,8 @@ mod tests {
         assert_eq!(ctx.database().table_count(), 1);
         assert_eq!(ctx.original_result().len(), 2);
         assert_eq!(ctx.projection_columns().len(), 1);
-        assert!(!ctx.join_index().is_empty());
+        // Each employee row is its own joined row.
+        assert_eq!(ctx.join_index().joined_rows_of(0, 2), &[2]);
     }
 
     #[test]
@@ -935,6 +716,11 @@ mod tests {
         assert!(matches!(err, QfeError::MixedJoinSchemas));
         let err = GenerationContext::new(ctx.database(), ctx.original_result(), &[]).unwrap_err();
         assert!(matches!(err, QfeError::NoCandidates));
+        // A round must use the session join's schema.
+        let other = queries.pop().unwrap();
+        let err =
+            GenerationContext::for_round(Arc::clone(ctx.session_join()), vec![other]).unwrap_err();
+        assert!(matches!(err, QfeError::MixedJoinSchemas));
     }
 
     #[test]
@@ -1059,31 +845,20 @@ mod tests {
             &[ctx.queries()[0].clone(), ctx.queries()[2].clone()],
         )
         .unwrap();
-        assert_eq!(advanced.queries().len(), 2);
-        assert_eq!(advanced.source_classes(), fresh.source_classes());
+        assert_eq!(advanced.queries(), fresh.queries());
         assert_eq!(
-            advanced.class_space().attribute_count(),
-            fresh.class_space().attribute_count()
+            advanced.class_space().attributes(),
+            fresh.class_space().attributes()
         );
-        for (a, f) in advanced
-            .class_space()
-            .attributes()
-            .iter()
-            .zip(fresh.class_space().attributes())
-        {
-            assert_eq!(a.column, f.column);
-            assert_eq!(a.blocks, f.blocks);
-        }
+        assert_eq!(advanced.source_classes(), fresh.source_classes());
         assert_eq!(
             advanced.modifiable_attributes(),
             fresh.modifiable_attributes()
         );
         assert_eq!(advanced.projection_columns(), fresh.projection_columns());
-        // The join, the columnar mirror and the database are shared, not
-        // recomputed.
-        assert!(Arc::ptr_eq(&advanced.join, &ctx.join));
-        assert!(Arc::ptr_eq(&advanced.columnar, &ctx.columnar));
-        assert!(Arc::ptr_eq(&advanced.db, &ctx.db));
+        // The session join (database, join, columnar mirror, join index) is
+        // shared, not recomputed.
+        assert!(Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
         // Class-level reasoning agrees on every source class and query.
         for class in fresh.source_classes().keys() {
             for q in 0..2 {
@@ -1124,14 +899,10 @@ mod tests {
                 );
             }
         }
-        for (a, f) in advanced
-            .class_space()
-            .attributes()
-            .iter()
-            .zip(fresh.class_space().attributes())
-        {
-            assert_eq!(a.blocks, f.blocks, "attribute {} diverged", a.reference);
-        }
+        assert_eq!(
+            advanced.class_space().attributes(),
+            fresh.class_space().attributes()
+        );
     }
 
     #[test]
@@ -1141,7 +912,7 @@ mod tests {
         // Pruned candidates, no edits: everything relational is shared.
         let (advanced, report) = ctx.advance_with_report(&[0, 2], &[]).unwrap();
         assert_eq!(report.path, AdvancePath::SharedNoEdit);
-        assert!(Arc::ptr_eq(&advanced.columnar, &ctx.columnar));
+        assert!(Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
 
         // Any cell edit rebuilds from the edited database.
         let edits = vec![crate::realize::CellEdit {
@@ -1152,8 +923,8 @@ mod tests {
         }];
         let (advanced, report) = ctx.advance_with_report(&[0, 1, 2], &edits).unwrap();
         assert_eq!(report.path, AdvancePath::FullRebuild);
-        assert!(!Arc::ptr_eq(&advanced.db, &ctx.db));
-        assert!(report.paranoia_mismatch.is_none());
+        assert!(!Arc::ptr_eq(advanced.database_arc(), ctx.database_arc()));
+        assert!(!Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! database `D'` that partitions the remaining candidate queries, minimizing
 //! the user-effort cost model. The caller owns the round's
 //! [`GenerationContext`]: it builds the first one with
-//! [`GenerationContext::new`] and derives each later one with
-//! [`GenerationContext::advance`].
+//! [`GenerationContext::new`] and each later one on the same session join
+//! with [`GenerationContext::advance`] or [`GenerationContext::for_round`].
 
 use std::time::{Duration, Instant};
 

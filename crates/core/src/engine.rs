@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use qfe_query::{QueryResult, SpjQuery};
 use qfe_relation::Database;
 
-use crate::context::GenerationContext;
+use crate::context::{GenerationContext, SessionJoin};
 use crate::cost::CostParams;
 use crate::dbgen::{DatabaseGenerator, GeneratedDatabase};
 use crate::delta::{DatabaseDelta, ResultDelta};
@@ -60,19 +60,6 @@ pub struct PendingRound {
     pub stats: IterationStats,
 }
 
-/// The previous round's generation context plus, once the round is answered,
-/// the surviving candidate positions — everything
-/// [`GenerationContext::advance`] needs to derive the next round's context
-/// incrementally. Purely a cache: never serialized, rebuilt from scratch
-/// after a resume.
-#[derive(Debug, Clone)]
-struct RoundContextCache {
-    ctx: Arc<GenerationContext>,
-    /// Positions (into the cached context's query list) kept by the answer;
-    /// `None` while the round is unanswered.
-    surviving: Option<Vec<usize>>,
-}
-
 /// The resumable state machine behind a QFE session (Algorithm 1, sans-IO).
 ///
 /// Obtained from [`QfeSession::start`] or [`QfeEngine::resume`].
@@ -94,8 +81,9 @@ pub struct QfeEngine {
     rejected: bool,
     /// The generator certified the remaining candidates indistinguishable.
     indistinguishable: bool,
-    /// Previous round's context, advanced instead of rebuilt each round.
-    round_ctx: Option<RoundContextCache>,
+    /// The session join every round is built on, once the first round has
+    /// built it. Purely a cache: never serialized, rebuilt after a resume.
+    session_join: Option<Arc<SessionJoin>>,
 }
 
 impl QfeEngine {
@@ -112,7 +100,7 @@ impl QfeEngine {
             pending: None,
             rejected: false,
             indistinguishable: false,
-            round_ctx: None,
+            session_join: None,
         }
     }
 
@@ -209,36 +197,26 @@ impl QfeEngine {
         Ok(Step::AwaitFeedback(round))
     }
 
-    /// Runs Algorithm 2 for the current survivors, advancing the previous
-    /// round's [`GenerationContext`] when one is cached (the join, join
-    /// index, active domains and source classes carry over — `D` and `R`
-    /// never change within a session) and building one from the shared
-    /// example pair otherwise. The context used is cached for the next round.
+    /// Runs Algorithm 2 for the current survivors on a round context built
+    /// from the session join (`D` and `R` never change within a session, so
+    /// the join, its columnar mirror and join index are built once, by the
+    /// first round after the engine starts or resumes).
     fn generate_round(&mut self) -> Result<GeneratedDatabase> {
-        let advanced = self
-            .round_ctx
-            .take()
-            .and_then(|cache| Some(cache.ctx.advance(&cache.surviving?, &[])));
-        let ctx = match advanced {
-            Some(Ok(ctx)) => ctx,
-            // No answered round to advance from, or the advance failed: build
-            // from the shared example pair — never let the cache break a
-            // session.
-            None | Some(Err(_)) => GenerationContext::new_shared(
+        let queries: Vec<SpjQuery> = self
+            .remaining
+            .iter()
+            .map(|&i| self.candidates[i].clone())
+            .collect();
+        let ctx = match &self.session_join {
+            Some(join) => GenerationContext::for_round(Arc::clone(join), queries)?,
+            None => GenerationContext::new_shared(
                 Arc::clone(&self.database),
                 Arc::clone(&self.result),
-                self.remaining
-                    .iter()
-                    .map(|&i| self.candidates[i].clone())
-                    .collect(),
+                queries,
             )?,
         };
-        let generated = DatabaseGenerator::new(self.params.clone()).generate_with_context(&ctx)?;
-        self.round_ctx = Some(RoundContextCache {
-            ctx: Arc::new(ctx),
-            surviving: None,
-        });
-        Ok(generated)
+        self.session_join = Some(Arc::clone(ctx.session_join()));
+        DatabaseGenerator::new(self.params.clone()).generate_with_context(&ctx)
     }
 
     /// Answers the pending round: keeps the candidate queries behind choice
@@ -274,12 +252,6 @@ impl QfeEngine {
             .iter()
             .map(|&i| self.remaining[i])
             .collect();
-        // Remember which positions survived so the next round can advance
-        // the cached generation context instead of rebuilding it (the group
-        // indices are ascending by construction of the partition).
-        if let Some(cache) = &mut self.round_ctx {
-            cache.surviving = Some(kept.query_indices.clone());
-        }
         Ok(())
     }
 
@@ -486,7 +458,7 @@ impl QfeEngine {
             pending: snapshot.pending,
             rejected: snapshot.rejected,
             indistinguishable: snapshot.indistinguishable,
-            round_ctx: None,
+            session_join: None,
         })
     }
 }
@@ -608,6 +580,40 @@ mod tests {
         }
         // The cache means no extra iteration was recorded.
         assert_eq!(engine.iterations_completed(), 0);
+    }
+
+    #[test]
+    fn rounds_share_one_session_join_until_a_resume() {
+        use crate::feedback::WorstCaseUser;
+        use qfe_query::{ComparisonOp, DnfPredicate, Term};
+        // Example 1.1's candidates plus two more, so the largest group
+        // survives more than one round.
+        let (db, result, mut candidates, _) = example_1_1();
+        let q = |p| SpjQuery::new(vec!["Employee"], vec!["name"], p);
+        candidates.push(q(DnfPredicate::single(Term::compare(
+            "salary",
+            ComparisonOp::Gt,
+            3500i64,
+        ))));
+        candidates.push(q(DnfPredicate::single(Term::eq("dept", "Sales"))));
+        let mut engine = QfeSession::builder(db, result)
+            .with_candidates(candidates)
+            .build()
+            .unwrap()
+            .start();
+        assert!(engine.session_join.is_none());
+        let mut joins = Vec::new();
+        while let Step::AwaitFeedback(round) = engine.step().unwrap() {
+            joins.push(Arc::clone(engine.session_join.as_ref().unwrap()));
+            engine
+                .answer(WorstCaseUser.choose(&round).unwrap())
+                .unwrap();
+        }
+        assert!(joins.len() >= 2, "{} rounds", joins.len());
+        assert!(joins.iter().all(|j| Arc::ptr_eq(j, &joins[0])));
+        // The join is a cache: a resumed engine builds its own.
+        let resumed = QfeEngine::resume(engine.snapshot()).unwrap();
+        assert!(resumed.session_join.is_none());
     }
 
     #[test]

@@ -46,30 +46,28 @@
 //!   adaptive interval (tightening past 80% of the budget) so overshoot
 //!   stays bounded; [`SkylineOutcome::timed_out`] (recorded per round as
 //!   [`IterationStats::skyline_timed_out`]) says when δ cut it short.
-//! * **Columnar join mirror.** Every [`GenerationContext`] carries a
+//! * **Columnar join mirror.** Every [`SessionJoin`] carries a
 //!   [`qfe_relation::ColumnarJoin`] — typed `i64`/`f64`/bool vectors,
 //!   dictionary-coded strings with per-column *sorted* dictionaries, and null
-//!   bitmaps — built once per join. The context reads its active domains off
-//!   it (the sorted dictionaries *are* the domains, no row-value cloning)
-//!   and exposes it via [`GenerationContext::columnar`] so embedders can
-//!   evaluate candidates vectorized: each atomic term compiles to a
-//!   selection bitmap ([`qfe_query::BoundQuery::selection_bitmap`]) via a
-//!   tight typed loop (dictionary range tests for string comparisons),
+//!   bitmaps — built once per join. Each round's class space reads its
+//!   active domains off it (the sorted dictionaries *are* the domains, no
+//!   row-value cloning), and [`GenerationContext::columnar`] exposes it so
+//!   embedders can evaluate candidates vectorized: each atomic term compiles
+//!   to a selection bitmap ([`qfe_query::BoundQuery::selection_bitmap`]) via
+//!   a tight typed loop (dictionary range tests for string comparisons),
 //!   memoized per (column, op, literal) in a `qfe_query::TermBitmapCache`
 //!   shared by every candidate bound to the join. `qfe-qbo`'s batched
 //!   candidate verification (`BatchVerifier`/`verify_batch`) runs on the
 //!   same machinery over its own per-join mirrors.
-//! * **Shared per-round contexts.** Within a session `D` and `R` never
-//!   change and each answer only shrinks the candidate set;
-//!   [`GenerationContext::advance`] `Arc`-shares the database, the join, the
-//!   columnar mirror and the join index, reuses the cached active domains,
-//!   and remaps source classes through the old→new block refinement instead
-//!   of reclassifying every row. [`QfeEngine`] advances its cached round
-//!   context itself, and the engine, its snapshots and every per-round
-//!   context share one `Arc`'d copy of `(D, R)`.
-//!   [`GenerationContext::advance_with_report`] names the path taken
-//!   ([`AdvancePath`]); the `QFE_PARANOIA` mode audits advances against a
-//!   fresh build (see [`paranoia_checks`]).
+//! * **One session join, one round constructor.** Within a session `D` and
+//!   `R` never change and each answer only shrinks the candidate set, so the
+//!   foreign-key join, its columnar mirror and the join index live in a
+//!   [`SessionJoin`] built once and shared by `Arc`; each round's
+//!   [`GenerationContext`] is built on it by one constructor,
+//!   [`GenerationContext::for_round`] (class space, source classes, kernel).
+//!   [`QfeEngine`] keeps its session join across rounds and rebuilds it after
+//!   a resume; the engine, its snapshots and the session join share one
+//!   `Arc`'d copy of `(D, R)`.
 //!
 //! ## Step-API quickstart
 //!
@@ -176,10 +174,7 @@ mod stats;
 mod tuple_class;
 
 pub use alt_cost::AltCostModel;
-pub use context::{
-    paranoia_checks, paranoia_mismatches, AdvancePath, AdvanceReport, ClassPair, GenerationContext,
-    Outcome,
-};
+pub use context::{AdvancePath, AdvanceReport, ClassPair, GenerationContext, Outcome, SessionJoin};
 pub use cost::{
     balance_score, estimate_iterations, objective, user_effort_cost, CostInputs, CostModelKind,
     CostParams, IterationEstimator,

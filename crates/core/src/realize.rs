@@ -117,24 +117,23 @@ pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<Rea
             }
         }
         let members = ctx.source_classes().get(&pair.source)?;
+        // The base table (its provenance column in the join) behind each
+        // changed attribute.
+        let join = ctx.join();
+        let tables: Vec<usize> = pair
+            .changed_attributes
+            .iter()
+            .map(|&pos| join.table_position(&ctx.class_space().attributes()[pos].table))
+            .collect::<Option<_>>()?;
         // Order candidate rows by total fan-out of the base tuples we would
         // modify (ascending: prefer side-effect-free realizations).
         let mut candidates: Vec<(usize, usize)> = members
             .iter()
             .filter(|r| !used_join_rows.contains(r))
             .map(|&jrow| {
-                let fan_out: usize = pair
-                    .changed_attributes
+                let fan_out: usize = tables
                     .iter()
-                    .map(|&pos| {
-                        let attr = &ctx.class_space().attributes()[pos];
-                        let base_row = ctx.join().rows()[jrow]
-                            .provenance
-                            .get(&attr.table)
-                            .copied()
-                            .unwrap_or(usize::MAX);
-                        ctx.join_index().fan_out(&attr.table, base_row)
-                    })
+                    .map(|&t| ctx.join_index().fan_out(t, join.provenance(t)[jrow]))
                     .sum();
                 (fan_out, jrow)
             })
@@ -144,12 +143,9 @@ pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<Rea
         let mut realized_this_pair = false;
         'candidate: for (_, jrow) in candidates {
             let mut pair_edits: Vec<CellEdit> = Vec::new();
-            for &pos in &pair.changed_attributes {
+            for (&pos, &t) in pair.changed_attributes.iter().zip(&tables) {
                 let attr = &ctx.class_space().attributes()[pos];
-                let base_row = match ctx.join().rows()[jrow].provenance.get(&attr.table) {
-                    Some(&r) => r,
-                    None => continue 'candidate,
-                };
+                let base_row = join.provenance(t)[jrow];
                 let key = (attr.table.clone(), base_row, attr.base_column.clone());
                 if edited_cells.contains(&key) {
                     continue 'candidate;

@@ -9,10 +9,10 @@
 //! (source-class, destination-class) pairs before being realized as concrete
 //! tuple edits.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use qfe_query::{BoundQuery, SpjQuery};
-use qfe_relation::{JoinedRelation, Tuple, Value};
+use qfe_relation::{ColumnarJoin, JoinedRelation, Tuple, Value};
 
 use crate::domain::{partition_categorical_domain, partition_numeric_domain_for, DomainBlock};
 use crate::error::{QfeError, Result};
@@ -22,7 +22,7 @@ use crate::error::{QfeError, Result};
 pub type TupleClass = Vec<usize>;
 
 /// One selection-predicate attribute together with its domain partition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectionAttribute {
     /// Column index in the joined relation.
     pub column: usize,
@@ -44,53 +44,14 @@ pub struct TupleClassSpace {
 
 impl TupleClassSpace {
     /// Builds the tuple-class space: resolves every selection-predicate
-    /// attribute of `queries` against `join` and partitions its domain.
-    pub fn build(join: &JoinedRelation, queries: &[SpjQuery]) -> Result<Self> {
-        let domains = Self::active_domains(join, queries)?;
-        Self::build_with_domains(join, queries, &domains)
-    }
-
-    /// The active domains of every selection-predicate column of `queries`,
-    /// computed from `join`. [`Self::build_with_domains`] accepts the result,
-    /// which lets callers cache the (join-scan) domain computation across
-    /// incrementally advanced contexts.
-    pub fn active_domains(
+    /// attribute of `queries` against `join` and partitions its active
+    /// domain, read off `columnar` (the join's columnar mirror, whose sorted
+    /// dictionaries and typed vectors yield each domain without cloning and
+    /// sorting boxed row values).
+    pub fn build(
         join: &JoinedRelation,
+        columnar: &ColumnarJoin,
         queries: &[SpjQuery],
-    ) -> Result<BTreeMap<usize, Vec<Value>>> {
-        Self::active_domains_with(join, queries, |col| join.active_domain(col))
-    }
-
-    /// [`Self::active_domains`] with the per-column domain computation
-    /// supplied by the caller — `domain_of(col)` must return exactly what
-    /// `join.active_domain(col)` would. [`GenerationContext`](crate::GenerationContext)
-    /// passes the columnar mirror's
-    /// [`active_domain`](qfe_relation::ColumnarJoin::active_domain), which
-    /// reads sorted dictionaries and typed vectors instead of cloning and
-    /// sorting boxed row values.
-    pub fn active_domains_with(
-        join: &JoinedRelation,
-        queries: &[SpjQuery],
-        domain_of: impl Fn(usize) -> Vec<Value>,
-    ) -> Result<BTreeMap<usize, Vec<Value>>> {
-        let mut domains = BTreeMap::new();
-        for q in queries {
-            for term in q.predicate.all_terms() {
-                let col = join
-                    .resolve_column(term.attribute())
-                    .map_err(QfeError::from)?;
-                domains.entry(col).or_insert_with(|| domain_of(col));
-            }
-        }
-        Ok(domains)
-    }
-
-    /// [`Self::build`] with the per-column active domains supplied by the
-    /// caller (they must match what `join.active_domain` would return).
-    pub fn build_with_domains(
-        join: &JoinedRelation,
-        queries: &[SpjQuery],
-        domains: &BTreeMap<usize, Vec<Value>>,
     ) -> Result<Self> {
         // Group predicate terms by resolved column index.
         let mut terms_by_col: BTreeMap<usize, Vec<qfe_query::Term>> = BTreeMap::new();
@@ -107,10 +68,7 @@ impl TupleClassSpace {
             let meta = join.column_at(col).ok_or_else(|| QfeError::Internal {
                 message: format!("column {col} out of range"),
             })?;
-            let active_domain = domains
-                .get(&col)
-                .cloned()
-                .unwrap_or_else(|| join.active_domain(col));
+            let active_domain = columnar.active_domain(col);
             let term_refs: Vec<&qfe_query::Term> = terms.iter().collect();
             let blocks = if meta.data_type.is_numeric() {
                 partition_numeric_domain_for(&term_refs, &active_domain, meta.data_type)
@@ -342,14 +300,6 @@ impl TupleClassSpace {
         }
         ControlFlow::Continue(())
     }
-
-    /// The set of distinct classes among the join's rows plus the given extra
-    /// classes — useful for reporting.
-    pub fn all_classes(&self, join: &JoinedRelation, extra: &[TupleClass]) -> BTreeSet<TupleClass> {
-        let mut set: BTreeSet<TupleClass> = self.source_classes(join).into_keys().collect();
-        set.extend(extra.iter().cloned());
-        set
-    }
 }
 
 /// Advances `combo` to the next k-combination of `0..positions` in
@@ -374,11 +324,17 @@ fn advance_combination(combo: &mut [usize], positions: usize) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use qfe_query::{ComparisonOp, DnfPredicate, Term};
     use qfe_relation::{
         foreign_key_join, tuple, ColumnDef, DataType, Database, Table, TableSchema,
     };
+
+    fn space_of(join: &JoinedRelation, queries: &[SpjQuery]) -> TupleClassSpace {
+        TupleClassSpace::build(join, &ColumnarJoin::from_join(join), queries).unwrap()
+    }
 
     fn employee_setup() -> (JoinedRelation, Vec<SpjQuery>) {
         let employee = Table::with_rows(
@@ -422,7 +378,7 @@ mod tests {
     #[test]
     fn builds_one_partition_per_selection_attribute() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         assert_eq!(space.attribute_count(), 3); // gender, dept, salary
         let refs: Vec<&str> = space
             .attributes()
@@ -451,7 +407,7 @@ mod tests {
     #[test]
     fn classification_groups_equivalent_tuples() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         let classes = space.source_classes(&join);
         // Bob (M, IT, 4200) and Darren (M, IT, 5000) are both >4000/M/IT: same class.
         let bob = space.classify(&join.rows()[1].tuple).unwrap();
@@ -471,7 +427,7 @@ mod tests {
     #[test]
     fn class_matching_agrees_with_query_evaluation() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join).unwrap())
@@ -491,7 +447,7 @@ mod tests {
     #[test]
     fn representative_values_belong_to_blocks() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         for class in space.source_classes(&join).keys() {
             for (attr, &block_idx) in space.attributes().iter().zip(class.iter()) {
                 let (_, rep) = space.representative_values(class)[space
@@ -508,7 +464,7 @@ mod tests {
     #[test]
     fn destination_classes_change_exactly_the_requested_attributes() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         let source = space.classify(&join.rows()[1].tuple).unwrap(); // Bob
         let modifiable = vec![true; space.attribute_count()];
         let single = space.destination_classes(&source, 1, &modifiable);
@@ -534,7 +490,7 @@ mod tests {
     #[test]
     fn destination_classes_respect_modifiable_mask() {
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         let source = space.classify(&join.rows()[1].tuple).unwrap();
         // Only the first attribute is modifiable.
         let mut modifiable = vec![false; space.attribute_count()];
@@ -552,7 +508,7 @@ mod tests {
         // For any (s, d) pair, the per-query outcome takes at most 4 values:
         // (s matches, d matches) ∈ {FF, FT, TF, TT}.
         let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = space_of(&join, &queries);
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join).unwrap())
@@ -569,15 +525,5 @@ mod tests {
             }
             assert!(outcomes.len() <= 4);
         }
-    }
-
-    #[test]
-    fn all_classes_includes_extras() {
-        let (join, queries) = employee_setup();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
-        let extra: TupleClass = vec![0; space.attribute_count()];
-        let all = space.all_classes(&join, std::slice::from_ref(&extra));
-        assert!(all.contains(&extra));
-        assert!(all.len() >= 2);
     }
 }

@@ -5,8 +5,9 @@
 //! (Section 5 of the paper).  Because the database generator must translate a
 //! modification of a joined tuple back into a modification of a *base-table*
 //! tuple — and account for the side effects that base modification has on
-//! other joined tuples (Section 5.4.1) — every joined row carries provenance:
-//! the index of the base row it came from in each participating table.
+//! other joined tuples (Section 5.4.1) — the join keeps provenance: for each
+//! participating table (by its position in [`JoinedRelation::tables`]) one
+//! vector holding, per joined row, the index of the base row it came from.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -38,13 +39,11 @@ impl JoinedColumn {
     }
 }
 
-/// One row of a joined relation, with provenance back to the base tables.
+/// One row of a joined relation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinedRow {
     /// The joined values, in [`JoinedRelation::columns`] order.
     pub tuple: Tuple,
-    /// Base-row index per participating table (table name → row index).
-    pub provenance: BTreeMap<String, usize>,
 }
 
 /// The foreign-key join of a set of tables.
@@ -54,14 +53,31 @@ pub struct JoinedRelation {
     tables: Vec<String>,
     /// Joined columns, concatenated in table order.
     columns: Vec<JoinedColumn>,
-    /// Joined rows with provenance.
+    /// Joined rows.
     rows: Vec<JoinedRow>,
+    /// Per participating table (in `tables` order), the base-row index of
+    /// every joined row.
+    provenance: Vec<Vec<usize>>,
 }
 
 impl JoinedRelation {
     /// Participating base tables, in join order.
     pub fn tables(&self) -> &[String] {
         &self.tables
+    }
+
+    /// The position of `table` in [`Self::tables`], if it participates.
+    pub fn table_position(&self, table: &str) -> Option<usize> {
+        self.tables.iter().position(|t| t == table)
+    }
+
+    /// The provenance of the table at `position` in [`Self::tables`]: entry
+    /// `r` is the index of the base row joined row `r` came from.
+    ///
+    /// # Panics
+    /// If `position` is not a participating table's position.
+    pub fn provenance(&self, position: usize) -> &[usize] {
+        &self.provenance[position]
     }
 
     /// The joined columns.
@@ -244,17 +260,15 @@ fn seed_relation(table: &Table) -> JoinedRelation {
             data_type: c.data_type,
         })
         .collect();
-    let rows = table
+    let (base_rows, rows) = table
         .iter()
-        .map(|(idx, row)| JoinedRow {
-            tuple: row.clone(),
-            provenance: BTreeMap::from([(table.name().to_string(), idx)]),
-        })
-        .collect();
+        .map(|(idx, row)| (idx, JoinedRow { tuple: row.clone() }))
+        .unzip();
     JoinedRelation {
         tables: vec![table.name().to_string()],
         columns,
         rows,
+        provenance: vec![base_rows],
     }
 }
 
@@ -321,7 +335,8 @@ fn attach_table(
     }));
 
     let mut rows = Vec::new();
-    for jr in &joined.rows {
+    let mut provenance = vec![Vec::new(); joined.tables.len() + 1];
+    for (r, jr) in joined.rows.iter().enumerate() {
         let key: Vec<Value> = joined_key_idx
             .iter()
             .map(|&k| jr.tuple.get(k).cloned().unwrap_or(Value::Null))
@@ -332,12 +347,13 @@ fn attach_table(
         if let Some(matches) = index.get(&key) {
             for &m in matches {
                 let new_row = new_table.row(m).expect("index in range");
-                let mut provenance = jr.provenance.clone();
-                provenance.insert(new_table.name().to_string(), m);
                 rows.push(JoinedRow {
                     tuple: jr.tuple.concat(new_row),
-                    provenance,
                 });
+                for (to, from) in provenance.iter_mut().zip(&joined.provenance) {
+                    to.push(from[r]);
+                }
+                provenance[joined.tables.len()].push(m);
             }
         }
     }
@@ -348,6 +364,7 @@ fn attach_table(
         tables,
         columns,
         rows,
+        provenance,
     })
 }
 
@@ -409,7 +426,8 @@ mod tests {
         let j = foreign_key_join(&db, &["T1".to_string()]).unwrap();
         assert_eq!(j.len(), 3);
         assert_eq!(j.arity(), 3);
-        assert_eq!(j.rows()[1].provenance.get("T1"), Some(&1));
+        assert_eq!(j.tables(), &["T1".to_string()]);
+        assert_eq!(j.provenance(0), &[0, 1, 2]);
     }
 
     #[test]
@@ -441,14 +459,18 @@ mod tests {
         let j = full_foreign_key_join(&db).unwrap();
         // Both joined rows with T1.A = 1 come from T1 row 0.
         let a_idx = j.resolve_column("T1.A").unwrap();
-        let from_t1_row0: Vec<&JoinedRow> = j
-            .rows()
-            .iter()
-            .filter(|r| r.tuple.get(a_idx) == Some(&Value::Int(1)))
+        let t1 = j.table_position("T1").unwrap();
+        let from_t1_row0: Vec<usize> = (0..j.len())
+            .filter(|&r| j.rows()[r].tuple.get(a_idx) == Some(&Value::Int(1)))
             .collect();
         assert_eq!(from_t1_row0.len(), 2);
         for r in from_t1_row0 {
-            assert_eq!(r.provenance.get("T1"), Some(&0));
+            assert_eq!(j.provenance(t1)[r], 0);
+        }
+        // Every joined row names one base row per participating table.
+        assert_eq!(j.table_position("T9"), None);
+        for t in 0..j.tables().len() {
+            assert_eq!(j.provenance(t).len(), j.len());
         }
     }
 

@@ -5,42 +5,65 @@
 //! join with several partner tuples.  QFE "constructs a join index for each
 //! foreign-key relationship … to efficiently keep track of the set of related
 //! tuples for each base tuple", and uses it to account for these side effects
-//! when costing candidate modifications.  [`JoinIndex`] is that structure,
-//! built directly from a [`JoinedRelation`]'s provenance.
-
-use std::collections::BTreeMap;
+//! when costing candidate modifications.  [`JoinIndex`] is that structure:
+//! built from a [`JoinedRelation`]'s per-table provenance and keyed, like it,
+//! by the table's position in [`JoinedRelation::tables`], so a lookup is two
+//! slice indexings.
 
 use crate::join::JoinedRelation;
 
-/// Maps `(base table, base row index)` to the joined-row indices that the base
-/// row participates in.
+/// Maps `(table position, base row index)` to the joined-row indices that the
+/// base row participates in.
 #[derive(Debug, Clone, Default)]
 pub struct JoinIndex {
-    entries: BTreeMap<(String, usize), Vec<usize>>,
+    /// One entry per participating table.
+    tables: Vec<TableIndex>,
+}
+
+/// The joined rows of one table's base rows, flattened: base row `b`'s joined
+/// rows are `joined[starts[b]..starts[b + 1]]`, ascending.
+#[derive(Debug, Clone)]
+struct TableIndex {
+    starts: Vec<usize>,
+    joined: Vec<usize>,
+}
+
+impl TableIndex {
+    fn build(provenance: &[usize]) -> TableIndex {
+        let base_rows = provenance.iter().max().map_or(0, |&m| m + 1);
+        let mut starts = vec![0usize; base_rows + 1];
+        for &b in provenance {
+            starts[b + 1] += 1;
+        }
+        for b in 0..base_rows {
+            starts[b + 1] += starts[b];
+        }
+        // A stable sort keeps each base row's joined rows ascending.
+        let mut joined: Vec<usize> = (0..provenance.len()).collect();
+        joined.sort_by_key(|&j| provenance[j]);
+        TableIndex { starts, joined }
+    }
 }
 
 impl JoinIndex {
     /// Builds the index from a joined relation's provenance.
     pub fn build(join: &JoinedRelation) -> Self {
-        let mut entries: BTreeMap<(String, usize), Vec<usize>> = BTreeMap::new();
-        for (joined_idx, row) in join.rows().iter().enumerate() {
-            for (table, &base_idx) in &row.provenance {
-                entries
-                    .entry((table.clone(), base_idx))
-                    .or_default()
-                    .push(joined_idx);
-            }
+        JoinIndex {
+            tables: (0..join.tables().len())
+                .map(|t| TableIndex::build(join.provenance(t)))
+                .collect(),
         }
-        JoinIndex { entries }
     }
 
-    /// Joined-row indices that contain base row `row` of `table`.
-    /// Empty when the base row does not participate in the join (dangling).
-    pub fn joined_rows_of(&self, table: &str, row: usize) -> &[usize] {
-        self.entries
-            .get(&(table.to_string(), row))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// Joined-row indices (ascending) that contain base row `row` of the
+    /// table at position `table` in [`JoinedRelation::tables`]. Empty when
+    /// the base row does not participate in the join (dangling) or the
+    /// position is out of range.
+    pub fn joined_rows_of(&self, table: usize, row: usize) -> &[usize] {
+        match self.tables.get(table) {
+            Some(t) if row < t.starts.len() - 1 => &t.joined[t.starts[row]..t.starts[row + 1]],
+            _ => &[],
+        }
     }
 
     /// Number of joined rows a base row participates in (its *fan-out*).
@@ -48,27 +71,8 @@ impl JoinIndex {
     /// A fan-out of 1 means a modification of this base row has no side
     /// effects beyond the single intended joined tuple — the database
     /// generator prefers such rows (Section 5.4.1).
-    pub fn fan_out(&self, table: &str, row: usize) -> usize {
+    pub fn fan_out(&self, table: usize, row: usize) -> usize {
         self.joined_rows_of(table, row).len()
-    }
-
-    /// All indexed base rows of a given table.
-    pub fn base_rows(&self, table: &str) -> Vec<usize> {
-        self.entries
-            .keys()
-            .filter(|(t, _)| t == table)
-            .map(|(_, r)| *r)
-            .collect()
-    }
-
-    /// Total number of `(table, base row)` entries in the index.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -135,12 +139,16 @@ mod tests {
         let db = example_db();
         let join = full_foreign_key_join(&db).unwrap();
         let idx = JoinIndex::build(&join);
-        assert_eq!(idx.fan_out("T1", 0), 2);
-        assert_eq!(idx.fan_out("T1", 1), 1);
-        assert_eq!(idx.fan_out("T1", 2), 1);
+        let (t1, t2) = (
+            join.table_position("T1").unwrap(),
+            join.table_position("T2").unwrap(),
+        );
+        assert_eq!(idx.fan_out(t1, 0), 2);
+        assert_eq!(idx.fan_out(t1, 1), 1);
+        assert_eq!(idx.fan_out(t1, 2), 1);
         // Each T2 row joins exactly once.
         for r in 0..4 {
-            assert_eq!(idx.fan_out("T2", r), 1);
+            assert_eq!(idx.fan_out(t2, r), 1);
         }
     }
 
@@ -149,24 +157,28 @@ mod tests {
         let db = example_db();
         let join = full_foreign_key_join(&db).unwrap();
         let idx = JoinIndex::build(&join);
-        let rows = idx.joined_rows_of("T1", 0);
+        let t1 = join.table_position("T1").unwrap();
+        let rows = idx.joined_rows_of(t1, 0);
         assert_eq!(rows.len(), 2);
+        assert!(rows.windows(2).all(|w| w[0] < w[1]));
         for &jr in rows {
-            assert_eq!(join.rows()[jr].provenance.get("T1"), Some(&0));
+            assert_eq!(join.provenance(t1)[jr], 0);
         }
-        assert!(idx.joined_rows_of("T1", 99).is_empty());
-        assert!(idx.joined_rows_of("T9", 0).is_empty());
+        assert!(idx.joined_rows_of(t1, 99).is_empty());
+        assert!(idx.joined_rows_of(9, 0).is_empty());
+        assert!(JoinIndex::default().joined_rows_of(0, 0).is_empty());
     }
 
     #[test]
-    fn base_rows_and_len() {
-        let db = example_db();
+    fn dangling_base_rows_have_no_joined_rows() {
+        // A parent row no child references sits between referenced ones.
+        let mut db = example_db();
+        db.table_mut("T2").unwrap().delete_row(2).unwrap();
         let join = full_foreign_key_join(&db).unwrap();
         let idx = JoinIndex::build(&join);
-        assert_eq!(idx.base_rows("T1"), vec![0, 1, 2]);
-        assert_eq!(idx.base_rows("T2"), vec![0, 1, 2, 3]);
-        assert_eq!(idx.len(), 7);
-        assert!(!idx.is_empty());
-        assert!(JoinIndex::default().is_empty());
+        let t1 = join.table_position("T1").unwrap();
+        assert_eq!(idx.fan_out(t1, 0), 2);
+        assert_eq!(idx.fan_out(t1, 1), 0);
+        assert_eq!(idx.fan_out(t1, 2), 1);
     }
 }

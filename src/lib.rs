@@ -42,13 +42,13 @@
 //!   [`SessionBackend`](snapstore::SessionBackend) interface the server
 //!   serves, so the HTTP surface is identical at any shard count.
 //!
-//! The columnar mirror of a join is built **once per join** — when a
-//! `GenerationContext` is constructed and when a QBO verification pass
-//! starts. Within a session `D` never changes, so between feedback rounds
-//! `GenerationContext::advance` `Arc`-shares the database, the join, its
-//! mirror and its join index, and only the candidate-derived state (class
-//! space, source classes, outcome kernel) is rebuilt for the smaller
-//! candidate set.
+//! The columnar mirror of a join is built **once per join** — with a
+//! session's `SessionJoin` and when a QBO verification pass starts. Within
+//! a session `D` never changes, so every feedback round's
+//! `GenerationContext` is built on the session's one `SessionJoin` (the
+//! database, the join, its mirror and its join index), and only the
+//! candidate-derived state (class space, source classes, outcome kernel) is
+//! built for the smaller candidate set.
 //!
 //! ## Quick start
 //!
@@ -284,14 +284,6 @@
 //! automatically: exponential backoff with seeded jitter under a total
 //! retry budget, honoring `Retry-After`, retrying `503`s and ambiguous
 //! transport failures only when the request is idempotent.
-//!
-//! **Round advancement itself is suspect.** Setting `QFE_PARANOIA=1`
-//! (or `=N` for every `N`-th advance) makes
-//! [`GenerationContext::advance_with_report`](core::GenerationContext::advance_with_report)
-//! audit each advanced round against a fresh rebuild; on a
-//! mismatch it logs the divergence, counts it
-//! ([`paranoia_mismatches`](core::paranoia_mismatches)), and degrades
-//! gracefully by serving the rebuilt context.
 //!
 //! **Rehearsing all of it.** [`FaultyStore`](snapstore::FaultyStore) wraps
 //! any store and injects I/O errors, torn writes, stale reads and latency

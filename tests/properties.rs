@@ -14,7 +14,8 @@ use qfe::prelude::*;
 use qfe_core::{partition_numeric_domain, TupleClassSpace};
 use qfe_query::{evaluate, partition_queries, BoundQuery, Term};
 use qfe_relation::{
-    bag_equal_rows, foreign_key_join, min_edit_rows, ColumnDef, Table, TableSchema, Tuple, Value,
+    bag_equal_rows, foreign_key_join, min_edit_rows, ColumnDef, ColumnarJoin, Table, TableSchema,
+    Tuple, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -179,7 +180,8 @@ fn tuple_classes_agree_with_evaluation() {
             ),
         ];
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space =
+            TupleClassSpace::build(&join, &ColumnarJoin::from_join(&join), &queries).unwrap();
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join).unwrap())
@@ -489,7 +491,6 @@ fn random_mixed_query(rng: &mut StdRng) -> SpjQuery {
 #[test]
 fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
     use qfe_query::{evaluate_on_join, TermBitmapCache};
-    use qfe_relation::ColumnarJoin;
     let mut rng = StdRng::seed_from_u64(109);
     for _ in 0..48 {
         let db = build_mixed(&mut rng);
