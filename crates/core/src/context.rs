@@ -11,14 +11,16 @@
 //!   [`GenerationContext::for_round`], from the session join and the
 //!   surviving candidates: the bound queries, the tuple-class space, the
 //!   source classes, the outcome kernel, the modifiable attributes and block
-//!   realizability. It provides the cheap, class-level reasoning
-//!   (query/class matching, outcome signatures, balance scores) that
-//!   Algorithms 3 and 4 are built on.
+//!   realizability. It provides the cheap, class-level reasoning that
+//!   Algorithms 3 and 4 are built on: whether a class satisfies a
+//!   candidate, how one pair splits the candidates, and the table of every
+//!   pair's per-candidate outcome codes from which Algorithm 4 partitions
+//!   the candidates under a set of pairs.
 //!
-//! Class/candidate matching and outcome signatures run on the
-//! [`OutcomeKernel`]'s interned class ids and per-class match bitsets —
-//! branch-light word operations with no interior mutability, so both parts
-//! are `Sync` and can be shared by concurrent sessions.
+//! Class/candidate matching and outcome codes run on the [`OutcomeKernel`]'s
+//! interned class ids and per-class match bitsets — branch-light word
+//! operations with no interior mutability, so both parts are `Sync` and can
+//! be shared by concurrent sessions.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -26,9 +28,8 @@ use std::sync::Arc;
 use qfe_query::{BoundQuery, QueryResult, SpjQuery};
 use qfe_relation::{foreign_key_join, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple};
 
-use crate::cost::balance_score;
 use crate::error::{QfeError, Result};
-use crate::kernel::{MatchScratch, OutcomeKernel, PairStats};
+use crate::kernel::{MatchScratch, OutcomeCodes, OutcomeKernel, PairStats};
 use crate::tuple_class::{TupleClass, TupleClassSpace};
 
 /// Which path [`GenerationContext::advance`] took for the relational state
@@ -68,21 +69,6 @@ impl ClassPair {
     pub fn edit_cost(&self) -> usize {
         self.changed_attributes.len()
     }
-}
-
-/// The abstract effect of a single-tuple modification on one query's result
-/// (the four cases of Lemma 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Outcome {
-    /// The query's result is unchanged.
-    Unchanged,
-    /// The modified tuple newly satisfies the query: one row added.
-    Added,
-    /// The tuple no longer satisfies the query: one row removed.
-    Removed,
-    /// The tuple satisfies the query before and after, but its projected
-    /// value changed: one row replaced.
-    Replaced,
 }
 
 /// The session part of the generator's state: the example pair `(D, R)`,
@@ -408,115 +394,24 @@ impl GenerationContext {
         self.kernel.class_matches(class, query_idx)
     }
 
-    /// The abstract outcome of modifying one tuple from `pair.source` to
-    /// `pair.destination` for query `query_idx` (Lemma 5.1).
-    pub fn outcome(&self, pair: &ClassPair, query_idx: usize) -> Outcome {
-        let s = self.class_matches(&pair.source, query_idx);
-        let d = self.class_matches(&pair.destination, query_idx);
-        let projection_changed = self.projection_touched(&pair.changed_attributes);
-        match (s, d) {
-            (false, false) => Outcome::Unchanged,
-            (false, true) => Outcome::Added,
-            (true, false) => Outcome::Removed,
-            (true, true) => {
-                if projection_changed {
-                    Outcome::Replaced
-                } else {
-                    Outcome::Unchanged
-                }
-            }
-        }
-    }
-
-    /// The sizes of the query subsets induced (at the class level) by a set
-    /// of pairs: queries are grouped by their vector of per-pair outcomes.
-    pub fn partition_sizes(&self, pairs: &[ClassPair]) -> Vec<usize> {
-        self.partition_sizes_indexed(pairs, None)
-    }
-
-    /// [`Self::partition_sizes`] over `pool[indices]` without materializing
-    /// the subset (Algorithm 4's extension loop calls this per candidate
-    /// extension).
-    pub fn partition_sizes_of(&self, pool: &[ClassPair], indices: &[usize]) -> Vec<usize> {
-        self.partition_sizes_indexed(pool, Some(indices))
-    }
-
-    fn partition_sizes_indexed(&self, pool: &[ClassPair], indices: Option<&[usize]>) -> Vec<usize> {
-        let count = indices.map_or(pool.len(), <[usize]>::len);
+    /// The Lemma 5.1 outcome code of modifying one tuple from
+    /// `pair.source` to `pair.destination`, for every pair of `pairs` and
+    /// every candidate: `0 = Unchanged` (also when the tuple satisfies the
+    /// query before and after and no projected column changes), `1 = Added`,
+    /// `2 = Removed`, `3 = Replaced` (satisfied before and after, projected
+    /// value changed).
+    pub(crate) fn outcome_codes(&self, pairs: &[ClassPair]) -> OutcomeCodes {
         let nq = self.queries.len();
-        if count == 0 {
-            return vec![nq];
-        }
-        let pair_at = |i: usize| -> &ClassPair {
-            match indices {
-                Some(idx) => &pool[idx[i]],
-                None => &pool[i],
-            }
-        };
-        if count == 1 {
-            // Hot path (skyline): pure popcounts, canonical outcome order.
-            let pair = pair_at(0);
-            let mut s_scratch = self.match_scratch();
-            let mut d_scratch = self.match_scratch();
-            let s = self
-                .kernel
-                .match_words(&pair.source, &mut s_scratch)
-                .to_vec();
+        let mut s_scratch = self.match_scratch();
+        let mut d_scratch = self.match_scratch();
+        let mut codes = Vec::with_capacity(pairs.len() * nq);
+        for pair in pairs {
+            let s = self.kernel.match_words(&pair.source, &mut s_scratch);
             let d = self.kernel.match_words(&pair.destination, &mut d_scratch);
-            let stats =
-                self.kernel
-                    .pair_stats(&s, d, self.projection_touched(&pair.changed_attributes));
-            return stats.sizes().collect();
+            let projection_changed = self.projection_touched(&pair.changed_attributes);
+            codes.extend((0..nq).map(|q| self.kernel.outcome_code(s, d, projection_changed, q)));
         }
-        if count <= 32 {
-            // Pack each query's outcome vector into a u64 (2 bits per pair),
-            // then count equal signatures.
-            let mut keys = vec![0u64; nq];
-            let mut s_scratch = self.match_scratch();
-            let mut d_scratch = self.match_scratch();
-            for i in 0..count {
-                let pair = pair_at(i);
-                let proj = self.projection_touched(&pair.changed_attributes);
-                let s = self
-                    .kernel
-                    .match_words(&pair.source, &mut s_scratch)
-                    .to_vec();
-                let d = self.kernel.match_words(&pair.destination, &mut d_scratch);
-                for (q, key) in keys.iter_mut().enumerate() {
-                    *key |= u64::from(self.kernel.outcome_code(&s, d, proj, q)) << (2 * i);
-                }
-            }
-            keys.sort_unstable();
-            let mut sizes = Vec::new();
-            let mut run = 1usize;
-            for w in keys.windows(2) {
-                if w[0] == w[1] {
-                    run += 1;
-                } else {
-                    sizes.push(run);
-                    run = 1;
-                }
-            }
-            sizes.push(run);
-            return sizes;
-        }
-        // Cold path for very large pair sets: explicit signatures.
-        let mut groups: BTreeMap<Vec<Outcome>, usize> = BTreeMap::new();
-        for q in 0..nq {
-            let signature: Vec<Outcome> = (0..count).map(|i| self.outcome(pair_at(i), q)).collect();
-            *groups.entry(signature).or_insert(0) += 1;
-        }
-        groups.into_values().collect()
-    }
-
-    /// The balance score of the class-level partitioning induced by `pairs`.
-    pub fn balance(&self, pairs: &[ClassPair]) -> f64 {
-        balance_score(&self.partition_sizes(pairs))
-    }
-
-    /// [`Self::balance`] over `pool[indices]` without cloning the pairs.
-    pub fn balance_of(&self, pool: &[ClassPair], indices: &[usize]) -> f64 {
-        balance_score(&self.partition_sizes_of(pool, indices))
+        OutcomeCodes::new(nq, codes)
     }
 
     /// All single-attribute-change destination pairs for one source class.
@@ -753,13 +648,22 @@ mod tests {
         // Destination pairs changing a single attribute from Bob's class.
         let pairs = ctx.destination_pairs(&bob_class, 1);
         assert!(!pairs.is_empty());
-        for pair in &pairs {
+        let codes = ctx.outcome_codes(&pairs);
+        for (i, pair) in pairs.iter().enumerate() {
             assert_eq!(pair.edit_cost(), 1);
             for q in 0..3 {
-                let o = ctx.outcome(pair, q);
-                // The projection (name) is never a selection attribute here,
-                // so Replaced is impossible.
-                assert_ne!(o, Outcome::Replaced);
+                // The code follows the two class matches.
+                let expected = match (
+                    ctx.class_matches(&pair.source, q),
+                    ctx.class_matches(&pair.destination, q),
+                ) {
+                    (false, true) => 1,
+                    (true, false) => 2,
+                    // The projection (name) is never a selection attribute
+                    // here, so Replaced (3) is impossible.
+                    _ => 0,
+                };
+                assert_eq!(codes.code(i, q), expected, "pair {i}, q{q}");
             }
         }
         // A pair that moves Bob out of the "salary > 4000" block must Remove
@@ -770,13 +674,14 @@ mod tests {
             .iter()
             .position(|a| a.base_column == "salary")
             .unwrap();
-        let salary_pair = pairs
+        let salary = pairs
             .iter()
-            .find(|p| p.changed_attributes == vec![salary_pos])
+            .position(|p| p.changed_attributes == vec![salary_pos])
             .unwrap();
-        assert_eq!(ctx.outcome(salary_pair, 0), Outcome::Unchanged);
-        assert_eq!(ctx.outcome(salary_pair, 1), Outcome::Removed);
-        assert_eq!(ctx.outcome(salary_pair, 2), Outcome::Unchanged);
+        assert_eq!(
+            (0..3).map(|q| codes.code(salary, q)).collect::<Vec<_>>(),
+            [0, 2, 0]
+        );
     }
 
     #[test]
@@ -797,13 +702,14 @@ mod tests {
             .into_iter()
             .find(|p| p.changed_attributes == vec![salary_pos])
             .unwrap();
-        // The salary change separates Q2 from {Q1, Q3}: sizes {1, 2}.
-        let mut sizes = ctx.partition_sizes(std::slice::from_ref(&pair));
-        sizes.sort();
-        assert_eq!(sizes, vec![1, 2]);
-        assert!(ctx.balance(std::slice::from_ref(&pair)).is_finite());
+        let codes = ctx.outcome_codes(std::slice::from_ref(&pair));
+        // The salary change separates Q2 (Removed) from {Q1, Q3}
+        // (Unchanged): groups in code order, sizes [2, 1].
+        assert_eq!(codes.partition_sizes(&[0]), vec![2, 1]);
+        assert!(codes.balance(&[0]).is_finite());
         // No pairs: single group, infinite balance.
-        assert!(ctx.balance(&[]).is_infinite());
+        assert_eq!(codes.partition_sizes(&[]), vec![3]);
+        assert!(codes.balance(&[]).is_infinite());
     }
 
     #[test]
@@ -815,23 +721,27 @@ mod tests {
             .unwrap();
         let pairs = ctx.destination_pairs(&bob_class, 1);
         assert!(pairs.len() >= 2);
+        let codes = ctx.outcome_codes(&pairs);
         // Reference implementation: group queries by explicit signatures.
-        let mut groups: BTreeMap<Vec<Outcome>, usize> = BTreeMap::new();
-        for q in 0..ctx.query_count() {
-            let sig: Vec<Outcome> = pairs.iter().map(|p| ctx.outcome(p, q)).collect();
-            *groups.entry(sig).or_insert(0) += 1;
+        let all: Vec<usize> = (0..pairs.len()).collect();
+        for indices in [&all[..], &[0, pairs.len() - 1], &all[1..]] {
+            let mut groups: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+            for q in 0..ctx.query_count() {
+                let sig: Vec<u8> = indices.iter().map(|&i| codes.code(i, q)).collect();
+                *groups.entry(sig).or_insert(0) += 1;
+            }
+            let mut expected: Vec<usize> = groups.into_values().collect();
+            expected.sort_unstable();
+            let mut got = codes.partition_sizes(indices);
+            got.sort_unstable();
+            assert_eq!(got, expected, "{indices:?}");
         }
-        let mut expected: Vec<usize> = groups.into_values().collect();
-        expected.sort_unstable();
-        let mut got = ctx.partition_sizes(&pairs);
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        // Indexed variant agrees with the materialized subset.
-        let indices: Vec<usize> = (0..pairs.len()).collect();
-        assert_eq!(ctx.balance(&pairs), ctx.balance_of(&pairs, &indices));
-        let subset = [0usize, pairs.len() - 1];
-        let materialized = vec![pairs[0].clone(), pairs[pairs.len() - 1].clone()];
-        assert_eq!(ctx.balance(&materialized), ctx.balance_of(&pairs, &subset));
+        // A table of a subset agrees with the rows it shares.
+        let subset = [pairs[0].clone(), pairs[pairs.len() - 1].clone()];
+        assert_eq!(
+            ctx.outcome_codes(&subset).balance(&[0, 1]).to_bits(),
+            codes.balance(&[0, pairs.len() - 1]).to_bits()
+        );
     }
 
     #[test]

@@ -7,28 +7,18 @@
 use std::fmt;
 
 use qfe_query::QueryResult;
-use qfe_relation::{diff_tables, Database, EditOp, Tuple};
+use qfe_relation::{Database, EditOp, Tuple};
 
-/// The difference between the original database `D` and a modified `D'`.
+/// The difference between the original database `D` and a modified `D'`:
+/// the edits that produce `D'` (the engine takes them from the realized
+/// modification, via [`crate::edits_to_ops`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DatabaseDelta {
-    /// The edits, grouped in table order.
+    /// The edits.
     pub edits: Vec<EditOp>,
 }
 
 impl DatabaseDelta {
-    /// Computes the delta between two databases (cell modifications, inserts
-    /// and deletes per table).
-    pub fn between(original: &Database, modified: &Database) -> Self {
-        let mut edits = Vec::new();
-        for table in original.tables() {
-            if let Ok(modified_table) = modified.table(table.name()) {
-                edits.extend(diff_tables(table, modified_table));
-            }
-        }
-        DatabaseDelta { edits }
-    }
-
     /// Total edit cost of the delta under the paper's model.
     pub fn cost(&self, original: &Database) -> usize {
         self.edits
@@ -136,13 +126,15 @@ mod tests {
     #[test]
     fn database_delta_reports_cell_modifications() {
         let original = db();
-        let mut modified = original.clone();
-        modified
-            .table_mut("Employee")
-            .unwrap()
-            .update_cell(1, "salary", Value::Int(3900))
-            .unwrap();
-        let delta = DatabaseDelta::between(&original, &modified);
+        let edit = crate::CellEdit {
+            table: "Employee".into(),
+            row: 1,
+            column: "salary".into(),
+            new_value: Value::Int(3900),
+        };
+        let delta = DatabaseDelta {
+            edits: crate::edits_to_ops(&original, &[edit]).unwrap(),
+        };
         assert_eq!(delta.len(), 1);
         assert!(!delta.is_empty());
         assert_eq!(delta.cost(&original), 1);
@@ -155,7 +147,7 @@ mod tests {
     #[test]
     fn identical_databases_have_empty_delta() {
         let original = db();
-        let delta = DatabaseDelta::between(&original, &original.clone());
+        let delta = DatabaseDelta::default();
         assert!(delta.is_empty());
         assert_eq!(delta.cost(&original), 0);
         assert!(delta.to_string().contains("no database changes"));

@@ -1,10 +1,10 @@
 //! Dense bit-packed kernel for class-level outcome reasoning.
 //!
-//! The skyline enumeration (Algorithm 3) and the subset search (Algorithm 4)
-//! ask the same two questions millions of times per round: *does a tuple of
-//! class `X` satisfy candidate `Q_i`?* and *how does a (source, destination)
-//! class pair partition the candidates?*  Answering them through hash-map
-//! caches and per-class `Vec<bool>` rows makes the generator pointer-bound.
+//! The skyline enumeration (Algorithm 3) asks two questions of every
+//! (source, destination) class pair it enumerates: *does a tuple of class
+//! `X` satisfy candidate `Q_i`?* and *how does the pair partition the
+//! candidates?*  Answering them through hash-map caches and per-class
+//! `Vec<bool>` rows makes the generator pointer-bound.
 //!
 //! [`OutcomeKernel`] replaces that with dense bit-parallel state prepared once
 //! per [`GenerationContext`](crate::GenerationContext):
@@ -21,6 +21,11 @@
 //!   a single bit probe;
 //! * a per-attribute **projection-touch mask** answers "did this modification
 //!   change a projected column?" without consulting the column sets.
+//!
+//! One pair's partition is four popcounts ([`PairStats`]). The subset search
+//! (Algorithm 4) groups the candidates under *sets* of skyline pairs, so it
+//! reads each pair's per-candidate outcome codes once into an
+//! [`OutcomeCodes`] table and partitions every set from that table.
 //!
 //! Everything is immutable after construction, so the kernel — and with it
 //! the whole `GenerationContext` — is `Sync`. Each context builds its own
@@ -63,12 +68,6 @@ pub(crate) struct PairStats {
 }
 
 impl PairStats {
-    /// Number of non-empty query subsets.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn group_count(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// The non-empty subset sizes in canonical order.
     pub fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
         self.counts.iter().copied().filter(|&c| c > 0)
@@ -94,6 +93,101 @@ impl PairStats {
             (Some(a), Some(b), None) => Some(a.min(b)),
             _ => None,
         }
+    }
+}
+
+/// The Lemma 5.1 outcome code (`0 = Unchanged, 1 = Added, 2 = Removed,
+/// 3 = Replaced`) of every candidate under every pair of a pair list, one row
+/// of `query_count` codes per pair. Built by
+/// `GenerationContext::outcome_codes`.
+#[derive(Debug, Clone)]
+pub(crate) struct OutcomeCodes {
+    query_count: usize,
+    codes: Vec<u8>,
+}
+
+impl OutcomeCodes {
+    /// A table from its rows, concatenated.
+    pub fn new(query_count: usize, codes: Vec<u8>) -> OutcomeCodes {
+        debug_assert!(codes.len().is_multiple_of(query_count));
+        OutcomeCodes { query_count, codes }
+    }
+
+    /// Pair `pair`'s code for query `q`.
+    #[cfg(test)]
+    pub fn code(&self, pair: usize, q: usize) -> u8 {
+        self.codes[pair * self.query_count + q]
+    }
+
+    /// The sizes of the candidate groups the pairs `indices` (ascending)
+    /// induce: two candidates share a group iff every pair gives them the
+    /// same code. The groups come ordered by their codes read from the last
+    /// pair back to the first, each code ascending — the order in which a
+    /// sort of per-candidate keys packing pair `i`'s code at bits `2i..2i+2`
+    /// yields them. [`crate::cost::balance_score`] sums in this order, so the
+    /// order is part of every balance Algorithm 4 compares.
+    ///
+    /// Starts from one group of all candidates and splits every group by
+    /// code, taking the pairs from the last to the first.
+    pub fn partition_sizes(&self, indices: &[usize]) -> Vec<usize> {
+        let (_, ends) = self.groups(indices);
+        let mut start = 0;
+        ends.iter()
+            .map(|&end| {
+                let size = end - start;
+                start = end;
+                size
+            })
+            .collect()
+    }
+
+    /// The groups of [`Self::partition_sizes`]: the candidates in group
+    /// order, and the end (exclusive) of each group in that list.
+    fn groups(&self, indices: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let nq = self.query_count;
+        let mut order: Vec<usize> = (0..nq).collect();
+        let mut next = vec![0usize; nq];
+        // The end (exclusive) of each group in `order`.
+        let mut ends = vec![nq];
+        let mut next_ends = Vec::new();
+        for &pair in indices.iter().rev() {
+            if ends.len() == nq {
+                break; // all singletons: nothing left to split
+            }
+            let row = &self.codes[pair * nq..(pair + 1) * nq];
+            next_ends.clear();
+            let mut start = 0;
+            for &end in &ends {
+                // Counting sort of the group by code, stable.
+                let mut slot = [0usize; 4];
+                for &q in &order[start..end] {
+                    slot[usize::from(row[q])] += 1;
+                }
+                let mut offset = start;
+                for s in &mut slot {
+                    let count = *s;
+                    *s = offset;
+                    offset += count;
+                    if count > 0 {
+                        next_ends.push(offset);
+                    }
+                }
+                for &q in &order[start..end] {
+                    let s = &mut slot[usize::from(row[q])];
+                    next[*s] = q;
+                    *s += 1;
+                }
+                start = end;
+            }
+            std::mem::swap(&mut order, &mut next);
+            std::mem::swap(&mut ends, &mut next_ends);
+        }
+        (order, ends)
+    }
+
+    /// The balance score of [`Self::partition_sizes`].
+    pub fn balance(&self, indices: &[usize]) -> f64 {
+        crate::cost::balance_score(&self.partition_sizes(indices))
     }
 }
 
@@ -466,6 +560,8 @@ fn attr_conjunct_ok(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use qfe_query::{BoundQuery, ComparisonOp, Conjunct, DnfPredicate, SpjQuery, Term};
     use qfe_relation::{
         foreign_key_join, tuple, ColumnDef, ColumnarJoin, DataType, Database, Table, TableSchema,
@@ -588,6 +684,81 @@ mod tests {
         }
     }
 
+    /// A deterministic SplitMix64 stream for the random code tables.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn code_grouping_agrees_with_signature_grouping() {
+        let mut rng = 19u64;
+        let mut long_sets = 0;
+        for case in 0..300 {
+            let nq = 1 + (splitmix(&mut rng) % 70) as usize;
+            let pairs = 1 + (splitmix(&mut rng) % 64) as usize;
+            // Few distinct codes in some tables, so that groups merge.
+            let alphabet = 1 + case % 4;
+            let codes: Vec<u8> = (0..nq * pairs)
+                .map(|_| (splitmix(&mut rng) % alphabet as u64) as u8)
+                .collect();
+            let table = OutcomeCodes::new(nq, codes);
+            let indices: Vec<usize> = (0..pairs)
+                .filter(|_| !splitmix(&mut rng).is_multiple_of(3))
+                .collect();
+            long_sets += usize::from(indices.len() > 32);
+
+            // Oracle: candidates grouped by their explicit code signatures.
+            let mut by_signature: BTreeMap<Vec<u8>, BTreeSet<usize>> = BTreeMap::new();
+            for q in 0..nq {
+                let signature = indices.iter().map(|&i| table.code(i, q)).collect();
+                by_signature.entry(signature).or_default().insert(q);
+            }
+            let expected: BTreeSet<BTreeSet<usize>> = by_signature.into_values().collect();
+            let (order, ends) = table.groups(&indices);
+            let mut start = 0;
+            let got: BTreeSet<BTreeSet<usize>> = ends
+                .iter()
+                .map(|&end| {
+                    let group = order[start..end].iter().copied().collect();
+                    start = end;
+                    group
+                })
+                .collect();
+            assert_eq!(got, expected, "case {case}: {indices:?}");
+
+            // Up to 32 pairs: the sizes in the order of a sort of packed keys
+            // (pair `i`'s code at bits 2i..2i+2), so balances are identical.
+            if indices.len() <= 32 {
+                let mut keys: Vec<u64> = (0..nq)
+                    .map(|q| {
+                        indices.iter().enumerate().fold(0u64, |key, (i, &p)| {
+                            key | u64::from(table.code(p, q)) << (2 * i)
+                        })
+                    })
+                    .collect();
+                keys.sort_unstable();
+                let mut sizes: Vec<usize> = Vec::new();
+                for (i, key) in keys.iter().enumerate() {
+                    if i > 0 && keys[i - 1] == *key {
+                        *sizes.last_mut().unwrap() += 1;
+                    } else {
+                        sizes.push(1);
+                    }
+                }
+                assert_eq!(table.partition_sizes(&indices), sizes, "case {case}");
+                assert_eq!(
+                    table.balance(&indices).to_bits(),
+                    crate::cost::balance_score(&sizes).to_bits()
+                );
+            }
+        }
+        assert!(long_sets > 10, "too few sets of more than 32 pairs");
+    }
+
     #[test]
     fn pair_stats_count_the_four_outcomes() {
         let queries = vec![
@@ -608,7 +779,7 @@ mod tests {
         let d = vec![0b101u64];
         let stats = kernel.pair_stats(&s, &d, false);
         assert_eq!(stats.counts, [2, 0, 1, 0]);
-        assert_eq!(stats.group_count(), 2);
+        assert_eq!(stats.sizes().count(), 2);
         assert_eq!(stats.binary_smaller(), Some(1));
         assert!(stats.balance().is_finite());
         // With a projection change the two true-true queries become Replaced.
@@ -618,7 +789,7 @@ mod tests {
         assert_eq!(kernel.outcome_code(&s, &d, true, 1), 2);
         // No split: infinite balance.
         let same = kernel.pair_stats(&s, &s, false);
-        assert_eq!(same.group_count(), 1);
+        assert_eq!(same.sizes().count(), 1);
         assert!(same.balance().is_infinite());
         assert_eq!(same.binary_smaller(), None);
     }

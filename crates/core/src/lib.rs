@@ -37,9 +37,11 @@
 //!   per-attribute block indices; candidate matching is a per-class bitset
 //!   (one bit per surviving query) — precomputed as a dense table when the
 //!   class space is small, or reconstructed by AND-ing per-`(attribute,
-//!   block)` conjunct bitsets otherwise. Outcome signatures (Lemma 5.1) pack
-//!   into 2 bits per pair and partition sizes come from popcounts. There is
-//!   no interior mutability: `GenerationContext` is `Sync`.
+//!   block)` conjunct bitsets otherwise. A single pair's partition (the
+//!   four Lemma 5.1 outcomes) comes from popcounts; [`pick_stc_dtc_subset`]
+//!   reads every skyline pair's per-candidate outcome code (0–3) once into
+//!   a table and partitions each pair set it probes from that table. There
+//!   is no interior mutability: `GenerationContext` is `Sync`.
 //! * **Sequential skyline.** [`skyline_stc_dtc_pairs`] walks Algorithm 3's
 //!   (cost level, source class, destination) space in one deterministic
 //!   order. The δ budget is checked against a precomputed deadline at an
@@ -174,7 +176,7 @@ mod stats;
 mod tuple_class;
 
 pub use alt_cost::AltCostModel;
-pub use context::{AdvancePath, AdvanceReport, ClassPair, GenerationContext, Outcome, SessionJoin};
+pub use context::{AdvancePath, AdvanceReport, ClassPair, GenerationContext, SessionJoin};
 pub use cost::{
     balance_score, estimate_iterations, objective, user_effort_cost, CostInputs, CostModelKind,
     CostParams, IterationEstimator,

@@ -6,8 +6,21 @@
 //! keeping only extensions that improve the class-level balance score —
 //! the pruning heuristic that keeps the search space small in practice
 //! (Section 5.4). Ties on cost are broken by the lowest balance score.
+//!
+//! The class-level partition of a set comes from one table, built once per
+//! call: every skyline pair's Lemma 5.1 outcome code for every candidate
+//! (`GenerationContext::outcome_codes`). A set's balance groups the
+//! candidates by their codes under the set's pairs, so no set materializes
+//! its pairs or touches the kernel.
+//!
+//! A level visits each extension once, from the first parent that generates
+//! it: the set `E = parent_k ∪ {p}` was already generated in this level
+//! exactly when some `E ∖ {x}`, `x ∈ parent_k`, is a parent at a position
+//! before `k` (a level's parents are distinct). A map from parent to
+//! position checks that with `|parent_k|` lookups, so no generated set is
+//! stored.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::context::{ClassPair, GenerationContext};
@@ -69,20 +82,26 @@ pub fn pick_stc_dtc_subset(
         });
     }
 
+    let codes = ctx.outcome_codes(skyline);
     let cost_evaluations = std::cell::Cell::new(0usize);
+    let mut best: Vec<EvaluatedSet> = Vec::new();
+    let mut min_cost = f64::INFINITY;
 
-    // Evaluates one candidate set (realize, partition incrementally, cost).
-    let evaluate_set = |indices: &[usize]| -> Option<EvaluatedSet> {
+    // Evaluates one candidate set (realize, partition incrementally, cost)
+    // and keeps it when its cost ties or beats the best so far.
+    let mut evaluate_set = |indices: &[usize], abstract_balance: f64| {
         if cost_evaluations.get() >= MAX_COST_EVALUATIONS {
-            return None;
+            return;
         }
         cost_evaluations.set(cost_evaluations.get() + 1);
         let pairs: Vec<ClassPair> = indices.iter().map(|&i| skyline[i].clone()).collect();
-        let realized = realize_pairs(ctx, &pairs)?;
+        let Some(realized) = realize_pairs(ctx, &pairs) else {
+            return;
+        };
         let evaluation = evaluate_modification(ctx, &realized.edits);
         // A realization that fails to split the candidates is useless.
         if evaluation.group_count() <= 1 {
-            return None;
+            return;
         }
         let inputs = CostInputs {
             db_edit_cost: realized.db_edit_cost,
@@ -93,69 +112,67 @@ pub fn pick_stc_dtc_subset(
             best_binary_x,
         };
         let cost = objective(params, &inputs);
-        let abstract_balance = ctx.balance_of(skyline, indices);
-        Some(EvaluatedSet {
+        if cost < min_cost {
+            min_cost = cost;
+            best.clear();
+        } else if cost != min_cost {
+            return;
+        }
+        best.push(EvaluatedSet {
             indices: indices.to_vec(),
             pairs,
             realized,
             evaluation,
             cost,
             abstract_balance,
-        })
+        });
     };
 
     // Steps 1–8: single-pair sets.
-    let mut best: Vec<EvaluatedSet> = Vec::new();
-    let mut min_cost = f64::INFINITY;
     let mut current_level: Vec<(Vec<usize>, f64)> = Vec::new(); // (indices, abstract balance)
     for i in 0..skyline.len() {
-        let abstract_balance = ctx.balance_of(skyline, &[i]);
+        let abstract_balance = codes.balance(&[i]);
         current_level.push((vec![i], abstract_balance));
-        if let Some(eval) = evaluate_set(&[i]) {
-            if eval.cost < min_cost {
-                min_cost = eval.cost;
-                best = vec![eval];
-            } else if eval.cost == min_cost {
-                best.push(eval);
-            }
-        }
+        evaluate_set(&[i], abstract_balance);
     }
 
     // Steps 9–21: extend sets while the balance score improves.
+    let mut extended: Vec<usize> = Vec::new();
+    let mut without: Vec<usize> = Vec::new();
     loop {
+        let position: HashMap<&[usize], usize> = current_level
+            .iter()
+            .enumerate()
+            .map(|(k, (indices, _))| (indices.as_slice(), k))
+            .collect();
         let mut next_level: Vec<(Vec<usize>, f64)> = Vec::new();
-        let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
-        for (indices, balance) in &current_level {
+        'level: for (k, (indices, balance)) in current_level.iter().enumerate() {
             for p in 0..skyline.len() {
-                if indices.contains(&p) {
+                let Err(at) = indices.binary_search(&p) else {
+                    continue;
+                };
+                extended.clear();
+                extended.extend_from_slice(indices);
+                extended.insert(at, p);
+                // First-generator rule: skip `extended` when an earlier
+                // parent already generated it.
+                let generated_earlier = (0..extended.len()).filter(|&x| x != at).any(|x| {
+                    without.clear();
+                    without.extend_from_slice(&extended[..x]);
+                    without.extend_from_slice(&extended[x + 1..]);
+                    position.get(without.as_slice()).is_some_and(|&j| j < k)
+                });
+                if generated_earlier {
                     continue;
                 }
-                let mut extended = indices.clone();
-                extended.push(p);
-                extended.sort_unstable();
-                if !seen.insert(extended.clone()) {
-                    continue;
-                }
-                // Class-level pruning runs on the bitset kernel without
-                // materializing the candidate pair set.
-                let extended_balance = ctx.balance_of(skyline, &extended);
+                let extended_balance = codes.balance(&extended);
                 if extended_balance < *balance {
-                    if let Some(eval) = evaluate_set(&extended) {
-                        if eval.cost < min_cost {
-                            min_cost = eval.cost;
-                            best = vec![eval];
-                        } else if eval.cost == min_cost {
-                            best.push(eval);
-                        }
-                    }
-                    next_level.push((extended, extended_balance));
+                    evaluate_set(&extended, extended_balance);
+                    next_level.push((extended.clone(), extended_balance));
                     if next_level.len() >= MAX_SETS_PER_LEVEL {
-                        break;
+                        break 'level;
                     }
                 }
-            }
-            if next_level.len() >= MAX_SETS_PER_LEVEL {
-                break;
             }
         }
         if next_level.is_empty() || cost_evaluations.get() >= MAX_COST_EVALUATIONS {

@@ -15,7 +15,6 @@ use qfe_query::QueryResult;
 use qfe_relation::{min_edit_rows, Database, EditOp, Tuple, Value};
 
 use crate::context::{ClassPair, GenerationContext};
-use crate::cost::balance_score;
 use crate::error::{QfeError, Result};
 
 /// A single-cell modification of a base table.
@@ -80,11 +79,6 @@ impl ModificationEvaluation {
     /// Total result modification cost (Equation 4).
     pub fn total_result_cost(&self) -> usize {
         self.groups.iter().map(|g| g.result_edit_cost).sum()
-    }
-
-    /// Balance score of the induced partitioning.
-    pub fn balance(&self) -> f64 {
-        balance_score(&self.partition_sizes())
     }
 
     /// Number of induced subsets.
@@ -486,13 +480,12 @@ mod tests {
                 qfe_query::evaluate(&ctx.queries()[group.query_indices[0]], &modified).unwrap();
             assert!(reconstructed.bag_equal(&direct_result));
         }
-        // Balance/result-cost accessors are consistent.
+        // Group/result-cost accessors are consistent.
         assert_eq!(eval.group_count(), eval.partition_sizes().len());
         assert_eq!(
             eval.total_result_cost(),
             eval.result_edit_costs().iter().sum::<usize>()
         );
-        assert!(eval.balance().is_finite());
     }
 
     #[test]

@@ -279,9 +279,9 @@ mod tests {
         // the most balanced binary partitioning has a smaller subset of 1.
         assert_eq!(outcome.best_binary_x, Some(1));
         // Every skyline pair achieves the reported minimum balance.
-        for p in &outcome.pairs {
-            let b = ctx.balance(std::slice::from_ref(p));
-            assert_eq!(b, outcome.min_balance);
+        let codes = ctx.outcome_codes(&outcome.pairs);
+        for i in 0..outcome.pairs.len() {
+            assert_eq!(codes.balance(&[i]), outcome.min_balance);
         }
     }
 
@@ -289,8 +289,9 @@ mod tests {
     fn skyline_pairs_never_include_non_discriminating_pairs() {
         let ctx = employee_context();
         let outcome = skyline_stc_dtc_pairs(&ctx, Duration::from_secs(5));
-        for p in &outcome.pairs {
-            let sizes = ctx.partition_sizes(std::slice::from_ref(p));
+        let codes = ctx.outcome_codes(&outcome.pairs);
+        for i in 0..outcome.pairs.len() {
+            let sizes = codes.partition_sizes(&[i]);
             assert!(sizes.len() >= 2, "pair must split the candidate set");
         }
     }

@@ -53,42 +53,6 @@ impl QueryPartition {
     pub fn sizes(&self) -> Vec<usize> {
         self.groups.iter().map(QueryGroup::len).collect()
     }
-
-    /// Size of the largest group (the worst-case surviving candidate count).
-    pub fn max_group_size(&self) -> usize {
-        self.sizes().into_iter().max().unwrap_or(0)
-    }
-
-    /// Index of the group containing candidate query `query_idx`, if any.
-    pub fn group_of(&self, query_idx: usize) -> Option<usize> {
-        self.groups
-            .iter()
-            .position(|g| g.query_indices.contains(&query_idx))
-    }
-
-    /// The *balance score* of the inducing database (Section 3):
-    /// `σ / |C|` where `σ` is the standard deviation of the group sizes and
-    /// `|C|` the number of groups. Lower is better: many groups of similar
-    /// size. A single group (no discrimination) yields an infinite score so
-    /// that it is never preferred.
-    pub fn balance_score(&self) -> f64 {
-        let sizes = self.sizes();
-        let k = sizes.len();
-        if k <= 1 {
-            return f64::INFINITY;
-        }
-        let n = sizes.len() as f64;
-        let mean = sizes.iter().sum::<usize>() as f64 / n;
-        let var = sizes
-            .iter()
-            .map(|&s| {
-                let d = s as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n;
-        var.sqrt() / n
-    }
 }
 
 /// Groups queries by their result fingerprint.
@@ -153,6 +117,13 @@ mod tests {
         db
     }
 
+    /// The group holding candidate `query_idx`.
+    fn group_of(p: &QueryPartition, query_idx: usize) -> Option<&QueryGroup> {
+        p.groups
+            .iter()
+            .find(|g| g.query_indices.contains(&query_idx))
+    }
+
     fn candidates() -> Vec<SpjQuery> {
         let q = |p| SpjQuery::new(vec!["Employee"], vec!["name"], p);
         vec![
@@ -172,8 +143,6 @@ mod tests {
         let p = partition_queries(&candidates(), &db).unwrap();
         assert_eq!(p.group_count(), 1);
         assert_eq!(p.sizes(), vec![3]);
-        assert_eq!(p.max_group_size(), 3);
-        assert!(p.balance_score().is_infinite());
     }
 
     #[test]
@@ -189,10 +158,8 @@ mod tests {
         sizes.sort();
         assert_eq!(sizes, vec![1, 2]);
         // Q2 (index 1) is alone in its group.
-        let g = p.group_of(1).unwrap();
-        assert_eq!(p.groups[g].len(), 1);
-        assert!(p.balance_score() > 0.0 && p.balance_score().is_finite());
-        assert_eq!(p.group_of(99), None);
+        assert_eq!(group_of(&p, 1).map(QueryGroup::len), Some(1));
+        assert!(group_of(&p, 99).is_none());
     }
 
     #[test]
@@ -207,38 +174,8 @@ mod tests {
         // Q1 (gender=M) keeps {Bob,Darren}; Q3 (dept=IT) now returns {Darren};
         // Q2 (salary>4000) also returns {Bob, Darren}.
         assert_eq!(p.group_count(), 2);
-        assert_eq!(p.group_of(0), p.group_of(1));
-        assert_ne!(p.group_of(0), p.group_of(2));
-    }
-
-    #[test]
-    fn balance_score_prefers_even_partitions() {
-        // 4 queries split 2/2 vs 3/1: the 2/2 split has a lower score.
-        let even = QueryPartition {
-            groups: vec![
-                QueryGroup {
-                    query_indices: vec![0, 1],
-                    result: QueryResult::empty(vec!["x".into()]),
-                },
-                QueryGroup {
-                    query_indices: vec![2, 3],
-                    result: QueryResult::empty(vec!["x".into()]),
-                },
-            ],
-        };
-        let skewed = QueryPartition {
-            groups: vec![
-                QueryGroup {
-                    query_indices: vec![0, 1, 2],
-                    result: QueryResult::empty(vec!["x".into()]),
-                },
-                QueryGroup {
-                    query_indices: vec![3],
-                    result: QueryResult::empty(vec!["x".into()]),
-                },
-            ],
-        };
-        assert!(even.balance_score() < skewed.balance_score());
+        assert_eq!(group_of(&p, 0).unwrap().query_indices, vec![0, 1]);
+        assert_eq!(group_of(&p, 2).unwrap().query_indices, vec![2]);
     }
 
     #[test]

@@ -156,9 +156,8 @@ fn greedy_min_edit(a: &[Tuple], b: &[Tuple], arity: usize) -> usize {
     total
 }
 
-/// Greedy matching used both by the large-input distance bound and by the
-/// edit-script diff. Returns (matched index pairs, unmatched a-rows,
-/// unmatched b-rows).
+/// The greedy matching behind the large-input distance bound. Returns
+/// (matched index pairs, unmatched a-rows, unmatched b-rows).
 fn greedy_matching(
     a: &[Tuple],
     b: &[Tuple],
@@ -286,50 +285,6 @@ fn hungarian_min_cost(n: usize, cost: impl Fn(usize, usize) -> i64) -> usize {
     total as usize
 }
 
-/// Produces an explicit edit script transforming table `a` into table `b`
-/// (same schema assumed). The script's total cost equals the greedy matching
-/// bound; for already-identical or singly-modified tables — the common case in
-/// QFE, where generated databases differ from the original in a handful of
-/// cells — it is exact.
-pub fn diff_tables(a: &Table, b: &Table) -> Vec<EditOp> {
-    let arity = a.arity();
-    let name = a.name().to_string();
-    let (pairs, unmatched_a, unmatched_b) = greedy_matching(a.rows(), b.rows(), arity);
-    let mut ops = Vec::new();
-    for (i, j) in pairs {
-        let (ra, rb) = (&a.rows()[i], &b.rows()[j]);
-        if ra == rb {
-            continue;
-        }
-        for (col_idx, col) in a.schema().columns().iter().enumerate() {
-            let (va, vb) = (ra.get(col_idx), rb.get(col_idx));
-            if va != vb {
-                ops.push(EditOp::ModifyCell {
-                    table: name.clone(),
-                    row: i,
-                    column: col.name.clone(),
-                    old: va.cloned().unwrap_or(Value::Null),
-                    new: vb.cloned().unwrap_or(Value::Null),
-                });
-            }
-        }
-    }
-    for i in unmatched_a {
-        ops.push(EditOp::DeleteRow {
-            table: name.clone(),
-            row: i,
-            old: a.rows()[i].clone(),
-        });
-    }
-    for j in unmatched_b {
-        ops.push(EditOp::InsertRow {
-            table: name.clone(),
-            row: b.rows()[j].clone(),
-        });
-    }
-    ops
-}
-
 /// `minEdit(D, D')` over two databases: the sum of table distances for every
 /// table present in either database (tables missing on one side contribute
 /// their full contents as inserts/deletes).
@@ -379,7 +334,6 @@ mod tests {
             vec![tuple![1i64, 2i64, 3i64], tuple![4i64, 5i64, 6i64]],
         );
         assert_eq!(min_edit_tables(&t, &t), 0);
-        assert!(diff_tables(&t, &t).is_empty());
     }
 
     #[test]
@@ -393,9 +347,6 @@ mod tests {
             vec![tuple![1i64, 2i64, 3i64], tuple![4i64, 9i64, 6i64]],
         );
         assert_eq!(min_edit_tables(&a, &b), 1);
-        let ops = diff_tables(&a, &b);
-        assert_eq!(ops.len(), 1);
-        assert!(matches!(&ops[0], EditOp::ModifyCell { column, .. } if column == "b"));
     }
 
     #[test]
@@ -407,11 +358,6 @@ mod tests {
         );
         assert_eq!(min_edit_tables(&a, &b), 3); // one insert of arity 3
         assert_eq!(min_edit_tables(&b, &a), 3); // one delete of arity 3
-        let ops = diff_tables(&a, &b);
-        assert_eq!(ops.len(), 1);
-        assert!(matches!(&ops[0], EditOp::InsertRow { .. }));
-        let ops = diff_tables(&b, &a);
-        assert!(matches!(&ops[0], EditOp::DeleteRow { .. }));
     }
 
     #[test]

@@ -59,9 +59,7 @@ mod value;
 pub use bitmap::Bitmap;
 pub use columnar::{float_total_cmp, ColumnData, ColumnarColumn, ColumnarJoin};
 pub use database::Database;
-pub use edit::{
-    diff_tables, min_edit_databases, min_edit_rows, min_edit_tables, EditOp, EXACT_MATCHING_LIMIT,
-};
+pub use edit::{min_edit_databases, min_edit_rows, min_edit_tables, EditOp, EXACT_MATCHING_LIMIT};
 pub use error::{RelationError, Result};
 pub use foreign_key::ForeignKey;
 pub use join::{foreign_key_join, full_foreign_key_join, JoinedColumn, JoinedRelation, JoinedRow};
