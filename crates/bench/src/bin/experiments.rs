@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|manager|chaos|cluster]… [--paper-scale] [--fleet-sessions N]
+//! cargo run -p qfe-bench --bin experiments --release -- [all|table1|…|table7|initial-size|entropy|user-study|ablation|chaos|cluster]… [--paper-scale] [--fleet-sessions N]
 //! ```
 //!
 //! The default scale is `Small` (reduced cardinalities, runs in seconds);
@@ -14,13 +14,13 @@
 
 use qfe_bench::{
     ablation_estimator, chaos_fleet_json, chaos_fleet_summary, cluster_chaos_json,
-    cluster_chaos_summary, extra_entropy, extra_initial_size, manager_report, run_chaos_fleet,
-    run_cluster_chaos, table1, table2, table3, table4, table5, table6, table7, user_study,
-    ChaosFleetConfig, ClusterChaosConfig, Scale,
+    cluster_chaos_summary, extra_entropy, extra_initial_size, run_chaos_fleet, run_cluster_chaos,
+    table1, table2, table3, table4, table5, table6, table7, user_study, ChaosFleetConfig,
+    ClusterChaosConfig, Scale,
 };
 
 /// Every scenario name the binary accepts.
-const SCENARIOS: [&str; 15] = [
+const SCENARIOS: [&str; 14] = [
     "all",
     "table1",
     "table2",
@@ -33,7 +33,6 @@ const SCENARIOS: [&str; 15] = [
     "entropy",
     "user-study",
     "ablation",
-    "manager",
     "chaos",
     "cluster",
 ];
@@ -130,9 +129,6 @@ fn main() {
     if want("ablation") {
         println!("{}", ablation_estimator(scale));
     }
-    if want("manager") {
-        println!("{}", manager_report());
-    }
     if want("chaos") {
         let config = ChaosFleetConfig {
             sessions: fleet_sessions.unwrap_or(ChaosFleetConfig::default().sessions),
@@ -220,13 +216,13 @@ mod tests {
 
     #[test]
     fn unknown_scenario_is_rejected() {
-        let err = parse(&["manager", "no-such-scenario"]).unwrap_err();
+        let err = parse(&["table3", "no-such-scenario"]).unwrap_err();
         assert!(err.contains("no-such-scenario"), "{err}");
     }
 
     #[test]
     fn unknown_flag_is_rejected() {
-        let err = parse(&["manager", "--fast"]).unwrap_err();
+        let err = parse(&["table3", "--fast"]).unwrap_err();
         assert!(err.contains("--fast"), "{err}");
     }
 }

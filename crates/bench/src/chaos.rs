@@ -10,7 +10,9 @@
 //! Clients talk through [`HttpClient::with_retry`] using idempotency keys
 //! on every mutating verb; the driver additionally retries `5xx` outcomes
 //! (a store fault surfacing as `500` is refused-before-effect and safe to
-//! repeat). A `409` on an idempotent mutation would mean a replayed request
+//! repeat), resending a mutation under the key of its first send, so a
+//! reply dropped after the mutation committed is replayed, not re-executed.
+//! A `409` on an idempotent mutation would mean a replayed request
 //! re-executed — a duplicate effect — and is counted, never retried.
 
 use std::sync::atomic::Ordering;
@@ -159,6 +161,24 @@ pub(crate) fn with_app_retries(
     reply
 }
 
+/// POSTs the mutation `body` to `path` under one idempotency key, with
+/// [`with_app_retries`]: every resend is the same logical request, so the
+/// server replays a committed reply that was lost instead of running the
+/// mutation again.
+pub(crate) fn post_mutation(
+    client: &mut HttpClient,
+    tally: &mut ChaosTally,
+    path: &str,
+    body: &Json,
+) -> (u16, Json) {
+    let key = client.idempotency_key();
+    with_app_retries(tally, || {
+        client
+            .post_with_key(path, body, &key)
+            .unwrap_or((0, Json::Null))
+    })
+}
+
 /// Drives one oracle-answered session through the chaos, tallying outcomes.
 /// A session is *lost* when any verb exhausts retries or it converges on
 /// the wrong query; a `409` on an idempotent mutation is a duplicate
@@ -217,14 +237,12 @@ pub(crate) fn drive_chaos_session(
                 let round = FeedbackRound::from_json(step.field("round").unwrap())
                     .expect("round deserializes");
                 let choice = oracle.choose(&round).expect("oracle finds its result");
-                let (status, _) = with_app_retries(tally, || {
-                    client
-                        .post_idempotent(
-                            &format!("/sessions/{id}/answer"),
-                            &Json::object([("choice", Json::Int(choice as i64))]),
-                        )
-                        .unwrap_or((0, Json::Null))
-                });
+                let (status, _) = post_mutation(
+                    client,
+                    tally,
+                    &format!("/sessions/{id}/answer"),
+                    &Json::object([("choice", Json::Int(choice as i64))]),
+                );
                 match status {
                     200 => {}
                     409 => {
@@ -243,11 +261,8 @@ pub(crate) fn drive_chaos_session(
                 // the faulty store while the response crosses the chaos
                 // middleware; the next step rehydrates transparently.
                 if answered == 1 {
-                    let (status, _) = with_app_retries(tally, || {
-                        client
-                            .post_idempotent(&format!("/sessions/{id}/park"), &empty)
-                            .unwrap_or((0, Json::Null))
-                    });
+                    let (status, _) =
+                        post_mutation(client, tally, &format!("/sessions/{id}/park"), &empty);
                     match status {
                         200 => tally.parks += 1,
                         409 => {
@@ -484,6 +499,74 @@ mod tests {
         assert!(json.contains("\"lost_sessions\": 0"));
         assert!(json.contains("\"fault_plan\""));
         assert!(chaos_fleet_summary(&config, &report).contains("sessions lost"));
+    }
+
+    /// Runs every request, but answers the first `answer` with a `503`, as
+    /// if its committed reply were lost in flight.
+    struct DropFirstAnswerReply {
+        inner: Arc<dyn Handler>,
+        dropped: std::sync::atomic::AtomicBool,
+    }
+
+    impl Handler for DropFirstAnswerReply {
+        fn handle(&self, request: &qfe_server::Request) -> qfe_server::Response {
+            let response = self.inner.handle(request);
+            if request.path.ends_with("/answer") && !self.dropped.swap(true, Ordering::SeqCst) {
+                return qfe_server::Response::unavailable("reply lost", 0);
+            }
+            response
+        }
+    }
+
+    #[test]
+    fn an_answer_whose_reply_was_dropped_is_replayed_on_app_retry() {
+        let host = SessionHost::open(
+            Arc::new(qfe_snapstore::MemoryStore::new()) as Arc<dyn SnapshotStore>,
+            HostConfig::default(),
+        )
+        .unwrap();
+        let state = Arc::new(ServiceState::new(host));
+        let handler = Arc::new(DropFirstAnswerReply {
+            inner: Arc::clone(&state) as Arc<dyn Handler>,
+            dropped: std::sync::atomic::AtomicBool::new(false),
+        });
+        let server = Server::bind(
+            "127.0.0.1:0",
+            handler as Arc<dyn Handler>,
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        // No retry policy, so the dropped reply's 503 reaches the driver.
+        let mut client = HttpClient::new(server.local_addr().to_string());
+        let mut tally = ChaosTally::default();
+
+        let workload = Json::object([("workload", Json::Str("example_1_1".to_string()))]);
+        let (status, created) = client.post("/sessions", &workload).unwrap();
+        assert_eq!(status, 201);
+        let id = created.field("id").unwrap().as_i64().unwrap();
+        let (status, step) = client.get(&format!("/sessions/{id}/step")).unwrap();
+        assert_eq!(status, 200);
+        let round = FeedbackRound::from_json(step.field("round").unwrap()).unwrap();
+        let (_, _, candidates, _) = qfe_datasets::example_1_1();
+        let choice = OracleUser::new(candidates[0].clone())
+            .choose(&round)
+            .unwrap();
+        let answer = Json::object([("choice", Json::Int(choice as i64))]);
+        let path = format!("/sessions/{id}/answer");
+
+        let (status, _) = post_mutation(&mut client, &mut tally, &path, &answer);
+        assert_eq!(status, 200, "the resend replays the committed answer");
+        assert_eq!(tally.app_retries, 1);
+        assert_eq!(state.idem_replays(), 1);
+
+        // The same answer under a fresh key runs again, and the session,
+        // which has moved on, refuses it: the 409 a fresh key per resend
+        // would have produced.
+        let (status, _) = client.post_idempotent(&path, &answer).unwrap();
+        assert_eq!(status, 409);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! The `experiments` binary prints the tables
 //! (`cargo run -p qfe-bench --bin experiments --release -- all`) and runs
-//! the session-manager throughput scenario and the chaos/cluster fleet
-//! gates. Timing the engine's layers is the job of `perfbench/`, the
+//! the chaos/cluster fleet gates. Timing the engine's layers is the job of `perfbench/`, the
 //! repo's one steady benchmark.
 
 #![forbid(unsafe_code)]
@@ -776,108 +775,9 @@ pub fn ablation_estimator(scale: Scale) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Session-manager throughput
-// ---------------------------------------------------------------------------
-
-/// Drives `session_count` interleaved oracle-answered sessions (Example 1.1,
-/// targets rotating over its three candidate queries) to completion through
-/// one shared [`SessionManager`], round-robin one interaction per visit, and
-/// returns the number of completed sessions (always `session_count`; the
-/// return value keeps the optimizer honest when benchmarked).
-///
-/// This is the scenario a server frontend cares about: many mid-flight
-/// sessions resident at once, none ever blocking another.
-pub fn manager_throughput(session_count: usize) -> usize {
-    use qfe_core::{FeedbackUser as _, SessionManager, Step};
-
-    let (db, result, candidates, _) = qfe_datasets::example_1_1();
-    let manager = SessionManager::new();
-    let sessions: Vec<_> = (0..session_count)
-        .map(|i| {
-            let target = candidates[i % candidates.len()].clone();
-            let session = QfeSession::builder(db.clone(), result.clone())
-                .with_candidates(candidates.clone())
-                .build()
-                .expect("example session builds");
-            (manager.create(&session), OracleUser::new(target))
-        })
-        .collect();
-
-    let mut done = vec![false; session_count];
-    let mut completed = 0usize;
-    while completed < session_count {
-        for (i, (id, oracle)) in sessions.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            match manager.step(*id).expect("hosted session steps") {
-                Step::Done(outcome) => {
-                    assert_eq!(
-                        outcome.query.label,
-                        oracle.target().label,
-                        "cross-session interference"
-                    );
-                    done[i] = true;
-                    completed += 1;
-                    manager.evict(*id);
-                }
-                Step::AwaitFeedback(round) => {
-                    let choice = oracle.choose(&round).expect("oracle finds its result");
-                    manager.answer(*id, choice).expect("valid answer");
-                }
-            }
-        }
-    }
-    completed
-}
-
-/// A human-readable summary of [`manager_throughput`] for the experiments
-/// binary: sessions per second at a few fleet sizes.
-pub fn manager_report() -> String {
-    let mut out = String::new();
-    writeln!(
-        out,
-        "Session-manager throughput (Example 1.1, oracle feedback, interleaved)"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "{:<12} {:>14} {:>16}",
-        "#sessions", "total time", "sessions/sec"
-    )
-    .unwrap();
-    for &n in &[10usize, 100, 500] {
-        let start = std::time::Instant::now();
-        let completed = manager_throughput(n);
-        let elapsed = start.elapsed();
-        writeln!(
-            out,
-            "{:<12} {:>14} {:>16.0}",
-            completed,
-            fmt_duration(elapsed),
-            completed as f64 / elapsed.as_secs_f64().max(1e-9)
-        )
-        .unwrap();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manager_throughput_completes_every_session() {
-        assert_eq!(manager_throughput(25), 25);
-    }
-
-    #[test]
-    fn manager_report_prints_rates() {
-        let text = manager_report();
-        assert!(text.contains("sessions/sec"));
-        assert!(text.contains("100"));
-    }
 
     #[test]
     fn candidates_always_contain_the_target_and_reproduce_r() {

@@ -5,8 +5,11 @@
 //! the candidate set `QC'`, so the state comes in two parts:
 //!
 //! * [`SessionJoin`], built once per session and shared by `Arc`: the
-//!   example pair `(D, R)`, the candidates' foreign-key join, its columnar
-//!   mirror and the join index (for side-effect accounting, Section 5.4.1).
+//!   example pair `(D, R)`, the candidates' foreign-key join and its join
+//!   index (for side-effect accounting, Section 5.4.1). The engine reads
+//!   only this row join; it keeps no columnar mirror, which would cost more
+//!   to build than the join itself on every session start and rehydrate.
+//!   QBO's verifier is where a mirror pays off.
 //! * [`GenerationContext`], built each round by one constructor,
 //!   [`GenerationContext::for_round`], from the session join and the
 //!   surviving candidates: the bound queries, the tuple-class space, the
@@ -26,14 +29,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery};
-use qfe_relation::{foreign_key_join, ColumnarJoin, Database, JoinIndex, JoinedRelation, Tuple};
+use qfe_relation::{foreign_key_join, Database, JoinIndex, JoinedRelation, Tuple};
 
 use crate::error::{QfeError, Result};
 use crate::kernel::{MatchScratch, OutcomeCodes, OutcomeKernel, PairStats};
 use crate::tuple_class::{TupleClass, TupleClassSpace};
 
 /// Which path [`GenerationContext::advance`] took for the relational state
-/// (database, join, columnar mirror).
+/// (database, join, join index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePath {
     /// No cell edits: the successor was built on the predecessor's
@@ -72,42 +75,32 @@ impl ClassPair {
 }
 
 /// The session part of the generator's state: the example pair `(D, R)`,
-/// the join schema the candidates share, their foreign-key join, its
-/// columnar mirror and the join index. Fixed for a whole session; every
-/// round's [`GenerationContext`] shares it by `Arc`.
+/// the join schema the candidates share, their foreign-key join and its
+/// join index. Fixed for a whole session; every round's
+/// [`GenerationContext`] shares it by `Arc`.
 #[derive(Debug)]
 pub struct SessionJoin {
     db: Arc<Database>,
     original_result: Arc<QueryResult>,
     join_tables: Vec<String>,
     join: JoinedRelation,
-    /// Columnar mirror of [`Self::join`]: typed vectors, sorted string
-    /// dictionaries and null bitmaps. The class space reads its active
-    /// domains off it (the sorted dictionaries *are* the domains), and
-    /// embedders evaluate candidates against it vectorized
-    /// (`BoundQuery::selection_bitmap` + `TermBitmapCache`, which keys its
-    /// validity on the mirror's generation).
-    columnar: ColumnarJoin,
     join_index: JoinIndex,
 }
 
 impl SessionJoin {
-    /// Joins `join_tables` over `db` and builds the join's columnar mirror
-    /// and join index.
+    /// Joins `join_tables` over `db` and builds the join index.
     fn new(
         db: Arc<Database>,
         original_result: Arc<QueryResult>,
         join_tables: Vec<String>,
     ) -> Result<Self> {
         let join = foreign_key_join(&db, &join_tables)?;
-        let columnar = ColumnarJoin::from_join(&join);
         let join_index = JoinIndex::build(&join);
         Ok(SessionJoin {
             db,
             original_result,
             join_tables,
             join,
-            columnar,
             join_index,
         })
     }
@@ -190,7 +183,7 @@ impl GenerationContext {
             return Err(QfeError::MixedJoinSchemas);
         }
         let join = &session.join;
-        let space = TupleClassSpace::build(join, &session.columnar, &queries)?;
+        let space = TupleClassSpace::build(join, &queries)?;
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, join))
@@ -299,16 +292,6 @@ impl GenerationContext {
     /// The foreign-key join of the candidate queries' tables over `D`.
     pub fn join(&self) -> &JoinedRelation {
         &self.session.join
-    }
-
-    /// The columnar mirror of [`Self::join`] (typed vectors, sorted string
-    /// dictionaries, null bitmaps). The class space computes its active
-    /// domains from it, and embedders evaluate candidates against it
-    /// vectorized ([`qfe_query::BoundQuery::selection_bitmap`] with a
-    /// `TermBitmapCache`). Part of the [`SessionJoin`], so every round of a
-    /// session sees the same mirror.
-    pub fn columnar(&self) -> &ColumnarJoin {
-        &self.session.columnar
     }
 
     /// The join index of [`Self::join`].
@@ -766,8 +749,8 @@ mod tests {
             fresh.modifiable_attributes()
         );
         assert_eq!(advanced.projection_columns(), fresh.projection_columns());
-        // The session join (database, join, columnar mirror, join index) is
-        // shared, not recomputed.
+        // The session join (database, join, join index) is shared, not
+        // recomputed.
         assert!(Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
         // Class-level reasoning agrees on every source class and query.
         for class in fresh.source_classes().keys() {
@@ -797,18 +780,13 @@ mod tests {
         for (a, f) in advanced.join().rows().iter().zip(fresh.join().rows()) {
             assert_eq!(a.tuple, f.tuple);
         }
-        // The rebuilt columnar mirror tracks the edited join cell-for-cell
-        // (and has a new generation, invalidating term-bitmap caches).
-        assert!(advanced.columnar().generation() > ctx.columnar().generation());
-        for (r, jr) in advanced.join().rows().iter().enumerate() {
-            for c in 0..advanced.join().arity() {
-                assert_eq!(
-                    advanced.columnar().value_at(r, c),
-                    jr.tuple.get(c).cloned().unwrap_or(Value::Null),
-                    "cell ({r},{c})"
-                );
-            }
-        }
+        // The edited cell reached the rebuilt session join.
+        assert!(!Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
+        let salary = advanced.join().resolve_column("salary").unwrap();
+        assert_eq!(
+            advanced.join().rows()[1].tuple.get(salary),
+            Some(&Value::Int(3900))
+        );
         assert_eq!(
             advanced.class_space().attributes(),
             fresh.class_space().attributes()

@@ -199,8 +199,8 @@ impl QfeEngine {
 
     /// Runs Algorithm 2 for the current survivors on a round context built
     /// from the session join (`D` and `R` never change within a session, so
-    /// the join, its columnar mirror and join index are built once, by the
-    /// first round after the engine starts or resumes).
+    /// the join and its join index are built once, by the first round after
+    /// the engine starts or resumes).
     fn generate_round(&mut self) -> Result<GeneratedDatabase> {
         let queries: Vec<SpjQuery> = self
             .remaining

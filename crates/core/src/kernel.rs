@@ -564,7 +564,7 @@ mod tests {
 
     use qfe_query::{BoundQuery, ComparisonOp, Conjunct, DnfPredicate, SpjQuery, Term};
     use qfe_relation::{
-        foreign_key_join, tuple, ColumnDef, ColumnarJoin, DataType, Database, Table, TableSchema,
+        foreign_key_join, tuple, ColumnDef, DataType, Database, Table, TableSchema,
     };
 
     fn setup(queries: Vec<SpjQuery>) -> (JoinedRelation, TupleClassSpace, Vec<SpjQuery>) {
@@ -593,8 +593,7 @@ mod tests {
         let mut db = Database::new();
         db.add_table(employee).unwrap();
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let space =
-            TupleClassSpace::build(&join, &ColumnarJoin::from_join(&join), &queries).unwrap();
+        let space = TupleClassSpace::build(&join, &queries).unwrap();
         (join, space, queries)
     }
 

@@ -28,7 +28,7 @@
 //! thinks, serializes to a [`SessionSnapshot`] for cross-process resume, and
 //! scales to many concurrent users behind a [`SessionManager`].
 //!
-//! ## The generation kernel: bitsets, a columnar join, shared contexts
+//! ## The generation kernel: bitsets, one row join, shared contexts
 //!
 //! The per-round hot path (Algorithms 3–4) runs on a dense bit-packed kernel
 //! built fresh for every [`GenerationContext`]:
@@ -48,28 +48,24 @@
 //!   adaptive interval (tightening past 80% of the budget) so overshoot
 //!   stays bounded; [`SkylineOutcome::timed_out`] (recorded per round as
 //!   [`IterationStats::skyline_timed_out`]) says when δ cut it short.
-//! * **Columnar join mirror.** Every [`SessionJoin`] carries a
-//!   [`qfe_relation::ColumnarJoin`] — typed `i64`/`f64`/bool vectors,
-//!   dictionary-coded strings with per-column *sorted* dictionaries, and null
-//!   bitmaps — built once per join. Each round's class space reads its
-//!   active domains off it (the sorted dictionaries *are* the domains, no
-//!   row-value cloning), and [`GenerationContext::columnar`] exposes it so
-//!   embedders can evaluate candidates vectorized: each atomic term compiles
-//!   to a selection bitmap ([`qfe_query::BoundQuery::selection_bitmap`]) via
-//!   a tight typed loop (dictionary range tests for string comparisons),
-//!   memoized per (column, op, literal) in a `qfe_query::TermBitmapCache`
-//!   shared by every candidate bound to the join. `qfe-qbo`'s batched
-//!   candidate verification (`BatchVerifier`/`verify_batch`) runs on the
-//!   same machinery over its own per-join mirrors.
 //! * **One session join, one round constructor.** Within a session `D` and
 //!   `R` never change and each answer only shrinks the candidate set, so the
-//!   foreign-key join, its columnar mirror and the join index live in a
-//!   [`SessionJoin`] built once and shared by `Arc`; each round's
-//!   [`GenerationContext`] is built on it by one constructor,
-//!   [`GenerationContext::for_round`] (class space, source classes, kernel).
-//!   [`QfeEngine`] keeps its session join across rounds and rebuilds it after
-//!   a resume; the engine, its snapshots and the session join share one
-//!   `Arc`'d copy of `(D, R)`.
+//!   foreign-key join and its join index live in a [`SessionJoin`] built
+//!   once and shared by `Arc`; each round's [`GenerationContext`] is built
+//!   on it by one constructor, [`GenerationContext::for_round`] (class
+//!   space, source classes, kernel). The class space reads each selection
+//!   attribute's active domain straight off the row join. [`QfeEngine`]
+//!   keeps its session join across rounds and rebuilds it after a resume;
+//!   the engine, its snapshots and the session join share one `Arc`'d copy
+//!   of `(D, R)`.
+//! * **Columnar mirrors only in QBO.** A session join carries no columnar
+//!   mirror: on the Small adult workload's 600-row join, building one took
+//!   about 30× as long as the foreign-key join itself (0.33–0.39 ms against
+//!   0.011–0.013 ms, release build, 2-vCPU Xeon), and a rehydrated session
+//!   rebuilds its session join. `qfe-qbo`'s `BatchVerifier`, which checks hundreds of
+//!   candidates against one join, is the one place a mirror
+//!   ([`qfe_relation::ColumnarJoin`]) is built, by the
+//!   `qfe_query::TermBitmapCache` that owns it.
 //!
 //! ## Step-API quickstart
 //!

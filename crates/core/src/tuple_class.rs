@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use qfe_query::{BoundQuery, SpjQuery};
-use qfe_relation::{ColumnarJoin, JoinedRelation, Tuple, Value};
+use qfe_relation::{JoinedRelation, Tuple, Value};
 
 use crate::domain::{partition_categorical_domain, partition_numeric_domain_for, DomainBlock};
 use crate::error::{QfeError, Result};
@@ -45,14 +45,8 @@ pub struct TupleClassSpace {
 impl TupleClassSpace {
     /// Builds the tuple-class space: resolves every selection-predicate
     /// attribute of `queries` against `join` and partitions its active
-    /// domain, read off `columnar` (the join's columnar mirror, whose sorted
-    /// dictionaries and typed vectors yield each domain without cloning and
-    /// sorting boxed row values).
-    pub fn build(
-        join: &JoinedRelation,
-        columnar: &ColumnarJoin,
-        queries: &[SpjQuery],
-    ) -> Result<Self> {
+    /// domain ([`JoinedRelation::active_domain`]).
+    pub fn build(join: &JoinedRelation, queries: &[SpjQuery]) -> Result<Self> {
         // Group predicate terms by resolved column index.
         let mut terms_by_col: BTreeMap<usize, Vec<qfe_query::Term>> = BTreeMap::new();
         for q in queries {
@@ -68,7 +62,7 @@ impl TupleClassSpace {
             let meta = join.column_at(col).ok_or_else(|| QfeError::Internal {
                 message: format!("column {col} out of range"),
             })?;
-            let active_domain = columnar.active_domain(col);
+            let active_domain = join.active_domain(col);
             let term_refs: Vec<&qfe_query::Term> = terms.iter().collect();
             let blocks = if meta.data_type.is_numeric() {
                 partition_numeric_domain_for(&term_refs, &active_domain, meta.data_type)
@@ -333,7 +327,7 @@ mod tests {
     };
 
     fn space_of(join: &JoinedRelation, queries: &[SpjQuery]) -> TupleClassSpace {
-        TupleClassSpace::build(join, &ColumnarJoin::from_join(join), queries).unwrap()
+        TupleClassSpace::build(join, queries).unwrap()
     }
 
     fn employee_setup() -> (JoinedRelation, Vec<SpjQuery>) {

@@ -16,15 +16,14 @@
 //!
 //! Verification is *batched* and has one path: every candidate enumerated on
 //! a join, and every mutation [`grow_candidates`] proposes, is checked
-//! through one [`BatchVerifier`] — a columnar mirror of the join
-//! (`qfe_relation::ColumnarJoin`) plus a shared per-(column, op, literal)
-//! term-bitmap cache — so a candidate's selection is bitmap algebra over
-//! mostly cached bitmaps, wrong-cardinality candidates are rejected without
-//! materializing rows, and signature-equal candidates (same projection,
-//! same selection bitmap) replay a cached verdict. [`verify_batch`] exposes
-//! the same machinery for an externally built frontier (e.g. the constant
-//! mutations of [`grow_candidates`], which share one verifier per join
-//! schema).
+//! through one [`BatchVerifier`] per join schema — a per-(column, op,
+//! literal) term-bitmap cache over a columnar mirror of the join
+//! (`qfe_relation::ColumnarJoin`) that the cache builds and owns — so a
+//! candidate's selection is bitmap algebra over mostly cached bitmaps,
+//! wrong-cardinality candidates are rejected without materializing rows,
+//! and signature-equal candidates (same projection, same selection bitmap)
+//! replay a cached verdict. This is the only place a columnar mirror is
+//! built: the engine's rounds read the row join.
 //!
 //! ## Example
 //!
@@ -80,4 +79,4 @@ pub use join_enum::connected_table_subsets;
 pub use mutation::{grow_candidates, mutate_constants, mutate_operators};
 pub use predicate_enum::{enumerate_predicates, split_rows, AttributeSpace, RowSplit};
 pub use projection::candidate_projections;
-pub use verify::{verify_batch, BatchVerifier, VerifyStats};
+pub use verify::{BatchVerifier, VerifyStats};

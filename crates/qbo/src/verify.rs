@@ -6,11 +6,12 @@
 //! further. Evaluating each candidate row-at-a-time re-touches every joined
 //! row per query.
 //!
-//! [`BatchVerifier`] verifies the whole frontier against **one**
-//! [`ColumnarJoin`]:
+//! [`BatchVerifier`] verifies the whole frontier against **one** columnar
+//! mirror of the join (`qfe_relation::ColumnarJoin`), owned by its
+//! [`TermBitmapCache`]:
 //!
-//! * each candidate's selection runs as bitmap algebra over the shared
-//!   per-(column, op, literal) [`TermBitmapCache`] — the frontier's queries
+//! * each candidate's selection runs as bitmap algebra over the cache's
+//!   per-(column, op, literal) bitmaps — the frontier's queries
 //!   overwhelmingly share terms (the enumeration derives them from the same
 //!   per-attribute analyses; constant mutation perturbs one term at a time),
 //!   so most candidates touch no row data at all;
@@ -22,15 +23,15 @@
 //!   bitmap) produce the same result, so the verdict is computed once and
 //!   replayed for every signature-equal candidate.
 //!
-//! The verdicts are exactly those of
-//! [`evaluate_on_join`](qfe_query::evaluate_on_join) followed by
-//! [`QueryResult::bag_equal`] — property tests in the workspace root enforce
-//! the equivalence on randomized schemas and predicates.
+//! The verdicts are exactly those of the row evaluator
+//! ([`BoundQuery::evaluate`]) followed by [`QueryResult::bag_equal`] —
+//! property tests in the workspace root enforce the equivalence on
+//! randomized schemas and predicates.
 
 use std::collections::HashMap;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery, TermBitmapCache};
-use qfe_relation::{Bitmap, ColumnarJoin, JoinedRelation};
+use qfe_relation::{Bitmap, JoinedRelation};
 
 /// Counters describing what a [`BatchVerifier`] did. They feed the QBO layer
 /// of perfbench's trace (candidates checked, verified ratio, rows scanned,
@@ -53,9 +54,6 @@ pub struct VerifyStats {
     pub term_bitmap_hits: u64,
     /// Term bitmaps computed (one typed column scan each).
     pub term_bitmap_misses: u64,
-    /// Cached term bitmaps recomputed because they were cached for another
-    /// columnar mirror.
-    pub term_bitmap_invalidations: u64,
 }
 
 impl VerifyStats {
@@ -68,7 +66,6 @@ impl VerifyStats {
         self.rows_scanned += other.rows_scanned;
         self.term_bitmap_hits += other.term_bitmap_hits;
         self.term_bitmap_misses += other.term_bitmap_misses;
-        self.term_bitmap_invalidations += other.term_bitmap_invalidations;
     }
 }
 
@@ -80,7 +77,6 @@ type ResultSignature = (Vec<usize>, bool, Bitmap);
 /// the module docs.
 #[derive(Debug)]
 pub struct BatchVerifier {
-    columnar: ColumnarJoin,
     cache: TermBitmapCache,
     expected: QueryResult,
     verdicts: HashMap<ResultSignature, bool>,
@@ -90,12 +86,11 @@ pub struct BatchVerifier {
 impl BatchVerifier {
     /// Builds a verifier for `join`, checking candidates against `expected`.
     ///
-    /// The columnar mirror is built here, once; every subsequent
-    /// [`Self::verify`] call runs on bitmaps.
+    /// The columnar mirror is built here, once, by the term-bitmap cache;
+    /// every subsequent [`Self::verify`] call runs on bitmaps.
     pub fn new(join: &JoinedRelation, expected: &QueryResult) -> BatchVerifier {
         BatchVerifier {
-            columnar: ColumnarJoin::from_join(join),
-            cache: TermBitmapCache::new(),
+            cache: TermBitmapCache::new(join),
             expected: expected.clone(),
             verdicts: HashMap::new(),
             stats: VerifyStats::default(),
@@ -105,17 +100,17 @@ impl BatchVerifier {
     /// Whether `query` (bound against `join`, the join this verifier was
     /// built from) reproduces the expected result.
     ///
-    /// Exactly `evaluate_on_join(query, join)?.bag_equal(expected)`, with a
-    /// query that fails to bind counting as unverified.
+    /// Exactly `BoundQuery::bind(query, join)?.evaluate(join).bag_equal(expected)`,
+    /// with a query that fails to bind counting as unverified.
     pub fn verify(&mut self, join: &JoinedRelation, query: &SpjQuery) -> bool {
         self.stats.candidates_checked += 1;
         let Ok(bound) = BoundQuery::bind(query, join) else {
             return false;
         };
         let misses_before = self.cache.misses();
-        let bitmap = bound.selection_bitmap(&self.columnar, &mut self.cache);
+        let bitmap = bound.selection_bitmap(&mut self.cache);
         self.stats.rows_scanned +=
-            (self.cache.misses() - misses_before) * self.columnar.len() as u64;
+            (self.cache.misses() - misses_before) * self.cache.columnar().len() as u64;
 
         let selected = bitmap.count_ones();
         if !bound.is_distinct() && selected != self.expected.len() {
@@ -147,49 +142,20 @@ impl BatchVerifier {
         verdict
     }
 
-    /// Verifies a whole frontier in order; `out[i]` is the verdict of
-    /// `queries[i]`.
-    pub fn verify_batch(&mut self, join: &JoinedRelation, queries: &[SpjQuery]) -> Vec<bool> {
-        queries.iter().map(|q| self.verify(join, q)).collect()
-    }
-
     /// The counters accumulated so far. The term-bitmap counters are read off
     /// the live cache.
     pub fn stats(&self) -> VerifyStats {
         let mut stats = self.stats;
         stats.term_bitmap_hits = self.cache.hits();
         stats.term_bitmap_misses = self.cache.misses();
-        stats.term_bitmap_invalidations = self.cache.invalidations();
         stats
     }
-
-    /// The expected result candidates are checked against.
-    pub fn expected(&self) -> &QueryResult {
-        &self.expected
-    }
-
-    /// Number of distinct result signatures resolved so far.
-    pub fn distinct_signatures(&self) -> usize {
-        self.verdicts.len()
-    }
-}
-
-/// Verifies the whole `queries` frontier against one columnar mirror of
-/// `join`: `out[i]` is `true` iff `queries[i]` reproduces `expected` on the
-/// join. One [`BatchVerifier`] (one [`ColumnarJoin`] build, one shared term
-/// cache) serves the entire batch.
-pub fn verify_batch(
-    join: &JoinedRelation,
-    queries: &[SpjQuery],
-    expected: &QueryResult,
-) -> Vec<bool> {
-    BatchVerifier::new(join, expected).verify_batch(join, queries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfe_query::{evaluate_on_join, ComparisonOp, DnfPredicate, Term};
+    use qfe_query::{ComparisonOp, DnfPredicate, Term};
     use qfe_relation::{
         foreign_key_join, tuple, ColumnDef, DataType, Database, Table, TableSchema,
     };
@@ -226,11 +192,16 @@ mod tests {
         SpjQuery::new(vec!["Employee"], vec!["name"], pred)
     }
 
+    /// The row evaluator's result, `None` when the query does not bind.
+    fn row_result(query: &SpjQuery, join: &JoinedRelation) -> Option<QueryResult> {
+        BoundQuery::bind(query, join).ok().map(|b| b.evaluate(join))
+    }
+
     #[test]
     fn verdicts_match_the_row_evaluator() {
         let db = employee_db();
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let queries = vec![
+        let queries = [
             q(DnfPredicate::single(Term::eq("gender", "M"))),
             q(DnfPredicate::single(Term::compare(
                 "salary",
@@ -243,10 +214,11 @@ mod tests {
             // Unknown attribute: must count as unverified, not error.
             q(DnfPredicate::single(Term::eq("wage", 1i64))),
         ];
-        let expected = evaluate_on_join(&queries[0], &join).unwrap();
-        let verdicts = verify_batch(&join, &queries, &expected);
+        let expected = row_result(&queries[0], &join).unwrap();
+        let mut verifier = BatchVerifier::new(&join, &expected);
+        let verdicts: Vec<bool> = queries.iter().map(|q| verifier.verify(&join, q)).collect();
         for (query, &v) in queries.iter().zip(&verdicts) {
-            let row_verdict = evaluate_on_join(query, &join)
+            let row_verdict = row_result(query, &join)
                 .map(|r| r.bag_equal(&expected))
                 .unwrap_or(false);
             assert_eq!(v, row_verdict, "{query}");
@@ -259,11 +231,11 @@ mod tests {
         let db = employee_db();
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
         let expected =
-            evaluate_on_join(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
+            row_result(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
         let mut verifier = BatchVerifier::new(&join, &expected);
         // Three distinct predicates selecting the same rows: one
         // materialization, two signature replays.
-        let frontier = vec![
+        let frontier = [
             q(DnfPredicate::single(Term::eq("gender", "M"))),
             q(DnfPredicate::single(Term::eq("dept", "IT"))),
             q(DnfPredicate::single(Term::compare(
@@ -272,16 +244,17 @@ mod tests {
                 4200i64,
             ))),
         ];
-        let verdicts = verifier.verify_batch(&join, &frontier);
+        let verdicts: Vec<bool> = frontier.iter().map(|q| verifier.verify(&join, q)).collect();
         assert_eq!(verdicts, vec![true, true, true]);
-        assert_eq!(verifier.distinct_signatures(), 1);
         let stats = verifier.stats();
         assert_eq!(stats.signature_hits, 2);
         assert_eq!(stats.candidates_checked, 3);
         assert_eq!(stats.verified, 3);
         // Re-verifying hits the term cache: no new column scans.
         let scans_before = stats.term_bitmap_misses;
-        let _ = verifier.verify_batch(&join, &frontier);
+        for query in &frontier {
+            assert!(verifier.verify(&join, query));
+        }
         assert_eq!(verifier.stats().term_bitmap_misses, scans_before);
     }
 
@@ -290,11 +263,14 @@ mod tests {
         let db = employee_db();
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
         let expected =
-            evaluate_on_join(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
+            row_result(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
         let mut verifier = BatchVerifier::new(&join, &expected);
-        assert!(!verifier.verify(&join, &q(DnfPredicate::always_true())));
-        assert_eq!(verifier.stats().cardinality_rejects, 1);
-        assert_eq!(verifier.distinct_signatures(), 0);
+        for _ in 0..2 {
+            assert!(!verifier.verify(&join, &q(DnfPredicate::always_true())));
+        }
+        // Nothing was materialized, so nothing could be replayed either.
+        assert_eq!(verifier.stats().cardinality_rejects, 2);
+        assert_eq!(verifier.stats().signature_hits, 0);
     }
 
     #[test]
@@ -307,7 +283,7 @@ mod tests {
             DnfPredicate::always_true(),
         )
         .with_distinct(true);
-        let expected = evaluate_on_join(&set_query, &join).unwrap();
+        let expected = row_result(&set_query, &join).unwrap();
         assert_eq!(expected.len(), 2);
         let mut verifier = BatchVerifier::new(&join, &expected);
         assert!(verifier.verify(&join, &set_query));

@@ -1,6 +1,6 @@
 //! Query evaluation against databases and precomputed joins.
 
-use qfe_relation::{foreign_key_join, Bitmap, ColumnarJoin, Database, JoinedRelation, Value};
+use qfe_relation::{foreign_key_join, Bitmap, Database, JoinedRelation, Value};
 
 use crate::error::{QueryError, Result};
 use crate::predicate::DnfPredicate;
@@ -93,21 +93,12 @@ impl BoundQuery {
         }
     }
 
-    /// Indices of the joined rows satisfying the predicate.
-    pub fn matching_rows(&self, join: &JoinedRelation) -> Vec<usize> {
-        join.rows()
-            .iter()
-            .enumerate()
-            .filter(|(_, jr)| self.matches_row(&jr.tuple))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The query's selection bitmap over a columnar join: bit `r` is set iff
-    /// the predicate holds for row `r` (exactly [`Self::matches_row`], but
-    /// assembled by AND/OR over cached per-term bitmaps).
-    pub fn selection_bitmap(&self, columnar: &ColumnarJoin, cache: &mut TermBitmapCache) -> Bitmap {
-        let rows = columnar.len();
+    /// The query's selection bitmap over the join `cache` mirrors: bit `r`
+    /// is set iff the predicate holds for row `r` (exactly
+    /// [`Self::matches_row`], but assembled by AND/OR over the cache's
+    /// per-term bitmaps).
+    pub fn selection_bitmap(&self, cache: &mut TermBitmapCache) -> Bitmap {
+        let rows = cache.columnar().len();
         let conjuncts = self.predicate.conjuncts();
         if conjuncts.is_empty() {
             return Bitmap::all_set(rows);
@@ -122,7 +113,7 @@ impl BoundQuery {
                     .find(|(n, _)| n == term.attribute())
                 {
                     Some((_, col)) => {
-                        selected.and_assign(cache.term_bitmap(columnar, *col, term));
+                        selected.and_assign(cache.term_bitmap(*col, term));
                     }
                     // Unresolvable attribute ⇒ NULL lookup ⇒ the term fails.
                     None => selected = Bitmap::new(rows),
@@ -159,22 +150,19 @@ impl BoundQuery {
     }
 }
 
-/// Evaluates a query against a precomputed joined relation.
-///
-/// The join must contain (at least) the columns the query references; QFE
-/// uses the foreign-key join of the candidate queries' shared join schema.
-pub fn evaluate_on_join(query: &SpjQuery, join: &JoinedRelation) -> Result<QueryResult> {
-    Ok(BoundQuery::bind(query, join)?.evaluate(join))
+/// The foreign-key join of `query`'s tables over `db`.
+pub(crate) fn join_of(query: &SpjQuery, db: &Database) -> Result<JoinedRelation> {
+    if query.tables.is_empty() {
+        return Err(QueryError::NoTables);
+    }
+    Ok(foreign_key_join(db, &query.tables)?)
 }
 
 /// Evaluates a query against a database by first computing the foreign-key
 /// join of the query's tables.
 pub fn evaluate(query: &SpjQuery, db: &Database) -> Result<QueryResult> {
-    if query.tables.is_empty() {
-        return Err(QueryError::NoTables);
-    }
-    let join = foreign_key_join(db, &query.tables)?;
-    evaluate_on_join(query, &join)
+    let join = join_of(query, db)?;
+    Ok(BoundQuery::bind(query, &join)?.evaluate(&join))
 }
 
 #[cfg(test)]
@@ -360,7 +348,6 @@ mod tests {
         assert_eq!(bound.attribute_indices().len(), 1);
         let r2 = bound.evaluate(&join);
         assert!(r.bag_equal(&r2));
-        assert_eq!(bound.matching_rows(&join).len(), 2);
     }
 
     #[test]
@@ -369,10 +356,12 @@ mod tests {
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
         let query = q(DnfPredicate::single(Term::eq("dept", "IT")));
         let bound = BoundQuery::bind(&query, &join).unwrap();
-        let matching = bound.matching_rows(&join);
-        assert_eq!(matching.len(), 2);
-        for (i, jr) in join.rows().iter().enumerate() {
-            assert_eq!(bound.matches_row(&jr.tuple), matching.contains(&i));
-        }
+        let matching: Vec<bool> = join
+            .rows()
+            .iter()
+            .map(|jr| bound.matches_row(&jr.tuple))
+            .collect();
+        assert_eq!(matching, vec![false, true, false, true]);
+        assert_eq!(bound.evaluate(&join).len(), 2);
     }
 }

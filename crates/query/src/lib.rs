@@ -52,7 +52,7 @@ mod sql;
 mod vectorized;
 
 pub use error::{QueryError, Result};
-pub use eval::{evaluate, evaluate_on_join, BoundQuery};
+pub use eval::{evaluate, BoundQuery};
 pub use partition::{partition_queries, QueryGroup, QueryPartition};
 pub use predicate::{ComparisonOp, Conjunct, DnfPredicate, Term};
 pub use result::QueryResult;

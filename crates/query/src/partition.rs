@@ -5,12 +5,12 @@
 //! same subset iff they produce the same result on `D'`, and the results
 //! `R_1, …, R_k` of the subsets are pairwise distinct.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use qfe_relation::{Database, Tuple};
+use qfe_relation::{Database, JoinedRelation, Tuple};
 
 use crate::error::Result;
-use crate::eval::evaluate;
+use crate::eval::{join_of, BoundQuery};
 use crate::result::QueryResult;
 use crate::spj::SpjQuery;
 
@@ -75,10 +75,20 @@ fn partition_by_results(results: Vec<QueryResult>) -> QueryPartition {
 }
 
 /// Partitions `queries` by their results on `db`.
+///
+/// Each query's result is exactly [`crate::evaluate`]'s, but the
+/// foreign-key join is computed once per distinct `tables` list (as
+/// written, so two orders of one list are two joins), not once per query:
+/// candidates usually share one join schema.
 pub fn partition_queries(queries: &[SpjQuery], db: &Database) -> Result<QueryPartition> {
+    let mut joins: HashMap<&[String], JoinedRelation> = HashMap::new();
     let mut results = Vec::with_capacity(queries.len());
     for q in queries {
-        results.push(evaluate(q, db)?);
+        let join = match joins.entry(&q.tables) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(join_of(q, db)?),
+        };
+        results.push(BoundQuery::bind(q, join)?.evaluate(join));
     }
     Ok(partition_by_results(results))
 }
@@ -86,6 +96,7 @@ pub fn partition_queries(queries: &[SpjQuery], db: &Database) -> Result<QueryPar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate;
     use crate::predicate::{ComparisonOp, DnfPredicate, Term};
     use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema, Value};
 
@@ -176,6 +187,79 @@ mod tests {
         assert_eq!(p.group_count(), 2);
         assert_eq!(group_of(&p, 0).unwrap().query_indices, vec![0, 1]);
         assert_eq!(group_of(&p, 2).unwrap().query_indices, vec![2]);
+    }
+
+    #[test]
+    fn candidates_over_several_table_lists_group_as_per_query_evaluation() {
+        use qfe_relation::ForeignKey;
+
+        let mut db = employee_db();
+        let dept = Table::with_rows(
+            TableSchema::new(
+                "Dept",
+                vec![
+                    ColumnDef::new("dept", DataType::Text),
+                    ColumnDef::new("floor", DataType::Int),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&["dept"])
+            .unwrap(),
+            vec![
+                tuple!["Sales", 1i64],
+                tuple!["IT", 2i64],
+                tuple!["Service", 1i64],
+            ],
+        )
+        .unwrap();
+        db.add_table(dept).unwrap();
+        db.add_foreign_key(ForeignKey::new("Employee", "dept", "Dept", "dept"))
+            .unwrap();
+        db.table_mut("Employee")
+            .unwrap()
+            .update_cell(1, "dept", Value::Text("Service".into()))
+            .unwrap();
+
+        let joined = |tables: Vec<&str>, p| SpjQuery::new(tables, vec!["name"], p);
+        let mut queries = candidates();
+        queries.extend([
+            joined(
+                vec!["Employee", "Dept"],
+                DnfPredicate::single(Term::eq("floor", 2i64)),
+            ),
+            joined(
+                vec!["Dept", "Employee"],
+                DnfPredicate::single(Term::eq("floor", 2i64)),
+            ),
+            joined(
+                vec!["Employee", "Dept"],
+                DnfPredicate::single(Term::eq("gender", "M")),
+            ),
+            joined(
+                vec!["Dept", "Employee"],
+                DnfPredicate::single(Term::compare("floor", ComparisonOp::Ge, 1i64)),
+            ),
+        ]);
+        let p = partition_queries(&queries, &db).unwrap();
+
+        // The reference: one `evaluate` (one join) per query, grouped by
+        // fingerprint in the same order.
+        let results: Vec<QueryResult> = queries.iter().map(|q| evaluate(q, &db).unwrap()).collect();
+        let reference = partition_by_results(results);
+        assert_eq!(p.group_count(), reference.group_count());
+        for (got, want) in p.groups.iter().zip(&reference.groups) {
+            assert_eq!(got.query_indices, want.query_indices);
+            assert_eq!(got.result.columns(), want.result.columns());
+            assert_eq!(got.result.rows(), want.result.rows());
+        }
+        // Bob moved to Service: {Darren} on floor 2 vs {Bob, Darren} male.
+        assert_eq!(group_of(&p, 3).unwrap().query_indices, vec![2, 3, 4]);
+        assert_eq!(group_of(&p, 0).unwrap().query_indices, vec![0, 1, 5]);
+        assert_eq!(group_of(&p, 6).unwrap().query_indices, vec![6]);
+
+        // An unknown table still fails as it does in `evaluate`.
+        let bad = vec![joined(vec!["Nope"], DnfPredicate::always_true())];
+        assert!(partition_queries(&bad, &db).is_err());
     }
 
     #[test]

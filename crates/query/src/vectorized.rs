@@ -9,12 +9,15 @@
 //! (comparisons against NULL are never satisfied), and cross-type
 //! comparisons constant-fold through the total order on [`Value`].
 //!
-//! [`TermBitmapCache`] memoizes bitmaps per `(column, operator, literal)`.
-//! QFE evaluates *many* candidate queries against the *same* join, and their
-//! predicates overwhelmingly share terms (QBO enumerates them from the same
+//! [`TermBitmapCache`] builds the columnar mirror of one join and memoizes
+//! bitmaps over it per `(column, operator, literal)`. QBO verifies *many*
+//! candidate queries against the *same* join, and their predicates
+//! overwhelmingly share terms (QBO enumerates them from the same
 //! per-attribute analyses; constant mutation perturbs one term at a time) —
 //! so a candidate's selection bitmap is usually assembled purely by AND/OR
-//! over cached bitmaps, touching no row data at all.
+//! over cached bitmaps, touching no row data at all. The cache owns its
+//! mirror, so its bitmaps can only ever be served for the join they were
+//! computed on.
 //!
 //! The bit-level contract: for every term and row,
 //! `bitmap.get(row) == term.eval(row value)` — the vectorized evaluator is
@@ -25,7 +28,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use qfe_relation::{float_total_cmp, Bitmap, ColumnData, ColumnarJoin, Value};
+use qfe_relation::{float_total_cmp, Bitmap, ColumnData, ColumnarJoin, JoinedRelation, Value};
 
 use crate::predicate::{ComparisonOp, Term};
 
@@ -67,63 +70,44 @@ fn shape_of(term: &Term) -> TermShape {
     }
 }
 
-/// One cached term bitmap, stamped with the generation of the mirror it was
-/// computed against.
+/// The columnar mirror of one join plus a cache of term selection bitmaps
+/// over it, shared across every candidate query bound to that join. See the
+/// module docs.
 #[derive(Debug)]
-struct CachedBitmap {
-    generation: u64,
-    bitmap: Bitmap,
-}
-
-/// A per-join cache of term selection bitmaps, shared across every candidate
-/// query bound to that join. See the module docs.
-///
-/// Each cached bitmap is stamped with the
-/// [`generation`](ColumnarJoin::generation) of the mirror it was computed
-/// against. Generations are process-unique per build, so handing the cache a
-/// *different* mirror recomputes the entry instead of serving bits of another
-/// join; only a mirror and its clone share a generation, and those are
-/// identical.
-#[derive(Debug, Default)]
 pub struct TermBitmapCache {
-    map: HashMap<(usize, TermShape), CachedBitmap>,
+    columnar: ColumnarJoin,
+    map: HashMap<(usize, TermShape), Bitmap>,
     hits: u64,
     misses: u64,
-    invalidations: u64,
 }
 
 impl TermBitmapCache {
-    /// An empty cache.
-    pub fn new() -> TermBitmapCache {
-        TermBitmapCache::default()
+    /// Builds the columnar mirror of `join`, with nothing cached yet.
+    pub fn new(join: &JoinedRelation) -> TermBitmapCache {
+        TermBitmapCache {
+            columnar: ColumnarJoin::from_join(join),
+            map: HashMap::new(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
-    /// The selection bitmap of `term` over column `col`, computed on first
-    /// use and served from the cache afterwards. An entry computed against
-    /// another mirror is recomputed in place (counted as both a miss and an
-    /// invalidation).
-    pub fn term_bitmap(&mut self, columnar: &ColumnarJoin, col: usize, term: &Term) -> &Bitmap {
-        let generation = columnar.generation();
+    /// The columnar mirror every cached bitmap is computed against.
+    pub fn columnar(&self) -> &ColumnarJoin {
+        &self.columnar
+    }
+
+    /// The selection bitmap of `term` over column `col` of the mirror,
+    /// computed on first use and served from the cache afterwards.
+    pub fn term_bitmap(&mut self, col: usize, term: &Term) -> &Bitmap {
         match self.map.entry((col, shape_of(term))) {
             std::collections::hash_map::Entry::Occupied(e) => {
-                let entry = e.into_mut();
-                if entry.generation == generation {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                    self.invalidations += 1;
-                    entry.bitmap = compute_term_bitmap(columnar, col, term);
-                    entry.generation = generation;
-                }
-                &entry.bitmap
+                self.hits += 1;
+                e.into_mut()
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.misses += 1;
-                &e.insert(CachedBitmap {
-                    generation,
-                    bitmap: compute_term_bitmap(columnar, col, term),
-                })
-                .bitmap
+                e.insert(compute_term_bitmap(&self.columnar, col, term))
             }
         }
     }
@@ -136,11 +120,6 @@ impl TermBitmapCache {
     /// Cache misses (bitmaps computed) so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Entries recomputed because they were cached for another mirror.
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations
     }
 
     /// Number of distinct term bitmaps currently cached.
@@ -371,7 +350,7 @@ mod tests {
         foreign_key_join, tuple, ColumnDef, DataType, Database, Table, TableSchema, Tuple,
     };
 
-    fn setup() -> (qfe_relation::JoinedRelation, ColumnarJoin) {
+    fn setup() -> JoinedRelation {
         let t = Table::with_rows(
             TableSchema::new(
                 "T",
@@ -405,16 +384,15 @@ mod tests {
         .unwrap();
         let mut db = Database::new();
         db.add_table(t).unwrap();
-        let join = foreign_key_join(&db, &["T".to_string()]).unwrap();
-        let columnar = ColumnarJoin::from_join(&join);
-        (join, columnar)
+        foreign_key_join(&db, &["T".to_string()]).unwrap()
     }
 
     /// Every term bitmap must agree bit-for-bit with `Term::eval` on the row
     /// values — across operators, types, NULLs, NaN, and dictionary misses.
     #[test]
     fn term_bitmaps_agree_with_row_evaluation() {
-        let (join, columnar) = setup();
+        let join = setup();
+        let cache = TermBitmapCache::new(&join);
         let ops = [
             ComparisonOp::Eq,
             ComparisonOp::Ne,
@@ -450,7 +428,7 @@ mod tests {
 
         for col in 0..join.arity() {
             for term in &terms {
-                let bitmap = compute_term_bitmap(&columnar, col, term);
+                let bitmap = compute_term_bitmap(cache.columnar(), col, term);
                 for (r, jr) in join.rows().iter().enumerate() {
                     let v = jr.tuple.get(col).cloned().unwrap_or(Value::Null);
                     assert_eq!(
@@ -465,18 +443,18 @@ mod tests {
 
     #[test]
     fn cache_hits_on_repeated_terms() {
-        let (join, columnar) = setup();
-        let mut cache = TermBitmapCache::new();
+        let join = setup();
+        let mut cache = TermBitmapCache::new(&join);
+        assert!(cache.is_empty());
         let term = Term::eq("name", "bob");
         let col = join.resolve_column("name").unwrap();
-        let first = cache.term_bitmap(&columnar, col, &term).clone();
+        let first = cache.term_bitmap(col, &term).clone();
         assert_eq!(cache.misses(), 1);
-        let second = cache.term_bitmap(&columnar, col, &term).clone();
+        let second = cache.term_bitmap(col, &term).clone();
         assert_eq!(cache.hits(), 1);
         assert_eq!(first, second);
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]
@@ -504,14 +482,14 @@ mod tests {
         let mut db = Database::new();
         db.add_table(t).unwrap();
         let join = foreign_key_join(&db, &["N".to_string()]).unwrap();
-        let columnar = ColumnarJoin::from_join(&join);
+        let cache = TermBitmapCache::new(&join);
         let col = join.resolve_column("tag").unwrap();
         for term in [
             Term::is_in("tag", vec!["x".into()]),
             Term::not_in("tag", vec!["x".into()]),
             Term::eq("tag", "x"),
         ] {
-            let bitmap = compute_term_bitmap(&columnar, col, &term);
+            let bitmap = compute_term_bitmap(cache.columnar(), col, &term);
             assert!(bitmap.is_zero(), "{term}: NULL rows never match");
         }
     }
@@ -542,9 +520,8 @@ mod tests {
         let mut db = Database::new();
         db.add_table(t).unwrap();
         let join = foreign_key_join(&db, &["B".to_string()]).unwrap();
-        let columnar = ColumnarJoin::from_join(&join);
         let col = join.resolve_column("n").unwrap();
-        let mut cache = TermBitmapCache::new();
+        let mut cache = TermBitmapCache::new(&join);
 
         let exact = Term::Compare {
             attribute: "n".into(),
@@ -556,8 +533,8 @@ mod tests {
             op: ComparisonOp::Eq,
             value: twin,
         };
-        let b_exact = cache.term_bitmap(&columnar, col, &exact).clone();
-        let b_rounded = cache.term_bitmap(&columnar, col, &rounded).clone();
+        let b_exact = cache.term_bitmap(col, &exact).clone();
+        let b_rounded = cache.term_bitmap(col, &rounded).clone();
         assert_eq!(cache.misses(), 2, "distinct cache entries");
         assert_ne!(b_exact, b_rounded);
         for (r, jr) in join.rows().iter().enumerate() {
@@ -568,27 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidates_across_distinct_mirrors() {
-        // Generations are process-unique: two mirrors of even the *same*
-        // join never share one, so a cache warmed on the first cannot serve
-        // stale bitmaps for the second.
-        let (join, columnar_a) = setup();
-        let columnar_b = ColumnarJoin::from_join(&join);
-        assert_ne!(columnar_a.generation(), columnar_b.generation());
-        let mut cache = TermBitmapCache::new();
-        let term = Term::eq("name", "bob");
-        let col = join.resolve_column("name").unwrap();
-        let _ = cache.term_bitmap(&columnar_a, col, &term);
-        assert_eq!(cache.misses(), 1);
-        let _ = cache.term_bitmap(&columnar_b, col, &term);
-        assert_eq!(cache.misses(), 2, "distinct mirror must invalidate");
-        assert_eq!(cache.invalidations(), 1);
-    }
-
-    #[test]
     fn selection_bitmap_assembles_dnf_from_cached_terms() {
-        let (join, columnar) = setup();
-        let mut cache = TermBitmapCache::new();
+        let join = setup();
+        let mut cache = TermBitmapCache::new(&join);
         let query = SpjQuery::new(
             vec!["T"],
             vec!["name"],
@@ -601,23 +560,23 @@ mod tests {
             ]),
         );
         let bound = BoundQuery::bind(&query, &join).unwrap();
-        let bitmap = bound.selection_bitmap(&columnar, &mut cache);
+        let bitmap = bound.selection_bitmap(&mut cache);
         for (r, jr) in join.rows().iter().enumerate() {
             assert_eq!(bitmap.get(r), bound.matches_row(&jr.tuple), "row {r}");
         }
         // Re-evaluating hits the cache for all three terms.
         let before = cache.hits();
-        let _ = bound.selection_bitmap(&columnar, &mut cache);
+        let _ = bound.selection_bitmap(&mut cache);
         assert_eq!(cache.hits(), before + 3);
     }
 
     #[test]
     fn always_true_predicate_selects_every_row_including_nulls() {
-        let (join, columnar) = setup();
-        let mut cache = TermBitmapCache::new();
+        let join = setup();
+        let mut cache = TermBitmapCache::new(&join);
         let query = SpjQuery::new(vec!["T"], vec!["name"], DnfPredicate::always_true());
         let bound = BoundQuery::bind(&query, &join).unwrap();
-        let bitmap = bound.selection_bitmap(&columnar, &mut cache);
+        let bitmap = bound.selection_bitmap(&mut cache);
         assert_eq!(bitmap.count_ones(), join.len());
     }
 }

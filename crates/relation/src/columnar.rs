@@ -1,40 +1,34 @@
 //! Columnar storage for joined relations.
 //!
-//! QFE evaluates *many* candidate predicates against the *same* foreign-key
-//! join: QBO's generate-and-verify pass, `BoundQuery` evaluation and the
-//! outcome kernel's construction all repeatedly ask "which rows satisfy
+//! QBO's generate-and-verify pass checks *many* candidate predicates against
+//! the *same* foreign-key join, repeatedly asking "which rows satisfy
 //! `attr op literal`?".  Walking the row-oriented [`JoinedRelation`] answers
 //! that one boxed [`Value`] at a time — pointer chasing, string comparisons
 //! and clones on every probe.
 //!
 //! [`ColumnarJoin`] is the bandwidth-friendly mirror of a join, built once
-//! and shared by every candidate bound to it:
+//! per join by the term-bitmap cache that owns it (`qfe-query`'s
+//! `TermBitmapCache`) and shared by every candidate verified against it:
 //!
 //! * **typed column vectors** — `i64`, `f64`, `bool`, and dictionary-coded
 //!   strings (`u32` codes into a per-column *sorted* dictionary, so string
 //!   comparisons become integer range tests);
 //! * **null bitmaps** — SQL comparisons against NULL are never satisfied, so
 //!   a term's selection bitmap is computed branchlessly and masked with the
-//!   column's null bitmap;
-//! * **a generation stamp** — every build gets a process-unique
-//!   [`generation`](ColumnarJoin::generation), so a term-bitmap cache (in
-//!   `qfe-query`) handed a different mirror recomputes instead of serving
-//!   bits computed for another join.
+//!   column's null bitmap.
+//!
+//! The engine itself reads the row join: a mirror costs more to build than
+//! the foreign-key join it mirrors, and pays off only over QBO's many
+//! candidates.
 //!
 //! Every stored value conforms to its column's declared type: joins are built
 //! from table rows, which `Table` validates (and coerces) on insertion and
 //! update.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::bitmap::Bitmap;
 use crate::join::JoinedRelation;
 use crate::types::DataType;
 use crate::value::Value;
-
-/// Process-wide generation allocator: every freshly built mirror gets a
-/// generation no other mirror has ever had.
-static GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// The typed backing store of one joined column.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +79,6 @@ impl ColumnarColumn {
 pub struct ColumnarJoin {
     columns: Vec<ColumnarColumn>,
     rows: usize,
-    generation: u64,
 }
 
 impl ColumnarJoin {
@@ -98,11 +91,7 @@ impl ColumnarJoin {
             .enumerate()
             .map(|(col, meta)| build_column(join, col, meta.data_type, rows))
             .collect();
-        ColumnarJoin {
-            columns,
-            rows,
-            generation: GENERATION.fetch_add(1, Ordering::Relaxed),
-        }
+        ColumnarJoin { columns, rows }
     }
 
     /// Number of rows.
@@ -125,81 +114,9 @@ impl ColumnarJoin {
         &self.columns[idx]
     }
 
-    /// The mirror's generation, allocated from a process-wide counter at
-    /// build time: no two builds (even of the same join) share one, while a
-    /// `clone` keeps its source's — their contents are identical.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The value of `(row, col)`, decoded back to a [`Value`].
     pub fn value_at(&self, row: usize, col: usize) -> Value {
         self.columns[col].value_at(row)
-    }
-
-    /// Distinct values appearing in the column — exactly what
-    /// [`JoinedRelation::active_domain`] returns for the mirrored join, but
-    /// computed without cloning row values (for dictionary columns the sorted
-    /// dictionary *is* the domain, filtered to codes in use).
-    pub fn active_domain(&self, col: usize) -> Vec<Value> {
-        let column = &self.columns[col];
-        let has_null = !column.nulls.is_zero();
-        let mut out: Vec<Value> = Vec::new();
-        if has_null {
-            out.push(Value::Null);
-        }
-        match &column.data {
-            ColumnData::Int(v) => {
-                let mut vals: Vec<i64> = (0..self.rows)
-                    .filter(|&r| !column.nulls.get(r))
-                    .map(|r| v[r])
-                    .collect();
-                vals.sort_unstable();
-                vals.dedup();
-                out.extend(vals.into_iter().map(Value::Int));
-            }
-            ColumnData::Float(v) => {
-                // Stable sort + Value-equality dedup so the surviving
-                // representative of equal floats (e.g. -0.0 vs +0.0) matches
-                // what sort+dedup over row-order Values keeps.
-                let mut vals: Vec<f64> = (0..self.rows)
-                    .filter(|&r| !column.nulls.get(r))
-                    .map(|r| v[r])
-                    .collect();
-                vals.sort_by(|a, b| float_total_cmp(*a, *b));
-                vals.dedup_by(|a, b| float_total_cmp(*a, *b).is_eq());
-                out.extend(vals.into_iter().map(Value::Float));
-            }
-            ColumnData::Str { codes, dict } => {
-                let mut used = vec![false; dict.len()];
-                for (r, &c) in codes.iter().enumerate() {
-                    if !column.nulls.get(r) {
-                        used[c as usize] = true;
-                    }
-                }
-                out.extend(
-                    dict.iter()
-                        .zip(&used)
-                        .filter(|(_, &u)| u)
-                        .map(|(s, _)| Value::Text(s.clone())),
-                );
-            }
-            ColumnData::Bool(v) => {
-                let mut seen = [false; 2];
-                for (r, &b) in v.iter().enumerate() {
-                    if !column.nulls.get(r) {
-                        seen[usize::from(b)] = true;
-                    }
-                }
-                if seen[0] {
-                    out.push(Value::Bool(false));
-                }
-                if seen[1] {
-                    out.push(Value::Bool(true));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -363,26 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn active_domain_matches_row_oriented_join() {
-        let db = mixed_db();
-        let join = full_foreign_key_join(&db).unwrap();
-        let cj = ColumnarJoin::from_join(&join);
-        for c in 0..join.arity() {
-            assert_eq!(cj.active_domain(c), join.active_domain(c), "column {c}");
-        }
-    }
-
-    #[test]
-    fn every_build_gets_a_fresh_generation() {
-        let db = mixed_db();
-        let join = full_foreign_key_join(&db).unwrap();
-        let a = ColumnarJoin::from_join(&join);
-        let b = ColumnarJoin::from_join(&join);
-        assert_ne!(a.generation(), b.generation());
-        assert_eq!(a.clone().generation(), a.generation());
-    }
-
-    #[test]
     fn join_output_over_foreign_keys_is_mirrored() {
         let parent = Table::with_rows(
             TableSchema::new(
@@ -422,8 +319,10 @@ mod tests {
         let join = full_foreign_key_join(&db).unwrap();
         let cj = ColumnarJoin::from_join(&join);
         assert_eq!(cj.len(), 3);
-        for c in 0..join.arity() {
-            assert_eq!(cj.active_domain(c), join.active_domain(c));
+        for (r, jr) in join.rows().iter().enumerate() {
+            for c in 0..join.arity() {
+                assert_eq!(cj.value_at(r, c), jr.tuple.get(c).cloned().unwrap());
+            }
         }
     }
 }

@@ -162,15 +162,21 @@ impl JoinedRelation {
     }
 
     /// Distinct values appearing in a joined column (its active domain).
+    ///
+    /// Sorted by [`Value`]'s total order (NULL first, NaN last among floats),
+    /// one value per equality class. The sort is stable, so among values
+    /// that compare equal without being identical (`-0.0` and `+0.0`) the
+    /// one in the earliest row survives.
     pub fn active_domain(&self, col_idx: usize) -> Vec<Value> {
-        let mut vals: Vec<Value> = self
+        // Sort references, so only the surviving values are cloned.
+        let mut vals: Vec<&Value> = self
             .rows
             .iter()
-            .filter_map(|r| r.tuple.get(col_idx).cloned())
+            .filter_map(|r| r.tuple.get(col_idx))
             .collect();
         vals.sort();
         vals.dedup();
-        vals
+        vals.into_iter().cloned().collect()
     }
 }
 
@@ -516,6 +522,116 @@ mod tests {
             j.active_domain(d_idx),
             vec![Value::Int(20), Value::Int(25), Value::Int(40)]
         );
+    }
+
+    #[test]
+    fn active_domain_is_sorted_distinct_and_keeps_the_first_equal_value() {
+        let t = Table::with_rows(
+            TableSchema::new(
+                "M",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::nullable("n", DataType::Int),
+                    ColumnDef::nullable("x", DataType::Float),
+                    ColumnDef::nullable("s", DataType::Text),
+                    ColumnDef::nullable("b", DataType::Bool),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&["id"])
+            .unwrap(),
+            vec![
+                Tuple::new(vec![
+                    Value::Int(1),
+                    Value::Int(7),
+                    Value::Float(0.0),
+                    Value::Text("pear".into()),
+                    Value::Bool(true),
+                ]),
+                Tuple::new(vec![
+                    Value::Int(2),
+                    Value::Null,
+                    Value::Float(f64::NAN),
+                    Value::Null,
+                    Value::Null,
+                ]),
+                Tuple::new(vec![
+                    Value::Int(3),
+                    Value::Int(-2),
+                    Value::Float(-0.0),
+                    Value::Text("apple".into()),
+                    Value::Bool(true),
+                ]),
+                Tuple::new(vec![
+                    Value::Int(4),
+                    Value::Int(7),
+                    Value::Null,
+                    Value::Text("pear".into()),
+                    Value::Bool(false),
+                ]),
+                Tuple::new(vec![
+                    Value::Int(5),
+                    Value::Null,
+                    Value::Float(-1.5),
+                    Value::Text("".into()),
+                    Value::Null,
+                ]),
+                Tuple::new(vec![
+                    Value::Int(6),
+                    Value::Int(-2),
+                    Value::Float(f64::NAN),
+                    Value::Text("apple".into()),
+                    Value::Bool(false),
+                ]),
+            ],
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_table(t).unwrap();
+        let j = foreign_key_join(&db, &["M".to_string()]).unwrap();
+        let domain = |name: &str| j.active_domain(j.resolve_column(name).unwrap());
+
+        assert_eq!(
+            domain("n"),
+            vec![Value::Null, Value::Int(-2), Value::Int(7)]
+        );
+        assert_eq!(
+            domain("s"),
+            vec![
+                Value::Null,
+                Value::Text("".into()),
+                Value::Text("apple".into()),
+                Value::Text("pear".into()),
+            ]
+        );
+        assert_eq!(
+            domain("b"),
+            vec![Value::Null, Value::Bool(false), Value::Bool(true)]
+        );
+        // Floats: NULL first, NaN last and once, and of the equal zeros the
+        // earlier row's +0.0 survives (`Value` equality cannot tell them
+        // apart, so compare the bits).
+        let x = domain("x");
+        assert_eq!(x.len(), 4, "{x:?}");
+        assert_eq!(x[0], Value::Null);
+        let bits: Vec<u64> = x[1..]
+            .iter()
+            .map(|v| match v {
+                Value::Float(f) => f.to_bits(),
+                other => panic!("not a float: {other:?}"),
+            })
+            .collect();
+        assert_eq!(bits[..2], [(-1.5f64).to_bits(), 0.0f64.to_bits()]);
+        assert!(f64::from_bits(bits[2]).is_nan());
+
+        // The first zero in row order decides the representative.
+        let mut flipped = db.clone();
+        let m = flipped.table_mut("M").unwrap();
+        m.update_cell(0, "x", Value::Float(-0.0)).unwrap();
+        m.update_cell(2, "x", Value::Float(0.0)).unwrap();
+        let j = foreign_key_join(&flipped, &["M".to_string()]).unwrap();
+        let x = j.active_domain(j.resolve_column("x").unwrap());
+        assert!(matches!(x[2], Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! [`HttpClient::post_idempotent`], which stamps an idempotency key into
 //! the body so the server replays the original response instead of
 //! re-executing — making *every* retry safe, not just provably-unprocessed
-//! ones.
+//! ones. A caller that repeats a request itself (say, after a `5xx` the
+//! policy gave up on) keeps it one logical request by minting the key once
+//! with [`HttpClient::idempotency_key`] and resending it through
+//! [`HttpClient::post_with_key`].
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -217,13 +220,24 @@ impl HttpClient {
     /// response. Use for the mutating session verbs (`answer`, `reject`,
     /// `park`). Requires an object body.
     pub fn post_idempotent(&mut self, path: &str, body: &Json) -> Result<(u16, Json)> {
+        let key = self.idempotency_key();
+        self.post_with_key(path, body, &key)
+    }
+
+    /// A fresh idempotency key, unique per logical request.
+    pub fn idempotency_key(&mut self) -> String {
+        self.idem_seq += 1;
+        format!("i{:016x}-{}", splitmix64(&mut self.rng), self.idem_seq)
+    }
+
+    /// [`Self::post_idempotent`] under a caller-chosen `key`: every send
+    /// with the same key is one logical request to the server, which
+    /// replays its remembered response instead of re-executing.
+    pub fn post_with_key(&mut self, path: &str, body: &Json, key: &str) -> Result<(u16, Json)> {
         let Json::Object(mut fields) = body.clone() else {
             return self.post(path, body);
         };
-        self.idem_seq += 1;
-        // Unique per logical request, stable across its retries.
-        let key = format!("i{:016x}-{}", splitmix64(&mut self.rng), self.idem_seq);
-        fields.push(("idem".to_string(), Json::Str(key)));
+        fields.push(("idem".to_string(), Json::Str(key.to_string())));
         self.request("POST", path, Some(Json::Object(fields).render()), true)
     }
 

@@ -9,18 +9,20 @@
 //! `qfe` crate:
 //!
 //! * [`relation`] — the in-memory relational substrate (tables, foreign keys,
-//!   joins, table edit distance), including the columnar evaluation layer
-//!   ([`ColumnarJoin`](relation::ColumnarJoin) +
+//!   joins and their active domains, table edit distance), plus a columnar
+//!   mirror of a join ([`ColumnarJoin`](relation::ColumnarJoin) +
 //!   [`Bitmap`](relation::Bitmap)): typed column vectors, dictionary-coded
-//!   strings and null bitmaps mirroring a join.
-//! * [`query`] — select-project-join queries, evaluation and SQL text. Hot
-//!   many-queries-one-join paths evaluate vectorized: each atomic term
-//!   compiles to a selection bitmap served from a shared
-//!   [`TermBitmapCache`](query::TermBitmapCache), and candidates are
-//!   assembled by bitmap AND/OR instead of row walks.
+//!   strings and null bitmaps.
+//! * [`query`] — select-project-join queries, evaluation and SQL text. One
+//!   query, or the candidates of one round, are evaluated row by row
+//!   ([`BoundQuery::evaluate`](query::BoundQuery::evaluate)); checking many
+//!   queries against one join runs vectorized instead: a
+//!   [`TermBitmapCache`](query::TermBitmapCache) builds and owns the join's
+//!   columnar mirror, each atomic term compiles to a cached selection
+//!   bitmap, and a query's selection is bitmap AND/OR.
 //! * [`qbo`] — the candidate-query generator (reverse engineering from a
 //!   database-result pair). Its generate-and-verify pass and the constant
-//!   mutation frontier are batched through one columnar mirror per join
+//!   mutation frontier are batched through one term-bitmap cache per join
 //!   ([`BatchVerifier`](qbo::BatchVerifier)), deduplicating verdicts by
 //!   projection-bitmap signature.
 //! * [`core`] — the paper's contribution: tuple classes, the user-effort cost
@@ -42,11 +44,10 @@
 //!   [`SessionBackend`](snapstore::SessionBackend) interface the server
 //!   serves, so the HTTP surface is identical at any shard count.
 //!
-//! The columnar mirror of a join is built **once per join** — with a
-//! session's `SessionJoin` and when a QBO verification pass starts. Within
-//! a session `D` never changes, so every feedback round's
-//! `GenerationContext` is built on the session's one `SessionJoin` (the
-//! database, the join, its mirror and its join index), and only the
+//! A columnar mirror is built only when a QBO verification pass starts, once
+//! per join schema. Within a session `D` never changes, so every feedback
+//! round's `GenerationContext` is built on the session's one `SessionJoin`
+//! (the database, the row join and its join index), and only the
 //! candidate-derived state (class space, source classes, outcome kernel) is
 //! built for the smaller candidate set.
 //!

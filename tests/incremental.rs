@@ -58,14 +58,14 @@ fn assert_round_equivalent(
     assert_eq!(a.best_binary_x, f.best_binary_x);
     assert_eq!(a.enumerated, f.enumerated);
 
-    // The advanced chain shares one columnar mirror, so the carried cache
-    // serves earlier rounds' bitmaps; they must equal bitmaps computed cold
-    // against the fresh context's own mirror.
-    let mut cold = TermBitmapCache::new();
+    // The advanced chain shares one session join, so a cache built on the
+    // chain's first round serves earlier rounds' bitmaps; they must equal
+    // bitmaps computed cold over the fresh context's own join.
+    let mut cold = TermBitmapCache::new(fresh.join());
     for (a, f) in advanced.bound_queries().iter().zip(fresh.bound_queries()) {
         assert_eq!(
-            a.selection_bitmap(advanced.columnar(), cache),
-            f.selection_bitmap(fresh.columnar(), &mut cold),
+            a.selection_bitmap(cache),
+            f.selection_bitmap(&mut cold),
             "carried term bitmap diverged from a cold one"
         );
     }
@@ -96,9 +96,9 @@ fn check_random_round_chains(
         let mut rng = StdRng::seed_from_u64(seed);
         let mut queries = candidates.to_vec();
         let mut ctx = GenerationContext::new(db, result, &queries).unwrap();
-        let mut cache = TermBitmapCache::new();
+        let mut cache = TermBitmapCache::new(ctx.join());
         for bound in ctx.bound_queries() {
-            let _ = bound.selection_bitmap(ctx.columnar(), &mut cache);
+            let _ = bound.selection_bitmap(&mut cache);
         }
         while queries.len() > 1 {
             let surviving = random_survivors(&mut rng, queries.len());
@@ -123,7 +123,7 @@ fn drive_rounds_checking_advance(db: &Database, result: &QueryResult, candidates
     let generator = DatabaseGenerator::default();
     let mut queries = candidates;
     let mut ctx = GenerationContext::new(db, result, &queries).unwrap();
-    let mut cache = TermBitmapCache::new();
+    let mut cache = TermBitmapCache::new(ctx.join());
     for _round in 0..8 {
         if queries.len() <= 1 {
             break;

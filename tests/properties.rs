@@ -15,7 +15,7 @@ use qfe::prelude::*;
 use qfe_core::{partition_numeric_domain, TupleClassSpace};
 use qfe_query::{evaluate, partition_queries, BoundQuery, Term};
 use qfe_relation::{
-    bag_equal_rows, foreign_key_join, min_edit_rows, ColumnDef, ColumnarJoin, Table, TableSchema,
+    bag_equal_rows, foreign_key_join, min_edit_rows, ColumnDef, JoinedRelation, Table, TableSchema,
     Tuple, Value,
 };
 
@@ -181,8 +181,7 @@ fn tuple_classes_agree_with_evaluation() {
             ),
         ];
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let space =
-            TupleClassSpace::build(&join, &ColumnarJoin::from_join(&join), &queries).unwrap();
+        let space = TupleClassSpace::build(&join, &queries).unwrap();
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join).unwrap())
@@ -489,21 +488,25 @@ fn random_mixed_query(rng: &mut StdRng) -> SpjQuery {
     }
 }
 
+/// The row evaluator's result of `query` over `join`.
+fn row_evaluate(query: &SpjQuery, join: &JoinedRelation) -> qfe_query::Result<QueryResult> {
+    Ok(BoundQuery::bind(query, join)?.evaluate(join))
+}
+
 #[test]
 fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
-    use qfe_query::{evaluate_on_join, TermBitmapCache};
+    use qfe_query::TermBitmapCache;
     let mut rng = StdRng::seed_from_u64(109);
     for _ in 0..48 {
         let db = build_mixed(&mut rng);
         let join = foreign_key_join(&db, &["T".to_string()]).unwrap();
-        let columnar = ColumnarJoin::from_join(&join);
-        let mut cache = TermBitmapCache::new();
+        let mut cache = TermBitmapCache::new(&join);
         for _ in 0..8 {
             let query = random_mixed_query(&mut rng);
             let bound = BoundQuery::bind(&query, &join).unwrap();
             // Bit-level agreement of the selection bitmap with the row
             // evaluator...
-            let bitmap = bound.selection_bitmap(&columnar, &mut cache);
+            let bitmap = bound.selection_bitmap(&mut cache);
             for (r, jr) in join.rows().iter().enumerate() {
                 assert_eq!(
                     bitmap.get(r),
@@ -512,7 +515,7 @@ fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
                 );
             }
             // ...and row-for-row agreement of the materialized results.
-            let row_result = evaluate_on_join(&query, &join).unwrap();
+            let row_result = row_evaluate(&query, &join).unwrap();
             let col_result = bound.materialize_selection(&join, &bitmap);
             assert_eq!(row_result.rows(), col_result.rows(), "{query}");
         }
@@ -591,8 +594,7 @@ fn swap_one_constant(
 
 #[test]
 fn verify_batch_agrees_with_per_query_row_verification() {
-    use qfe_qbo::{verify_batch, BatchVerifier, VerifyStats};
-    use qfe_query::evaluate_on_join;
+    use qfe_qbo::{BatchVerifier, VerifyStats};
     let mut rng = StdRng::seed_from_u64(111);
     let mut stats = VerifyStats::default();
     for case in 0..32 {
@@ -625,18 +627,21 @@ fn verify_batch_agrees_with_per_query_row_verification() {
             vec!["name"],
             DnfPredicate::single(Term::eq("wage", 1i64)),
         ));
-        let expected = evaluate_on_join(&frontier[0], &join).unwrap();
-        let verdicts = verify_batch(&join, &frontier, &expected);
+        let expected = row_evaluate(&frontier[0], &join).unwrap();
+        let verify_all = |verifier: &mut BatchVerifier| -> Vec<bool> {
+            frontier.iter().map(|q| verifier.verify(&join, q)).collect()
+        };
+        let verdicts = verify_all(&mut BatchVerifier::new(&join, &expected));
         assert_eq!(verdicts.len(), frontier.len());
         assert!(verdicts[0], "a query always reproduces its own result");
         for (query, &v) in frontier.iter().zip(&verdicts) {
-            let row_verdict = evaluate_on_join(query, &join)
+            let row_verdict = row_evaluate(query, &join)
                 .map(|r| r.bag_equal(&expected))
                 .unwrap_or(false);
             assert_eq!(v, row_verdict, "{query}");
         }
         let mut verifier = BatchVerifier::new(&join, &expected);
-        assert_eq!(verifier.verify_batch(&join, &frontier), verdicts);
+        assert_eq!(verify_all(&mut verifier), verdicts);
         stats.absorb(&verifier.stats());
     }
     // The run must reach the verifier's caches, not only its cold path.
@@ -647,7 +652,6 @@ fn verify_batch_agrees_with_per_query_row_verification() {
 #[test]
 fn qbo_candidates_and_grown_candidates_reproduce_the_result() {
     use qfe_qbo::{grow_candidates, QueryGenerator};
-    use qfe_query::evaluate_on_join;
     let mut rng = StdRng::seed_from_u64(112);
     let (mut checked, mut grown_total) = (0, 0);
     for _ in 0..16 {
@@ -673,9 +677,8 @@ fn qbo_candidates_and_grown_candidates_reproduce_the_result() {
         assert_eq!(grown[..generated.len()], generated[..]);
         grown_total += grown.len() - generated.len();
         for query in &grown {
-            let join = foreign_key_join(&db, &query.tables).unwrap();
             assert!(
-                evaluate_on_join(query, &join).unwrap().bag_equal(&result),
+                evaluate(query, &db).unwrap().bag_equal(&result),
                 "{query} does not reproduce R"
             );
         }
