@@ -5,8 +5,9 @@
 //! the candidate set `QC'`, so the state comes in two parts:
 //!
 //! * [`SessionJoin`], built once per session and shared by `Arc`: the
-//!   example pair `(D, R)`, the candidates' foreign-key join and its join
-//!   index (for side-effect accounting, Section 5.4.1). The engine reads
+//!   example pair `(D, R)`, the candidates' foreign-key join, its join
+//!   index (for side-effect accounting, Section 5.4.1) and its columns'
+//!   active domains, each read on first use. The engine reads
 //!   only this row join; it keeps no columnar mirror, which would cost more
 //!   to build than the join itself on every session start and rehydrate.
 //!   QBO's verifier is where a mirror pays off.
@@ -33,7 +34,7 @@ use qfe_relation::{foreign_key_join, Database, JoinIndex, JoinedRelation, Tuple}
 
 use crate::error::{QfeError, Result};
 use crate::kernel::{MatchScratch, OutcomeCodes, OutcomeKernel, PairStats};
-use crate::tuple_class::{TupleClass, TupleClassSpace};
+use crate::tuple_class::{ActiveDomains, TupleClass, TupleClassSpace};
 
 /// Which path [`GenerationContext::advance`] took for the relational state
 /// (database, join, join index).
@@ -75,8 +76,8 @@ impl ClassPair {
 }
 
 /// The session part of the generator's state: the example pair `(D, R)`,
-/// the join schema the candidates share, their foreign-key join and its
-/// join index. Fixed for a whole session; every round's
+/// the join schema the candidates share, their foreign-key join, its join
+/// index and its active domains. Fixed for a whole session; every round's
 /// [`GenerationContext`] shares it by `Arc`.
 #[derive(Debug)]
 pub struct SessionJoin {
@@ -85,6 +86,8 @@ pub struct SessionJoin {
     join_tables: Vec<String>,
     join: JoinedRelation,
     join_index: JoinIndex,
+    /// The join's active domains, each read once per session.
+    domains: ActiveDomains,
 }
 
 impl SessionJoin {
@@ -96,12 +99,14 @@ impl SessionJoin {
     ) -> Result<Self> {
         let join = foreign_key_join(&db, &join_tables)?;
         let join_index = JoinIndex::build(&join);
+        let domains = ActiveDomains::new(&join);
         Ok(SessionJoin {
             db,
             original_result,
             join_tables,
             join,
             join_index,
+            domains,
         })
     }
 }
@@ -183,7 +188,7 @@ impl GenerationContext {
             return Err(QfeError::MixedJoinSchemas);
         }
         let join = &session.join;
-        let space = TupleClassSpace::build(join, &queries)?;
+        let space = TupleClassSpace::build(join, &session.domains, &queries)?;
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, join))
@@ -509,6 +514,34 @@ mod tests {
     use super::*;
     use qfe_query::{ComparisonOp, DnfPredicate, Term};
     use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema, Value};
+
+    #[test]
+    fn cached_active_domains_equal_the_join_domains_on_a_small_workload() {
+        // Adult at the Small scale (the benchmark's U1/U2 workload).
+        let workload = qfe_datasets::adult_scaled(5, 600);
+        let target = workload.query("U2").unwrap();
+        let queries: Vec<SpjQuery> = workload
+            .queries
+            .iter()
+            .filter(|q| q.join_signature() == target.join_signature())
+            .cloned()
+            .collect();
+        assert!(queries.len() >= 2);
+        let result = workload.example_result("U2").unwrap();
+        let first = GenerationContext::new(&workload.database, &result, &queries).unwrap();
+        // A later round reads the domains the first one cached.
+        let second =
+            GenerationContext::for_round(Arc::clone(first.session_join()), queries[1..].to_vec())
+                .unwrap();
+        let session = second.session_join();
+        for col in 0..session.join.arity() {
+            assert_eq!(
+                session.domains.get(&session.join, col),
+                session.join.active_domain(col).as_slice(),
+                "column {col}"
+            );
+        }
+    }
 
     fn employee_context() -> GenerationContext {
         let employee = Table::with_rows(

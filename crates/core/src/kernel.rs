@@ -25,13 +25,27 @@
 //! One pair's partition is four popcounts ([`PairStats`]). The subset search
 //! (Algorithm 4) groups the candidates under *sets* of skyline pairs, so it
 //! reads each pair's per-candidate outcome codes once into an
-//! [`OutcomeCodes`] table and partitions every set from that table.
+//! [`OutcomeCodes`] table, which also groups the pairs by identical code
+//! row (a few dozen distinct rows on skylines of thousands of pairs).
+//!
+//! A set's groups come from splitting one group of all candidates by each
+//! pair's code, stably, from the last pair to the first, so their order is
+//! fixed and [`crate::cost::balance_score`] sums in that order. Adding a
+//! pair `p` to a parent set splits, by `p`'s code, the groups that the
+//! parent's pairs after `p` form (the *suffix runs* of `p`'s insertion
+//! slot); the parent's earlier pairs then split each part exactly as they
+//! split its run. So the extension's groups are, run by run, code by code,
+//! the parent's groups inside the run in parent order, each cut to the
+//! candidates with that code. That sequence depends only on `p`'s code row
+//! and slot, so [`OutcomeCodes::refining_extensions`] scores each (row,
+//! slot) once per parent from per-group code counts, and its balances are
+//! bit-identical to grouping each extension on its own.
 //!
 //! Everything is immutable after construction, so the kernel — and with it
 //! the whole `GenerationContext` — is `Sync`. Each context builds its own
 //! kernel; nothing is carried across rounds.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use qfe_query::SpjQuery;
 use qfe_relation::JoinedRelation;
@@ -98,19 +112,45 @@ impl PairStats {
 
 /// The Lemma 5.1 outcome code (`0 = Unchanged, 1 = Added, 2 = Removed,
 /// 3 = Replaced`) of every candidate under every pair of a pair list, one row
-/// of `query_count` codes per pair. Built by
-/// `GenerationContext::outcome_codes`.
+/// of `query_count` codes per pair, and the pairs grouped by identical row.
+/// Built by `GenerationContext::outcome_codes`.
 #[derive(Debug, Clone)]
 pub(crate) struct OutcomeCodes {
     query_count: usize,
     codes: Vec<u8>,
+    /// Per distinct code row: the pairs that have it, ascending.
+    rows: Vec<Vec<usize>>,
 }
 
 impl OutcomeCodes {
-    /// A table from its rows, concatenated.
+    /// A table from its rows, concatenated; groups the pairs by row.
     pub fn new(query_count: usize, codes: Vec<u8>) -> OutcomeCodes {
-        debug_assert!(codes.len().is_multiple_of(query_count));
-        OutcomeCodes { query_count, codes }
+        debug_assert!(query_count > 0 && codes.len().is_multiple_of(query_count));
+        let mut row_index: HashMap<&[u8], usize> = HashMap::new();
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        for (pair, row) in codes.chunks_exact(query_count).enumerate() {
+            let r = *row_index.entry(row).or_insert_with(|| {
+                rows.push(Vec::new());
+                rows.len() - 1
+            });
+            rows[r].push(pair);
+        }
+        OutcomeCodes {
+            query_count,
+            codes,
+            rows,
+        }
+    }
+
+    /// The number of pairs.
+    fn pair_count(&self) -> usize {
+        self.codes.len() / self.query_count
+    }
+
+    /// The code row of the pairs in `self.rows[r]`.
+    fn row(&self, r: usize) -> &[u8] {
+        let pair = self.rows[r][0];
+        &self.codes[pair * self.query_count..(pair + 1) * self.query_count]
     }
 
     /// Pair `pair`'s code for query `q`.
@@ -126,9 +166,7 @@ impl OutcomeCodes {
     /// sort of per-candidate keys packing pair `i`'s code at bits `2i..2i+2`
     /// yields them. [`crate::cost::balance_score`] sums in this order, so the
     /// order is part of every balance Algorithm 4 compares.
-    ///
-    /// Starts from one group of all candidates and splits every group by
-    /// code, taking the pairs from the last to the first.
+    #[cfg(test)]
     pub fn partition_sizes(&self, indices: &[usize]) -> Vec<usize> {
         let (_, ends) = self.groups(indices);
         let mut start = 0;
@@ -141,18 +179,138 @@ impl OutcomeCodes {
             .collect()
     }
 
+    /// The balance score of [`Self::partition_sizes`].
+    #[cfg(test)]
+    pub fn balance(&self, indices: &[usize]) -> f64 {
+        crate::cost::balance_score(&self.partition_sizes(indices))
+    }
+
     /// The groups of [`Self::partition_sizes`]: the candidates in group
     /// order, and the end (exclusive) of each group in that list.
+    #[cfg(test)]
     fn groups(&self, indices: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let (order, mut runs) = self.suffix_groups(indices);
+        (order, runs.swap_remove(0))
+    }
+
+    /// The balance of every single-pair set `{p}`, indexed by pair.
+    pub fn single_balances(&self) -> Vec<f64> {
+        let mut balances = vec![f64::INFINITY; self.pair_count()];
+        self.extensions(&[], |pairs, balance| {
+            for &p in pairs {
+                balances[p] = balance;
+            }
+        });
+        balances
+    }
+
+    /// Every pair `p ∉ parent` (`parent` ascending) for which
+    /// `parent ∪ {p}` balances strictly lower than `parent`, ascending, with
+    /// that balance. Both balances are bit-identical to
+    /// [`crate::cost::balance_score`] over the sets' partition sizes.
+    pub fn refining_extensions(&self, parent: &[usize]) -> Vec<(usize, f64)> {
+        let mut slots: Vec<(&[usize], f64)> = Vec::new();
+        let bound = self.extensions(parent, |pairs, balance| slots.push((pairs, balance)));
+        let mut found: Vec<(usize, f64)> = slots
+            .into_iter()
+            .filter(|&(_, balance)| balance < bound)
+            .flat_map(|(pairs, balance)| pairs.iter().map(move |&p| (p, balance)))
+            .collect();
+        found.sort_unstable_by_key(|&(p, _)| p);
+        found
+    }
+
+    /// Enumerates the extensions `parent ∪ {p}`, `p ∉ parent`, by distinct
+    /// code row and insertion slot (the position `p` takes in `parent`):
+    /// calls `visit(pairs, balance)` once per (row, slot) that holds pairs,
+    /// with those pairs ascending and the balance they all share. Returns
+    /// the parent's own balance.
+    ///
+    /// Slot `t`'s runs are the groups the pairs `parent[t..]` form; the
+    /// extension's sizes are, run by run, code by code, the non-zero counts
+    /// of the parent's groups inside the run (see the module docs).
+    fn extensions<'a>(&'a self, parent: &[usize], mut visit: impl FnMut(&'a [usize], f64)) -> f64 {
+        let nq = self.query_count;
+        let (order, mut runs) = self.suffix_groups(parent);
+        let groups = runs[0].clone();
+        // Each candidate's parent group; each run's end as a group count.
+        let mut group_of = vec![0usize; nq];
+        let mut groups_before = vec![0usize; nq + 1];
+        let mut start = 0;
+        for (g, &end) in groups.iter().enumerate() {
+            for &q in &order[start..end] {
+                group_of[q] = g;
+            }
+            groups_before[end] = g + 1;
+            start = end;
+        }
+        for ends in &mut runs {
+            for end in ends.iter_mut() {
+                *end = groups_before[*end];
+            }
+        }
+        let mut sizes: Vec<usize> = Vec::with_capacity(4 * groups.len());
+        let mut start = 0;
+        sizes.extend(groups.iter().map(|&end| {
+            let size = end - start;
+            start = end;
+            size
+        }));
+        let parent_balance = crate::cost::balance_score(&sizes);
+
+        let pair_count = self.pair_count();
+        let mut counts = vec![0usize; 4 * groups.len()];
+        for (r, members) in self.rows.iter().enumerate() {
+            // `counts[4g + c]`: parent group `g`'s candidates with code `c`.
+            counts.fill(0);
+            for (q, &code) in self.row(r).iter().enumerate() {
+                counts[4 * group_of[q] + usize::from(code)] += 1;
+            }
+            for (t, ends) in runs.iter().enumerate() {
+                let lo = if t == 0 { 0 } else { parent[t - 1] + 1 };
+                let hi = parent.get(t).copied().unwrap_or(pair_count);
+                let from = members.partition_point(|&p| p < lo);
+                let to = members.partition_point(|&p| p < hi);
+                if from == to {
+                    continue;
+                }
+                sizes.clear();
+                let mut first = 0;
+                for &end in ends {
+                    for code in 0..4 {
+                        sizes.extend(
+                            (first..end)
+                                .map(|g| counts[4 * g + code])
+                                .filter(|&n| n > 0),
+                        );
+                    }
+                    first = end;
+                }
+                visit(&members[from..to], crate::cost::balance_score(&sizes));
+            }
+        }
+        parent_balance
+    }
+
+    /// Groups the candidates by the pairs `indices` (ascending): starts
+    /// from one group of all candidates and splits every group by code, stably,
+    /// taking the pairs from the last to the first. Returns the candidates in
+    /// final group order and, for every `t` in `0..=indices.len()`, the ends
+    /// (exclusive, in that list) of the groups `indices[t..]` form. Every
+    /// such group is a contiguous range of the final list, so `[0]` holds the
+    /// final groups and `[indices.len()]` is one group of all.
+    fn suffix_groups(&self, indices: &[usize]) -> (Vec<usize>, Vec<Vec<usize>>) {
         let nq = self.query_count;
         let mut order: Vec<usize> = (0..nq).collect();
         let mut next = vec![0usize; nq];
+        let mut runs = vec![Vec::new(); indices.len() + 1];
         // The end (exclusive) of each group in `order`.
         let mut ends = vec![nq];
         let mut next_ends = Vec::new();
-        for &pair in indices.iter().rev() {
+        for (t, &pair) in indices.iter().enumerate().rev() {
+            runs[t + 1].clone_from(&ends);
             if ends.len() == nq {
-                break; // all singletons: nothing left to split
+                continue; // all singletons: nothing left to split
             }
             let row = &self.codes[pair * nq..(pair + 1) * nq];
             next_ends.clear();
@@ -182,12 +340,8 @@ impl OutcomeCodes {
             std::mem::swap(&mut order, &mut next);
             std::mem::swap(&mut ends, &mut next_ends);
         }
-        (order, ends)
-    }
-
-    /// The balance score of [`Self::partition_sizes`].
-    pub fn balance(&self, indices: &[usize]) -> f64 {
-        crate::cost::balance_score(&self.partition_sizes(indices))
+        runs[0] = ends;
+        (order, runs)
     }
 }
 
@@ -593,7 +747,8 @@ mod tests {
         let mut db = Database::new();
         db.add_table(employee).unwrap();
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space =
+            TupleClassSpace::build(&join, &crate::ActiveDomains::new(&join), &queries).unwrap();
         (join, space, queries)
     }
 
@@ -756,6 +911,115 @@ mod tests {
             }
         }
         assert!(long_sets > 10, "too few sets of more than 32 pairs");
+    }
+
+    /// The pairs `p ∉ parent` whose extension balances strictly lower than
+    /// `parent`, ascending, each grouped on its own.
+    fn lower_extensions(table: &OutcomeCodes, parent: &[usize]) -> Vec<(usize, u64)> {
+        let bound = table.balance(parent);
+        (0..table.pair_count())
+            .filter(|p| !parent.contains(p))
+            .filter_map(|p| {
+                let mut extended = parent.to_vec();
+                extended.push(p);
+                extended.sort_unstable();
+                let balance = table.balance(&extended);
+                (balance < bound).then_some((p, balance.to_bits()))
+            })
+            .collect()
+    }
+
+    fn extension_bits(table: &OutcomeCodes, parent: &[usize]) -> Vec<(usize, u64)> {
+        table
+            .refining_extensions(parent)
+            .into_iter()
+            .map(|(p, balance)| (p, balance.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn refining_extensions_are_exactly_the_lower_balanced_extensions() {
+        let mut rng = 21u64;
+        let (mut parents, mut found, mut long, mut singletons) = (0, 0, 0, 0);
+        for case in 0..240u64 {
+            // Every fourth table has 2–6 candidates, so that parents often
+            // split them into singletons.
+            let nq = if case % 4 == 3 {
+                2 + (splitmix(&mut rng) % 5) as usize
+            } else {
+                2 + (splitmix(&mut rng) % 69) as usize
+            };
+            // A few distinct rows over a small alphabet, so that pairs share
+            // rows and groups merge.
+            let alphabet = 1 + case % 4;
+            let distinct = 1 + (splitmix(&mut rng) % 12) as usize;
+            let palette: Vec<Vec<u8>> = (0..distinct)
+                .map(|_| {
+                    (0..nq)
+                        .map(|_| (splitmix(&mut rng) % alphabet) as u8)
+                        .collect()
+                })
+                .collect();
+            let pair_count = 1 + (splitmix(&mut rng) % 64) as usize;
+            let codes: Vec<u8> = (0..pair_count)
+                .flat_map(|_| palette[(splitmix(&mut rng) % distinct as u64) as usize].clone())
+                .collect();
+            let table = OutcomeCodes::new(nq, codes);
+
+            for p in 0..pair_count {
+                assert_eq!(
+                    table.single_balances()[p].to_bits(),
+                    table.balance(&[p]).to_bits(),
+                    "case {case}: single {p}"
+                );
+            }
+            for _ in 0..4 {
+                // A random parent of 1–40 pairs (Fisher–Yates prefix).
+                let size = 1 + (splitmix(&mut rng) % 40) as usize % pair_count;
+                let mut shuffled: Vec<usize> = (0..pair_count).collect();
+                for i in 0..size {
+                    let j = i + (splitmix(&mut rng) % (pair_count - i) as u64) as usize;
+                    shuffled.swap(i, j);
+                }
+                let mut parent = shuffled[..size].to_vec();
+                parent.sort_unstable();
+                let expected = lower_extensions(&table, &parent);
+                assert_eq!(
+                    extension_bits(&table, &parent),
+                    expected,
+                    "case {case}: parent {parent:?}"
+                );
+                parents += 1;
+                found += expected.len();
+                long += usize::from(parent.len() > 32);
+                singletons += usize::from(table.partition_sizes(&parent).len() == nq);
+            }
+        }
+        assert!(found > 100, "too few refining extensions ({found})");
+        assert!(long > 10, "too few parents of more than 32 pairs ({long})");
+        assert!(
+            singletons > 10,
+            "too few all-singleton parents ({singletons})"
+        );
+        assert_eq!(parents, 960);
+
+        // An extension with its parent's groups, reordered: sizes
+        // [1,1,1,1,2,1] → [1,1,1,1,1,2] sum one ulp lower, and the search
+        // keeps that acceptance.
+        let table = OutcomeCodes::new(
+            7,
+            [
+                [0, 1, 2, 3, 0, 0, 1],
+                [0, 0, 0, 0, 1, 1, 1],
+                [0, 0, 0, 0, 1, 1, 0],
+            ]
+            .concat(),
+        );
+        assert_eq!(table.partition_sizes(&[0, 1]), [1, 1, 1, 1, 2, 1]);
+        assert_eq!(table.partition_sizes(&[0, 1, 2]), [1, 1, 1, 1, 1, 2]);
+        let lower = table.balance(&[0, 1, 2]);
+        assert!(lower < table.balance(&[0, 1]));
+        assert_eq!(extension_bits(&table, &[0, 1]), [(2, lower.to_bits())]);
     }
 
     #[test]

@@ -203,4 +203,4 @@ pub use skyline::{
     skyline_stc_dtc_pairs, skyline_stc_dtc_pairs_memoized, SkylineMemo, SkylineOutcome,
 };
 pub use stats::{IterationStats, SessionReport};
-pub use tuple_class::{SelectionAttribute, TupleClass, TupleClassSpace};
+pub use tuple_class::{ActiveDomains, SelectionAttribute, TupleClass, TupleClassSpace};

@@ -9,9 +9,16 @@
 //!
 //! The class-level partition of a set comes from one table, built once per
 //! call: every skyline pair's Lemma 5.1 outcome code for every candidate
-//! (`GenerationContext::outcome_codes`). A set's balance groups the
-//! candidates by their codes under the set's pairs, so no set materializes
-//! its pairs or touches the kernel.
+//! (`GenerationContext::outcome_codes`), with the pairs grouped by identical
+//! code row. Skylines of thousands of pairs have a few dozen distinct rows
+//! at most, and an extension's balance depends only on the added pair's row
+//! and on where it falls among the parent's pairs (its slot). So each parent
+//! groups its candidates once, scores every (row, slot) once
+//! (`OutcomeCodes::refining_extensions`) and visits only the pairs of the
+//! rows that score below it, in ascending pair order. The balances are
+//! bit-identical to grouping each extension on its own, and the visits come
+//! in the order a probe of every pair would make them, so the chosen set,
+//! the level caps and the count of cost evaluations are too.
 //!
 //! A level visits each extension once, from the first parent that generates
 //! it: the set `E = parent_k ∪ {p}` was already generated in this level
@@ -129,11 +136,10 @@ pub fn pick_stc_dtc_subset(
     };
 
     // Steps 1–8: single-pair sets.
-    let mut current_level: Vec<(Vec<usize>, f64)> = Vec::new(); // (indices, abstract balance)
-    for i in 0..skyline.len() {
-        let abstract_balance = codes.balance(&[i]);
-        current_level.push((vec![i], abstract_balance));
-        evaluate_set(&[i], abstract_balance);
+    let mut current_level: Vec<Vec<usize>> = Vec::new();
+    for (i, balance) in codes.single_balances().into_iter().enumerate() {
+        current_level.push(vec![i]);
+        evaluate_set(&[i], balance);
     }
 
     // Steps 9–21: extend sets while the balance score improves.
@@ -143,14 +149,14 @@ pub fn pick_stc_dtc_subset(
         let position: HashMap<&[usize], usize> = current_level
             .iter()
             .enumerate()
-            .map(|(k, (indices, _))| (indices.as_slice(), k))
+            .map(|(k, indices)| (indices.as_slice(), k))
             .collect();
-        let mut next_level: Vec<(Vec<usize>, f64)> = Vec::new();
-        'level: for (k, (indices, balance)) in current_level.iter().enumerate() {
-            for p in 0..skyline.len() {
-                let Err(at) = indices.binary_search(&p) else {
-                    continue;
-                };
+        let mut next_level: Vec<Vec<usize>> = Vec::new();
+        'level: for (k, indices) in current_level.iter().enumerate() {
+            for (p, extended_balance) in codes.refining_extensions(indices) {
+                let at = indices
+                    .binary_search(&p)
+                    .expect_err("an extension adds a pair outside its parent");
                 extended.clear();
                 extended.extend_from_slice(indices);
                 extended.insert(at, p);
@@ -165,13 +171,10 @@ pub fn pick_stc_dtc_subset(
                 if generated_earlier {
                     continue;
                 }
-                let extended_balance = codes.balance(&extended);
-                if extended_balance < *balance {
-                    evaluate_set(&extended, extended_balance);
-                    next_level.push((extended.clone(), extended_balance));
-                    if next_level.len() >= MAX_SETS_PER_LEVEL {
-                        break 'level;
-                    }
+                evaluate_set(&extended, extended_balance);
+                next_level.push(extended.clone());
+                if next_level.len() >= MAX_SETS_PER_LEVEL {
+                    break 'level;
                 }
             }
         }

@@ -10,6 +10,7 @@
 //! tuple edits.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use qfe_query::{BoundQuery, SpjQuery};
 use qfe_relation::{JoinedRelation, Tuple, Value};
@@ -42,11 +43,40 @@ pub struct TupleClassSpace {
     attributes: Vec<SelectionAttribute>,
 }
 
+/// Every column's active domain of one join
+/// ([`JoinedRelation::active_domain`]), computed on first use and kept.
+/// Within a session `D`, and so every domain, is fixed: the session's
+/// [`SessionJoin`](crate::SessionJoin) holds one, so each round's class
+/// space reads a column's domain without sorting the column again.
+#[derive(Debug)]
+pub struct ActiveDomains {
+    columns: Vec<OnceLock<Vec<Value>>>,
+}
+
+impl ActiveDomains {
+    /// An empty cache for the columns of `join`.
+    pub fn new(join: &JoinedRelation) -> ActiveDomains {
+        ActiveDomains {
+            columns: (0..join.arity()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Column `col`'s active domain in `join`, the join this cache was made
+    /// for.
+    pub fn get(&self, join: &JoinedRelation, col: usize) -> &[Value] {
+        self.columns[col].get_or_init(|| join.active_domain(col))
+    }
+}
+
 impl TupleClassSpace {
     /// Builds the tuple-class space: resolves every selection-predicate
     /// attribute of `queries` against `join` and partitions its active
-    /// domain ([`JoinedRelation::active_domain`]).
-    pub fn build(join: &JoinedRelation, queries: &[SpjQuery]) -> Result<Self> {
+    /// domain, read from `domains` (a cache for `join`).
+    pub fn build(
+        join: &JoinedRelation,
+        domains: &ActiveDomains,
+        queries: &[SpjQuery],
+    ) -> Result<Self> {
         // Group predicate terms by resolved column index.
         let mut terms_by_col: BTreeMap<usize, Vec<qfe_query::Term>> = BTreeMap::new();
         for q in queries {
@@ -62,12 +92,12 @@ impl TupleClassSpace {
             let meta = join.column_at(col).ok_or_else(|| QfeError::Internal {
                 message: format!("column {col} out of range"),
             })?;
-            let active_domain = join.active_domain(col);
+            let active_domain = domains.get(join, col);
             let term_refs: Vec<&qfe_query::Term> = terms.iter().collect();
             let blocks = if meta.data_type.is_numeric() {
-                partition_numeric_domain_for(&term_refs, &active_domain, meta.data_type)
+                partition_numeric_domain_for(&term_refs, active_domain, meta.data_type)
             } else {
-                partition_categorical_domain(&term_refs, &active_domain)
+                partition_categorical_domain(&term_refs, active_domain)
             };
             attributes.push(SelectionAttribute {
                 column: col,
@@ -327,7 +357,7 @@ mod tests {
     };
 
     fn space_of(join: &JoinedRelation, queries: &[SpjQuery]) -> TupleClassSpace {
-        TupleClassSpace::build(join, queries).unwrap()
+        TupleClassSpace::build(join, &ActiveDomains::new(join), queries).unwrap()
     }
 
     fn employee_setup() -> (JoinedRelation, Vec<SpjQuery>) {

@@ -15,13 +15,18 @@
 //! * Sockets carry read *and* write timeouts, and each request has a
 //!   **deadline** from its first byte to its last — a slow-loris client
 //!   trickling headers gets `408`, not a parked worker.
+//! * A keep-alive connection holds its worker only while no other accepted
+//!   connection is queued: a response written while one is queued carries
+//!   `Connection: close`, and an idle connection waiting for its next
+//!   request is closed as soon as one is queued. Clients that think between
+//!   requests cannot hold every worker.
 //! * Header count and total header bytes are bounded separately from the
 //!   16 KiB head limit; exceeding either is a `431`, not a hangup.
 //! * [`Server::shutdown_graceful`] stops accepting, lets in-flight requests
 //!   finish (forcing `Connection: close` on their responses so keep-alive
 //!   connections wind down), and reports whether the drain completed.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -239,19 +244,64 @@ struct Shared {
     queued: AtomicUsize,
 }
 
-/// Serves one connection until it closes, errors, or asks to close.
+/// How often a worker waiting for a request's first byte checks whether
+/// another accepted connection is queued for a worker.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
+/// Waits for the first byte of the next request on an idle connection.
+/// Returns `false` (close the connection) on EOF or error, after
+/// `read_timeout` of silence, or once another accepted connection is queued,
+/// so idle keep-alive clients cannot hold every worker. Closing here is
+/// safe: the server has read nothing of a request the peer may be sending,
+/// which the peer sees as a stale connection it can resend on.
+fn await_request(
+    reader: &mut BufReader<TcpStream>,
+    shared: &Shared,
+    read_timeout: Duration,
+) -> bool {
+    if !reader.buffer().is_empty() {
+        return true;
+    }
+    let started = Instant::now();
+    let _ = reader
+        .get_ref()
+        .set_read_timeout(Some(IDLE_POLL.min(read_timeout)));
+    let ready = loop {
+        match reader.fill_buf() {
+            Ok(bytes) => break !bytes.is_empty(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                if shared.queued.load(Ordering::SeqCst) > 0 || started.elapsed() >= read_timeout {
+                    break false;
+                }
+            }
+            Err(_) => break false,
+        }
+    };
+    let _ = reader.get_ref().set_read_timeout(Some(read_timeout));
+    ready
+}
+
+/// Serves one connection until it closes, errors, asks to close, or idles
+/// while another connection waits for a worker.
 fn serve_connection(
     stream: TcpStream,
     handler: &dyn Handler,
     shared: &Shared,
     config: &ServerConfig,
 ) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     // Interactive request/response traffic: latency beats batching.
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
     loop {
+        if !await_request(&mut reader, shared, config.read_timeout) {
+            return;
+        }
         match read_request(&mut reader, config.request_deadline) {
             Parsed::Eof => return,
             Parsed::Bad(status, message) => {
@@ -262,9 +312,12 @@ fn serve_connection(
             Parsed::Ok(request, keep_alive) => {
                 shared.in_flight.fetch_add(1, Ordering::SeqCst);
                 let response = handler.handle(&request);
-                // While draining, close after this response so the
-                // connection cannot start another request.
-                let keep_alive = keep_alive && !shared.draining.load(Ordering::SeqCst);
+                // While draining, or while another connection waits for a
+                // worker, close after this response so this worker is free
+                // for the next connection.
+                let keep_alive = keep_alive
+                    && !shared.draining.load(Ordering::SeqCst)
+                    && shared.queued.load(Ordering::SeqCst) == 0;
                 let written = write_response(reader.get_mut(), &response, keep_alive);
                 shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                 if !written || !keep_alive {
@@ -283,7 +336,9 @@ pub struct ServerConfig {
     /// Accepted connections that may wait for a worker before new arrivals
     /// are refused with `503` + `Retry-After`.
     pub queue_depth: usize,
-    /// Per-socket read timeout; a stalled client frees its worker.
+    /// Per-socket read timeout; a stalled client frees its worker, and an
+    /// idle keep-alive connection is closed after it even when no other
+    /// connection is queued.
     pub read_timeout: Duration,
     /// Per-socket write timeout; a non-reading client frees its worker.
     pub write_timeout: Duration,
@@ -667,6 +722,33 @@ mod tests {
         // The occupied and queued connections still complete normally.
         assert!(read_reply(&mut busy).contains("\"path\":\"/1\""));
         assert!(read_reply(&mut queued).contains("\"path\":\"/2\""));
+    }
+
+    #[test]
+    fn idle_keep_alive_connections_give_their_workers_back() {
+        let server = start();
+        let addr = server.local_addr();
+        // One idle keep-alive connection per worker: each was served once
+        // and its worker now waits for its next request.
+        let _idle: Vec<TcpStream> = (0..2)
+            .map(|i| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                let reply = roundtrip(
+                    &mut stream,
+                    &format!("GET /idle{i} HTTP/1.1\r\nHost: x\r\n\r\n"),
+                );
+                assert!(reply.contains("Connection: keep-alive"), "{reply}");
+                stream
+            })
+            .collect();
+        let started = Instant::now();
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        let reply = roundtrip(&mut fresh, "GET /fresh HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(reply.contains("\"path\":\"/fresh\""), "{reply}");
+        // Well under the 30 s read timeout the idle connections would
+        // otherwise hold their workers for.
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qfe::prelude::*;
-use qfe_core::{partition_numeric_domain, TupleClassSpace};
+use qfe_core::{partition_numeric_domain, ActiveDomains, TupleClassSpace};
 use qfe_query::{evaluate, partition_queries, BoundQuery, Term};
 use qfe_relation::{
     bag_equal_rows, foreign_key_join, min_edit_rows, ColumnDef, JoinedRelation, Table, TableSchema,
@@ -181,7 +181,7 @@ fn tuple_classes_agree_with_evaluation() {
             ),
         ];
         let join = foreign_key_join(&db, &["Employee".to_string()]).unwrap();
-        let space = TupleClassSpace::build(&join, &queries).unwrap();
+        let space = TupleClassSpace::build(&join, &ActiveDomains::new(&join), &queries).unwrap();
         let bound: Vec<BoundQuery> = queries
             .iter()
             .map(|q| BoundQuery::bind(q, &join).unwrap())
