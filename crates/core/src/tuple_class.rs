@@ -172,15 +172,10 @@ impl TupleClassSpace {
     /// every term).
     pub fn class_matches(&self, class: &TupleClass, query: &BoundQuery) -> bool {
         let rep: BTreeMap<usize, Value> = self.representative_values(class).into_iter().collect();
-        // Build a pseudo-tuple covering only the needed columns: the widest
-        // column index determines the length.
-        let width = query
-            .attribute_indices()
-            .iter()
-            .map(|(_, c)| *c + 1)
-            .chain(rep.keys().map(|c| c + 1))
-            .max()
-            .unwrap_or(0);
+        // Build a pseudo-tuple covering only the selection columns: the
+        // widest one determines the length, and every column the query's
+        // predicate reads is among them.
+        let width = rep.keys().next_back().map_or(0, |c| c + 1);
         let mut values = vec![Value::Null; width];
         for (col, v) in &rep {
             values[*col] = v.clone();

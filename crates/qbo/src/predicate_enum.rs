@@ -125,15 +125,16 @@ impl AttributeSpace {
         self.refs.is_empty()
     }
 
-    /// Evaluates a DNF predicate on one join row.
+    /// Evaluates a DNF predicate on one join row. A term over a column this
+    /// space does not know reads NULL, so it fails.
     pub fn matches(&self, join: &JoinedRelation, row: usize, pred: &DnfPredicate) -> bool {
         let tuple = &join.rows()[row].tuple;
-        let lookup = |name: &str| -> Value {
-            self.resolve(name)
-                .and_then(|i| tuple.get(i).cloned())
-                .unwrap_or(Value::Null)
+        let holds = |term: &Term| {
+            self.resolve(term.attribute())
+                .and_then(|i| tuple.get(i))
+                .is_some_and(|v| term.eval(v))
         };
-        pred.eval(&lookup)
+        pred.conjuncts().is_empty() || pred.conjuncts().iter().any(|c| c.terms().iter().all(holds))
     }
 
     /// True when `pred` selects exactly the positive rows of `split`.

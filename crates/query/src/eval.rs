@@ -1,9 +1,9 @@
 //! Query evaluation against databases and precomputed joins.
 
-use qfe_relation::{foreign_key_join, Bitmap, Database, JoinedRelation, Value};
+use qfe_relation::{foreign_key_join, Bitmap, Database, JoinedRelation};
 
 use crate::error::{QueryError, Result};
-use crate::predicate::DnfPredicate;
+use crate::predicate::Term;
 use crate::result::QueryResult;
 use crate::spj::SpjQuery;
 use crate::vectorized::TermBitmapCache;
@@ -19,38 +19,42 @@ use crate::vectorized::TermBitmapCache;
 pub struct BoundQuery {
     projection_idx: Vec<usize>,
     projection_names: Vec<String>,
-    /// (attribute name, resolved column index) for every predicate attribute.
-    attribute_idx: Vec<(String, usize)>,
-    predicate: DnfPredicate,
+    /// The predicate in DNF with each term bound to its join column: the
+    /// outer list is OR (empty ⇒ TRUE), each inner list is AND.
+    conjuncts: Vec<Vec<(usize, Term)>>,
     distinct: bool,
 }
 
 impl BoundQuery {
     /// Resolves `query` against `join`.
     pub fn bind(query: &SpjQuery, join: &JoinedRelation) -> Result<Self> {
-        let mut projection_idx = Vec::with_capacity(query.projection.len());
-        for col in &query.projection {
-            let idx = join
-                .resolve_column(col)
+        let resolve = |column: &str| {
+            join.resolve_column(column)
                 .map_err(|_| QueryError::UnknownColumn {
-                    column: col.clone(),
-                })?;
-            projection_idx.push(idx);
-        }
-        let mut attribute_idx = Vec::new();
-        for attr in query.selection_attributes() {
-            let idx = join
-                .resolve_column(&attr)
-                .map_err(|_| QueryError::UnknownColumn {
-                    column: attr.clone(),
-                })?;
-            attribute_idx.push((attr, idx));
-        }
+                    column: column.to_string(),
+                })
+        };
+        let projection_idx = query
+            .projection
+            .iter()
+            .map(|col| resolve(col))
+            .collect::<Result<Vec<_>>>()?;
+        let conjuncts = query
+            .predicate
+            .conjuncts()
+            .iter()
+            .map(|conjunct| {
+                conjunct
+                    .terms()
+                    .iter()
+                    .map(|term| Ok((resolve(term.attribute())?, term.clone())))
+                    .collect::<Result<Vec<_>>>()
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(BoundQuery {
             projection_idx,
             projection_names: query.projection.clone(),
-            attribute_idx,
-            predicate: query.predicate.clone(),
+            conjuncts,
             distinct: query.distinct,
         })
     }
@@ -60,21 +64,15 @@ impl BoundQuery {
         &self.projection_idx
     }
 
-    /// Resolved predicate attributes as `(name, join column index)` pairs.
-    pub fn attribute_indices(&self) -> &[(String, usize)] {
-        &self.attribute_idx
-    }
-
-    /// Whether the predicate holds for a single joined row.
+    /// Whether the predicate holds for a single joined row. A term whose
+    /// column lies past the end of `row` reads NULL, so it fails.
     pub fn matches_row(&self, row: &qfe_relation::Tuple) -> bool {
-        let lookup = |name: &str| -> Value {
-            self.attribute_idx
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, idx)| row.get(*idx).cloned())
-                .unwrap_or(Value::Null)
-        };
-        self.predicate.eval(&lookup)
+        self.conjuncts.is_empty()
+            || self.conjuncts.iter().any(|terms| {
+                terms
+                    .iter()
+                    .all(|(col, term)| row.get(*col).is_some_and(|v| term.eval(v)))
+            })
     }
 
     /// Evaluates the bound query over the given join.
@@ -99,25 +97,14 @@ impl BoundQuery {
     /// per-term bitmaps).
     pub fn selection_bitmap(&self, cache: &mut TermBitmapCache) -> Bitmap {
         let rows = cache.columnar().len();
-        let conjuncts = self.predicate.conjuncts();
-        if conjuncts.is_empty() {
+        if self.conjuncts.is_empty() {
             return Bitmap::all_set(rows);
         }
         let mut acc = Bitmap::new(rows);
-        for conjunct in conjuncts {
+        for terms in &self.conjuncts {
             let mut selected = Bitmap::all_set(rows);
-            for term in conjunct.terms() {
-                match self
-                    .attribute_idx
-                    .iter()
-                    .find(|(n, _)| n == term.attribute())
-                {
-                    Some((_, col)) => {
-                        selected.and_assign(cache.term_bitmap(*col, term));
-                    }
-                    // Unresolvable attribute ⇒ NULL lookup ⇒ the term fails.
-                    None => selected = Bitmap::new(rows),
-                }
+            for (col, term) in terms {
+                selected.and_assign(cache.term_bitmap(*col, term));
                 if selected.is_zero() {
                     break;
                 }
@@ -168,8 +155,8 @@ pub fn evaluate(query: &SpjQuery, db: &Database) -> Result<QueryResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::{ComparisonOp, DnfPredicate, Term};
-    use qfe_relation::{tuple, ColumnDef, DataType, ForeignKey, Table, TableSchema};
+    use crate::predicate::{ComparisonOp, Conjunct, DnfPredicate, Term};
+    use qfe_relation::{tuple, ColumnDef, DataType, ForeignKey, Table, TableSchema, Tuple, Value};
 
     /// The Employee database of the paper's Example 1.1.
     fn employee_db() -> Database {
@@ -345,7 +332,6 @@ mod tests {
         let join = foreign_key_join(&db, &query.tables).unwrap();
         let bound = BoundQuery::bind(&query, &join).unwrap();
         assert_eq!(bound.projection_indices().len(), 1);
-        assert_eq!(bound.attribute_indices().len(), 1);
         let r2 = bound.evaluate(&join);
         assert!(r.bag_equal(&r2));
     }
@@ -363,5 +349,60 @@ mod tests {
             .collect();
         assert_eq!(matching, vec![false, true, false, true]);
         assert_eq!(bound.evaluate(&join).len(), 2);
+    }
+
+    /// An Employee join row with the given `gender` and `salary`.
+    fn employee_row(join: &JoinedRelation, gender: Value, salary: Value) -> Tuple {
+        let mut row = join.rows()[0].tuple.clone();
+        row.values_mut()[join.resolve_column("gender").unwrap()] = gender;
+        row.values_mut()[join.resolve_column("salary").unwrap()] = salary;
+        row
+    }
+
+    fn bind_employee(pred: DnfPredicate) -> (BoundQuery, JoinedRelation) {
+        let join = foreign_key_join(&employee_db(), &["Employee".to_string()]).unwrap();
+        (BoundQuery::bind(&q(pred), &join).unwrap(), join)
+    }
+
+    #[test]
+    fn conjunct_eval_all_terms_must_hold() {
+        let (bound, join) = bind_employee(DnfPredicate::conjunction(vec![
+            Term::eq("gender", "M"),
+            Term::compare("salary", ComparisonOp::Gt, 4000i64),
+        ]));
+        let male = || Value::Text("M".into());
+        assert!(bound.matches_row(&employee_row(&join, male(), Value::Int(5000))));
+        assert!(!bound.matches_row(&employee_row(&join, male(), Value::Int(3000))));
+        assert!(!bound.matches_row(&employee_row(&join, male(), Value::Null)));
+    }
+
+    #[test]
+    fn dnf_eval_any_disjunct_suffices() {
+        // gender = 'M' OR salary > 4000 (queries Q1/Q2/Q3 of Example 1.1 are
+        // single-conjunct instances of this structure)
+        let (bound, join) = bind_employee(DnfPredicate::new(vec![
+            Conjunct::new(vec![Term::eq("gender", "M")]),
+            Conjunct::new(vec![Term::compare("salary", ComparisonOp::Gt, 4000i64)]),
+        ]));
+        let female = || Value::Text("F".into());
+        assert!(bound.matches_row(&employee_row(&join, female(), Value::Int(4100))));
+        assert!(!bound.matches_row(&employee_row(&join, female(), Value::Int(100))));
+        assert!(!bound.matches_row(&employee_row(&join, Value::Null, Value::Null)));
+    }
+
+    #[test]
+    fn empty_predicate_and_empty_conjunct_are_true() {
+        for pred in [
+            DnfPredicate::always_true(),
+            DnfPredicate::new(vec![Conjunct::default()]),
+            DnfPredicate::new(vec![
+                Conjunct::new(vec![Term::eq("gender", "M")]),
+                Conjunct::default(),
+            ]),
+        ] {
+            let (bound, join) = bind_employee(pred);
+            assert!(bound.matches_row(&employee_row(&join, Value::Null, Value::Null)));
+            assert_eq!(bound.evaluate(&join).len(), 4);
+        }
     }
 }

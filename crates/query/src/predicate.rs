@@ -235,11 +235,6 @@ impl Conjunct {
         self.terms.is_empty()
     }
 
-    /// Evaluates the conjunction; `lookup` maps attribute names to values.
-    pub fn eval(&self, lookup: &dyn Fn(&str) -> Value) -> bool {
-        self.terms.iter().all(|t| t.eval(&lookup(t.attribute())))
-    }
-
     /// Adds a term, returning the extended conjunction.
     pub fn and(mut self, term: Term) -> Self {
         self.terms.push(term);
@@ -310,14 +305,6 @@ impl DnfPredicate {
         self
     }
 
-    /// Evaluates the predicate; `lookup` maps attribute names to values.
-    pub fn eval(&self, lookup: &dyn Fn(&str) -> Value) -> bool {
-        if self.conjuncts.is_empty() {
-            return true;
-        }
-        self.conjuncts.iter().any(|c| c.eval(lookup))
-    }
-
     /// All attributes referenced by the predicate (sorted, deduplicated).
     /// These are the "selection-predicate attributes" whose domains the
     /// tuple-class machinery partitions.
@@ -375,16 +362,6 @@ impl fmt::Display for DnfPredicate {
 mod tests {
     use super::*;
 
-    fn lookup_for(pairs: Vec<(&'static str, Value)>) -> impl Fn(&str) -> Value {
-        move |name: &str| {
-            pairs
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Null)
-        }
-    }
-
     #[test]
     fn comparison_op_eval_and_negate() {
         assert!(ComparisonOp::Lt.eval(&Value::Int(1), &Value::Int(2)));
@@ -440,49 +417,9 @@ mod tests {
     }
 
     #[test]
-    fn conjunct_eval_all_terms_must_hold() {
-        let c = Conjunct::new(vec![
-            Term::eq("gender", "M"),
-            Term::compare("salary", ComparisonOp::Gt, 4000i64),
-        ]);
-        let lk = lookup_for(vec![
-            ("gender", Value::Text("M".into())),
-            ("salary", Value::Int(5000)),
-        ]);
-        assert!(c.eval(&lk));
-        let lk = lookup_for(vec![
-            ("gender", Value::Text("M".into())),
-            ("salary", Value::Int(3000)),
-        ]);
-        assert!(!c.eval(&lk));
-        assert!(Conjunct::default().eval(&lk), "empty conjunction is TRUE");
-    }
-
-    #[test]
-    fn dnf_eval_any_disjunct_suffices() {
-        // gender = 'M' OR salary > 4000 (queries Q1/Q2/Q3 of Example 1.1 are
-        // single-conjunct instances of this structure)
-        let p = DnfPredicate::new(vec![
-            Conjunct::new(vec![Term::eq("gender", "M")]),
-            Conjunct::new(vec![Term::compare("salary", ComparisonOp::Gt, 4000i64)]),
-        ]);
-        let lk = lookup_for(vec![
-            ("gender", Value::Text("F".into())),
-            ("salary", Value::Int(4100)),
-        ]);
-        assert!(p.eval(&lk));
-        let lk = lookup_for(vec![
-            ("gender", Value::Text("F".into())),
-            ("salary", Value::Int(100)),
-        ]);
-        assert!(!p.eval(&lk));
-    }
-
-    #[test]
     fn always_true_predicate() {
         let p = DnfPredicate::always_true();
         assert!(p.is_always_true());
-        assert!(p.eval(&lookup_for(vec![])));
         assert_eq!(p.to_string(), "TRUE");
         // a predicate with an empty conjunct is also always true
         let p = DnfPredicate::new(vec![Conjunct::default()]);

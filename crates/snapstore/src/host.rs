@@ -830,21 +830,30 @@ mod tests {
 
     #[test]
     fn a_workload_lost_from_the_store_is_rewritten_on_the_next_park() {
-        let root = std::env::temp_dir().join(format!("qfe-host-lost-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store: Arc<dyn SnapshotStore> = Arc::new(crate::DirStore::open(&root).unwrap());
+        let dir = std::env::temp_dir().join(format!("qfe-host-lost-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("sessions.log");
+        let store: Arc<dyn SnapshotStore> = Arc::new(crate::LogStore::open(&path).unwrap());
         let host = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
         let (session, target) = session_and_target(1);
         let id = host.create(&session).unwrap();
         let _ = host.step(id).unwrap();
         let first = host.park(id).unwrap();
         assert!(!first.workload_was_shared);
-        // Rehydrate (the cache now holds the workload), then lose the file.
+        // Rehydrate (the cache now holds the workload), then rot the log's
+        // workload record: fsck quarantines it, so the store has lost it.
         host.resume(id).unwrap();
-        let file = root
-            .join("workloads")
-            .join(format!("{}.json", first.workload_hash));
-        std::fs::remove_file(&file).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        let record = text
+            .find(&format!("w\t{}\t", first.workload_hash))
+            .expect("the workload record is in the log");
+        let last = record + text[record..].find('\n').unwrap() - 1;
+        bytes[last] ^= 0x20;
+        std::fs::write(&path, bytes).unwrap();
+        let report = store.fsck().unwrap();
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].namespace, "workloads");
         assert!(!store.has_workload(&first.workload_hash).unwrap());
 
         let again = host.park(id).unwrap();
@@ -855,6 +864,6 @@ mod tests {
         // A cold host resumes it from the rewritten copy.
         let cold = SessionHost::open(Arc::clone(&store), HostConfig::default()).unwrap();
         assert_eq!(drive(&cold, id, &target), target.label.clone().unwrap());
-        let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,8 +19,9 @@
 //! **quarantined** instead of being served: at open a failing record is
 //! dropped from the index (the previous version of the key, if any, stays
 //! live), and on every read the body is re-verified so post-open corruption
-//! fails just that record, never the host. Records written before the
-//! checksum era (three fields, no `c=`) are still readable, just unverified.
+//! fails just that record, never the host. A line of any other shape — a
+//! record without a checksum, or a hand-edited line — is quarantined too:
+//! every served body has been verified.
 //!
 //! Bodies are compact `qfe-wire` JSON, which escapes every control
 //! character, so a body never contains a literal tab or newline and the
@@ -40,8 +41,7 @@ use qfe_wire::content_hash;
 use crate::fsck::{FsckReport, QuarantinedRecord};
 use crate::store::{SnapshotStore, StoreError, StoreResult};
 
-/// Index entry: body byte range plus the record checksum (empty for
-/// pre-checksum records, which are served unverified).
+/// Index entry: body byte range plus the record checksum.
 type Span = (u64, usize, String);
 
 /// Checksum over the identity and content of a record — binding the kind
@@ -49,6 +49,26 @@ type Span = (u64, usize, String);
 /// verifying.
 fn record_checksum(kind: &str, key: &str, body: &str) -> String {
     content_hash(&format!("{kind}\t{key}\t{body}"))
+}
+
+/// The namespace a record kind lives in.
+fn namespace(kind: &str) -> &'static str {
+    if kind == "w" {
+        "workloads"
+    } else {
+        "sessions"
+    }
+}
+
+/// The quarantine entry for the line at byte `offset`, whose tab-separated
+/// fields (as far as the line has them) are `parts`.
+fn quarantine(parts: &[&str], offset: u64, reason: &str) -> QuarantinedRecord {
+    QuarantinedRecord {
+        namespace: namespace(parts[0]).to_string(),
+        key: parts.get(1).copied().unwrap_or_default().to_string(),
+        location: format!("offset {offset}"),
+        reason: reason.to_string(),
+    }
 }
 
 /// What one scan of the log text produced.
@@ -81,33 +101,30 @@ fn scan_log(text: &str) -> Scan {
             break;
         }
         let record = &line[..line.len() - 1];
-        let parts: Vec<&str> = record.splitn(4, '\t').collect();
-        let (kind, key, checksum, body, body_offset) = match parts.as_slice() {
-            [kind, key, sum, body] if sum.starts_with("c=") => {
-                let body_offset =
-                    line_start + (kind.len() + 1 + key.len() + 1 + sum.len() + 1) as u64;
-                (*kind, *key, &sum[2..], *body, body_offset)
-            }
-            // Pre-checksum record: kind, key, body (body has no tabs, so a
-            // three-way split is exact).
-            [kind, key, body] => {
-                let body_offset = line_start + (kind.len() + 1 + key.len() + 1) as u64;
-                (*kind, *key, "", *body, body_offset)
-            }
-            // Malformed line (hand-edited file): skip it rather than
-            // refuse to open — later records may still be fine.
-            _ => continue,
-        };
         scan.records += 1;
-        if !checksum.is_empty() && record_checksum(kind, key, body) != checksum {
-            scan.quarantined.push(QuarantinedRecord {
-                namespace: if kind == "w" { "workloads" } else { "sessions" }.to_string(),
-                key: key.to_string(),
-                location: format!("offset {line_start}"),
-                reason: "checksum mismatch".to_string(),
-            });
-            continue;
-        }
+        let parts: Vec<&str> = record.splitn(4, '\t').collect();
+        let verified = match parts.as_slice() {
+            [kind, key, sum, body] => match sum.strip_prefix("c=") {
+                Some(sum) if record_checksum(kind, key, body) == sum => {
+                    Ok((*kind, *key, sum, *body))
+                }
+                Some(_) => Err("checksum mismatch"),
+                None => Err("not a checksummed record"),
+            },
+            // A pre-checksum three-field line or a hand-edited one: nothing
+            // vouches for its bytes.
+            _ => Err("not a checksummed record"),
+        };
+        let (kind, key, checksum, body) = match verified {
+            Ok(fields) => fields,
+            Err(reason) => {
+                // Quarantined, not served; later records may still be fine.
+                scan.quarantined
+                    .push(quarantine(&parts, line_start, reason));
+                continue;
+            }
+        };
+        let body_offset = line_start + (record.len() - body.len()) as u64;
         let span = (body_offset, body.len(), checksum.to_string());
         match kind {
             "p" => {
@@ -240,7 +257,6 @@ impl LogStore {
             quarantined: scan.quarantined.clone(),
             torn_tail_bytes: torn_bytes,
             garbage_bytes: (text.len() as u64).saturating_sub(live_bytes + torn_bytes),
-            reclaimed_tmp_files: 0,
         };
         inner.sessions = scan.sessions;
         inner.workloads = scan.workloads;
@@ -308,10 +324,9 @@ impl LogStore {
             .map_err(|e| StoreError::new(context.to_string(), e))?;
         let body = String::from_utf8(buf)
             .map_err(|e| StoreError::new(context.to_string(), format!("record not UTF-8: {e}")))?;
-        if !checksum.is_empty() && record_checksum(kind, key, &body) != *checksum {
-            let namespace = if kind == "w" { "workloads" } else { "sessions" };
+        if record_checksum(kind, key, &body) != *checksum {
             inner.quarantined.push(QuarantinedRecord {
-                namespace: namespace.to_string(),
+                namespace: namespace(kind).to_string(),
                 key: key.to_string(),
                 location: format!("offset {offset}"),
                 reason: "checksum mismatch on read".to_string(),
@@ -603,19 +618,31 @@ mod tests {
     }
 
     #[test]
-    fn legacy_records_without_checksums_still_serve() {
+    fn records_without_checksums_are_quarantined() {
         let path = temp_log("legacy");
-        std::fs::write(&path, "p\told\t{\"v\":\"legacy\"}\n").unwrap();
+        // A pre-checksum three-field record and a malformed line: neither
+        // is served, both are reported.
+        std::fs::write(&path, "p\told\t{\"v\":\"legacy\"}\ngarbage\n").unwrap();
         let store = LogStore::open(&path).unwrap();
-        assert_eq!(
-            store.get_session("old").unwrap().unwrap(),
-            "{\"v\":\"legacy\"}"
-        );
-        // New writes get checksums; both formats coexist in one file.
+        assert_eq!(store.get_session("old").unwrap(), None);
+        assert!(store.session_keys().unwrap().is_empty());
+        let quarantined = store.quarantined();
+        assert_eq!(quarantined.len(), 2);
+        assert_eq!(quarantined[0].namespace, "sessions");
+        assert_eq!(quarantined[0].key, "old");
+        assert_eq!(quarantined[0].location, "offset 0");
+        assert!(quarantined[0].reason.contains("not a checksummed record"));
+        assert_eq!(quarantined[1].key, "");
+
+        // Checksummed writes after them serve, and fsck keeps reporting the
+        // unverifiable lines.
         store.put_session("new", "{\"v\":\"fresh\"}").unwrap();
         let reopened = LogStore::open(&path).unwrap();
-        assert_eq!(reopened.session_keys().unwrap(), vec!["new", "old"]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\tc="), "new records carry checksums");
+        assert_eq!(reopened.session_keys().unwrap(), vec!["new"]);
+        let report = reopened.fsck().unwrap();
+        assert!(!report.is_clean());
+        assert_eq!(report.quarantined.len(), 2);
+        assert_eq!(report.records_scanned, 3);
+        assert_eq!(report.live_sessions, 1);
     }
 }

@@ -124,12 +124,11 @@
 //!     --workers 8 --max-resident 512
 //! ```
 //!
-//! `--store` selects durability: `mem` (nothing survives a restart),
+//! `--store` selects durability: `mem` (nothing survives a restart) or
 //! `log:PATH` (one append-only file, index rebuilt at boot, torn trailing
-//! records truncated away), or `dir:PATH` (one JSON file per parked session —
-//! `ls`/`cat`/`rm` are your admin tools). With `--max-resident N`, the
-//! longest-idle sessions park to the store automatically whenever more than
-//! `N` engines are resident (a session a request is using waits for the
+//! records truncated away). With `--max-resident N`, the longest-idle
+//! sessions park to the store automatically whenever more than `N`
+//! engines are resident (a session a request is using waits for the
 //! next sweep, and a park the store refuses leaves the session resident
 //! without failing the request); any request to a parked session
 //! transparently rehydrates it. Parked state is split: the per-session document references
@@ -164,7 +163,7 @@
 //!
 //! # …and carry on later — an explicit resume, or just step again and the
 //! # host rehydrates on demand. This works across server restarts for the
-//! # log and dir stores.
+//! # log store.
 //! curl -s -X POST localhost:7878/sessions/1/resume
 //! curl -s localhost:7878/sessions/1/step
 //!
@@ -248,24 +247,20 @@
 //! test suite and the chaos bench; this section is the operator's map of
 //! what breaks, what the system does about it, and what is left to do.
 //!
-//! **A process dies mid-write.** Both durable stores are crash-safe at
-//! every byte offset (`tests/crashpoints.rs` kills them at each one). The
-//! log store frames one checksummed record per line — a torn trailing
-//! record is truncated away at the next open, rolling back to the previous
-//! accepted state. The dir store stages each document in a `.json.tmp`
-//! file and renames it into place; a kill before the rename leaves the old
-//! record serving and `fsck` reclaims the orphan.
+//! **A process dies mid-write.** The log store is crash-safe at every
+//! byte offset (`tests/crashpoints.rs` kills it at each one). It frames
+//! one checksummed record per line — a torn trailing record is truncated
+//! away at the next open, rolling back to the previous accepted state.
 //!
 //! **Bytes rot on disk.** Every record carries a content checksum
-//! (`c=<hash>` log fields, `#qfe-sum:` file headers) verified at open *and*
-//! on every read. A failing record is **quarantined** — dropped from the
-//! index (log) or renamed to `.quarantined` (dir) — failing only that
+//! (a `c=<hash>` field) verified at open *and* on every read. A failing
+//! record is **quarantined** — dropped from the index — failing only that
 //! record's session while the previous good version of the key, if any,
-//! keeps serving. [`LogStore::fsck`](snapstore::LogStore::fsck) /
-//! [`DirStore::fsck`](snapstore::DirStore::fsck) rescan everything and
-//! return an [`FsckReport`](snapstore::FsckReport): live counts, quarantined
-//! records with reasons, torn-tail and garbage bytes. Records from before
-//! the checksum era still serve, just unverified.
+//! keeps serving. A line that is not a checksummed record at all is
+//! quarantined the same way. [`LogStore::fsck`](snapstore::LogStore::fsck)
+//! rescans everything and returns an
+//! [`FsckReport`](snapstore::FsckReport): live counts, quarantined records
+//! with reasons, torn-tail and garbage bytes.
 //!
 //! **The server is overloaded or shutting down.** The accept queue is
 //! bounded: past `queue_depth` waiting connections the server sheds load
@@ -318,7 +313,7 @@ pub mod prelude {
     pub use qfe_relation::{DataType, Database, ForeignKey, Table, TableSchema, Tuple, Value};
     pub use qfe_server::{serve, HttpClient, ServerConfig, ServiceState};
     pub use qfe_snapstore::{
-        DirStore, HostConfig, LogStore, MemoryStore, SessionBackend, SessionHost, SnapshotStore,
+        HostConfig, LogStore, MemoryStore, SessionBackend, SessionHost, SnapshotStore,
     };
     pub use qfe_wire::{FromJson, Json, ToJson};
 }

@@ -1,0 +1,152 @@
+//! Golden transcripts: whole oracle-driven sessions on the Small examples
+//! whose skyline is never cut at δ, each diffed against its file under
+//! `tests/golden/`.
+//!
+//! A transcript is everything the session decides: the candidate SQL QBO
+//! generated, each round's database edits and result groups (as candidate
+//! numbers), the oracle's choice, and the final query. Any change to what a
+//! user sees fails here with the first line that differs. When a change is
+//! meant to alter it, re-record the files with
+//! `cargo test --test golden -- --ignored` and review their diff.
+//!
+//! The datasets use the seeds and sizes of `qfe_bench::Scale::Small`, and δ
+//! is 120 s so that the skyline runs to completion on any machine; the
+//! transcripts are then a function of the code alone.
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::time::Duration;
+
+use qfe::datasets::Workload;
+use qfe::prelude::*;
+
+/// The Small examples whose skyline is never cut at δ.
+const EXAMPLES: [&str; 3] = ["baseball/Q3", "adult/U1", "adult/U2"];
+
+const DELTA: Duration = Duration::from_secs(120);
+
+fn small_workload(dataset: &str) -> Workload {
+    match dataset {
+        "baseball" => qfe::datasets::baseball_scaled(11, 40, 48, 900),
+        "adult" => qfe::datasets::adult_scaled(5, 600),
+        other => panic!("no Small workload named {other}"),
+    }
+}
+
+fn golden_path(example: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{}.txt", example.replace('/', "-")))
+}
+
+/// Runs `example` (`dataset/label`) with an oracle user and renders what
+/// the session showed and decided.
+fn transcript(example: &str) -> String {
+    let (dataset, label) = example.split_once('/').expect("dataset/label");
+    let workload = small_workload(dataset);
+    let target = workload.query(label).expect("labelled query").clone();
+    let result = workload.example_result(label).expect("query evaluates");
+    let session = QfeSession::builder(workload.database, result)
+        .ensure_candidate(target.clone())
+        .with_params(CostParams::default().with_skyline_budget(DELTA))
+        .build()
+        .expect("session builds");
+    let oracle = OracleUser::new(target);
+    let mut engine = session.start();
+
+    let mut out = format!("# {example} (Small), delta = 120 s\n");
+    for (i, query) in engine.candidates().iter().enumerate() {
+        writeln!(out, "candidate {i}: {query}").unwrap();
+    }
+    loop {
+        let round = match engine.step().expect("session steps") {
+            Step::AwaitFeedback(round) => round,
+            Step::Done(outcome) => {
+                for it in &outcome.report.iterations {
+                    assert!(
+                        !it.skyline_timed_out,
+                        "{example}: a skyline was cut at delta, so the rounds depend on speed"
+                    );
+                }
+                writeln!(out, "final: {}", outcome.query).unwrap();
+                for query in &outcome.indistinguishable {
+                    writeln!(out, "indistinguishable: {query}").unwrap();
+                }
+                return out;
+            }
+        };
+        // A group's query indices point into the surviving candidates;
+        // write them as numbers of the initial list.
+        let remaining = engine.remaining_candidates();
+        let number = |i: usize| {
+            engine
+                .candidates()
+                .iter()
+                .position(|q| std::ptr::eq(q, remaining[i]))
+                .expect("a survivor is a candidate")
+        };
+        writeln!(out, "round {}", round.iteration).unwrap();
+        for edit in &round.database_delta.edits {
+            writeln!(out, "  edit: {edit}").unwrap();
+        }
+        for (g, choice) in round.choices.iter().enumerate() {
+            let members: Vec<usize> = choice.query_indices.iter().map(|&i| number(i)).collect();
+            writeln!(out, "  group {g}: candidates {members:?}").unwrap();
+        }
+        let choice = oracle.choose(&round).expect("oracle finds its result");
+        writeln!(out, "  choice: group {choice}").unwrap();
+        engine.answer(choice).expect("answer lands");
+    }
+}
+
+fn assert_matches_golden(example: &str) {
+    let path = golden_path(example);
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let actual = transcript(example);
+    if actual == golden {
+        return;
+    }
+    let (line, (want, got)) = golden
+        .lines()
+        .chain(std::iter::repeat("<end of file>"))
+        .zip(
+            actual
+                .lines()
+                .chain(std::iter::repeat("<end of transcript>")),
+        )
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+        .expect("texts differ in some line");
+    panic!(
+        "{example} differs from {} at line {}:\n  golden:  {want}\n  session: {got}\n\
+         (re-record with `cargo test --test golden -- --ignored` if the change is meant)",
+        path.display(),
+        line + 1,
+    );
+}
+
+#[test]
+fn baseball_q3_matches_its_golden_transcript() {
+    assert_matches_golden("baseball/Q3");
+}
+
+#[test]
+fn adult_u1_matches_its_golden_transcript() {
+    assert_matches_golden("adult/U1");
+}
+
+#[test]
+fn adult_u2_matches_its_golden_transcript() {
+    assert_matches_golden("adult/U2");
+}
+
+#[test]
+#[ignore = "rewrites the golden files; run only when a change is meant to alter the transcripts"]
+fn rewrite_golden_transcripts() {
+    for example in EXAMPLES {
+        let path = golden_path(example);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, transcript(example)).unwrap();
+    }
+}
