@@ -129,6 +129,9 @@ pub struct GenerationContext {
     /// to the base column's declared type (i.e. the block is realizable as a
     /// concrete cell edit).
     block_realizable: Vec<Vec<bool>>,
+    /// Per attribute, the position of its base table in the join's tables
+    /// (`None` when the table does not participate).
+    attribute_tables: Vec<Option<usize>>,
 }
 
 fn assert_sync_send<T: Sync + Send>() {}
@@ -202,6 +205,11 @@ impl GenerationContext {
         let modifiable = modifiable_attributes(&session.db, &space);
         let kernel = OutcomeKernel::build(&space, &queries, join, &projection_columns)?;
         let block_realizable = block_realizability(&session.db, &space);
+        let attribute_tables = space
+            .attributes()
+            .iter()
+            .map(|attr| join.table_position(&attr.table))
+            .collect();
 
         Ok(GenerationContext {
             session,
@@ -213,6 +221,7 @@ impl GenerationContext {
             projection_columns,
             kernel,
             block_realizable,
+            attribute_tables,
         })
     }
 
@@ -336,6 +345,12 @@ impl GenerationContext {
         self.block_realizable[pos][block]
     }
 
+    /// The position in [`Self::join`]'s tables of the base table behind
+    /// attribute position `pos` (resolved once per round).
+    pub(crate) fn attribute_table(&self, pos: usize) -> Option<usize> {
+        self.attribute_tables[pos]
+    }
+
     /// Number of candidate queries.
     pub fn query_count(&self) -> usize {
         self.queries.len()
@@ -422,36 +437,50 @@ impl GenerationContext {
     }
 
     /// Applies a set of cell edits *virtually* to the joined relation: for
-    /// every joined row containing an edited base tuple, returns
-    /// `(join row index, original tuple, patched tuple)`.
-    pub fn patched_join_rows(
+    /// every joined row containing an edited base tuple, in ascending row
+    /// order, returns `(join row index, original tuple, patched tuple)`. The
+    /// original tuple is borrowed from the join. Edits of the same row apply
+    /// in `edits` order.
+    pub(crate) fn patched_join_rows(
         &self,
         edits: &[crate::realize::CellEdit],
-    ) -> Vec<(usize, Tuple, Tuple)> {
+    ) -> Vec<(usize, &Tuple, Tuple)> {
         let join = self.join();
-        let mut patched: BTreeMap<usize, Tuple> = BTreeMap::new();
-        for edit in edits {
+        // Every (joined row, edit) hit, with the edit's join column resolved
+        // once: the column of the edited base cell.
+        let mut hits: Vec<(usize, usize)> = Vec::new();
+        let mut columns: Vec<Option<usize>> = Vec::with_capacity(edits.len());
+        for (e, edit) in edits.iter().enumerate() {
             let Some(table) = join.table_position(&edit.table) else {
+                columns.push(None);
                 continue;
             };
-            // The join column that originates from the edited base cell.
-            let column = join
-                .columns()
-                .iter()
-                .position(|c| c.table == edit.table && c.column == edit.column);
-            for &jrow in self.join_index().joined_rows_of(table, edit.row) {
-                let entry = patched
-                    .entry(jrow)
-                    .or_insert_with(|| join.rows()[jrow].tuple.clone());
-                if let Some(column) = column {
-                    entry.set(column, edit.new_value.clone());
-                }
+            columns.push(
+                join.columns()
+                    .iter()
+                    .position(|c| c.column == edit.column && c.table == edit.table),
+            );
+            hits.extend(
+                self.join_index()
+                    .joined_rows_of(table, edit.row)
+                    .iter()
+                    .map(|&jrow| (jrow, e)),
+            );
+        }
+        // By row, and within a row in edit order.
+        hits.sort_unstable();
+        let mut patched: Vec<(usize, &Tuple, Tuple)> = Vec::new();
+        for (jrow, e) in hits {
+            let old = &join.rows()[jrow].tuple;
+            if patched.last().is_none_or(|&(last, _, _)| last != jrow) {
+                patched.push((jrow, old, old.clone()));
+            }
+            if let Some(column) = columns[e] {
+                let new = &mut patched.last_mut().expect("pushed above").2;
+                new.set(column, edits[e].new_value.clone());
             }
         }
         patched
-            .into_iter()
-            .map(|(jrow, tuple)| (jrow, join.rows()[jrow].tuple.clone(), tuple))
-            .collect()
     }
 }
 

@@ -26,6 +26,13 @@
 //! before `k` (a level's parents are distinct). A map from parent to
 //! position checks that with `|parent_k|` lookups, so no generated set is
 //! stored.
+//!
+//! Each visited set is realized and evaluated exactly, side effects
+//! included ([`realize_pairs`], [`evaluate_modification`]). The set is
+//! realized straight from its indices into the skyline: no pair is cloned
+//! until the chosen set is returned. The evaluation touches each patched
+//! join row once and groups the candidates by their row-level code rows
+//! (one code per patched row), not by per-candidate projected tuples.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -65,7 +72,6 @@ pub struct PickOutcome {
 
 struct EvaluatedSet {
     indices: Vec<usize>,
-    pairs: Vec<ClassPair>,
     realized: RealizedModification,
     evaluation: ModificationEvaluation,
     cost: f64,
@@ -101,8 +107,7 @@ pub fn pick_stc_dtc_subset(
             return;
         }
         cost_evaluations.set(cost_evaluations.get() + 1);
-        let pairs: Vec<ClassPair> = indices.iter().map(|&i| skyline[i].clone()).collect();
-        let Some(realized) = realize_pairs(ctx, &pairs) else {
+        let Some(realized) = realize_pairs(ctx, indices.iter().map(|&i| &skyline[i])) else {
             return;
         };
         let evaluation = evaluate_modification(ctx, &realized.edits);
@@ -127,7 +132,6 @@ pub fn pick_stc_dtc_subset(
         }
         best.push(EvaluatedSet {
             indices: indices.to_vec(),
-            pairs,
             realized,
             evaluation,
             cost,
@@ -200,7 +204,7 @@ pub fn pick_stc_dtc_subset(
         })?;
 
     Ok(PickOutcome {
-        chosen: chosen.pairs,
+        chosen: chosen.indices.iter().map(|&i| skyline[i].clone()).collect(),
         realized: chosen.realized,
         evaluation: chosen.evaluation,
         cost: chosen.cost,

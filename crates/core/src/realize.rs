@@ -8,8 +8,21 @@
 //! tuples with no side effects (Section 5.4.1) and the evaluation of a
 //! realized modification accounts for all affected joined tuples through the
 //! join index.
+//!
+//! Algorithm 4 realizes and evaluates every candidate set it visits, so both
+//! steps avoid per-candidate copies:
+//!
+//! * [`realize_pairs`] reads each attribute's join-table position from the
+//!   round context and keys edited cells by integers (attribute position,
+//!   base row), in short vectors.
+//! * [`evaluate_modification`] handles each patched join row once: it
+//!   borrows the row's old tuple from the join and projects the old and new
+//!   tuples once per distinct candidate projection. Each candidate gets one
+//!   code row: one Lemma 5.1 code per patched row (none, removed, added,
+//!   replaced). The removed/added multisets are built once per distinct code
+//!   row, and code rows with equal multisets share a group.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use qfe_query::QueryResult;
 use qfe_relation::{min_edit_rows, Database, EditOp, Tuple, Value};
@@ -91,13 +104,25 @@ impl ModificationEvaluation {
 ///
 /// For every pair, a join row belonging to the source class is selected,
 /// preferring rows whose affected base tuples have the smallest join fan-out
-/// (fewest side effects) and that do not conflict with the edits already
-/// chosen for earlier pairs. Returns `None` when some pair has no realizable
-/// tuple (e.g. all members already used).
-pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<RealizedModification> {
-    let mut used_join_rows: BTreeSet<usize> = BTreeSet::new();
-    let mut edited_cells: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    let mut edits: Vec<CellEdit> = Vec::new();
+/// (fewest side effects), then the lowest join row, among the rows no
+/// earlier pair used and whose cells no earlier pair edited. Returns `None`
+/// when some pair has no realizable tuple (e.g. all members already used).
+///
+/// The bookkeeping is integer-keyed: a cell is its (attribute position, base
+/// row), since an attribute is one column of one base table, and the used
+/// join rows and the edits sit in short vectors (one entry per pair and per
+/// edit).
+pub fn realize_pairs<'a>(
+    ctx: &GenerationContext,
+    pairs: impl IntoIterator<Item = &'a ClassPair>,
+) -> Option<RealizedModification> {
+    let join = ctx.join();
+    let attributes = ctx.class_space().attributes();
+    let mut used_join_rows: Vec<usize> = Vec::new();
+    // (attribute position, base row, table position, destination block) of
+    // every edit.
+    let mut edited: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut tables: Vec<usize> = Vec::new();
 
     for pair in pairs {
         // A destination block whose representative cannot be stored in the
@@ -113,73 +138,66 @@ pub fn realize_pairs(ctx: &GenerationContext, pairs: &[ClassPair]) -> Option<Rea
         let members = ctx.source_classes().get(&pair.source)?;
         // The base table (its provenance column in the join) behind each
         // changed attribute.
-        let join = ctx.join();
-        let tables: Vec<usize> = pair
-            .changed_attributes
-            .iter()
-            .map(|&pos| join.table_position(&ctx.class_space().attributes()[pos].table))
-            .collect::<Option<_>>()?;
-        // Order candidate rows by total fan-out of the base tuples we would
-        // modify (ascending: prefer side-effect-free realizations).
-        let mut candidates: Vec<(usize, usize)> = members
-            .iter()
-            .filter(|r| !used_join_rows.contains(r))
-            .map(|&jrow| {
-                let fan_out: usize = tables
-                    .iter()
-                    .map(|&t| ctx.join_index().fan_out(t, join.provenance(t)[jrow]))
-                    .sum();
-                (fan_out, jrow)
-            })
-            .collect();
-        candidates.sort_unstable();
-
-        let mut realized_this_pair = false;
-        'candidate: for (_, jrow) in candidates {
-            let mut pair_edits: Vec<CellEdit> = Vec::new();
-            for (&pos, &t) in pair.changed_attributes.iter().zip(&tables) {
-                let attr = &ctx.class_space().attributes()[pos];
-                let base_row = join.provenance(t)[jrow];
-                let key = (attr.table.clone(), base_row, attr.base_column.clone());
-                if edited_cells.contains(&key) {
-                    continue 'candidate;
-                }
-                let new_value = attr.blocks[pair.destination[pos]].representative().clone();
-                pair_edits.push(CellEdit {
-                    table: attr.table.clone(),
-                    row: base_row,
-                    column: attr.base_column.clone(),
-                    new_value,
+        tables.clear();
+        for &pos in &pair.changed_attributes {
+            tables.push(ctx.attribute_table(pos)?);
+        }
+        // The first free row in (fan-out, join row) order: the total fan-out
+        // of the base tuples we would modify, ascending, prefers
+        // side-effect-free realizations.
+        let mut chosen: Option<(usize, usize)> = None;
+        for &jrow in members {
+            if used_join_rows.contains(&jrow) {
+                continue;
+            }
+            let fan_out: usize = tables
+                .iter()
+                .map(|&t| ctx.join_index().fan_out(t, join.provenance(t)[jrow]))
+                .sum();
+            if chosen.is_some_and(|best| best <= (fan_out, jrow)) {
+                continue;
+            }
+            let free = pair
+                .changed_attributes
+                .iter()
+                .zip(&tables)
+                .all(|(&pos, &t)| {
+                    let row = join.provenance(t)[jrow];
+                    !edited.iter().any(|e| (e.0, e.1) == (pos, row))
                 });
+            if free {
+                chosen = Some((fan_out, jrow));
             }
-            // Commit this candidate.
-            for e in &pair_edits {
-                edited_cells.insert((e.table.clone(), e.row, e.column.clone()));
-            }
-            used_join_rows.insert(jrow);
-            edits.extend(pair_edits);
-            realized_this_pair = true;
-            break;
         }
-        if !realized_this_pair {
-            return None;
+        let (_, jrow) = chosen?;
+        for (&pos, &t) in pair.changed_attributes.iter().zip(&tables) {
+            edited.push((pos, join.provenance(t)[jrow], t, pair.destination[pos]));
         }
+        used_join_rows.push(jrow);
     }
 
-    let modified_relations = edits
+    let edits: Vec<CellEdit> = edited
         .iter()
-        .map(|e| e.table.as_str())
-        .collect::<BTreeSet<_>>()
-        .len();
-    let modified_tuples = edits
-        .iter()
-        .map(|e| (e.table.as_str(), e.row))
-        .collect::<BTreeSet<_>>()
-        .len();
+        .map(|&(pos, row, _, block)| {
+            let attr = &attributes[pos];
+            CellEdit {
+                table: attr.table.clone(),
+                row,
+                column: attr.base_column.clone(),
+                new_value: attr.blocks[block].representative().clone(),
+            }
+        })
+        .collect();
+    // Distinct relations and base tuples; a table position names one table.
+    let mut tuples: Vec<(usize, usize)> = edited.iter().map(|&(_, row, t, _)| (t, row)).collect();
+    tuples.sort_unstable();
+    tuples.dedup();
+    let mut relations: Vec<usize> = tuples.iter().map(|&(t, _)| t).collect();
+    relations.dedup();
     Some(RealizedModification {
         db_edit_cost: edits.len(),
-        modified_relations,
-        modified_tuples,
+        modified_relations: relations.len(),
+        modified_tuples: tuples.len(),
         edits,
     })
 }
@@ -252,39 +270,88 @@ pub fn edits_to_ops(db: &Database, edits: &[CellEdit]) -> Result<Vec<EditOp>> {
 /// affected by the edited base tuples are re-examined (via the join index),
 /// which makes the cost evaluation inside Algorithm 4 cheap even on larger
 /// joins. The computation accounts for side effects exactly.
+///
+/// Each patched row is projected once per distinct projection among the
+/// candidates (its old and its new tuple). Each candidate then gets one
+/// code per patched row, Lemma 5.1's outcome at the row level: `0` none,
+/// `1` removed, `2` added, `3` replaced (satisfied before and after, with
+/// the projection changed). Candidates with the same projection and code
+/// row see the same result, so the sorted removed/added multisets are built
+/// once per distinct code row. Code rows whose multisets are equal share a
+/// group. Groups come in `(removed, added)` order, each with its candidate
+/// indices ascending.
 pub fn evaluate_modification(
     ctx: &GenerationContext,
     edits: &[CellEdit],
 ) -> ModificationEvaluation {
-    use std::collections::BTreeMap;
-
     let patched = ctx.patched_join_rows(edits);
-    let arity = ctx.bound_queries()[0].projection_indices().len();
+    let bound = ctx.bound_queries();
+    let arity = bound[0].projection_indices().len();
+
+    // The distinct projections, and each candidate's.
+    let mut projections: Vec<&[usize]> = Vec::new();
+    let projection_of: Vec<usize> = bound
+        .iter()
+        .map(|b| {
+            let p = b.projection_indices();
+            projections.iter().position(|&q| q == p).unwrap_or_else(|| {
+                projections.push(p);
+                projections.len() - 1
+            })
+        })
+        .collect();
+    // Per projection, per patched row: (old projected, new projected).
+    let projected: Vec<Vec<(Tuple, Tuple)>> = projections
+        .iter()
+        .map(|p| {
+            patched
+                .iter()
+                .map(|(_, old, new)| (old.project(p), new.project(p)))
+                .collect()
+        })
+        .collect();
+
+    // One code row per candidate. Sorting the candidates by (projection,
+    // code row), stably, puts each distinct code row's candidates in one
+    // ascending run.
+    let np = patched.len();
+    let mut codes: Vec<u8> = Vec::with_capacity(bound.len() * np);
+    for (b, &p) in bound.iter().zip(&projection_of) {
+        codes.extend(patched.iter().zip(&projected[p]).map(
+            |((_, old, new), (old_proj, new_proj))| match (b.matches_row(old), b.matches_row(new)) {
+                (true, false) => 1,
+                (false, true) => 2,
+                (true, true) if old_proj != new_proj => 3,
+                _ => 0,
+            },
+        ));
+    }
+    let code_row = |q: usize| (projection_of[q], &codes[q * np..(q + 1) * np]);
+    let mut order: Vec<usize> = (0..bound.len()).collect();
+    order.sort_by(|&a, &b| code_row(a).cmp(&code_row(b)));
 
     let mut groups: BTreeMap<(Vec<Tuple>, Vec<Tuple>), Vec<usize>> = BTreeMap::new();
-    for (qidx, bound) in ctx.bound_queries().iter().enumerate() {
+    for run in order.chunk_by(|&a, &b| code_row(a) == code_row(b)) {
+        let (p, row) = code_row(run[0]);
         let mut removed: Vec<Tuple> = Vec::new();
         let mut added: Vec<Tuple> = Vec::new();
-        for (_, old, new) in &patched {
-            let old_match = bound.matches_row(old);
-            let new_match = bound.matches_row(new);
-            let old_proj = old.project(bound.projection_indices());
-            let new_proj = new.project(bound.projection_indices());
-            match (old_match, new_match) {
-                (true, false) => removed.push(old_proj),
-                (false, true) => added.push(new_proj),
-                (true, true) => {
-                    if old_proj != new_proj {
-                        removed.push(old_proj);
-                        added.push(new_proj);
-                    }
-                }
-                (false, false) => {}
+        for (&code, (old_proj, new_proj)) in row.iter().zip(&projected[p]) {
+            if code & 1 != 0 {
+                removed.push(old_proj.clone());
+            }
+            if code & 2 != 0 {
+                added.push(new_proj.clone());
             }
         }
         removed.sort();
         added.sort();
-        groups.entry((removed, added)).or_default().push(qidx);
+        // Code rows with equal multisets merge into one group.
+        let indices = groups.entry((removed, added)).or_default();
+        let merged = !indices.is_empty();
+        indices.extend_from_slice(run);
+        if merged {
+            indices.sort_unstable();
+        }
     }
 
     let groups = groups
@@ -325,6 +392,7 @@ mod tests {
     use super::*;
     use qfe_query::{evaluate, ComparisonOp, DnfPredicate, SpjQuery, Term};
     use qfe_relation::{tuple, ColumnDef, DataType, ForeignKey, Table, TableSchema};
+    use std::collections::BTreeSet;
 
     fn employee_context() -> GenerationContext {
         let employee = Table::with_rows(

@@ -1,5 +1,5 @@
 //! The JSON session API: maps HTTP requests onto a [`SessionBackend`] —
-//! one [`SessionHost`](qfe_snapstore::SessionHost) or a sharded
+//! one [`SessionHost`] or a sharded
 //! [`Cluster`], the routes cannot tell the difference.
 //!
 //! | Method | Path                      | Meaning                          |

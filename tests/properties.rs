@@ -1,7 +1,8 @@
 //! Property-based tests for the core invariants: the table edit distance,
 //! query-result comparison, domain partitioning, tuple-class consistency,
-//! the termination of the QFE driver, and Algorithm 4 against the extension
-//! loop it replaced.
+//! the termination of the QFE driver, Algorithm 4 against the extension
+//! loop it replaced, and its realization and evaluation of a candidate set
+//! against the per-candidate code they replaced.
 //!
 //! The build environment has no crates.io access, so instead of proptest the
 //! cases are drawn from the workspace's deterministic seeded RNG: each
@@ -781,17 +782,181 @@ fn reference_codes(
         .collect()
 }
 
+/// The realization as it ran with `String`-keyed cell bookkeeping: every
+/// pair sorts its free source-class members by (fan-out, join row) and takes
+/// the first whose cells are unedited. `skipped` counts the members passed
+/// over because an earlier pair edited one of their cells.
+fn reference_realize_pairs(
+    ctx: &qfe_core::GenerationContext,
+    pairs: &[qfe_core::ClassPair],
+    skipped: &mut usize,
+) -> Option<qfe_core::RealizedModification> {
+    use qfe_core::{CellEdit, RealizedModification};
+    use std::collections::BTreeSet;
+    let mut used_join_rows: BTreeSet<usize> = BTreeSet::new();
+    let mut edited_cells: BTreeSet<(String, usize, String)> = BTreeSet::new();
+    let mut edits: Vec<CellEdit> = Vec::new();
+    for pair in pairs {
+        for &pos in &pair.changed_attributes {
+            if !ctx.block_realizable(pos, pair.destination[pos]) {
+                return None;
+            }
+        }
+        let members = ctx.source_classes().get(&pair.source)?;
+        let join = ctx.join();
+        let tables: Vec<usize> = pair
+            .changed_attributes
+            .iter()
+            .map(|&pos| join.table_position(&ctx.class_space().attributes()[pos].table))
+            .collect::<Option<_>>()?;
+        let mut candidates: Vec<(usize, usize)> = members
+            .iter()
+            .filter(|r| !used_join_rows.contains(r))
+            .map(|&jrow| {
+                let fan_out: usize = tables
+                    .iter()
+                    .map(|&t| ctx.join_index().fan_out(t, join.provenance(t)[jrow]))
+                    .sum();
+                (fan_out, jrow)
+            })
+            .collect();
+        candidates.sort_unstable();
+        let mut realized_this_pair = false;
+        'candidate: for (_, jrow) in candidates {
+            let mut pair_edits: Vec<CellEdit> = Vec::new();
+            for (&pos, &t) in pair.changed_attributes.iter().zip(&tables) {
+                let attr = &ctx.class_space().attributes()[pos];
+                let base_row = join.provenance(t)[jrow];
+                let key = (attr.table.clone(), base_row, attr.base_column.clone());
+                if edited_cells.contains(&key) {
+                    *skipped += 1;
+                    continue 'candidate;
+                }
+                pair_edits.push(CellEdit {
+                    table: attr.table.clone(),
+                    row: base_row,
+                    column: attr.base_column.clone(),
+                    new_value: attr.blocks[pair.destination[pos]].representative().clone(),
+                });
+            }
+            for e in &pair_edits {
+                edited_cells.insert((e.table.clone(), e.row, e.column.clone()));
+            }
+            used_join_rows.insert(jrow);
+            edits.extend(pair_edits);
+            realized_this_pair = true;
+            break;
+        }
+        if !realized_this_pair {
+            return None;
+        }
+    }
+    let modified_relations = edits
+        .iter()
+        .map(|e| e.table.as_str())
+        .collect::<BTreeSet<_>>()
+        .len();
+    let modified_tuples = edits
+        .iter()
+        .map(|e| (e.table.as_str(), e.row))
+        .collect::<BTreeSet<_>>()
+        .len();
+    Some(RealizedModification {
+        db_edit_cost: edits.len(),
+        modified_relations,
+        modified_tuples,
+        edits,
+    })
+}
+
+/// The join rows an edit set patches, as `(join row, old tuple, new
+/// tuple)` in ascending row order, from a map keyed by join row.
+fn reference_patched_join_rows(
+    ctx: &qfe_core::GenerationContext,
+    edits: &[qfe_core::CellEdit],
+) -> Vec<(usize, Tuple, Tuple)> {
+    let join = ctx.join();
+    let mut patched: std::collections::BTreeMap<usize, Tuple> = Default::default();
+    for edit in edits {
+        let Some(table) = join.table_position(&edit.table) else {
+            continue;
+        };
+        let column = join
+            .columns()
+            .iter()
+            .position(|c| c.table == edit.table && c.column == edit.column);
+        for &jrow in ctx.join_index().joined_rows_of(table, edit.row) {
+            let entry = patched
+                .entry(jrow)
+                .or_insert_with(|| join.rows()[jrow].tuple.clone());
+            if let Some(column) = column {
+                entry.set(column, edit.new_value.clone());
+            }
+        }
+    }
+    patched
+        .into_iter()
+        .map(|(jrow, tuple)| (jrow, join.rows()[jrow].tuple.clone(), tuple))
+        .collect()
+}
+
+/// The evaluation as it ran per candidate: match and project every patched
+/// row for every candidate, then group the candidates by their sorted
+/// removed/added multisets in a `BTreeMap` of tuple vectors.
+fn reference_evaluate_modification(
+    ctx: &qfe_core::GenerationContext,
+    edits: &[qfe_core::CellEdit],
+) -> qfe_core::ModificationEvaluation {
+    use qfe_core::{GroupEffect, ModificationEvaluation};
+    let patched = reference_patched_join_rows(ctx, edits);
+    let arity = ctx.bound_queries()[0].projection_indices().len();
+    let mut groups: std::collections::BTreeMap<(Vec<Tuple>, Vec<Tuple>), Vec<usize>> =
+        Default::default();
+    for (qidx, bound) in ctx.bound_queries().iter().enumerate() {
+        let mut removed: Vec<Tuple> = Vec::new();
+        let mut added: Vec<Tuple> = Vec::new();
+        for (_, old, new) in &patched {
+            let old_proj = old.project(bound.projection_indices());
+            let new_proj = new.project(bound.projection_indices());
+            match (bound.matches_row(old), bound.matches_row(new)) {
+                (true, false) => removed.push(old_proj),
+                (false, true) => added.push(new_proj),
+                (true, true) => {
+                    if old_proj != new_proj {
+                        removed.push(old_proj);
+                        added.push(new_proj);
+                    }
+                }
+                (false, false) => {}
+            }
+        }
+        removed.sort();
+        added.sort();
+        groups.entry((removed, added)).or_default().push(qidx);
+    }
+    let groups = groups
+        .into_iter()
+        .map(|((removed, added), query_indices)| GroupEffect {
+            result_edit_cost: min_edit_rows(&removed, &added, arity),
+            query_indices,
+            removed,
+            added,
+        })
+        .collect();
+    ModificationEvaluation { groups }
+}
+
 /// Algorithm 4 as it ran with a per-level `seen` set of generated
-/// extensions and [`reference_partition_sizes`].
+/// extensions and [`reference_partition_sizes`], realizing and evaluating
+/// each set with [`reference_realize_pairs`] and
+/// [`reference_evaluate_modification`].
 fn reference_pick(
     ctx: &qfe_core::GenerationContext,
     skyline: &[qfe_core::ClassPair],
     params: &CostParams,
     best_binary_x: Option<usize>,
 ) -> (Result<qfe_core::PickOutcome, QfeError>, ReferenceRun) {
-    use qfe_core::{
-        balance_score, evaluate_modification, objective, realize_pairs, CostInputs, PickOutcome,
-    };
+    use qfe_core::{balance_score, objective, CostInputs, PickOutcome};
     type Evaluated = (
         Vec<usize>,
         Vec<qfe_core::ClassPair>,
@@ -822,8 +987,8 @@ fn reference_pick(
         }
         evaluations.set(evaluations.get() + 1);
         let pairs: Vec<_> = indices.iter().map(|&i| skyline[i].clone()).collect();
-        let realized = realize_pairs(ctx, &pairs)?;
-        let evaluation = evaluate_modification(ctx, &realized.edits);
+        let realized = reference_realize_pairs(ctx, &pairs, &mut 0)?;
+        let evaluation = reference_evaluate_modification(ctx, &realized.edits);
         if evaluation.group_count() <= 1 {
             return None;
         }
@@ -1040,4 +1205,324 @@ fn pick_matches_the_seen_set_extension_loop_on_small_rounds() {
             ctx = ctx.advance(&group.query_indices, &[]).unwrap();
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Realization and evaluation == the per-candidate code they replaced
+// ---------------------------------------------------------------------------
+
+const CATEGORIES: [&str; 3] = ["x", "y", "z"];
+
+/// A random foreign-key chain `A ← B` or `A ← B ← C` over tiny domains.
+/// Each parent row has 0–3 child rows, so one edit of a parent cell patches
+/// up to 3 (or 9) join rows, and childless parents drop out of the join.
+/// Returns the database and its table names in chain order.
+fn build_fk_chain(rng: &mut StdRng) -> (Database, Vec<&'static str>) {
+    let tables = if rng.gen_bool(0.5) {
+        vec!["A", "B"]
+    } else {
+        vec!["A", "B", "C"]
+    };
+    let mut db = Database::new();
+    let a_schema = TableSchema::new(
+        "A",
+        vec![
+            ColumnDef::new("aid", DataType::Int),
+            ColumnDef::new("a_num", DataType::Int),
+            ColumnDef::new("a_cat", DataType::Text),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["aid"])
+    .unwrap();
+    let a_rows: Vec<Tuple> = (0..rng.gen_range(2i64..6))
+        .map(|aid| {
+            Tuple::new(vec![
+                Value::Int(aid),
+                Value::Int(rng.gen_range(0i64..4)),
+                Value::Text(CATEGORIES[rng.gen_range(0..CATEGORIES.len())].to_string()),
+            ])
+        })
+        .collect();
+    let mut parents = a_rows.len() as i64;
+    db.add_table(Table::with_rows(a_schema, a_rows).unwrap())
+        .unwrap();
+    // (child, its key, its foreign key = the parent's key, parent, value).
+    for (child, id, fk, parent, num) in [
+        ("B", "bid", "aid", "A", "b_num"),
+        ("C", "cid", "bid", "B", "c_num"),
+    ] {
+        if !tables.contains(&child) {
+            break;
+        }
+        let schema = TableSchema::new(
+            child,
+            vec![
+                ColumnDef::new(id, DataType::Int),
+                ColumnDef::new(fk, DataType::Int),
+                ColumnDef::new(num, DataType::Int),
+            ],
+        )
+        .unwrap()
+        .with_primary_key(&[id])
+        .unwrap();
+        let mut rows = Vec::new();
+        for p in 0..parents {
+            for _ in 0..rng.gen_range(0usize..4) {
+                rows.push(Tuple::new(vec![
+                    Value::Int(rows.len() as i64),
+                    Value::Int(p),
+                    Value::Int(rng.gen_range(0i64..4)),
+                ]));
+            }
+        }
+        parents = rows.len() as i64;
+        db.add_table(Table::with_rows(schema, rows).unwrap())
+            .unwrap();
+        db.add_foreign_key(qfe_relation::ForeignKey::new(child, fk, parent, fk))
+            .unwrap();
+    }
+    (db, tables)
+}
+
+/// The non-key columns of the chain's tables.
+fn chain_columns(tables: &[&str]) -> Vec<&'static str> {
+    let mut columns = vec!["a_num", "a_cat", "b_num"];
+    if tables.contains(&"C") {
+        columns.push("c_num");
+    }
+    columns
+}
+
+/// A random term over a non-key column of the chain.
+fn random_chain_term(rng: &mut StdRng, columns: &[&'static str]) -> Term {
+    let column = columns[rng.gen_range(0..columns.len())];
+    if column == "a_cat" {
+        return Term::eq(column, CATEGORIES[rng.gen_range(0..CATEGORIES.len())]);
+    }
+    let op = [ComparisonOp::Lt, ComparisonOp::Ge, ComparisonOp::Eq][rng.gen_range(0usize..3)];
+    Term::compare(column, op, rng.gen_range(0i64..4))
+}
+
+/// 2–6 candidates over the whole chain with random one- or two-conjunct
+/// predicates and a one-column projection. Half the draws give each
+/// candidate its own random projection, so candidates of one context project
+/// differently, and some project a column an edit changes. The other half
+/// share one projection of the root table `A`, so candidates that see
+/// different patched rows of one `A` row can still see equal results.
+fn random_chain_candidates(rng: &mut StdRng, tables: &[&'static str]) -> Vec<SpjQuery> {
+    let columns = chain_columns(tables);
+    let shared = rng
+        .gen_bool(0.5)
+        .then(|| ["a_num", "a_cat"][rng.gen_range(0usize..2)]);
+    (0..rng.gen_range(2usize..7))
+        .map(|_| {
+            let conjuncts = (0..rng.gen_range(1usize..3))
+                .map(|_| {
+                    let terms = (0..rng.gen_range(1usize..3))
+                        .map(|_| random_chain_term(rng, &columns))
+                        .collect();
+                    qfe_query::Conjunct::new(terms)
+                })
+                .collect();
+            let projection = shared.unwrap_or_else(|| columns[rng.gen_range(0..columns.len())]);
+            SpjQuery::new(
+                tables.to_vec(),
+                vec![projection],
+                DnfPredicate::new(conjuncts),
+            )
+        })
+        .collect()
+}
+
+/// A context over a random chain and candidates, or `None` when the draw is
+/// degenerate (e.g. an empty join).
+fn random_chain_context(rng: &mut StdRng) -> Option<qfe_core::GenerationContext> {
+    let (db, tables) = build_fk_chain(rng);
+    let queries = random_chain_candidates(rng, &tables);
+    let result = evaluate(&queries[0], &db).ok()?;
+    let ctx = qfe_core::GenerationContext::new(&db, &result, &queries).ok()?;
+    (!ctx.join().is_empty()).then_some(ctx)
+}
+
+/// 1–3 random edits of non-key cells of the chain, values in the tiny
+/// domains (so an edit may also keep a cell's value, or hit a cell twice).
+fn random_chain_edits(
+    rng: &mut StdRng,
+    ctx: &qfe_core::GenerationContext,
+) -> Vec<qfe_core::CellEdit> {
+    let tables = ctx.join_tables();
+    (0..rng.gen_range(1usize..4))
+        .filter_map(|_| {
+            let table = &tables[rng.gen_range(0..tables.len())];
+            let rows = ctx.database().table(table).unwrap().len();
+            if rows == 0 {
+                return None;
+            }
+            let (column, new_value) = match table.as_str() {
+                "A" if rng.gen_bool(0.5) => (
+                    "a_cat".to_string(),
+                    Value::Text(CATEGORIES[rng.gen_range(0..CATEGORIES.len())].to_string()),
+                ),
+                t => (
+                    format!("{}_num", t.to_lowercase()),
+                    Value::Int(rng.gen_range(0i64..4)),
+                ),
+            };
+            Some(qfe_core::CellEdit {
+                table: table.clone(),
+                row: rng.gen_range(0..rows),
+                column,
+                new_value,
+            })
+        })
+        .collect()
+}
+
+/// Every pair of the context changing one or two attributes.
+fn chain_pairs(ctx: &qfe_core::GenerationContext) -> Vec<qfe_core::ClassPair> {
+    ctx.source_classes()
+        .keys()
+        .flat_map(|source| {
+            let mut pairs = ctx.destination_pairs(source, 1);
+            pairs.extend(ctx.destination_pairs(source, 2));
+            pairs
+        })
+        .collect()
+}
+
+/// Per candidate, its projection and its row-level outcome code on every
+/// patched row (`0` none, `1` removed, `2` added, `3` replaced).
+fn reference_code_rows(
+    ctx: &qfe_core::GenerationContext,
+    edits: &[qfe_core::CellEdit],
+) -> Vec<(Vec<usize>, Vec<u8>)> {
+    let patched = reference_patched_join_rows(ctx, edits);
+    ctx.bound_queries()
+        .iter()
+        .map(|bound| {
+            let projection = bound.projection_indices();
+            let codes = patched
+                .iter()
+                .map(
+                    |(_, old, new)| match (bound.matches_row(old), bound.matches_row(new)) {
+                        (true, false) => 1,
+                        (false, true) => 2,
+                        (true, true) if old.project(projection) != new.project(projection) => 3,
+                        _ => 0,
+                    },
+                )
+                .collect();
+            (projection.to_vec(), codes)
+        })
+        .collect()
+}
+
+#[test]
+fn evaluate_modification_matches_the_per_candidate_reference_on_fk_chains() {
+    use qfe_core::{evaluate_modification, realize_pairs};
+    let mut rng = StdRng::seed_from_u64(123);
+    let (mut checked, mut multi_row, mut replaced, mut mixed, mut merged) = (0, 0, 0, 0, 0);
+    for case in 0..96 {
+        let Some(ctx) = random_chain_context(&mut rng) else {
+            continue;
+        };
+        let pairs = chain_pairs(&ctx);
+        let mut edit_sets: Vec<Vec<qfe_core::CellEdit>> =
+            (0..6).map(|_| random_chain_edits(&mut rng, &ctx)).collect();
+        for _ in 0..6 {
+            if pairs.is_empty() {
+                break;
+            }
+            let pool: Vec<_> = (0..rng.gen_range(1usize..4))
+                .map(|_| &pairs[rng.gen_range(0..pairs.len())])
+                .collect();
+            if let Some(realized) = realize_pairs(&ctx, pool) {
+                edit_sets.push(realized.edits);
+            }
+        }
+        let projections: std::collections::BTreeSet<&[usize]> = ctx
+            .bound_queries()
+            .iter()
+            .map(|b| b.projection_indices())
+            .collect();
+        for edits in &edit_sets {
+            let got = evaluate_modification(&ctx, edits);
+            let want = reference_evaluate_modification(&ctx, edits);
+            assert_eq!(got, want, "case {case}: {edits:?}");
+            checked += 1;
+            let code_rows = reference_code_rows(&ctx, edits);
+            multi_row += usize::from(reference_patched_join_rows(&ctx, edits).len() > 1);
+            replaced += usize::from(code_rows.iter().any(|(_, codes)| codes.contains(&3)));
+            mixed += usize::from(projections.len() > 1);
+            // Two different code rows of one projection in one group: their
+            // patched rows project equally.
+            merged += usize::from(got.groups.iter().any(|group| {
+                let rows: std::collections::BTreeSet<_> =
+                    group.query_indices.iter().map(|&q| &code_rows[q]).collect();
+                rows.iter()
+                    .zip(rows.iter().skip(1))
+                    .any(|(a, b)| a.0 == b.0)
+            }));
+        }
+    }
+    assert!(checked >= 400, "too few evaluations ({checked})");
+    assert!(multi_row > 0, "no edit set patched several join rows");
+    assert!(replaced > 0, "no candidate saw a Replaced row");
+    assert!(mixed > 0, "no context mixed projections");
+    assert!(merged > 0, "no two code rows merged into one group");
+}
+
+#[test]
+fn realize_pairs_matches_the_string_keyed_reference_on_fk_chains() {
+    use qfe_core::realize_pairs;
+    let mut rng = StdRng::seed_from_u64(124);
+    let (mut realized, mut unrealized, mut multi_attribute, mut competing, mut skips) =
+        (0, 0, 0, 0, 0);
+    for case in 0..48 {
+        let Some(ctx) = random_chain_context(&mut rng) else {
+            continue;
+        };
+        let pairs = chain_pairs(&ctx);
+        if pairs.is_empty() {
+            continue;
+        }
+        for _ in 0..24 {
+            // Half the pools draw every pair from one source class, so its
+            // members compete.
+            let first = &pairs[rng.gen_range(0..pairs.len())];
+            let same_source: Vec<_> = pairs.iter().filter(|p| p.source == first.source).collect();
+            let pool: Vec<qfe_core::ClassPair> = (0..rng.gen_range(1usize..5))
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        same_source[rng.gen_range(0..same_source.len())].clone()
+                    } else {
+                        pairs[rng.gen_range(0..pairs.len())].clone()
+                    }
+                })
+                .collect();
+            let mut skipped = 0;
+            let want = reference_realize_pairs(&ctx, &pool, &mut skipped);
+            assert_eq!(realize_pairs(&ctx, &pool), want, "case {case}: {pool:?}");
+            if want.is_none() {
+                unrealized += 1;
+                continue;
+            }
+            realized += 1;
+            multi_attribute += usize::from(pool.iter().any(|p| p.changed_attributes.len() > 1));
+            competing += usize::from(pool.iter().skip(1).any(|p| p.source == pool[0].source));
+            skips += usize::from(skipped > 0);
+        }
+    }
+    assert!(realized >= 100, "too few realized pools ({realized})");
+    assert!(unrealized > 0, "no pool was unrealizable");
+    assert!(
+        multi_attribute > 0,
+        "no realized pool had a multi-attribute pair"
+    );
+    assert!(
+        competing > 0,
+        "no realized pool had pairs of one source class"
+    );
+    assert!(skips > 0, "no edited cell forced a member to be skipped");
 }
