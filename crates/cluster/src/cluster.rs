@@ -472,7 +472,7 @@ impl Cluster {
         let shard_index = self.pick_assignable(key)?;
         let shard = &self.shards[shard_index];
         if let Err(e) = shard.host().adopt_as(id, engine) {
-            shard.host().manager().evict(id);
+            shard.host().discard(id);
             return Err(e);
         }
         // The birth certificate: until the session exists in the shared
@@ -480,7 +480,7 @@ impl Cluster {
         // is mandatory — on failure the placement is rolled back so the
         // client's retry starts clean.
         if let Err(e) = shard.host().checkpoint(id) {
-            shard.host().manager().evict(id);
+            shard.host().discard(id);
             return Err(e);
         }
         self.router.set(key, shard_index);
@@ -548,7 +548,7 @@ impl Cluster {
         let mut found = false;
         if let Some(shard) = self.router.get(key) {
             if self.shards[shard].is_serving() {
-                found |= self.shards[shard].host().manager().evict(id);
+                found |= self.shards[shard].host().discard(id);
             }
         }
         self.router.remove(key);
@@ -615,9 +615,9 @@ impl Cluster {
         shard.set_state(ShardState::Down);
         shard.record_kill();
         let mut dropped = 0;
-        for id in shard.host().manager().session_ids() {
+        for id in shard.host().resident_ids() {
             let _guard = self.locks.lock(id);
-            if shard.host().manager().evict(id) {
+            if shard.host().discard(id) {
                 dropped += 1;
             }
         }
@@ -808,7 +808,7 @@ impl Cluster {
             .map_err(store_qfe)?
             .iter()
             .filter_map(|k| parse_session_store_key(k))
-            .filter(|&id| !self.shards.iter().any(|s| s.host().manager().contains(id)))
+            .filter(|&id| !self.shards.iter().any(|s| s.host().is_resident(id)))
             .count())
     }
 
@@ -967,8 +967,8 @@ mod tests {
         let source = cluster.router().get(id.as_u64()).unwrap();
         let target_shard = (source + 1) % 3;
         assert!(cluster.migrate(id, target_shard).unwrap());
-        assert!(cluster.shards()[target_shard].host().manager().contains(id));
-        assert!(!cluster.shards()[source].host().manager().contains(id));
+        assert!(cluster.shards()[target_shard].host().is_resident(id));
+        assert!(!cluster.shards()[source].host().is_resident(id));
         // Migrating to where it already lives is a no-op.
         assert!(!cluster.migrate(id, target_shard).unwrap());
         // The pending round survived the move byte-for-byte.
@@ -997,7 +997,7 @@ mod tests {
         assert_eq!(moved, 1);
         let new_home = cluster.router().get(id.as_u64()).unwrap();
         assert_ne!(new_home, home);
-        assert!(cluster.shards()[new_home].host().manager().contains(id));
+        assert!(cluster.shards()[new_home].host().is_resident(id));
         // The last checkpointed state — including the pending round — is
         // exactly what comes back.
         match cluster.step(id).unwrap() {
@@ -1211,13 +1211,13 @@ mod tests {
         let y = cluster.create(&session_and_target(2).0).unwrap();
         // Creating y parked x; stepping x parks y.
         round_of(cluster.step(x).unwrap());
-        assert!(!cluster.shards()[0].host().manager().contains(y));
+        assert!(!cluster.shards()[0].host().is_resident(y));
         // While a request holds x's lock, x is off limits to the sweep that
         // follows y's verb, even though x is the longest idle.
         {
             let _in_flight = cluster.locks.lock(x);
             round_of(cluster.step(y).unwrap());
-            assert!(cluster.shards()[0].host().manager().contains(x));
+            assert!(cluster.shards()[0].host().is_resident(x));
             assert_eq!(cluster.resident_count(), 2);
         }
         // Once the lock is free the next sweep restores the watermark.
@@ -1274,7 +1274,7 @@ mod tests {
         let round = round_of(cluster.step(x).unwrap());
         let y = cluster.create(&session_and_target(2).0).unwrap();
         assert!(
-            !cluster.shards()[0].host().manager().contains(x),
+            !cluster.shards()[0].host().is_resident(x),
             "y's birth parked x"
         );
         // The answer rehydrates x, commits, and its sweep fails to park y:
@@ -1282,7 +1282,7 @@ mod tests {
         let choice = OracleUser::new(target.clone()).choose(&round).unwrap();
         cluster.answer(x, choice).unwrap();
         assert!(
-            cluster.shards()[0].host().manager().contains(y),
+            cluster.shards()[0].host().is_resident(y),
             "y stays resident"
         );
         assert!(

@@ -226,7 +226,7 @@ fn concurrent_requests_for_a_parked_session_leave_one_resident_engine() {
     let residents: usize = cluster
         .shards()
         .iter()
-        .map(|s| usize::from(s.host().manager().contains(id)))
+        .map(|s| usize::from(s.host().is_resident(id)))
         .sum();
     assert_eq!(residents, 1, "exactly one resident engine fleet-wide");
     // And the session is still fully usable where it landed: answer the

@@ -15,7 +15,7 @@ use qfe_relation::{Database, EditOp};
 
 use crate::context::GenerationContext;
 use crate::cost::CostParams;
-use crate::error::Result;
+use crate::error::{QfeError, Result};
 use crate::pick::pick_stc_dtc_subset;
 use crate::realize::{apply_edits, edits_to_ops};
 use crate::skyline::skyline_stc_dtc_pairs;
@@ -80,6 +80,10 @@ impl DatabaseGenerator {
 
     /// Runs Algorithm 2 for one iteration against the round's context:
     /// enumerates skyline pairs, picks the best subset and realizes it.
+    ///
+    /// Fails with [`QfeError::Internal`] when the realized database does not
+    /// split the candidates after all, which only set semantics can cause
+    /// (see [`with_set_semantics`](crate::with_set_semantics)).
     pub fn generate_with_context(&self, ctx: &GenerationContext) -> Result<GeneratedDatabase> {
         // Step 1: Algorithm 3.
         let skyline = skyline_stc_dtc_pairs(ctx, self.params.skyline_time_budget);
@@ -95,6 +99,22 @@ impl DatabaseGenerator {
         let edits = edits_to_ops(ctx.database(), &picked.realized.edits)?;
         let partition = partition_queries(ctx.queries(), &database)?;
         let modify_time = modify_start.elapsed();
+        // Pick only returns sets whose evaluation splits the candidates, and
+        // that evaluation is exact under bag semantics. It counts bag-level
+        // groups, though, so under set semantics (`SELECT DISTINCT`) the
+        // verified results can still coincide; presenting such a round
+        // would repeat it until the iteration cap.
+        if partition.group_count() < 2 {
+            return Err(QfeError::Internal {
+                message: format!(
+                    "the realized database splits {} candidates into {} group(s): \
+                     Algorithm 4 scored it by bag-level results, and set semantics \
+                     (SELECT DISTINCT) merged them",
+                    ctx.queries().len(),
+                    partition.group_count()
+                ),
+            });
+        }
 
         Ok(GeneratedDatabase {
             database,

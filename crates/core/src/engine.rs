@@ -24,6 +24,7 @@
 //! see [`QfeEngine::snapshot`] / [`QfeEngine::resume`] — so a session can be
 //! persisted mid-round, shipped across processes, and continued elsewhere.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -58,6 +59,32 @@ pub struct PendingRound {
     pub round: FeedbackRound,
     /// Machine-side statistics of the round's generation.
     pub stats: IterationStats,
+}
+
+/// Opaque handle to a hosted session: the id a server frontend
+/// (`qfe_snapstore::SessionHost`, or a cluster of them) hands its clients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SessionId(u64);
+
+impl SessionId {
+    /// The raw numeric id (for logging and wire protocols).
+    pub fn as_u64(self) -> u64 {
+        self.0
+    }
+
+    /// Rebuilds a handle from its raw numeric id (the inverse of
+    /// [`SessionId::as_u64`], for wire protocols and durable stores). The id
+    /// is not checked against any host; operations on an unhosted id fail
+    /// with [`QfeError::UnknownSession`] as usual.
+    pub fn from_u64(id: u64) -> SessionId {
+        SessionId(id)
+    }
+}
+
+impl fmt::Display for SessionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "session-{}", self.0)
+    }
 }
 
 /// The resumable state machine behind a QFE session (Algorithm 1, sans-IO).
@@ -542,6 +569,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn session_id_roundtrips_through_u64() {
+        let id = SessionId::from_u64(42);
+        assert_eq!(id.as_u64(), 42);
+        assert_eq!(id, SessionId(42));
+        assert_eq!(id.to_string(), "session-42");
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum QfeError {
     /// `answer` / `reject` was called while no feedback round was pending
     /// (the engine was never stepped, or the round was already answered).
     NoPendingRound,
-    /// A session manager operation referenced a session id that is not (or no
+    /// A session host operation referenced a session id that is not (or no
     /// longer) hosted.
     UnknownSession { id: u64 },
     /// A session snapshot could not be serialized or deserialized.
@@ -45,7 +45,7 @@ pub enum QfeError {
     /// A snapshot store operation failed (I/O error, corrupt record, missing
     /// content-addressed workload). `context` names the operation and key so
     /// an operator can locate the damage; the failure surfaces to the caller
-    /// instead of panicking inside the session manager.
+    /// instead of panicking inside the session host.
     Store { context: String, message: String },
     /// An HTTP request or response could not be parsed or transported.
     /// `context` names the endpoint or protocol stage.

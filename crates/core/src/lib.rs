@@ -26,7 +26,9 @@
 //! sans-IO [`QfeEngine`] whose [`step`](QfeEngine::step) /
 //! [`answer`](QfeEngine::answer) API suspends cleanly while a real user
 //! thinks, serializes to a [`SessionSnapshot`] for cross-process resume, and
-//! scales to many concurrent users behind a [`SessionManager`].
+//! scales to many concurrent users behind `qfe_snapstore::SessionHost`,
+//! which hosts engines under [`SessionId`] handles (over a `MemoryStore`
+//! when nothing needs to outlive the process).
 //!
 //! ## The generation kernel: bitsets, one row join, shared contexts
 //!
@@ -162,7 +164,6 @@ mod error;
 mod feedback;
 mod join_groups;
 mod kernel;
-mod manager;
 mod pick;
 mod realize;
 mod serial;
@@ -184,14 +185,13 @@ pub use domain::{
     DomainBlock,
 };
 pub use driver::{QfeOutcome, QfeSession, QfeSessionBuilder, DEFAULT_MAX_ITERATIONS};
-pub use engine::{PendingRound, QfeEngine, SessionSnapshot, Step};
+pub use engine::{PendingRound, QfeEngine, SessionId, SessionSnapshot, Step};
 pub use error::{QfeError, Result};
 pub use feedback::{
     FeedbackChoice, FeedbackRound, FeedbackUser, InteractiveUser, OracleUser, SimulatedHumanUser,
     WorstCaseUser,
 };
 pub use join_groups::{group_by_join_schema, run_grouped};
-pub use manager::{SessionId, SessionManager};
 pub use pick::{pick_stc_dtc_subset, PickOutcome};
 pub use realize::{
     apply_edits, edits_to_ops, evaluate_modification, group_result, realize_pairs, CellEdit,

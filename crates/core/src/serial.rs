@@ -17,13 +17,20 @@ use crate::engine::{PendingRound, SessionSnapshot};
 use crate::feedback::{FeedbackChoice, FeedbackRound};
 use crate::stats::{IterationStats, SessionReport};
 
-/// Version tag written into serialized snapshots, checked on load so that a
-/// future incompatible format change fails loudly instead of misparsing.
+/// Version tag written into serialized snapshots — whole or split into
+/// workload and state — checked on load so that a future incompatible
+/// format change fails loudly instead of misparsing.
 const SNAPSHOT_VERSION: i64 = 1;
 
-/// Version tag for the *split* snapshot form (session state serialized
-/// separately from the shared workload payload).
-const STATE_VERSION: i64 = 1;
+fn check_version(json: &Json) -> WireResult<()> {
+    let version = json.field("version")?.as_i64()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(WireError::new(format!(
+            "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
+        )));
+    }
+    Ok(())
+}
 
 /// The immutable bulk half of a session: the example pair `(D, R)` every
 /// snapshot on the same workload shares.
@@ -77,8 +84,14 @@ impl SessionSnapshot {
             database: std::sync::Arc::clone(&self.database),
             result: std::sync::Arc::clone(&self.result),
         };
-        let state = Json::object([
-            ("version", Json::Int(STATE_VERSION)),
+        let version = ("version", Json::Int(SNAPSHOT_VERSION));
+        let state = Json::object(std::iter::once(version).chain(self.state_fields()));
+        (workload, state)
+    }
+
+    /// The state document's fields after its version tag.
+    fn state_fields(&self) -> [(&'static str, Json); 9] {
+        [
             ("candidates", self.candidates.to_json()),
             ("params", self.params.to_json()),
             ("max_iterations", self.max_iterations.to_json()),
@@ -91,19 +104,14 @@ impl SessionSnapshot {
             ("pending", self.pending.to_json()),
             ("rejected", Json::Bool(self.rejected)),
             ("indistinguishable", Json::Bool(self.indistinguishable)),
-        ]);
-        (workload, state)
+        ]
     }
 
     /// Reassembles a snapshot from a shared workload payload and the state
-    /// JSON produced by [`SessionSnapshot::split`].
+    /// JSON produced by [`SessionSnapshot::split`] (or a whole snapshot's
+    /// JSON, whose extra `database` and `result` keys are ignored).
     pub fn from_parts(workload: WorkloadPayload, state: &Json) -> WireResult<SessionSnapshot> {
-        let version = state.field("version")?.as_i64()?;
-        if version != STATE_VERSION {
-            return Err(WireError::new(format!(
-                "unsupported session state version {version} (expected {STATE_VERSION})"
-            )));
-        }
+        check_version(state)?;
         Ok(SessionSnapshot {
             database: workload.database,
             result: workload.result,
@@ -349,49 +357,24 @@ impl FromJson for PendingRound {
     }
 }
 
+/// The whole snapshot is the state document with the workload's `database`
+/// and `result` after its version tag.
 impl ToJson for SessionSnapshot {
     fn to_json(&self) -> Json {
-        Json::object([
+        let head = [
             ("version", Json::Int(SNAPSHOT_VERSION)),
             ("database", self.database.to_json()),
             ("result", self.result.to_json()),
-            ("candidates", self.candidates.to_json()),
-            ("params", self.params.to_json()),
-            ("max_iterations", self.max_iterations.to_json()),
-            (
-                "query_generation_time",
-                self.query_generation_time.to_json(),
-            ),
-            ("remaining", self.remaining.to_json()),
-            ("iterations", self.iterations.to_json()),
-            ("pending", self.pending.to_json()),
-            ("rejected", Json::Bool(self.rejected)),
-            ("indistinguishable", Json::Bool(self.indistinguishable)),
-        ])
+        ];
+        Json::object(head.into_iter().chain(self.state_fields()))
     }
 }
 
 impl FromJson for SessionSnapshot {
     fn from_json(json: &Json) -> WireResult<Self> {
-        let version = json.field("version")?.as_i64()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(WireError::new(format!(
-                "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
-            )));
-        }
-        Ok(SessionSnapshot {
-            database: std::sync::Arc::new(Database::from_json(json.field("database")?)?),
-            result: std::sync::Arc::new(QueryResult::from_json(json.field("result")?)?),
-            candidates: Vec::<SpjQuery>::from_json(json.field("candidates")?)?,
-            params: CostParams::from_json(json.field("params")?)?,
-            max_iterations: json.field("max_iterations")?.as_usize()?,
-            query_generation_time: FromJson::from_json(json.field("query_generation_time")?)?,
-            remaining: Vec::from_json(json.field("remaining")?)?,
-            iterations: Vec::from_json(json.field("iterations")?)?,
-            pending: Option::from_json(json.field("pending")?)?,
-            rejected: json.field("rejected")?.as_bool()?,
-            indistinguishable: json.field("indistinguishable")?.as_bool()?,
-        })
+        // Checked before decoding `D`, so a future format fails on its tag.
+        check_version(json)?;
+        SessionSnapshot::from_parts(WorkloadPayload::from_json(json)?, json)
     }
 }
 
@@ -519,6 +502,74 @@ mod tests {
         }
         let workload = SessionSnapshot::from_parts(snapshot.split().0, &bad);
         assert!(workload.unwrap_err().to_string().contains("version 99"));
+    }
+
+    #[test]
+    fn whole_and_parked_documents_keep_their_key_order_and_load() {
+        use crate::driver::QfeSession;
+        use qfe_datasets::example_1_1;
+
+        let (db, result, candidates, _) = example_1_1();
+        let session = QfeSession::builder(db, result)
+            .with_candidates(candidates)
+            .build()
+            .unwrap();
+        let mut engine = session.start();
+        let _ = engine.step().unwrap();
+        let snapshot = engine.snapshot();
+
+        // Documents with every key in the order earlier releases wrote it,
+        // values rendered field by field.
+        let state_keys = [
+            "candidates",
+            "params",
+            "max_iterations",
+            "query_generation_time",
+            "remaining",
+            "iterations",
+            "pending",
+            "rejected",
+            "indistinguishable",
+        ];
+        let value = |key: &str| match key {
+            "version" => Json::Int(1),
+            "database" => snapshot.database.to_json(),
+            "result" => snapshot.result.to_json(),
+            "candidates" => snapshot.candidates.to_json(),
+            "params" => snapshot.params.to_json(),
+            "max_iterations" => snapshot.max_iterations.to_json(),
+            "query_generation_time" => snapshot.query_generation_time.to_json(),
+            "remaining" => snapshot.remaining.to_json(),
+            "iterations" => snapshot.iterations.to_json(),
+            "pending" => snapshot.pending.to_json(),
+            "rejected" => Json::Bool(snapshot.rejected),
+            "indistinguishable" => Json::Bool(snapshot.indistinguishable),
+            other => panic!("unexpected key {other}"),
+        };
+        let document = |keys: Vec<&'static str>| -> String {
+            Json::object(keys.into_iter().map(|k| (k, value(k)))).render()
+        };
+        let whole = document(
+            ["version", "database", "result"]
+                .into_iter()
+                .chain(state_keys)
+                .collect(),
+        );
+        let parked = document(std::iter::once("version").chain(state_keys).collect());
+
+        assert_eq!(SessionSnapshot::deserialize(&whole).unwrap(), snapshot);
+        assert_eq!(
+            snapshot.serialize(),
+            whole,
+            "whole snapshots render as before"
+        );
+        let (workload, state) = snapshot.split();
+        assert_eq!(state.render(), parked, "parked state renders as before");
+        let state_back = Json::parse(&parked).unwrap();
+        assert_eq!(
+            SessionSnapshot::from_parts(workload, &state_back).unwrap(),
+            snapshot
+        );
     }
 
     #[test]

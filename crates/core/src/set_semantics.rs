@@ -1,15 +1,24 @@
 //! Queries with set-based semantics (Section 6.1).
 //!
-//! The core algorithms assume bag semantics (duplicates preserved).  For
+//! The core algorithms assume bag semantics (duplicates preserved). For
 //! `SELECT DISTINCT` candidates, a modification that removes one of several
 //! duplicate-supporting tuples does not change the (set) result, so the paper
 //! proposes distinguishing such queries by modifications that make a tuple
 //! *newly* match one query but not another (the "second approach" of
-//! Section 6.1).  In this reproduction the exact evaluation used by the
-//! database generator already reflects set semantics (candidate results are
-//! deduplicated before grouping), so non-discriminating removals are
-//! automatically rejected; the helpers here switch candidate sets to set
-//! semantics and check which semantics a candidate set uses.
+//! Section 6.1).
+//!
+//! This reproduction does not implement that approach yet. Algorithm 4's
+//! exact evaluation ([`evaluate_modification`](crate::evaluate_modification))
+//! never reads whether a candidate is `DISTINCT`: it groups candidates by
+//! their bag-level result changes, so pick can choose an edit that removes
+//! one of two duplicate rows and score it as a split. Only the generator's
+//! final re-evaluation of `D'` applies set semantics. When that verified
+//! partition has a single group, the generator fails the round with
+//! [`QfeError::Internal`](crate::QfeError) rather than presenting a round
+//! that could only repeat. Candidate sets whose duplicates do not decide the
+//! split, like Example 1.1's, run normally. The helpers here switch
+//! candidate sets to set semantics and check which semantics a candidate
+//! set uses.
 
 use qfe_query::SpjQuery;
 
@@ -37,6 +46,7 @@ pub fn with_set_semantics(queries: &[SpjQuery]) -> Vec<SpjQuery> {
 mod tests {
     use super::*;
     use crate::driver::QfeSession;
+    use crate::error::QfeError;
     use crate::feedback::OracleUser;
     use qfe_query::{evaluate, ComparisonOp, DnfPredicate, Term};
     use qfe_relation::{tuple, ColumnDef, DataType, Database, Table, TableSchema};
@@ -84,6 +94,78 @@ mod tests {
                 DnfPredicate::single(Term::compare("salary", ComparisonOp::Gt, 4000i64)),
             ),
         ]
+    }
+
+    /// Three IT employees, two of them Bob: both DISTINCT candidates return
+    /// {Bob, Darren}, and only an edit to Darren's row separates them.
+    fn db_with_a_duplicate_pair() -> Database {
+        let t = Table::with_rows(
+            TableSchema::new(
+                "E",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("name", DataType::Text),
+                    ColumnDef::new("dept", DataType::Text),
+                    ColumnDef::new("salary", DataType::Int),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&["id"])
+            .unwrap(),
+            vec![
+                tuple![1i64, "Bob", "IT", 4200i64],
+                tuple![2i64, "Bob", "IT", 4900i64],
+                tuple![3i64, "Darren", "IT", 5000i64],
+            ],
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_table(t).unwrap();
+        db
+    }
+
+    #[test]
+    fn a_round_that_set_semantics_merges_into_one_group_fails_instead_of_repeating() {
+        let db = db_with_a_duplicate_pair();
+        let bag = vec![
+            SpjQuery::new(
+                vec!["E"],
+                vec!["name"],
+                DnfPredicate::single(Term::eq("dept", "IT")),
+            )
+            .with_label("Qd1"),
+            SpjQuery::new(
+                vec!["E"],
+                vec!["name"],
+                DnfPredicate::single(Term::compare("salary", ComparisonOp::Gt, 4000i64)),
+            )
+            .with_label("Qd2"),
+        ];
+        let session = |candidates: Vec<SpjQuery>| {
+            let result = evaluate(&candidates[0], &db).unwrap();
+            QfeSession::builder(db.clone(), result)
+                .with_candidates(candidates)
+                .build()
+                .unwrap()
+        };
+        // Bag semantics: Algorithm 4's evaluation is exact, one round splits.
+        let outcome = session(bag.clone())
+            .run(&OracleUser::new(bag[1].clone()))
+            .unwrap();
+        assert_eq!(outcome.query.label, bag[1].label);
+        assert_eq!(outcome.report.iterations(), 1);
+
+        // Set semantics: the edit pick scores as a split (one Bob row leaves
+        // the IT department) changes neither set result, so the verified
+        // partition has one group. Presenting it would repeat the same round
+        // until the iteration cap; the generator reports it instead.
+        let mut engine = session(with_set_semantics(&bag)).start();
+        match engine.step() {
+            Err(QfeError::Internal { message }) => {
+                assert!(message.contains("set semantics"), "{message}")
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! does not care whether it is talking to one [`SessionHost`] or to a
 //! sharded cluster of them. `qfe-server` serves an `Arc<dyn
 //! SessionBackend>`; `qfe-cluster`'s router implements the same trait over
-//! N shards.
+//! N shards. A program that only hosts sessions in-process needs neither:
+//! it embeds a [`SessionHost`] over a [`MemoryStore`](crate::MemoryStore)
+//! directly.
 
 use std::time::Duration;
 

@@ -1,29 +1,36 @@
-//! A [`SessionManager`] wrapped with a durable store and a memory-pressure
-//! watermark: the service-facing session host.
+//! The in-process session table, with a durable store and a
+//! memory-pressure watermark behind it: the service-facing session host.
 //!
-//! Requests address sessions by id exactly as with a bare manager; the host
-//! transparently rehydrates a parked session from the store on its next
-//! request, and parks the longest-idle sessions whenever the resident count
-//! exceeds the configured watermark. A parked session costs no heap beyond
-//! the store's index entry — the PIMDAL framing: keep cold state off the
-//! memory bus entirely.
+//! [`SessionHost`] owns many concurrent [`QfeEngine`]s keyed by
+//! [`SessionId`] and exposes the engine operations — step, answer, reject,
+//! snapshot — through the handle. It is the embedding point for a server
+//! frontend: a request handler resolves the session id, steps or answers,
+//! and returns; no thread ever blocks waiting for a user. Over a
+//! [`MemoryStore`](crate::MemoryStore) it is a plain in-process table.
 //!
-//! Each session's verbs, parks and checkpoints run under that session's
-//! lock, so a watermark park never snapshots an engine mid-verb and never
-//! evicts one a request is using.
+//! The host transparently rehydrates a parked session from the store on
+//! its next request, and parks the longest-idle sessions whenever the
+//! resident count exceeds the configured watermark. A parked session costs
+//! no heap beyond the store's index entry — the PIMDAL framing: keep cold
+//! state off the memory bus entirely.
+//!
+//! Concurrency: the host is `Sync`. The session table is behind a
+//! read-write lock held only for lookup and insertion, and each session's
+//! verbs, parks and checkpoints run under that session's lock, so sessions
+//! progress independently, a watermark park never snapshots an engine
+//! mid-verb and never evicts one a request is using.
 //!
 //! Durability: parking writes the session through [`SessionHost::park`];
 //! rehydration leaves the stored copy in place, so a crash after resume
 //! falls back to the last parked state instead of losing the session.
 //! The copy is replaced on the next park.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use qfe_core::{
-    QfeEngine, QfeError, QfeSession, Result, SessionId, SessionManager, SessionSnapshot, Step,
-};
+use qfe_core::{QfeEngine, QfeError, QfeSession, Result, SessionId, SessionSnapshot, Step};
 
 use crate::park::{load_snapshot, park_snapshot, ParkReceipt, WorkloadCache};
 use crate::store::{SnapshotStore, StoreError};
@@ -129,10 +136,43 @@ impl ParkAllReport {
     }
 }
 
-/// A [`SessionManager`] with a durable snapshot store behind it.
+/// A resident engine plus its idle clock: `last_touch` is reset by every
+/// step, answer and reject (snapshots, checkpoints and parks leave it
+/// alone), so the watermark parks the longest-idle session first.
+#[derive(Debug)]
+struct Resident {
+    engine: QfeEngine,
+    last_touch: Instant,
+}
+
+impl Resident {
+    fn new(engine: QfeEngine) -> Arc<Mutex<Resident>> {
+        Arc::new(Mutex::new(Resident {
+            engine,
+            last_touch: Instant::now(),
+        }))
+    }
+
+    /// The engine, with the idle clock reset: the access a step, answer or
+    /// reject makes.
+    fn touch(&mut self) -> &mut QfeEngine {
+        self.last_touch = Instant::now();
+        &mut self.engine
+    }
+}
+
+type SessionTable = HashMap<SessionId, Arc<Mutex<Resident>>>;
+
+fn lock_resident(resident: &Mutex<Resident>) -> MutexGuard<'_, Resident> {
+    resident.lock().expect("engine lock poisoned")
+}
+
+/// Hosts many concurrent [`QfeEngine`]s behind [`SessionId`] handles, with
+/// a durable snapshot store behind them.
 #[derive(Debug)]
 pub struct SessionHost {
-    manager: SessionManager,
+    sessions: RwLock<SessionTable>,
+    next_id: AtomicU64,
     store: Arc<dyn SnapshotStore>,
     config: HostConfig,
     workloads: WorkloadCache,
@@ -152,36 +192,26 @@ pub fn parse_session_store_key(key: &str) -> Option<SessionId> {
     key.strip_prefix('s')?.parse().ok().map(SessionId::from_u64)
 }
 
-fn store_key(id: SessionId) -> String {
-    session_store_key(id)
-}
-
-fn parse_store_key(key: &str) -> Option<u64> {
-    parse_session_store_key(key).map(|id| id.as_u64())
-}
-
 impl SessionHost {
     /// Opens a host over `store`. Session ids found parked in the store are
     /// reserved, so ids created by this process generation never collide
     /// with sessions parked by a previous one.
     pub fn open(store: Arc<dyn SnapshotStore>, config: HostConfig) -> Result<SessionHost> {
-        let manager = SessionManager::new();
         let keys = store.session_keys().map_err(store_qfe)?;
-        if let Some(max_id) = keys.iter().filter_map(|k| parse_store_key(k)).max() {
-            manager.reserve_ids(max_id.saturating_add(1));
-        }
+        let next_id = keys
+            .iter()
+            .filter_map(|k| parse_session_store_key(k))
+            .map(|id| id.as_u64().saturating_add(1))
+            .max()
+            .unwrap_or(0);
         Ok(SessionHost {
-            manager,
+            sessions: RwLock::default(),
+            next_id: AtomicU64::new(next_id),
             store,
             config,
             workloads: WorkloadCache::default(),
             locks: SessionLocks::default(),
         })
-    }
-
-    /// The wrapped manager (resident sessions only).
-    pub fn manager(&self) -> &SessionManager {
-        &self.manager
     }
 
     /// The backing store.
@@ -192,41 +222,41 @@ impl SessionHost {
     /// Starts hosting a new session. May immediately park other sessions
     /// (or this one) if the resident watermark is exceeded.
     pub fn create(&self, session: &QfeSession) -> Result<SessionId> {
-        let id = self.manager.create(session);
-        self.enforce_watermark();
-        Ok(id)
+        self.adopt(session.start())
     }
 
     /// Starts hosting an existing engine (e.g. adopted from a snapshot sent
     /// over the wire).
     pub fn adopt(&self, engine: QfeEngine) -> Result<SessionId> {
-        let id = self.manager.adopt(engine);
+        let id = SessionId::from_u64(self.next_id.fetch_add(1, Ordering::Relaxed));
+        self.table_mut().insert(id, Resident::new(engine));
         self.enforce_watermark();
         Ok(id)
     }
 
     /// Starts hosting an engine under a caller-chosen id — the cluster
     /// placement path, where ids are allocated by the router rather than by
-    /// any one shard's manager. Fails when the id is already resident.
+    /// any one shard. Fails when the id is already resident. The id counter
+    /// is advanced past `id`, so freshly created sessions never collide
+    /// with adopted ones.
     pub fn adopt_as(&self, id: SessionId, engine: QfeEngine) -> Result<()> {
-        self.manager.adopt_as(id, engine)?;
+        self.host_as(id, engine)?;
         self.enforce_watermark();
         Ok(())
     }
 
     /// Restores a session from a snapshot under a fresh id.
     pub fn restore(&self, snapshot: SessionSnapshot) -> Result<SessionId> {
-        let id = self.manager.restore(snapshot)?;
-        self.enforce_watermark();
-        Ok(id)
+        self.adopt(QfeEngine::resume(snapshot)?)
     }
 
     /// Runs `verb` under the session's lock with the session resident
     /// (rehydrated first if parked), then enforces the watermark.
-    fn serve<T>(&self, id: SessionId, verb: impl FnOnce() -> Result<T>) -> Result<T> {
+    fn serve<T>(&self, id: SessionId, verb: impl FnOnce(&mut Resident) -> Result<T>) -> Result<T> {
         let result = {
             let _guard = self.locks.lock(id);
-            self.ensure_resident(id).and_then(|()| verb())
+            self.ensure_resident(id)
+                .and_then(|resident| verb(&mut lock_resident(&resident)))
         };
         self.enforce_watermark();
         result
@@ -234,27 +264,37 @@ impl SessionHost {
 
     /// Advances a session, rehydrating it from the store first if parked.
     pub fn step(&self, id: SessionId) -> Result<Step> {
-        self.serve(id, || self.manager.step(id))
+        self.serve(id, |resident| resident.touch().step())
     }
 
     /// Answers a session's pending round, rehydrating first if parked.
     pub fn answer(&self, id: SessionId, choice_idx: usize) -> Result<()> {
-        self.serve(id, || self.manager.answer(id, choice_idx))
+        self.serve(id, |resident| resident.touch().answer(choice_idx))
     }
 
-    /// [`SessionManager::answer_timed`] with transparent rehydration.
+    /// [`QfeEngine::answer_timed`] with transparent rehydration.
     pub fn answer_timed(
         &self,
         id: SessionId,
         choice_idx: usize,
         user_time: Duration,
     ) -> Result<()> {
-        self.serve(id, || self.manager.answer_timed(id, choice_idx, user_time))
+        self.serve(id, |resident| {
+            resident.touch().answer_timed(choice_idx, user_time)
+        })
     }
 
     /// Rejects a session's pending round, rehydrating first if parked.
     pub fn reject(&self, id: SessionId) -> Result<()> {
-        self.serve(id, || self.manager.reject(id))
+        self.serve(id, |resident| resident.touch().reject())
+    }
+
+    /// Externalizes a session's state ([`QfeEngine::snapshot`]),
+    /// rehydrating it first if parked. The session keeps running; pair with
+    /// [`SessionHost::evict`] to move it away. Snapshotting does not reset
+    /// the idle clock.
+    pub fn snapshot(&self, id: SessionId) -> Result<SessionSnapshot> {
+        self.serve(id, |resident| Ok(resident.engine.snapshot()))
     }
 
     /// Parks a session: snapshots it to the store (workload payload stored
@@ -267,19 +307,17 @@ impl SessionHost {
 
     /// [`SessionHost::park`] for a caller holding the session's lock.
     fn park_held(&self, id: SessionId) -> Result<ParkReceipt> {
-        let key = store_key(id);
-        match self.manager.snapshot(id) {
-            Ok(snapshot) => {
-                let receipt = park_snapshot(self.store.as_ref(), &self.workloads, &key, &snapshot)
-                    .map_err(store_qfe)?;
-                self.manager.evict(id);
-                Ok(receipt)
-            }
-            Err(QfeError::UnknownSession { .. }) => self
+        let key = session_store_key(id);
+        let Some(resident) = self.resident(id) else {
+            return self
                 .parked_receipt(&key)?
-                .ok_or(QfeError::UnknownSession { id: id.as_u64() }),
-            Err(e) => Err(e),
-        }
+                .ok_or(QfeError::UnknownSession { id: id.as_u64() });
+        };
+        let snapshot = lock_resident(&resident).engine.snapshot();
+        let receipt = park_snapshot(self.store.as_ref(), &self.workloads, &key, &snapshot)
+            .map_err(store_qfe)?;
+        self.discard(id);
+        Ok(receipt)
     }
 
     /// Writes the session's current state to the store **without** evicting
@@ -288,11 +326,14 @@ impl SessionHost {
     /// this verb boundary instead of to its last explicit park.
     pub fn checkpoint(&self, id: SessionId) -> Result<ParkReceipt> {
         let _guard = self.locks.lock(id);
-        let snapshot = self.manager.snapshot(id)?;
+        let resident = self
+            .resident(id)
+            .ok_or(QfeError::UnknownSession { id: id.as_u64() })?;
+        let snapshot = lock_resident(&resident).engine.snapshot();
         park_snapshot(
             self.store.as_ref(),
             &self.workloads,
-            &store_key(id),
+            &session_store_key(id),
             &snapshot,
         )
         .map_err(store_qfe)
@@ -301,10 +342,10 @@ impl SessionHost {
     /// Ensures a session is resident, rehydrating it if parked. Returns
     /// `true` when this call brought it back from the store.
     pub fn resume(&self, id: SessionId) -> Result<bool> {
-        if self.manager.contains(id) {
+        if self.is_resident(id) {
             return Ok(false);
         }
-        self.serve(id, || Ok(()))?;
+        self.serve(id, |_| Ok(()))?;
         Ok(true)
     }
 
@@ -317,7 +358,7 @@ impl SessionHost {
     pub fn park_all(&self, deadline: Option<Duration>) -> ParkAllReport {
         let start = Instant::now();
         let mut report = ParkAllReport::default();
-        let ids = self.manager.session_ids();
+        let ids = self.resident_ids();
         for (index, &id) in ids.iter().enumerate() {
             if let Some(deadline) = deadline {
                 if start.elapsed() >= deadline {
@@ -339,17 +380,6 @@ impl SessionHost {
         report
     }
 
-    /// Parks every resident session — the drain-on-shutdown path. A thin
-    /// wrapper over [`SessionHost::park_all`] with no deadline, failing on
-    /// the first store error.
-    pub fn drain(&self) -> Result<usize> {
-        let report = self.park_all(None);
-        match report.first_error {
-            Some(e) => Err(e),
-            None => Ok(report.parked),
-        }
-    }
-
     /// Parks the longest-idle sessions until at most `max` engines stay on
     /// the heap — the watermark policy, run after every request by the host
     /// itself and by a cluster over its shards. A session is parked only
@@ -360,7 +390,7 @@ impl SessionHost {
     /// sweep, whose own effect is already committed. Returns the number
     /// parked.
     pub fn park_excess<G>(&self, max: usize, claim: impl Fn(SessionId) -> Option<G>) -> usize {
-        let idle = self.manager.idle_sessions();
+        let idle = self.idle_sessions();
         let excess = idle.len().saturating_sub(max);
         let mut parked = 0;
         for &(id, _) in &idle[..excess] {
@@ -368,7 +398,7 @@ impl SessionHost {
             let Some(_guard) = self.locks.try_lock(id) else {
                 continue;
             };
-            if self.manager.contains(id) && self.park_held(id).is_ok() {
+            if self.is_resident(id) && self.park_held(id).is_ok() {
                 parked += 1;
             }
         }
@@ -377,19 +407,32 @@ impl SessionHost {
 
     /// True when the session is resident or parked.
     pub fn contains(&self, id: SessionId) -> Result<bool> {
-        if self.manager.contains(id) {
+        if self.is_resident(id) {
             return Ok(true);
         }
         Ok(self
             .store
-            .get_session(&store_key(id))
+            .get_session(&session_store_key(id))
             .map_err(store_qfe)?
             .is_some())
     }
 
+    /// True when the session's engine is on the heap (the store is not
+    /// consulted).
+    pub fn is_resident(&self, id: SessionId) -> bool {
+        self.table().contains_key(&id)
+    }
+
+    /// The ids of the engines on the heap, in ascending order.
+    pub fn resident_ids(&self) -> Vec<SessionId> {
+        let mut ids: Vec<SessionId> = self.table().keys().copied().collect();
+        ids.sort();
+        ids
+    }
+
     /// Number of engines currently on the heap.
     pub fn resident_count(&self) -> usize {
-        self.manager.len()
+        self.table().len()
     }
 
     /// Number of sessions parked in the store and not resident.
@@ -399,7 +442,7 @@ impl SessionHost {
 
     /// Every hosted session id — resident and parked — in ascending order.
     pub fn session_ids(&self) -> Result<Vec<SessionId>> {
-        let mut ids = self.manager.session_ids();
+        let mut ids = self.resident_ids();
         ids.extend(self.parked_ids()?);
         ids.sort();
         ids.dedup();
@@ -410,12 +453,70 @@ impl SessionHost {
     /// parked record. Returns `false` when the id was unknown everywhere.
     pub fn evict(&self, id: SessionId) -> Result<bool> {
         let _guard = self.locks.lock(id);
-        let resident = self.manager.evict(id);
+        let resident = self.discard(id);
         let parked = self
             .store
-            .remove_session(&store_key(id))
+            .remove_session(&session_store_key(id))
             .map_err(store_qfe)?;
         Ok(resident || parked)
+    }
+
+    /// Drops the session's resident engine without writing anything and
+    /// without touching its stored record — what a crash does, and how a
+    /// cluster rolls back a placement. Returns `false` when it was not
+    /// resident.
+    pub fn discard(&self, id: SessionId) -> bool {
+        self.table_mut().remove(&id).is_some()
+    }
+
+    fn table(&self) -> RwLockReadGuard<'_, SessionTable> {
+        self.sessions.read().expect("session table lock poisoned")
+    }
+
+    fn table_mut(&self) -> RwLockWriteGuard<'_, SessionTable> {
+        self.sessions.write().expect("session table lock poisoned")
+    }
+
+    fn resident(&self, id: SessionId) -> Option<Arc<Mutex<Resident>>> {
+        self.table().get(&id).cloned()
+    }
+
+    /// Inserts `engine` under `id` unless that id is resident, and reserves
+    /// every id up to `id` against fresh allocation.
+    fn host_as(&self, id: SessionId, engine: QfeEngine) -> Result<Arc<Mutex<Resident>>> {
+        self.next_id
+            .fetch_max(id.as_u64().saturating_add(1), Ordering::Relaxed);
+        let mut sessions = self.table_mut();
+        if sessions.contains_key(&id) {
+            return Err(QfeError::Store {
+                context: format!("adopt_as {id}"),
+                message: "session id is already resident".into(),
+            });
+        }
+        let resident = Resident::new(engine);
+        sessions.insert(id, Arc::clone(&resident));
+        Ok(resident)
+    }
+
+    /// `(id, idle duration)` for every resident session, most idle first
+    /// (ties broken by ascending id) — the order the watermark parks in.
+    /// One pass under the table read lock; a session whose engine a verb
+    /// holds right now counts as not idle at all.
+    fn idle_sessions(&self) -> Vec<(SessionId, Duration)> {
+        let now = Instant::now();
+        let mut idle: Vec<(SessionId, Duration)> = self
+            .table()
+            .iter()
+            .map(|(&id, resident)| {
+                let idle = match resident.try_lock() {
+                    Ok(resident) => now.saturating_duration_since(resident.last_touch),
+                    Err(_) => Duration::ZERO,
+                };
+                (id, idle)
+            })
+            .collect();
+        idle.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        idle
     }
 
     fn parked_ids(&self) -> Result<Vec<SessionId>> {
@@ -424,9 +525,8 @@ impl SessionHost {
             .session_keys()
             .map_err(store_qfe)?
             .iter()
-            .filter_map(|k| parse_store_key(k))
-            .map(SessionId::from_u64)
-            .filter(|id| !self.manager.contains(*id))
+            .filter_map(|k| parse_session_store_key(k))
+            .filter(|&id| !self.is_resident(id))
             .collect())
     }
 
@@ -458,16 +558,17 @@ impl SessionHost {
         }))
     }
 
-    /// Rehydrates a parked session. Caller holds the session's lock, so no
-    /// one else can rehydrate it concurrently.
-    fn ensure_resident(&self, id: SessionId) -> Result<()> {
-        if self.manager.contains(id) {
-            return Ok(());
+    /// The session's resident entry, rehydrated from the store if parked.
+    /// Caller holds the session's lock, so no one else can rehydrate it
+    /// concurrently.
+    fn ensure_resident(&self, id: SessionId) -> Result<Arc<Mutex<Resident>>> {
+        if let Some(resident) = self.resident(id) {
+            return Ok(resident);
         }
-        let snapshot = load_snapshot(self.store.as_ref(), &self.workloads, &store_key(id))
+        let snapshot = load_snapshot(self.store.as_ref(), &self.workloads, &session_store_key(id))
             .map_err(store_qfe)?
             .ok_or(QfeError::UnknownSession { id: id.as_u64() })?;
-        self.manager.restore_as(id, snapshot)
+        self.host_as(id, QfeEngine::resume(snapshot)?)
     }
 
     fn enforce_watermark(&self) {
@@ -505,6 +606,177 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn memory_host() -> SessionHost {
+        SessionHost::open(Arc::new(MemoryStore::new()), HostConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn create_step_answer_evict_lifecycle() {
+        let host = memory_host();
+        assert_eq!(host.resident_count(), 0);
+        let (session, target) = session_and_target(1);
+        let id = host.create(&session).unwrap();
+        assert!(host.is_resident(id));
+        assert_eq!(host.resident_count(), 1);
+        assert_eq!(host.resident_ids(), vec![id]);
+        assert_eq!(id.to_string(), format!("session-{}", id.as_u64()));
+
+        assert_eq!(drive(&host, id, &target), target.label.clone().unwrap());
+        assert!(host.evict(id).unwrap());
+        assert!(!host.evict(id).unwrap());
+        assert!(matches!(
+            host.step(id),
+            Err(QfeError::UnknownSession { .. })
+        ));
+    }
+
+    #[test]
+    fn snapshot_restore_continues_under_a_new_id() {
+        let host = memory_host();
+        let (session, target) = session_and_target(2);
+        let id = host.create(&session).unwrap();
+        // Generate a round, snapshot mid-round, evict the original.
+        let round = match host.step(id).unwrap() {
+            Step::AwaitFeedback(round) => round,
+            Step::Done(_) => panic!("three candidates cannot finish immediately"),
+        };
+        let snapshot = host.snapshot(id).unwrap();
+        assert!(host.evict(id).unwrap());
+
+        let restored = host.restore(snapshot).unwrap();
+        assert_ne!(restored, id);
+        let oracle = OracleUser::new(target.clone());
+        // The restored session re-presents the cached round.
+        let outcome = loop {
+            match host.step(restored).unwrap() {
+                Step::Done(outcome) => break outcome,
+                Step::AwaitFeedback(r) => {
+                    if r.iteration == round.iteration {
+                        assert_eq!(r, round, "cached round must be re-presented");
+                    }
+                    host.answer(restored, oracle.choose(&r).unwrap()).unwrap();
+                }
+            }
+        };
+        assert_eq!(outcome.query.label, target.label);
+    }
+
+    #[test]
+    fn unknown_ids_are_reported() {
+        let host = memory_host();
+        let ghost = SessionId::from_u64(999);
+        assert!(!host.is_resident(ghost));
+        assert!(!host.contains(ghost).unwrap());
+        assert!(!host.discard(ghost));
+        assert!(matches!(
+            host.answer(ghost, 0),
+            Err(QfeError::UnknownSession { id: 999 })
+        ));
+        assert!(matches!(
+            host.snapshot(ghost),
+            Err(QfeError::UnknownSession { .. })
+        ));
+        assert!(matches!(
+            host.reject(ghost),
+            Err(QfeError::UnknownSession { .. })
+        ));
+        assert!(matches!(
+            host.answer_timed(ghost, 0, Duration::ZERO),
+            Err(QfeError::UnknownSession { .. })
+        ));
+    }
+
+    /// How long the resident session has been idle; `None` when it is not
+    /// resident.
+    fn idle_since(host: &SessionHost, id: SessionId) -> Option<Duration> {
+        host.idle_sessions()
+            .into_iter()
+            .find_map(|(resident, idle)| (resident == id).then_some(idle))
+    }
+
+    #[test]
+    fn idle_clock_resets_on_step_and_answer() {
+        let host = memory_host();
+        let (session, _) = session_and_target(1);
+        let id = host.create(&session).unwrap();
+        assert!(idle_since(&host, id).unwrap() < Duration::from_secs(5));
+        std::thread::sleep(Duration::from_millis(15));
+        let idled = idle_since(&host, id).unwrap();
+        assert!(idled >= Duration::from_millis(15));
+        // Snapshotting and checkpointing leave the clock alone.
+        let _ = host.snapshot(id).unwrap();
+        host.checkpoint(id).unwrap();
+        assert!(idle_since(&host, id).unwrap() >= idled);
+        // Stepping resets the clock.
+        let _ = host.step(id).unwrap();
+        assert!(idle_since(&host, id).unwrap() < idled);
+        std::thread::sleep(Duration::from_millis(15));
+        // Answering resets it again.
+        host.answer(id, 0).unwrap();
+        assert!(idle_since(&host, id).unwrap() < Duration::from_millis(15));
+        assert!(idle_since(&host, SessionId::from_u64(404)).is_none());
+    }
+
+    #[test]
+    fn idle_sessions_order_most_idle_first() {
+        let host = memory_host();
+        let a = host.create(&session_and_target(1).0).unwrap();
+        let b = host.create(&session_and_target(2).0).unwrap();
+        let order = |host: &SessionHost| -> Vec<SessionId> {
+            host.idle_sessions().iter().map(|(id, _)| *id).collect()
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        let _ = host.step(b).unwrap(); // b is now the freshest
+        assert_eq!(order(&host), vec![a, b]);
+        let _ = host.step(a).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(order(&host), vec![b, a]);
+    }
+
+    #[test]
+    fn adopt_as_rehosts_under_the_original_id_and_reserves_ids() {
+        let host = memory_host();
+        let (session, target) = session_and_target(2);
+        let id = host.create(&session).unwrap();
+        let _ = host.step(id).unwrap();
+        let snapshot = host.snapshot(id).unwrap();
+        assert!(host.discard(id));
+
+        // A fresh host (a "restarted process") rehosts under the same id.
+        let fresh = memory_host();
+        fresh
+            .adopt_as(id, QfeEngine::resume(snapshot.clone()).unwrap())
+            .unwrap();
+        assert!(fresh.is_resident(id));
+        // Ids handed out afterwards never collide with the rehydrated one.
+        let (other, _) = session_and_target(1);
+        let new_id = fresh.create(&other).unwrap();
+        assert!(new_id.as_u64() > id.as_u64());
+
+        // Rehosting over a resident id is a store error, not a panic.
+        assert!(matches!(
+            fresh.adopt_as(id, QfeEngine::resume(snapshot).unwrap()),
+            Err(QfeError::Store { .. })
+        ));
+
+        // The rehydrated session still finishes.
+        assert_eq!(drive(&fresh, id, &target), target.label.clone().unwrap());
+    }
+
+    #[test]
+    fn sessions_are_isolated() {
+        let host = memory_host();
+        let (s1, t1) = session_and_target(1);
+        let (s2, t2) = session_and_target(2);
+        let a = host.create(&s1).unwrap();
+        let b = host.create(&s2).unwrap();
+        // Alternate single steps first to prove interleaving is safe.
+        let _ = host.step(a).unwrap();
+        let _ = host.step(b).unwrap();
+        assert_eq!(drive(&host, a, &t1), t1.label.clone().unwrap());
+        assert_eq!(drive(&host, b, &t2), t2.label.clone().unwrap());
     }
 
     #[test]
@@ -552,13 +824,13 @@ mod tests {
         // never touched) session was parked.
         assert_eq!(host.resident_count(), 2);
         assert_eq!(host.parked_count().unwrap(), 1);
-        assert!(!host.manager().contains(ids[0]));
+        assert!(!host.is_resident(ids[0]));
         // All three are still addressable.
         let all = host.session_ids().unwrap();
         assert_eq!(all, ids);
         // Touching the parked one rehydrates it and parks another instead.
         let _ = host.step(ids[0]).unwrap();
-        assert!(host.manager().contains(ids[0]));
+        assert!(host.is_resident(ids[0]));
         assert_eq!(host.resident_count(), 2);
     }
 
@@ -643,7 +915,7 @@ mod tests {
         let (session, target) = session_and_target(2);
         let id = SessionId::from_u64(17);
         host.adopt_as(id, session.start()).unwrap();
-        assert!(host.manager().contains(id));
+        assert!(host.is_resident(id));
         // The id space advanced past the adopted id.
         let (other, _) = session_and_target(0);
         assert!(host.create(&other).unwrap().as_u64() > 17);
@@ -680,7 +952,9 @@ mod tests {
         let (session, _) = session_and_target(0);
         let id = first.create(&session).unwrap();
         let _ = first.step(id).unwrap();
-        assert_eq!(first.drain().unwrap(), 1);
+        let report = first.park_all(None);
+        assert_eq!(report.parked, 1);
+        assert!(report.is_complete() && report.first_error.is_none());
         assert_eq!(first.resident_count(), 0);
 
         // A second host generation over the same store: new ids never
@@ -715,13 +989,13 @@ mod tests {
         let y = host.create(&session_and_target(2).0).unwrap();
         // Creating y parked x; stepping x parks y.
         round_of(host.step(x).unwrap());
-        assert!(!host.manager().contains(y));
+        assert!(!host.is_resident(y));
         // While a request holds x, x is off limits to the sweep that follows
         // y's verb, even though x is the longest idle.
         {
             let _in_flight = host.locks.lock(x);
             round_of(host.step(y).unwrap());
-            assert!(host.manager().contains(x));
+            assert!(host.is_resident(x));
             assert_eq!(host.resident_count(), 2);
         }
         // Once x is free the next sweep restores the watermark.
@@ -747,12 +1021,12 @@ mod tests {
         let x = host.create(&session).unwrap();
         let round = round_of(host.step(x).unwrap());
         let y = host.create(&session_and_target(2).0).unwrap();
-        assert!(!host.manager().contains(x), "y's birth parked x");
+        assert!(!host.is_resident(x), "y's birth parked x");
         // The answer rehydrates x and commits; its sweep fails to park y.
         // The answer still succeeds, and exactly once.
         let choice = OracleUser::new(target.clone()).choose(&round).unwrap();
         host.answer(x, choice).unwrap();
-        assert!(host.manager().contains(y), "y stays resident");
+        assert!(host.is_resident(y), "y stays resident");
         assert!(host.answer(x, choice).is_err(), "the round was consumed");
         assert_eq!(drive(&host, x, &target), target.label.clone().unwrap());
         let (_, y_target) = session_and_target(2);
@@ -769,7 +1043,7 @@ mod tests {
     }
 
     fn snapshot_of(host: &SessionHost, id: SessionId) -> SessionSnapshot {
-        host.manager().snapshot(id).unwrap()
+        host.snapshot(id).unwrap()
     }
 
     #[test]

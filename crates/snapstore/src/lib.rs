@@ -16,11 +16,14 @@
 //!   stores only a tiny state document referencing the hash. Thousands of
 //!   parked sessions share one copy of the bulk data, and a host serving
 //!   sessions on one workload decodes it once for all of them.
-//! * [`SessionHost`] — a [`SessionManager`] wrapped with a store and a
-//!   memory-pressure watermark: sessions over the resident limit are parked
-//!   longest-idle-first, and any request for a parked session transparently
-//!   rehydrates it under its original id. Each session's requests and parks
-//!   are serialized by its entry in [`SessionLocks`].
+//! * [`SessionHost`] — the one in-process session table: it hosts many
+//!   concurrent [`QfeEngine`]s behind [`SessionId`] handles, with a store
+//!   and a memory-pressure watermark behind them. Sessions over the
+//!   resident limit are parked longest-idle-first, and any request for a
+//!   parked session transparently rehydrates it under its original id. Each
+//!   session's requests and parks are serialized by its entry in
+//!   [`SessionLocks`]. A `SessionHost` over a [`MemoryStore`] is the
+//!   embedding point for a program that hosts sessions in one process.
 //!
 //! Failures surface as [`QfeError::Store`] with a context string naming the
 //! operation and key — a corrupt or missing snapshot produces a clean error
@@ -43,7 +46,7 @@
 //! lets CI replay a chaos run byte-for-byte.
 //!
 //! [`QfeEngine`]: qfe_core::QfeEngine
-//! [`SessionManager`]: qfe_core::SessionManager
+//! [`SessionId`]: qfe_core::SessionId
 //! [`QfeError::Store`]: qfe_core::QfeError
 
 #![forbid(unsafe_code)]

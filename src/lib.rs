@@ -78,11 +78,15 @@
 //! [`QfeEngine`](prelude::QfeEngine) that returns each feedback round and is
 //! fed each answer, holds all loop state, and externalizes as a JSON
 //! [`SessionSnapshot`](prelude::SessionSnapshot) that resumes in another
-//! process. A [`SessionManager`](prelude::SessionManager) hosts many
-//! concurrent engines behind [`SessionId`](prelude::SessionId) handles —
-//! the embedding point for a server frontend.
+//! process. A [`SessionHost`](prelude::SessionHost) hosts many concurrent
+//! engines behind [`SessionId`](prelude::SessionId) handles — the embedding
+//! point for a server frontend. Over a
+//! [`MemoryStore`](prelude::MemoryStore) it is a plain in-process session
+//! table; over a [`LogStore`](prelude::LogStore) parked sessions also
+//! survive a restart.
 //!
 //! ```
+//! use std::sync::Arc;
 //! use qfe::prelude::*;
 //!
 //! let (db, result, candidates, target) = qfe::datasets::example_1_1();
@@ -93,20 +97,21 @@
 //!     .expect("valid example input");
 //!
 //! // Host the session behind an id, as a server would.
-//! let manager = SessionManager::new();
-//! let mut id = manager.create(&session);
+//! let host = SessionHost::open(Arc::new(MemoryStore::new()), HostConfig::default())
+//!     .expect("an empty store opens");
+//! let mut id = host.create(&session).unwrap();
 //! let outcome = loop {
-//!     match manager.step(id).expect("hosted session steps") {
+//!     match host.step(id).expect("hosted session steps") {
 //!         Step::Done(outcome) => break outcome,
 //!         Step::AwaitFeedback(round) => {
 //!             // Mid-round the session can leave the process entirely…
-//!             let parked: String = manager.snapshot(id).unwrap().serialize();
-//!             assert!(manager.evict(id));
+//!             let parked: String = host.snapshot(id).unwrap().serialize();
+//!             assert!(host.evict(id).unwrap());
 //!             // …and come back later, under a new handle.
 //!             let snapshot = SessionSnapshot::deserialize(&parked).unwrap();
-//!             id = manager.restore(snapshot).unwrap();
+//!             id = host.restore(snapshot).unwrap();
 //!             let choice = user.choose(&round).expect("oracle finds its result");
-//!             manager.answer(id, choice).unwrap();
+//!             host.answer(id, choice).unwrap();
 //!         }
 //!     }
 //! };
@@ -306,7 +311,7 @@ pub mod prelude {
     pub use qfe_core::{
         AltCostModel, CostModelKind, CostParams, DatabaseGenerator, FeedbackUser, InteractiveUser,
         IterationStats, OracleUser, QfeEngine, QfeError, QfeOutcome, QfeSession, SessionId,
-        SessionManager, SessionReport, SessionSnapshot, SimulatedHumanUser, Step, WorstCaseUser,
+        SessionReport, SessionSnapshot, SimulatedHumanUser, Step, WorstCaseUser,
     };
     pub use qfe_qbo::{QboConfig, QueryGenerator};
     pub use qfe_query::{ComparisonOp, DnfPredicate, QueryResult, SpjQuery};

@@ -1,4 +1,4 @@
-//! Integration tests for the sans-IO session engine and the session manager:
+//! Integration tests for the sans-IO session engine and the session host:
 //! behavioral parity between `QfeSession::run` and a hand-driven
 //! `QfeEngine`, snapshot/resume across (simulated) process boundaries, and
 //! many interleaved concurrent sessions.
@@ -311,16 +311,21 @@ fn snapshots_serialize_the_full_session_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Session manager at scale
+// Session host at scale
 // ---------------------------------------------------------------------------
 
-/// Drives ≥100 interleaved sessions through one manager — round-robin, one
+/// An in-process session host: no watermark, nothing outlives the process.
+fn memory_host() -> SessionHost {
+    SessionHost::open(Arc::new(MemoryStore::new()), HostConfig::default()).unwrap()
+}
+
+/// Drives ≥100 interleaved sessions through one host — round-robin, one
 /// step or answer per visit, nothing finishing early — and checks every
 /// session identifies its own target (no cross-session interference).
 #[test]
 fn manager_drives_120_interleaved_sessions_without_interference() {
     let (db, result, candidates, _) = qfe::datasets::example_1_1();
-    let manager = SessionManager::new();
+    let host = memory_host();
     let n = 120;
 
     let mut expectations = Vec::new();
@@ -330,10 +335,10 @@ fn manager_drives_120_interleaved_sessions_without_interference() {
             .with_candidates(candidates.clone())
             .build()
             .unwrap();
-        let id = manager.create(&session);
+        let id = host.create(&session).unwrap();
         expectations.push((id, target));
     }
-    assert_eq!(manager.len(), n);
+    assert_eq!(host.resident_count(), n);
 
     // Round-robin: each pass gives every unfinished session exactly one
     // step()+answer() interaction, so all sessions are mid-flight together.
@@ -343,12 +348,12 @@ fn manager_drives_120_interleaved_sessions_without_interference() {
             if outcomes[i].is_some() {
                 continue;
             }
-            match manager.step(*id).unwrap() {
+            match host.step(*id).unwrap() {
                 Step::Done(outcome) => outcomes[i] = Some(outcome),
                 Step::AwaitFeedback(round) => {
                     let oracle = OracleUser::new(target.clone());
                     let choice = oracle.choose(&round).expect("oracle finds its target");
-                    manager.answer(*id, choice).unwrap();
+                    host.answer(*id, choice).unwrap();
                 }
             }
         }
@@ -357,19 +362,19 @@ fn manager_drives_120_interleaved_sessions_without_interference() {
         assert_eq!(outcome.as_ref().unwrap().query.label, target.label);
     }
 
-    // Evict everything; the manager ends empty.
+    // Evict everything; the host ends empty.
     for (id, _) in &expectations {
-        assert!(manager.evict(*id));
+        assert!(host.evict(*id).unwrap());
     }
-    assert!(manager.is_empty());
+    assert_eq!(host.resident_count(), 0);
 }
 
 /// The same scale from many threads at once: sessions progress independently
-/// under concurrent access to the shared manager.
+/// under concurrent access to the shared host.
 #[test]
 fn manager_serves_concurrent_threads() {
     let (db, result, candidates, _) = qfe::datasets::example_1_1();
-    let manager = Arc::new(SessionManager::new());
+    let host = Arc::new(memory_host());
     let threads = 8;
     let per_thread = 16;
 
@@ -380,24 +385,24 @@ fn manager_serves_concurrent_threads() {
             .with_candidates(candidates.clone())
             .build()
             .unwrap();
-        ids.push((manager.create(&session), target));
+        ids.push((host.create(&session).unwrap(), target));
     }
 
     let handles: Vec<_> = ids
         .chunks(per_thread)
         .map(|chunk| {
-            let manager = Arc::clone(&manager);
+            let host = Arc::clone(&host);
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 for (id, target) in chunk {
                     let oracle = OracleUser::new(target.clone());
                     let outcome = loop {
-                        match manager.step(id).unwrap() {
+                        match host.step(id).unwrap() {
                             Step::Done(outcome) => break outcome,
                             Step::AwaitFeedback(round) => {
                                 let choice =
                                     oracle.choose(&round).expect("oracle finds its target");
-                                manager.answer(id, choice).unwrap();
+                                host.answer(id, choice).unwrap();
                             }
                         }
                     };
@@ -409,5 +414,5 @@ fn manager_serves_concurrent_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(manager.len(), threads * per_thread);
+    assert_eq!(host.resident_count(), threads * per_thread);
 }
