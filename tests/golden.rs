@@ -12,6 +12,11 @@
 //! The datasets use the seeds and sizes of `qfe_bench::Scale::Small`, and δ
 //! is 120 s so that the skyline runs to completion on any machine; the
 //! transcripts are then a function of the code alone.
+//!
+//! One more file, `tests/golden/qbo-small.txt`, pins QBO alone: for every
+//! labelled query of the three Small workloads, the SQL that
+//! `generate_including` returns and the SQL that `grow_candidates` returns
+//! when asked for 19 more (the mutation frontier).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -19,14 +24,19 @@ use std::time::Duration;
 
 use qfe::datasets::Workload;
 use qfe::prelude::*;
+use qfe::qbo::{grow_candidates, QboConfig, QueryGenerator};
 
 /// The Small examples whose skyline is never cut at δ.
 const EXAMPLES: [&str; 3] = ["baseball/Q3", "adult/U1", "adult/U2"];
 
 const DELTA: Duration = Duration::from_secs(120);
 
+/// Candidates QBO's mutation frontier is asked for beyond the generated set.
+const GROWTH: usize = 19;
+
 fn small_workload(dataset: &str) -> Workload {
     match dataset {
+        "scientific" => qfe::datasets::scientific_scaled(42, 400, 80, 6),
         "baseball" => qfe::datasets::baseball_scaled(11, 40, 48, 900),
         "adult" => qfe::datasets::adult_scaled(5, 600),
         other => panic!("no Small workload named {other}"),
@@ -99,11 +109,52 @@ fn transcript(example: &str) -> String {
     }
 }
 
+/// Lists, for every labelled query of the Small workloads, the candidates
+/// QBO generates (with the target included, under the join bound
+/// `qfe_bench::candidates_for` uses) and the set `grow_candidates` grows
+/// from them.
+fn qbo_listing() -> String {
+    let mut out = String::from("# QBO candidates (Small)\n");
+    for dataset in ["scientific", "baseball", "adult"] {
+        let workload = small_workload(dataset);
+        for target in &workload.queries {
+            let label = target.label.as_deref().expect("labelled query");
+            let result = workload.example_result(label).expect("query evaluates");
+            let config = QboConfig {
+                max_join_tables: target.tables.len().max(1),
+                ..QboConfig::default()
+            };
+            let db = &workload.database;
+            let generated = QueryGenerator::new(config)
+                .generate_including(db, &result, target)
+                .expect("candidate generation");
+            let want = generated.len() + GROWTH;
+            let grown = grow_candidates(db, &result, &generated, want).expect("candidate growth");
+            writeln!(out, "## {dataset}/{label}").unwrap();
+            writeln!(out, "generate_including: {}", generated.len()).unwrap();
+            for (i, query) in generated.iter().enumerate() {
+                writeln!(out, "  {i}: {query}").unwrap();
+            }
+            writeln!(out, "grow_candidates(.., {want}): {}", grown.len()).unwrap();
+            for (i, query) in grown.iter().enumerate() {
+                writeln!(out, "  {i}: {query}").unwrap();
+            }
+        }
+    }
+    out
+}
+
+const QBO_GOLDEN: &str = "qbo-small";
+
 fn assert_matches_golden(example: &str) {
     let path = golden_path(example);
     let golden =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let actual = transcript(example);
+    let actual = if example == QBO_GOLDEN {
+        qbo_listing()
+    } else {
+        transcript(example)
+    };
     if actual == golden {
         return;
     }
@@ -119,7 +170,7 @@ fn assert_matches_golden(example: &str) {
         .find(|(_, (want, got))| want != got)
         .expect("texts differ in some line");
     panic!(
-        "{example} differs from {} at line {}:\n  golden:  {want}\n  session: {got}\n\
+        "{example} differs from {} at line {}:\n  golden: {want}\n  actual: {got}\n\
          (re-record with `cargo test --test golden -- --ignored` if the change is meant)",
         path.display(),
         line + 1,
@@ -142,6 +193,11 @@ fn adult_u2_matches_its_golden_transcript() {
 }
 
 #[test]
+fn qbo_candidates_match_their_golden_listing() {
+    assert_matches_golden(QBO_GOLDEN);
+}
+
+#[test]
 #[ignore = "rewrites the golden files; run only when a change is meant to alter the transcripts"]
 fn rewrite_golden_transcripts() {
     for example in EXAMPLES {
@@ -149,4 +205,5 @@ fn rewrite_golden_transcripts() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, transcript(example)).unwrap();
     }
+    std::fs::write(golden_path(QBO_GOLDEN), qbo_listing()).unwrap();
 }
