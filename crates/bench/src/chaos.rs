@@ -95,8 +95,8 @@ pub struct ChaosFleetReport {
 /// The pinned fault script: periodic write errors and read latency, plus
 /// one torn session write — every failure mode the store stack claims to
 /// absorb, firing deterministically.
-pub fn chaos_fault_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
+pub fn chaos_fault_plan() -> FaultPlan {
+    FaultPlan::new()
         .with_rule(FaultRule {
             op: "put_session".to_string(),
             key_contains: None,
@@ -288,7 +288,8 @@ pub(crate) fn drive_chaos_session(
 
 /// Runs the chaos fleet: a log-file store behind a [`FaultyStore`], the
 /// real service behind a [`FlakyHandler`], clients with retry policies and
-/// idempotency keys — all schedules pinned to `config.seed`.
+/// idempotency keys — the store faults scripted by [`chaos_fault_plan`],
+/// every other schedule pinned to `config.seed`.
 pub fn run_chaos_fleet(config: &ChaosFleetConfig) -> ChaosFleetReport {
     static CHAOS_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let run = CHAOS_RUN.fetch_add(1, Ordering::Relaxed);
@@ -297,7 +298,7 @@ pub fn run_chaos_fleet(config: &ChaosFleetConfig) -> ChaosFleetReport {
     let log = LogStore::open(dir.join("chaos.log")).expect("log store opens");
     let faulty = Arc::new(FaultyStore::new(
         Arc::new(log) as Arc<dyn SnapshotStore>,
-        chaos_fault_plan(config.seed),
+        chaos_fault_plan(),
     ));
     let host = SessionHost::open(
         Arc::clone(&faulty) as Arc<dyn SnapshotStore>,
@@ -465,7 +466,7 @@ pub fn chaos_fleet_json(config: &ChaosFleetConfig, report: &ChaosFleetReport) ->
     ));
     out.push_str(&format!(
         "  \"fault_plan\": {}\n",
-        chaos_fault_plan(config.seed).serialize()
+        chaos_fault_plan().serialize()
     ));
     out.push_str("}\n");
     out
@@ -571,7 +572,7 @@ mod tests {
 
     #[test]
     fn fault_plan_is_pinned_and_serializable() {
-        let plan = chaos_fault_plan(0xC4A05);
+        let plan = chaos_fault_plan();
         assert_eq!(FaultPlan::parse(&plan.serialize()).unwrap(), plan);
     }
 }

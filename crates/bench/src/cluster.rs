@@ -126,8 +126,8 @@ pub struct ClusterChaosReport {
 /// latency widening every race window, and a scripted burst of heartbeat
 /// probe failures against `sick_shard` — exactly enough consecutive
 /// failures to cross the supervisor's default threshold once.
-pub fn cluster_fault_plan(seed: u64, sick_shard: usize) -> FaultPlan {
-    FaultPlan::new(seed)
+pub fn cluster_fault_plan(sick_shard: usize) -> FaultPlan {
+    FaultPlan::new()
         .with_rule(FaultRule {
             op: "put_session".to_string(),
             key_contains: None,
@@ -245,8 +245,8 @@ fn run_killer(
 /// Runs the cluster chaos fleet: N shard hosts over one log-file store
 /// behind a [`FaultyStore`], the sharded service behind a [`FlakyHandler`],
 /// retrying clients with idempotency keys, and a seeded killer crashing,
-/// restarting and migrating underneath them — all schedules pinned to
-/// `config.seed`.
+/// restarting and migrating underneath them — the store faults scripted by
+/// [`cluster_fault_plan`], every other schedule pinned to `config.seed`.
 pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
     static CLUSTER_RUN: AtomicU64 = AtomicU64::new(0);
     let run = CLUSTER_RUN.fetch_add(1, Ordering::Relaxed);
@@ -257,7 +257,7 @@ pub fn run_cluster_chaos(config: &ClusterChaosConfig) -> ClusterChaosReport {
     let log = LogStore::open(dir.join("cluster.log")).expect("log store opens");
     let faulty = Arc::new(FaultyStore::new(
         Arc::new(log) as Arc<dyn SnapshotStore>,
-        cluster_fault_plan(config.seed, sick_shard),
+        cluster_fault_plan(sick_shard),
     ));
     let cluster = Arc::new(
         Cluster::open(
@@ -475,7 +475,7 @@ pub fn cluster_chaos_json(config: &ClusterChaosConfig, report: &ClusterChaosRepo
     ));
     out.push_str(&format!(
         "  \"fault_plan\": {}\n",
-        cluster_fault_plan(config.seed, 1 % shards).serialize()
+        cluster_fault_plan(1 % shards).serialize()
     ));
     out.push_str("}\n");
     out
@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn cluster_fault_plan_is_pinned_and_serializable() {
-        let plan = cluster_fault_plan(0xC1_05_7E, 1);
+        let plan = cluster_fault_plan(1);
         assert_eq!(FaultPlan::parse(&plan.serialize()).unwrap(), plan);
     }
 }

@@ -1070,7 +1070,7 @@ mod tests {
 
     #[test]
     fn heartbeat_threshold_kills_and_fails_over_the_sick_shard() {
-        let plan = FaultPlan::new(7).with_rule(FaultRule {
+        let plan = FaultPlan::new().with_rule(FaultRule {
             op: "get_session".to_string(),
             key_contains: Some("hb-1".to_string()),
             trigger: FaultTrigger::EveryNth(1),
@@ -1111,7 +1111,7 @@ mod tests {
 
     #[test]
     fn create_rolls_back_cleanly_when_the_birth_checkpoint_fails() {
-        let plan = FaultPlan::new(3).with_rule(FaultRule {
+        let plan = FaultPlan::new().with_rule(FaultRule {
             op: "put_session".to_string(),
             key_contains: None,
             trigger: FaultTrigger::Nth(1),
@@ -1186,7 +1186,7 @@ mod tests {
 
     /// A store whose `n`-th `put_session` under `key` is refused.
     fn refusing_nth_put(key: &str, n: u64) -> Arc<dyn SnapshotStore> {
-        let plan = FaultPlan::new(5).with_rule(FaultRule {
+        let plan = FaultPlan::new().with_rule(FaultRule {
             op: "put_session".to_string(),
             key_contains: Some(key.to_string()),
             trigger: FaultTrigger::Nth(n),

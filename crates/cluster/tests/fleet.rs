@@ -156,7 +156,7 @@ fn outcomes_are_byte_identical_across_placements_and_backends() {
 fn concurrent_requests_for_a_parked_session_leave_one_resident_engine() {
     // Seeded read latency on every other session load widens the window in
     // which two shards could both try to rehydrate the parked session.
-    let plan = FaultPlan::new(0xF1EE7).with_rule(FaultRule {
+    let plan = FaultPlan::new().with_rule(FaultRule {
         op: "get_session".to_string(),
         key_contains: None,
         trigger: FaultTrigger::EveryNth(2),

@@ -7,10 +7,8 @@
 //! * [`SessionJoin`], built once per session and shared by `Arc`: the
 //!   example pair `(D, R)`, the candidates' foreign-key join, its join
 //!   index (for side-effect accounting, Section 5.4.1) and its columns'
-//!   active domains, each read on first use. The engine reads
-//!   only this row join; it keeps no columnar mirror, which would cost more
-//!   to build than the join itself on every session start and rehydrate.
-//!   QBO's verifier is where a mirror pays off.
+//!   active domains, each read on first use. The row join is the only
+//!   format a join has.
 //! * [`GenerationContext`], built each round by one constructor,
 //!   [`GenerationContext::for_round`], from the session join and the
 //!   surviving candidates: the bound queries, the tuple-class space, the

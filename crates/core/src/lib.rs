@@ -60,14 +60,10 @@
 //!   keeps its session join across rounds and rebuilds it after a resume;
 //!   the engine, its snapshots and the session join share one `Arc`'d copy
 //!   of `(D, R)`.
-//! * **Columnar mirrors only in QBO.** A session join carries no columnar
-//!   mirror: on the Small adult workload's 600-row join, building one took
-//!   about 30× as long as the foreign-key join itself (0.33–0.39 ms against
-//!   0.011–0.013 ms, release build, 2-vCPU Xeon), and a rehydrated session
-//!   rebuilds its session join. `qfe-qbo`'s `BatchVerifier`, which checks hundreds of
-//!   candidates against one join, is the one place a mirror
-//!   ([`qfe_relation::ColumnarJoin`]) is built, by the
-//!   `qfe_query::TermBitmapCache` that owns it.
+//! * **One join format.** The session join, every round and QBO's
+//!   verifier all read the row join; no columnar copy of a join exists.
+//!   QBO's `BatchVerifier` caches one selection bitmap per term, computed
+//!   from the rows, across the hundreds of candidates it checks on a join.
 //!
 //! ## Step-API quickstart
 //!

@@ -9,7 +9,7 @@
 /// each conjunct, etc." and that the authors "configured QBO to generate as
 /// many candidate queries as possible". These knobs mirror that interface.
 /// They bound only the search: how a candidate is verified is not
-/// configurable — every one goes through a columnar
+/// configurable — every one goes through a
 /// [`BatchVerifier`](crate::BatchVerifier).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QboConfig {

@@ -70,10 +70,9 @@ impl QueryGenerator {
             if join.is_empty() {
                 continue;
             }
-            // One columnar mirror + term-bitmap cache serves every candidate
-            // enumerated on this join (built lazily: joins without a usable
-            // projection never pay for it).
-            let mut verifier: Option<BatchVerifier> = None;
+            // One term-bitmap cache serves every candidate enumerated on
+            // this join.
+            let mut verifier = BatchVerifier::new(&join, result);
             let space = AttributeSpace::new(&join);
             for projection in
                 candidate_projections(&join, result, self.config.infer_projection_by_values)
@@ -93,12 +92,9 @@ impl QueryGenerator {
                         break;
                     }
                     let query = SpjQuery::new(tables.clone(), projection.clone(), predicate);
-                    // Verify against the columnar evaluator (defence in
-                    // depth: the enumeration already checked row membership).
-                    let verified = verifier
-                        .get_or_insert_with(|| BatchVerifier::new(&join, result))
-                        .verify(&join, &query);
-                    if verified {
+                    // Verify by evaluation (defence in depth: the
+                    // enumeration already checked row membership).
+                    if verifier.verify(&query) {
                         let key = query.to_string();
                         if seen.insert(key) {
                             candidates.push(query);
@@ -106,9 +102,7 @@ impl QueryGenerator {
                     }
                 }
             }
-            if let Some(v) = &verifier {
-                stats.absorb(&v.stats());
-            }
+            stats.absorb(&verifier.stats());
         }
 
         if candidates.is_empty() {

@@ -17,13 +17,11 @@
 //! Verification is *batched* and has one path: every candidate enumerated on
 //! a join, and every mutation [`grow_candidates`] proposes, is checked
 //! through one [`BatchVerifier`] per join schema — a per-(column, op,
-//! literal) term-bitmap cache over a columnar mirror of the join
-//! (`qfe_relation::ColumnarJoin`) that the cache builds and owns — so a
-//! candidate's selection is bitmap algebra over mostly cached bitmaps,
-//! wrong-cardinality candidates are rejected without materializing rows,
-//! and signature-equal candidates (same projection, same selection bitmap)
-//! replay a cached verdict. This is the only place a columnar mirror is
-//! built: the engine's rounds read the row join.
+//! literal) term-bitmap cache over the row join, each bitmap computed in
+//! one pass over the rows — so a candidate's selection is bitmap algebra
+//! over mostly cached bitmaps, wrong-cardinality candidates are rejected
+//! without materializing rows, and signature-equal candidates (same
+//! projection, same selection bitmap) replay a cached verdict.
 //!
 //! ## Example
 //!

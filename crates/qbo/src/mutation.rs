@@ -10,20 +10,20 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use qfe_query::{ComparisonOp, Conjunct, DnfPredicate, QueryResult, SpjQuery, Term};
-use qfe_relation::{foreign_key_join, Database, JoinedRelation, Value};
+use qfe_relation::{foreign_key_join, Database, Value};
 
 use crate::error::Result;
 use crate::verify::BatchVerifier;
 
 /// Lazily built per-join-signature state shared by every mutation of queries
-/// over the same tables: the foreign-key join plus a [`BatchVerifier`] whose
+/// over the same tables: a [`BatchVerifier`] over the foreign-key join, whose
 /// term-bitmap cache carries across the whole mutation frontier — a mutation
 /// perturbs one term, so every other term of the mutated predicate is a
 /// cache hit.
 struct JoinVerifiers<'a> {
     db: &'a Database,
     result: &'a QueryResult,
-    by_tables: BTreeMap<Vec<String>, Option<(JoinedRelation, BatchVerifier)>>,
+    by_tables: BTreeMap<Vec<String>, Option<BatchVerifier>>,
 }
 
 impl<'a> JoinVerifiers<'a> {
@@ -35,17 +35,15 @@ impl<'a> JoinVerifiers<'a> {
         }
     }
 
-    /// The join and verifier for `tables`; `None` when the join cannot be
-    /// computed.
-    fn entry(&mut self, tables: &[String]) -> Option<&mut (JoinedRelation, BatchVerifier)> {
+    /// The verifier for `tables`; `None` when the join cannot be computed.
+    fn entry(&mut self, tables: &[String]) -> Option<&mut BatchVerifier> {
         let (db, result) = (self.db, self.result);
         self.by_tables
             .entry(tables.to_vec())
             .or_insert_with(|| {
-                foreign_key_join(db, tables).ok().map(|join| {
-                    let verifier = BatchVerifier::new(&join, result);
-                    (join, verifier)
-                })
+                foreign_key_join(db, tables)
+                    .ok()
+                    .map(|join| BatchVerifier::new(&join, result))
             })
             .as_mut()
     }
@@ -66,7 +64,7 @@ pub fn mutate_constants(
     let mut verifiers = JoinVerifiers::new(db, result);
 
     'outer: for query in base {
-        let Some((join, verifier)) = verifiers.entry(&query.tables) else {
+        let Some(verifier) = verifiers.entry(&query.tables) else {
             continue;
         };
         // Candidate replacement constants per attribute: the attribute's
@@ -84,11 +82,11 @@ pub fn mutate_constants(
                 if !value.is_numeric() {
                     continue;
                 }
-                let Ok(col) = join.resolve_column(attribute) else {
+                let Ok(col) = verifier.join().resolve_column(attribute) else {
                     continue;
                 };
                 let mut alternatives: Vec<Value> = Vec::new();
-                let domain = join.active_domain(col);
+                let domain = verifier.join().active_domain(col);
                 for window in domain.windows(2) {
                     if let (Some(a), Some(b)) = (window[0].as_f64(), window[1].as_f64()) {
                         alternatives.push(Value::Float((a + b) / 2.0));
@@ -113,7 +111,7 @@ pub fn mutate_constants(
                     if seen.contains(&sql) {
                         continue;
                     }
-                    if verifier.verify(join, &mutated) {
+                    if verifier.verify(&mutated) {
                         seen.insert(sql);
                         out.push(mutated);
                         if out.len() >= extra {
@@ -139,7 +137,7 @@ pub fn mutate_operators(
     let mut out = Vec::new();
     let mut verifiers = JoinVerifiers::new(db, result);
     'outer: for query in base {
-        let Some((join, verifier)) = verifiers.entry(&query.tables) else {
+        let Some(verifier) = verifiers.entry(&query.tables) else {
             continue;
         };
         for (ci, conjunct) in query.predicate.conjuncts().iter().enumerate() {
@@ -173,7 +171,7 @@ pub fn mutate_operators(
                 if seen.contains(&sql) {
                     continue;
                 }
-                if verifier.verify(join, &mutated) {
+                if verifier.verify(&mutated) {
                     seen.insert(sql);
                     out.push(mutated);
                     if out.len() >= extra {

@@ -1,4 +1,4 @@
-//! Batched candidate verification over a columnar join.
+//! Batched candidate verification over one join.
 //!
 //! QBO's generate-and-verify pass is the hottest loop of candidate
 //! generation: every enumerated predicate becomes a query that must be
@@ -6,9 +6,8 @@
 //! further. Evaluating each candidate row-at-a-time re-touches every joined
 //! row per query.
 //!
-//! [`BatchVerifier`] verifies the whole frontier against **one** columnar
-//! mirror of the join (`qfe_relation::ColumnarJoin`), owned by its
-//! [`TermBitmapCache`]:
+//! [`BatchVerifier`] verifies the whole frontier against **one** join, held
+//! by its [`TermBitmapCache`]:
 //!
 //! * each candidate's selection runs as bitmap algebra over the cache's
 //!   per-(column, op, literal) bitmaps — the frontier's queries
@@ -24,9 +23,10 @@
 //!   replayed for every signature-equal candidate.
 //!
 //! The verdicts are exactly those of the row evaluator
-//! ([`BoundQuery::evaluate`]) followed by [`QueryResult::bag_equal`] —
-//! property tests in the workspace root enforce the equivalence on
-//! randomized schemas and predicates.
+//! ([`BoundQuery::evaluate`]) followed by [`QueryResult::bag_equal`]: each
+//! term bitmap is computed with the row evaluator's own term test, and
+//! property tests in the workspace root check the equivalence on randomized
+//! schemas and predicates.
 
 use std::collections::HashMap;
 
@@ -52,7 +52,7 @@ pub struct VerifyStats {
     pub rows_scanned: u64,
     /// Term bitmaps served from the cache.
     pub term_bitmap_hits: u64,
-    /// Term bitmaps computed (one typed column scan each).
+    /// Term bitmaps computed (one pass over the join's rows each).
     pub term_bitmap_misses: u64,
 }
 
@@ -85,9 +85,8 @@ pub struct BatchVerifier {
 
 impl BatchVerifier {
     /// Builds a verifier for `join`, checking candidates against `expected`.
-    ///
-    /// The columnar mirror is built here, once, by the term-bitmap cache;
-    /// every subsequent [`Self::verify`] call runs on bitmaps.
+    /// The verifier's term-bitmap cache keeps its own (pointer-sharing)
+    /// clone of `join`.
     pub fn new(join: &JoinedRelation, expected: &QueryResult) -> BatchVerifier {
         BatchVerifier {
             cache: TermBitmapCache::new(join),
@@ -97,20 +96,25 @@ impl BatchVerifier {
         }
     }
 
-    /// Whether `query` (bound against `join`, the join this verifier was
-    /// built from) reproduces the expected result.
+    /// The join candidates are verified on.
+    pub fn join(&self) -> &JoinedRelation {
+        self.cache.join()
+    }
+
+    /// Whether `query`, bound against the verifier's join, reproduces the
+    /// expected result.
     ///
     /// Exactly `BoundQuery::bind(query, join)?.evaluate(join).bag_equal(expected)`,
     /// with a query that fails to bind counting as unverified.
-    pub fn verify(&mut self, join: &JoinedRelation, query: &SpjQuery) -> bool {
+    pub fn verify(&mut self, query: &SpjQuery) -> bool {
         self.stats.candidates_checked += 1;
-        let Ok(bound) = BoundQuery::bind(query, join) else {
+        let Ok(bound) = BoundQuery::bind(query, self.cache.join()) else {
             return false;
         };
         let misses_before = self.cache.misses();
         let bitmap = bound.selection_bitmap(&mut self.cache);
         self.stats.rows_scanned +=
-            (self.cache.misses() - misses_before) * self.cache.columnar().len() as u64;
+            (self.cache.misses() - misses_before) * self.cache.join().len() as u64;
 
         let selected = bitmap.count_ones();
         if !bound.is_distinct() && selected != self.expected.len() {
@@ -133,7 +137,7 @@ impl BatchVerifier {
             return verdict;
         }
         self.stats.rows_scanned += selected as u64;
-        let result = bound.materialize_selection(join, &signature.2);
+        let result = bound.materialize_selection(self.cache.join(), &signature.2);
         let verdict = result.bag_equal(&self.expected);
         self.verdicts.insert(signature, verdict);
         if verdict {
@@ -216,7 +220,7 @@ mod tests {
         ];
         let expected = row_result(&queries[0], &join).unwrap();
         let mut verifier = BatchVerifier::new(&join, &expected);
-        let verdicts: Vec<bool> = queries.iter().map(|q| verifier.verify(&join, q)).collect();
+        let verdicts: Vec<bool> = queries.iter().map(|q| verifier.verify(q)).collect();
         for (query, &v) in queries.iter().zip(&verdicts) {
             let row_verdict = row_result(query, &join)
                 .map(|r| r.bag_equal(&expected))
@@ -244,16 +248,16 @@ mod tests {
                 4200i64,
             ))),
         ];
-        let verdicts: Vec<bool> = frontier.iter().map(|q| verifier.verify(&join, q)).collect();
+        let verdicts: Vec<bool> = frontier.iter().map(|q| verifier.verify(q)).collect();
         assert_eq!(verdicts, vec![true, true, true]);
         let stats = verifier.stats();
         assert_eq!(stats.signature_hits, 2);
         assert_eq!(stats.candidates_checked, 3);
         assert_eq!(stats.verified, 3);
-        // Re-verifying hits the term cache: no new column scans.
+        // Re-verifying hits the term cache: no new row scans.
         let scans_before = stats.term_bitmap_misses;
         for query in &frontier {
-            assert!(verifier.verify(&join, query));
+            assert!(verifier.verify(query));
         }
         assert_eq!(verifier.stats().term_bitmap_misses, scans_before);
     }
@@ -266,7 +270,7 @@ mod tests {
             row_result(&q(DnfPredicate::single(Term::eq("gender", "M"))), &join).unwrap();
         let mut verifier = BatchVerifier::new(&join, &expected);
         for _ in 0..2 {
-            assert!(!verifier.verify(&join, &q(DnfPredicate::always_true())));
+            assert!(!verifier.verify(&q(DnfPredicate::always_true())));
         }
         // Nothing was materialized, so nothing could be replayed either.
         assert_eq!(verifier.stats().cardinality_rejects, 2);
@@ -286,7 +290,7 @@ mod tests {
         let expected = row_result(&set_query, &join).unwrap();
         assert_eq!(expected.len(), 2);
         let mut verifier = BatchVerifier::new(&join, &expected);
-        assert!(verifier.verify(&join, &set_query));
+        assert!(verifier.verify(&set_query));
         // The bag twin (no DISTINCT) has 4 rows: rejected, and its signature
         // is distinct from the set query's.
         let bag_query = SpjQuery::new(
@@ -294,6 +298,6 @@ mod tests {
             vec!["gender"],
             DnfPredicate::always_true(),
         );
-        assert!(!verifier.verify(&join, &bag_query));
+        assert!(!verifier.verify(&bag_query));
     }
 }

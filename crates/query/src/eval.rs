@@ -91,12 +91,12 @@ impl BoundQuery {
         }
     }
 
-    /// The query's selection bitmap over the join `cache` mirrors: bit `r`
+    /// The query's selection bitmap over the join `cache` holds: bit `r`
     /// is set iff the predicate holds for row `r` (exactly
     /// [`Self::matches_row`], but assembled by AND/OR over the cache's
     /// per-term bitmaps).
     pub fn selection_bitmap(&self, cache: &mut TermBitmapCache) -> Bitmap {
-        let rows = cache.columnar().len();
+        let rows = cache.join().len();
         if self.conjuncts.is_empty() {
             return Bitmap::all_set(rows);
         }

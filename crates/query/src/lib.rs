@@ -59,4 +59,4 @@ pub use result::QueryResult;
 pub use spj::SpjQuery;
 pub use spju::SpjuQuery;
 pub use sql::{parse_sql, to_sql};
-pub use vectorized::{compute_term_bitmap, TermBitmapCache};
+pub use vectorized::TermBitmapCache;

@@ -1,34 +1,26 @@
-//! Vectorized predicate evaluation over columnar joins.
+//! Term selection bitmaps over a join, cached across the queries checked
+//! on it.
 //!
-//! Every atomic term `attr op literal` compiles to a *selection bitmap* — one
-//! bit per joined row — computed by a tight typed loop over the column's
-//! vector ([`qfe_relation::ColumnData`]): integer/float comparisons run over
-//! raw `i64`/`f64` slices, and string comparisons become a dictionary lookup
-//! followed by an integer range test on the codes (the dictionary is sorted,
-//! so code order is string order).  NULL rows are masked out at the end
-//! (comparisons against NULL are never satisfied), and cross-type
-//! comparisons constant-fold through the total order on [`Value`].
+//! Every atomic term `attr op literal` compiles to a *selection bitmap* —
+//! one bit per joined row — computed in one pass over the row join: bit `r`
+//! is `row.get(col).is_some_and(|v| term.eval(v))`, the very test
+//! [`BoundQuery::matches_row`](crate::BoundQuery::matches_row) applies, so a
+//! bitmap is the row evaluator by construction (SQL NULL semantics, the
+//! `Int`/`Float` cross-type order and NaN included).
 //!
-//! [`TermBitmapCache`] builds the columnar mirror of one join and memoizes
-//! bitmaps over it per `(column, operator, literal)`. QBO verifies *many*
-//! candidate queries against the *same* join, and their predicates
-//! overwhelmingly share terms (QBO enumerates them from the same
-//! per-attribute analyses; constant mutation perturbs one term at a time) —
-//! so a candidate's selection bitmap is usually assembled purely by AND/OR
-//! over cached bitmaps, touching no row data at all. The cache owns its
-//! mirror, so its bitmaps can only ever be served for the join they were
-//! computed on.
-//!
-//! The bit-level contract: for every term and row,
-//! `bitmap.get(row) == term.eval(row value)` — the vectorized evaluator is
-//! exactly the row evaluator, including SQL NULL semantics, the `Int`/`Float`
-//! cross-type numeric order, NaN totality and dictionary misses. Property
-//! tests in the workspace root enforce this on randomized data.
+//! [`TermBitmapCache`] owns a clone of one join (its tuples are shared by
+//! `Arc`, so the clone copies pointers, not values) and memoizes bitmaps
+//! over it per `(column, operator, literal)`. QBO verifies *many* candidate
+//! queries against the *same* join, and their predicates overwhelmingly
+//! share terms (QBO enumerates them from the same per-attribute analyses;
+//! constant mutation perturbs one term at a time) — so a candidate's
+//! selection bitmap is usually assembled purely by AND/OR over cached
+//! bitmaps, touching no row at all. The cache owns its join, so its bitmaps
+//! can only ever be served for the join they were computed on.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use qfe_relation::{float_total_cmp, Bitmap, ColumnData, ColumnarJoin, JoinedRelation, Value};
+use qfe_relation::{Bitmap, JoinedRelation, Value};
 
 use crate::predicate::{ComparisonOp, Term};
 
@@ -70,35 +62,35 @@ fn shape_of(term: &Term) -> TermShape {
     }
 }
 
-/// The columnar mirror of one join plus a cache of term selection bitmaps
-/// over it, shared across every candidate query bound to that join. See the
-/// module docs.
+/// One join plus a cache of term selection bitmaps over it, shared across
+/// every candidate query bound to that join. See the module docs.
 #[derive(Debug)]
 pub struct TermBitmapCache {
-    columnar: ColumnarJoin,
+    join: JoinedRelation,
     map: HashMap<(usize, TermShape), Bitmap>,
     hits: u64,
     misses: u64,
 }
 
 impl TermBitmapCache {
-    /// Builds the columnar mirror of `join`, with nothing cached yet.
+    /// A cache over (a clone of) `join`, with nothing cached yet.
     pub fn new(join: &JoinedRelation) -> TermBitmapCache {
         TermBitmapCache {
-            columnar: ColumnarJoin::from_join(join),
+            join: join.clone(),
             map: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The columnar mirror every cached bitmap is computed against.
-    pub fn columnar(&self) -> &ColumnarJoin {
-        &self.columnar
+    /// The join every cached bitmap is computed over.
+    pub fn join(&self) -> &JoinedRelation {
+        &self.join
     }
 
-    /// The selection bitmap of `term` over column `col` of the mirror,
-    /// computed on first use and served from the cache afterwards.
+    /// The selection bitmap of `term` over column `col` of the join,
+    /// computed on first use (one pass over the rows) and served from the
+    /// cache afterwards.
     pub fn term_bitmap(&mut self, col: usize, term: &Term) -> &Bitmap {
         match self.map.entry((col, shape_of(term))) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -107,7 +99,14 @@ impl TermBitmapCache {
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 self.misses += 1;
-                e.insert(compute_term_bitmap(&self.columnar, col, term))
+                let rows = self.join.rows();
+                let mut bitmap = Bitmap::new(rows.len());
+                for (r, row) in rows.iter().enumerate() {
+                    if row.tuple.get(col).is_some_and(|v| term.eval(v)) {
+                        bitmap.set(r);
+                    }
+                }
+                e.insert(bitmap)
             }
         }
     }
@@ -130,213 +129,6 @@ impl TermBitmapCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-}
-
-/// Whether `op` is satisfied by operands comparing as `ord`.
-#[inline]
-fn op_matches(op: ComparisonOp, ord: Ordering) -> bool {
-    match op {
-        ComparisonOp::Eq => ord == Ordering::Equal,
-        ComparisonOp::Ne => ord != Ordering::Equal,
-        ComparisonOp::Lt => ord == Ordering::Less,
-        ComparisonOp::Le => ord != Ordering::Greater,
-        ComparisonOp::Gt => ord == Ordering::Greater,
-        ComparisonOp::Ge => ord != Ordering::Less,
-    }
-}
-
-/// Computes the selection bitmap of one term over one column, uncached.
-///
-/// Bit `r` is set iff `term.eval(value of row r)` — NULL rows are always
-/// clear, for every term kind.
-pub fn compute_term_bitmap(columnar: &ColumnarJoin, col: usize, term: &Term) -> Bitmap {
-    let rows = columnar.len();
-    let column = columnar.column(col);
-    let mut bitmap = match (&column.data, term) {
-        // Comparisons against a NULL literal are never satisfied.
-        (_, Term::Compare { value, .. }) if value.is_null() => Bitmap::new(rows),
-        (ColumnData::Int(v), Term::Compare { op, value, .. }) => int_compare(v, *op, value),
-        (ColumnData::Float(v), Term::Compare { op, value, .. }) => float_compare(v, *op, value),
-        (ColumnData::Str { codes, dict }, Term::Compare { op, value, .. }) => {
-            str_compare(codes, dict, *op, value, rows)
-        }
-        (ColumnData::Str { codes, dict }, Term::In { values, .. }) => {
-            str_membership(codes, dict, values, false, rows)
-        }
-        (ColumnData::Str { codes, dict }, Term::NotIn { values, .. }) => {
-            str_membership(codes, dict, values, true, rows)
-        }
-        // Boolean columns: evaluate the term once per truth value, then map.
-        (ColumnData::Bool(v), term) => {
-            let when = [
-                term.eval(&Value::Bool(false)),
-                term.eval(&Value::Bool(true)),
-            ];
-            let mut b = Bitmap::new(rows);
-            for (r, &x) in v.iter().enumerate() {
-                if when[usize::from(x)] {
-                    b.set(r);
-                }
-            }
-            b
-        }
-        // Numeric membership: stack-allocated Value per row, exact semantics.
-        (ColumnData::Int(v), term) => {
-            let mut b = Bitmap::new(rows);
-            for (r, &x) in v.iter().enumerate() {
-                if term.eval(&Value::Int(x)) {
-                    b.set(r);
-                }
-            }
-            b
-        }
-        (ColumnData::Float(v), term) => {
-            let mut b = Bitmap::new(rows);
-            for (r, &x) in v.iter().enumerate() {
-                if term.eval(&Value::Float(x)) {
-                    b.set(r);
-                }
-            }
-            b
-        }
-    };
-    bitmap.and_not_assign(&column.nulls);
-    bitmap
-}
-
-/// `i64` column vs. literal, mirroring `Value::cmp`.
-fn int_compare(v: &[i64], op: ComparisonOp, lit: &Value) -> Bitmap {
-    let rows = v.len();
-    match lit {
-        Value::Int(b) => {
-            let b = *b;
-            fill_by(rows, |r| op_matches(op, v[r].cmp(&b)))
-        }
-        Value::Float(f) if f.is_nan() => constant_fill(rows, op_matches(op, Ordering::Less)),
-        Value::Float(f) => {
-            let f = *f;
-            fill_by(rows, |r| {
-                op_matches(op, (v[r] as f64).partial_cmp(&f).unwrap_or(Ordering::Equal))
-            })
-        }
-        // Variant-rank constant folds: numeric < Text, numeric > Bool.
-        Value::Text(_) => constant_fill(rows, op_matches(op, Ordering::Less)),
-        Value::Bool(_) => constant_fill(rows, op_matches(op, Ordering::Greater)),
-        Value::Null => Bitmap::new(rows),
-    }
-}
-
-/// `f64` column vs. literal, mirroring `Value::cmp` (NaN sorts greatest and
-/// equals itself).
-fn float_compare(v: &[f64], op: ComparisonOp, lit: &Value) -> Bitmap {
-    let rows = v.len();
-    match lit {
-        Value::Float(f) => {
-            let f = *f;
-            fill_by(rows, |r| op_matches(op, float_total_cmp(v[r], f)))
-        }
-        Value::Int(b) => {
-            let b = *b as f64;
-            fill_by(rows, |r| {
-                let ord = if v[r].is_nan() {
-                    Ordering::Greater
-                } else {
-                    v[r].partial_cmp(&b).unwrap_or(Ordering::Equal)
-                };
-                op_matches(op, ord)
-            })
-        }
-        Value::Text(_) => constant_fill(rows, op_matches(op, Ordering::Less)),
-        Value::Bool(_) => constant_fill(rows, op_matches(op, Ordering::Greater)),
-        Value::Null => Bitmap::new(rows),
-    }
-}
-
-/// Dictionary-coded column vs. literal: one binary search in the sorted
-/// dictionary, then an integer range test per code.
-fn str_compare(
-    codes: &[u32],
-    dict: &[String],
-    op: ComparisonOp,
-    lit: &Value,
-    rows: usize,
-) -> Bitmap {
-    let Value::Text(s) = lit else {
-        // Text sorts after every other variant.
-        return constant_fill(rows, op_matches(op, Ordering::Greater));
-    };
-    let probe = dict.binary_search_by(|d| d.as_str().cmp(s.as_str()));
-    // `lo` = number of dictionary entries strictly below the literal;
-    // `hit` = the literal's own code, when present.
-    let (lo, hit) = match probe {
-        Ok(p) => (p as u32, Some(p as u32)),
-        Err(p) => (p as u32, None),
-    };
-    match op {
-        ComparisonOp::Eq => match hit {
-            Some(h) => fill_by(rows, |r| codes[r] == h),
-            None => Bitmap::new(rows),
-        },
-        ComparisonOp::Ne => match hit {
-            Some(h) => fill_by(rows, |r| codes[r] != h),
-            None => Bitmap::all_set(rows),
-        },
-        ComparisonOp::Lt => fill_by(rows, |r| codes[r] < lo),
-        ComparisonOp::Le => match hit {
-            Some(h) => fill_by(rows, |r| codes[r] <= h),
-            None => fill_by(rows, |r| codes[r] < lo),
-        },
-        ComparisonOp::Gt => match hit {
-            Some(h) => fill_by(rows, |r| codes[r] > h),
-            None => fill_by(rows, |r| codes[r] >= lo),
-        },
-        ComparisonOp::Ge => fill_by(rows, |r| codes[r] >= lo),
-    }
-}
-
-/// `IN` / `NOT IN` over a dictionary-coded column: resolve each (textual)
-/// member to its code once, then test codes against the member set.
-fn str_membership(
-    codes: &[u32],
-    dict: &[String],
-    values: &[Value],
-    negate: bool,
-    rows: usize,
-) -> Bitmap {
-    if dict.is_empty() {
-        // Every row is NULL (a non-NULL row would have populated the
-        // dictionary), so the null mask clears the whole bitmap anyway —
-        // and codes hold the placeholder 0, which must not index `member`.
-        return Bitmap::new(rows);
-    }
-    let mut member = vec![false; dict.len()];
-    for v in values {
-        // Only textual members can equal a text value under the total order.
-        if let Value::Text(s) = v {
-            if let Ok(p) = dict.binary_search_by(|d| d.as_str().cmp(s.as_str())) {
-                member[p] = true;
-            }
-        }
-    }
-    fill_by(rows, |r| member[codes[r] as usize] != negate)
-}
-
-fn fill_by(rows: usize, f: impl Fn(usize) -> bool) -> Bitmap {
-    let mut b = Bitmap::new(rows);
-    for r in 0..rows {
-        if f(r) {
-            b.set(r);
-        }
-    }
-    b
-}
-
-fn constant_fill(rows: usize, value: bool) -> Bitmap {
-    if value {
-        Bitmap::all_set(rows)
-    } else {
-        Bitmap::new(rows)
     }
 }
 
@@ -388,11 +180,12 @@ mod tests {
     }
 
     /// Every term bitmap must agree bit-for-bit with `Term::eval` on the row
-    /// values — across operators, types, NULLs, NaN, and dictionary misses.
+    /// values — across operators, types, NULLs, NaN, and literals absent
+    /// from the column.
     #[test]
     fn term_bitmaps_agree_with_row_evaluation() {
         let join = setup();
-        let cache = TermBitmapCache::new(&join);
+        let mut cache = TermBitmapCache::new(&join);
         let ops = [
             ComparisonOp::Eq,
             ComparisonOp::Ne,
@@ -407,7 +200,7 @@ mod tests {
             Value::Float(1.5),
             Value::Float(f64::NAN),
             Value::Text("bob".into()),
-            Value::Text("bz".into()), // dictionary miss
+            Value::Text("bz".into()), // absent from the column
             Value::Bool(true),
             Value::Null,
         ];
@@ -428,7 +221,7 @@ mod tests {
 
         for col in 0..join.arity() {
             for term in &terms {
-                let bitmap = compute_term_bitmap(cache.columnar(), col, term);
+                let bitmap = cache.term_bitmap(col, term).clone();
                 for (r, jr) in join.rows().iter().enumerate() {
                     let v = jr.tuple.get(col).cloned().unwrap_or(Value::Null);
                     assert_eq!(
@@ -459,9 +252,8 @@ mod tests {
 
     #[test]
     fn membership_on_an_all_null_text_column_is_empty_not_a_panic() {
-        // An all-NULL text column has an empty dictionary while its codes
-        // hold the placeholder 0 — IN/NOT IN must select nothing (SQL NULL
-        // semantics), not index out of bounds.
+        // IN/NOT IN over an all-NULL text column must select nothing (SQL
+        // NULL semantics).
         let t = Table::with_rows(
             TableSchema::new(
                 "N",
@@ -482,14 +274,14 @@ mod tests {
         let mut db = Database::new();
         db.add_table(t).unwrap();
         let join = foreign_key_join(&db, &["N".to_string()]).unwrap();
-        let cache = TermBitmapCache::new(&join);
+        let mut cache = TermBitmapCache::new(&join);
         let col = join.resolve_column("tag").unwrap();
         for term in [
             Term::is_in("tag", vec!["x".into()]),
             Term::not_in("tag", vec!["x".into()]),
             Term::eq("tag", "x"),
         ] {
-            let bitmap = compute_term_bitmap(cache.columnar(), col, &term);
+            let bitmap = cache.term_bitmap(col, &term);
             assert!(bitmap.is_zero(), "{term}: NULL rows never match");
         }
     }

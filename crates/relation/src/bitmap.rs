@@ -1,10 +1,9 @@
 //! Fixed-length row bitmaps.
 //!
-//! The columnar evaluation layer ([`crate::ColumnarJoin`] and the vectorized
-//! predicate evaluator in `qfe-query`) represents row sets as packed `u64`
+//! `qfe-query`'s term-bitmap cache represents row sets as packed `u64`
 //! bitmaps: one bit per joined row.  Selection predicates become boolean
 //! algebra over bitmaps (AND within a conjunct, OR across disjuncts), and
-//! candidate verification becomes a bitmap comparison.
+//! QBO's batched verification compares and hashes them.
 
 use std::fmt;
 
@@ -43,18 +42,6 @@ impl Bitmap {
         b
     }
 
-    /// Builds a bitmap from the row indices yielded by `indices`.
-    ///
-    /// # Panics
-    /// Panics when an index is out of range.
-    pub fn from_indices(len: usize, indices: impl IntoIterator<Item = usize>) -> Bitmap {
-        let mut b = Bitmap::new(len);
-        for i in indices {
-            b.set(i);
-        }
-        b
-    }
-
     /// Number of rows the bitmap covers.
     pub fn len(&self) -> usize {
         self.len
@@ -63,11 +50,6 @@ impl Bitmap {
     /// True when the bitmap covers zero rows.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The backing words (padding bits beyond [`Self::len`] are zero).
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Whether bit `idx` is set.
@@ -88,16 +70,6 @@ impl Bitmap {
     pub fn set(&mut self, idx: usize) {
         assert!(idx < self.len, "bitmap index out of range");
         self.words[idx / 64] |= 1u64 << (idx % 64);
-    }
-
-    /// Clears bit `idx`.
-    ///
-    /// # Panics
-    /// Panics when `idx >= len`.
-    #[inline]
-    pub fn unset(&mut self, idx: usize) {
-        assert!(idx < self.len, "bitmap index out of range");
-        self.words[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     /// Number of set bits.
@@ -130,25 +102,6 @@ impl Bitmap {
         for (a, &b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
         }
-    }
-
-    /// `self &= !other`.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch.
-    pub fn and_not_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Flips every bit (within `len`; the padding stays zero).
-    pub fn not_assign(&mut self) {
-        for w in self.words.iter_mut() {
-            *w = !*w;
-        }
-        self.clear_padding();
     }
 
     /// Iterator over the set bit positions, ascending.
@@ -199,45 +152,41 @@ mod tests {
         b.set(69);
         assert!(b.get(0) && b.get(69) && !b.get(1));
         assert_eq!(b.count_ones(), 2);
-        b.unset(0);
-        assert_eq!(b.count_ones(), 1);
-        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![69]);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![0, 69]);
     }
 
-    #[test]
-    fn all_set_keeps_padding_clear_and_not_round_trips() {
-        let mut b = Bitmap::all_set(70);
-        assert_eq!(b.count_ones(), 70);
-        b.not_assign();
-        assert!(b.is_zero());
-        b.not_assign();
-        assert_eq!(b, Bitmap::all_set(70));
+    fn from_indices(len: usize, indices: impl IntoIterator<Item = usize>) -> Bitmap {
+        let mut b = Bitmap::new(len);
+        for i in indices {
+            b.set(i);
+        }
+        b
     }
 
     #[test]
     fn boolean_algebra() {
-        let a = Bitmap::from_indices(10, [1, 3, 5]);
-        let b = Bitmap::from_indices(10, [3, 5, 7]);
+        let a = from_indices(10, [1, 3, 5]);
+        let b = from_indices(10, [3, 5, 7]);
         let mut and = a.clone();
         and.and_assign(&b);
         assert_eq!(and.iter_ones().collect::<Vec<_>>(), vec![3, 5]);
         let mut or = a.clone();
         or.or_assign(&b);
         assert_eq!(or.iter_ones().collect::<Vec<_>>(), vec![1, 3, 5, 7]);
-        let mut diff = a.clone();
-        diff.and_not_assign(&b);
-        assert_eq!(diff.iter_ones().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
     fn equality_is_canonical_across_construction_paths() {
-        let mut a = Bitmap::all_set(65);
-        for i in 0..65 {
-            if i % 2 == 1 {
-                a.unset(i);
-            }
+        // `all_set` keeps the last word's padding clear, so it equals the
+        // bitmap built bit by bit.
+        for len in [64, 65, 70] {
+            let a = Bitmap::all_set(len);
+            assert_eq!(a.count_ones(), len);
+            assert_eq!(a, from_indices(len, 0..len));
         }
-        let b = Bitmap::from_indices(65, (0..65).filter(|i| i % 2 == 0));
+        let mut a = Bitmap::all_set(65);
+        a.and_assign(&from_indices(65, (0..65).filter(|i| i % 2 == 0)));
+        let b = from_indices(65, (0..65).filter(|i| i % 2 == 0));
         assert_eq!(a, b);
     }
 

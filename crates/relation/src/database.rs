@@ -7,7 +7,6 @@ use std::sync::Arc;
 use crate::error::{RelationError, Result};
 use crate::foreign_key::ForeignKey;
 use crate::table::Table;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// An in-memory relational database.
@@ -215,67 +214,6 @@ impl Database {
             .filter(|fk| fk.connects(a, b))
             .collect()
     }
-
-    /// Total number of rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.values().map(|t| t.len()).sum()
-    }
-
-    /// Names of tables whose rows differ from `other` (same-named tables are
-    /// compared row-by-row; missing tables count as different).
-    pub fn modified_tables<'a>(&'a self, other: &'a Database) -> Vec<&'a str> {
-        let mut names: Vec<&str> = Vec::new();
-        for (name, table) in &self.tables {
-            match other.tables.get(name) {
-                Some(t2) if t2.rows() == table.rows() => {}
-                _ => names.push(name.as_str()),
-            }
-        }
-        for name in other.tables.keys() {
-            if !self.tables.contains_key(name) && !names.contains(&name.as_str()) {
-                names.push(name.as_str());
-            }
-        }
-        names
-    }
-
-    /// Looks up the parent row index referenced by a child row through `fk`,
-    /// if the foreign key is non-NULL and a match exists.
-    pub fn referenced_parent_row(
-        &self,
-        fk: &ForeignKey,
-        child_row: &Tuple,
-    ) -> Result<Option<usize>> {
-        let child = self.table(&fk.child_table)?;
-        let parent = self.table(&fk.parent_table)?;
-        let child_idx: Vec<usize> = fk
-            .child_columns
-            .iter()
-            .filter_map(|c| child.schema().column_index(c))
-            .collect();
-        let parent_idx: Vec<usize> = fk
-            .parent_columns
-            .iter()
-            .filter_map(|c| parent.schema().column_index(c))
-            .collect();
-        let key: Vec<Value> = child_idx
-            .iter()
-            .map(|&i| child_row.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        if key.iter().any(Value::is_null) {
-            return Ok(None);
-        }
-        for (i, prow) in parent.iter() {
-            let pkey: Vec<Value> = parent_idx
-                .iter()
-                .map(|&i| prow.get(i).cloned().unwrap_or(Value::Null))
-                .collect();
-            if pkey == key {
-                return Ok(Some(i));
-            }
-        }
-        Ok(None)
-    }
 }
 
 impl fmt::Display for Database {
@@ -351,7 +289,6 @@ mod tests {
         assert!(!db.has_table("T3"));
         assert_eq!(db.table("T1").unwrap().len(), 3);
         assert!(db.table("missing").is_err());
-        assert_eq!(db.total_rows(), 7);
     }
 
     #[test]
@@ -406,34 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn modified_tables_detects_changes() {
-        let db = two_table_db();
-        let mut db2 = db.clone();
-        assert!(db.modified_tables(&db2).is_empty());
-        db2.table_mut("T1")
-            .unwrap()
-            .update_cell(0, "B", Value::Int(11))
-            .unwrap();
-        assert_eq!(db.modified_tables(&db2), vec!["T1"]);
-    }
-
-    #[test]
     fn foreign_keys_between_tables() {
         let db = two_table_db();
         assert_eq!(db.foreign_keys_between("T1", "T2").len(), 1);
         assert_eq!(db.foreign_keys_between("T2", "T1").len(), 1);
         assert!(db.foreign_keys_between("T1", "T1").is_empty());
         assert_eq!(db.foreign_keys().len(), 1);
-    }
-
-    #[test]
-    fn referenced_parent_row_lookup() {
-        let db = two_table_db();
-        let fk = db.foreign_keys()[0].clone();
-        let child_row = db.table("T2").unwrap().row(2).unwrap().clone(); // (2, 25)
-        assert_eq!(db.referenced_parent_row(&fk, &child_row).unwrap(), Some(1));
-        let dangling = tuple![99i64, 0i64];
-        assert_eq!(db.referenced_parent_row(&fk, &dangling).unwrap(), None);
     }
 
     #[test]

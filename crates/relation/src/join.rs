@@ -15,7 +15,6 @@ use std::fmt;
 use crate::database::Database;
 use crate::error::{RelationError, Result};
 use crate::foreign_key::ForeignKey;
-use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 use crate::tuple::Tuple;
 use crate::types::DataType;
@@ -143,22 +142,6 @@ impl JoinedRelation {
     /// Column metadata by position.
     pub fn column_at(&self, idx: usize) -> Option<&JoinedColumn> {
         self.columns.get(idx)
-    }
-
-    /// The joined relation's values as a plain [`Table`]
-    /// (columns take their qualified names; provenance is dropped).
-    pub fn to_table(&self, name: &str) -> Result<Table> {
-        let defs: Vec<ColumnDef> = self
-            .columns
-            .iter()
-            .map(|c| ColumnDef::nullable(c.qualified_name(), c.data_type))
-            .collect();
-        let schema = TableSchema::new(name, defs)?;
-        let mut table = Table::new(schema);
-        for row in &self.rows {
-            table.insert(row.tuple.clone())?;
-        }
-        Ok(table)
     }
 
     /// Distinct values appearing in a joined column (its active domain).
@@ -511,12 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn to_table_and_active_domain() {
+    fn active_domain_of_a_full_join_column() {
         let db = example_db();
         let j = full_foreign_key_join(&db).unwrap();
-        let t = j.to_table("T").unwrap();
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.schema().column_names()[0], "T1.A");
+        assert_eq!(j.len(), 4);
         let d_idx = j.resolve_column("D").unwrap();
         assert_eq!(
             j.active_domain(d_idx),

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod bitmap;
-mod columnar;
 mod database;
 mod edit;
 mod error;
@@ -57,7 +56,6 @@ mod types;
 mod value;
 
 pub use bitmap::Bitmap;
-pub use columnar::{float_total_cmp, ColumnData, ColumnarColumn, ColumnarJoin};
 pub use database::Database;
 pub use edit::{min_edit_databases, min_edit_rows, min_edit_tables, EditOp, EXACT_MATCHING_LIMIT};
 pub use error::{RelationError, Result};

@@ -158,33 +158,6 @@ impl Table {
         Ok(self.rows.len() - 1)
     }
 
-    /// Replaces an entire row. The new row is validated; primary-key
-    /// uniqueness is checked against every *other* row.
-    pub fn update_row(&mut self, idx: usize, tuple: Tuple) -> Result<Tuple> {
-        if idx >= self.rows.len() {
-            return Err(RelationError::RowOutOfBounds {
-                table: self.name().to_string(),
-                row: idx,
-            });
-        }
-        let tuple = self.validate(&tuple)?;
-        if self.schema.has_primary_key() {
-            let key = self.key_of(&tuple);
-            if self
-                .rows
-                .iter()
-                .enumerate()
-                .any(|(i, r)| i != idx && self.key_of(r) == key)
-            {
-                return Err(RelationError::PrimaryKeyViolation {
-                    table: self.name().to_string(),
-                    key: format!("{:?}", key),
-                });
-            }
-        }
-        Ok(std::mem::replace(&mut self.rows[idx], tuple))
-    }
-
     /// Updates a single cell. Returns the previous value.
     pub fn update_cell(&mut self, row: usize, column: &str, value: Value) -> Result<Value> {
         let col_idx =
@@ -290,13 +263,6 @@ impl Table {
     /// column names but requiring equal arity.
     pub fn bag_equal(&self, other: &Table) -> bool {
         bag_equal_rows(&self.rows, &other.rows)
-    }
-
-    /// Multiset of rows as sorted `(row, multiplicity)` runs. Built by
-    /// sorting row *references* — no per-row tuple clones, no hashing of
-    /// every cell (comparison short-circuits at the first differing column).
-    pub fn row_counts(&self) -> Vec<(&Tuple, usize)> {
-        sorted_row_multiset(&self.rows)
     }
 
     /// Projects the whole table onto the given column names, producing a new
@@ -465,11 +431,6 @@ mod tests {
         let prev = t.update_cell(1, "salary", Value::Int(3900)).unwrap();
         assert_eq!(prev, Value::Int(4200));
         assert_eq!(t.row(1).unwrap().get(4), Some(&Value::Int(3900)));
-
-        let prev_row = t
-            .update_row(0, tuple![1i64, "Alice", "F", "Sales", 3800i64])
-            .unwrap();
-        assert_eq!(prev_row.get(4), Some(&Value::Int(3700)));
     }
 
     #[test]
@@ -490,10 +451,6 @@ mod tests {
     fn update_out_of_bounds() {
         let mut t = employee_table();
         let err = t.update_cell(99, "salary", Value::Int(1)).unwrap_err();
-        assert!(matches!(err, RelationError::RowOutOfBounds { .. }));
-        let err = t
-            .update_row(99, tuple![9i64, "x", "F", "IT", 1i64])
-            .unwrap_err();
         assert!(matches!(err, RelationError::RowOutOfBounds { .. }));
     }
 
@@ -564,7 +521,7 @@ mod tests {
     fn row_counts_multiset() {
         let t = employee_table();
         let p = t.project("R", &["gender"]).unwrap();
-        let counts = p.row_counts();
+        let counts = sorted_row_multiset(p.rows());
         assert_eq!(counts.len(), 2);
         let count_of = |v: &Tuple| counts.iter().find(|(r, _)| *r == v).map(|(_, c)| *c);
         assert_eq!(count_of(&tuple!["M"]), Some(2));

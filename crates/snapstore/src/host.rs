@@ -1008,7 +1008,7 @@ mod tests {
     fn a_refused_watermark_park_does_not_fail_the_verb_that_swept() {
         // The first put_session under "s1" is the park of y that the sweep
         // after x's answer attempts.
-        let plan = crate::FaultPlan::new(5).with_rule(crate::FaultRule {
+        let plan = crate::FaultPlan::new().with_rule(crate::FaultRule {
             op: "put_session".to_string(),
             key_contains: Some("s1".to_string()),
             trigger: crate::FaultTrigger::Nth(1),

@@ -40,10 +40,10 @@
 //! [`QuarantinedRecord`], garbage bytes, and any torn tail.
 //!
 //! For provoking failures deterministically, [`FaultyStore`] wraps any
-//! [`SnapshotStore`] and injects faults — IO errors, torn writes, stale
-//! reads, latency — scripted by a serializable, seeded [`FaultPlan`]. The
-//! same plan and seed always produce the same fault schedule, which is what
-//! lets CI replay a chaos run byte-for-byte.
+//! [`SnapshotStore`] and injects faults — IO errors, torn writes, latency —
+//! scripted by a serializable [`FaultPlan`]. The same plan always produces
+//! the same fault schedule, which is what lets CI replay a chaos run
+//! byte-for-byte.
 //!
 //! [`QfeEngine`]: qfe_core::QfeEngine
 //! [`SessionId`]: qfe_core::SessionId

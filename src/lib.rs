@@ -9,28 +9,28 @@
 //! `qfe` crate:
 //!
 //! * [`relation`] — the in-memory relational substrate (tables, foreign keys,
-//!   joins and their active domains, table edit distance), plus a columnar
-//!   mirror of a join ([`ColumnarJoin`](relation::ColumnarJoin) +
-//!   [`Bitmap`](relation::Bitmap)): typed column vectors, dictionary-coded
-//!   strings and null bitmaps.
-//! * [`query`] — select-project-join queries, evaluation and SQL text. One
-//!   query, or the candidates of one round, are evaluated row by row
+//!   joins and their active domains, table edit distance), plus the
+//!   [`Bitmap`](relation::Bitmap) row sets that batched evaluation works on.
+//!   A join has one format, rows of `Arc`-shared tuples.
+//! * [`query`] — select-project-join queries, evaluation and SQL text.
+//!   Queries are evaluated row by row
 //!   ([`BoundQuery::evaluate`](query::BoundQuery::evaluate)); checking many
-//!   queries against one join runs vectorized instead: a
-//!   [`TermBitmapCache`](query::TermBitmapCache) builds and owns the join's
-//!   columnar mirror, each atomic term compiles to a cached selection
-//!   bitmap, and a query's selection is bitmap AND/OR.
+//!   queries against one join adds a
+//!   [`TermBitmapCache`](query::TermBitmapCache), which computes each
+//!   atomic term's selection bitmap once, in one pass over the rows, so a
+//!   query's selection is bitmap AND/OR over cached bitmaps.
 //! * [`qbo`] — the candidate-query generator (reverse engineering from a
 //!   database-result pair). Its generate-and-verify pass and the constant
 //!   mutation frontier are batched through one term-bitmap cache per join
-//!   ([`BatchVerifier`](qbo::BatchVerifier)), deduplicating verdicts by
+//!   ([`BatchVerifier`](qbo::BatchVerifier)), rejecting wrong-cardinality
+//!   selections without materializing them and deduplicating verdicts by
 //!   projection-bitmap signature.
 //! * [`core`] — the paper's contribution: tuple classes, the user-effort cost
 //!   model, Algorithms 1–4 and the interactive feedback driver.
 //! * [`datasets`] — seeded synthetic versions of the paper's evaluation
 //!   datasets and queries Q1–Q6.
-//! * [`snapstore`] — durable snapshot stores for parked sessions (in-memory,
-//!   append-only log file, directory-per-deployment), with the example pair
+//! * [`snapstore`] — snapshot stores for parked sessions (in-memory, or a
+//!   durable append-only log file of checksummed records), with the example pair
 //!   `(D, R)` stored once per workload under a content hash, and the
 //!   [`SessionHost`](snapstore::SessionHost) that parks idle engines under a
 //!   memory watermark and rehydrates them on demand.
@@ -44,10 +44,9 @@
 //!   [`SessionBackend`](snapstore::SessionBackend) interface the server
 //!   serves, so the HTTP surface is identical at any shard count.
 //!
-//! A columnar mirror is built only when a QBO verification pass starts, once
-//! per join schema. Within a session `D` never changes, so every feedback
-//! round's `GenerationContext` is built on the session's one `SessionJoin`
-//! (the database, the row join and its join index), and only the
+//! Within a session `D` never changes, so every feedback round's
+//! `GenerationContext` is built on the session's one `SessionJoin` (the
+//! database, the row join and its join index), and only the
 //! candidate-derived state (class space, source classes, outcome kernel) is
 //! built for the smaller candidate set.
 //!
@@ -287,8 +286,8 @@
 //! transport failures only when the request is idempotent.
 //!
 //! **Rehearsing all of it.** [`FaultyStore`](snapstore::FaultyStore) wraps
-//! any store and injects I/O errors, torn writes, stale reads and latency
-//! from a serializable, seeded [`FaultPlan`](snapstore::FaultPlan);
+//! any store and injects I/O errors, torn writes and latency from a
+//! serializable [`FaultPlan`](snapstore::FaultPlan);
 //! [`FlakyHandler`](server::FlakyHandler) drops, duplicates and delays
 //! responses in front of the service. `experiments -- chaos` runs the full
 //! fleet under both at a pinned seed and writes `BENCH_chaos.json`, which

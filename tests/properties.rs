@@ -340,14 +340,14 @@ fn bitset_class_matching_agrees_with_bound_evaluation_on_random_schemas() {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar evaluation == row evaluation
+// Cached term bitmaps == row evaluation
 // ---------------------------------------------------------------------------
 
 const NAMES: [&str; 5] = ["alice", "bob", "carol", "dan", "eve"];
 
-/// A table with a text column, a nullable float column and a nullable int
-/// column, with random NULL patterns — the shapes the columnar layer must get
-/// exactly right.
+/// A table with a text column, a nullable float column (holding NaN and
+/// both zeros now and then) and a nullable int column, with random NULL
+/// patterns — the shapes bitmap evaluation must get exactly right.
 fn build_mixed(rng: &mut StdRng) -> Database {
     let schema = TableSchema::new(
         "T",
@@ -364,10 +364,11 @@ fn build_mixed(rng: &mut StdRng) -> Database {
     let n = rng.gen_range(3usize..14);
     let rows: Vec<Tuple> = (0..n)
         .map(|i| {
-            let score = if rng.gen_bool(0.25) {
-                Value::Null
-            } else {
-                Value::Float(rng.gen_range(-50i64..50) as f64 / 10.0)
+            let score = match rng.gen_range(0u8..16) {
+                0..=3 => Value::Null,
+                4 => Value::Float(f64::NAN),
+                5 => Value::Float(-0.0),
+                _ => Value::Float(rng.gen_range(-50i64..50) as f64 / 10.0),
             };
             let qty = if rng.gen_bool(0.25) {
                 Value::Null
@@ -390,7 +391,8 @@ fn build_mixed(rng: &mut StdRng) -> Database {
 
 /// A random atomic term over the mixed table, including NULL literals,
 /// cross-type comparisons (Int literal on the Float column and vice versa),
-/// dictionary misses and IN/NOT IN lists.
+/// NaN and signed-zero literals, literals absent from the column and IN/NOT
+/// IN lists.
 fn random_mixed_term(rng: &mut StdRng) -> Term {
     let ops = [
         ComparisonOp::Eq,
@@ -405,7 +407,7 @@ fn random_mixed_term(rng: &mut StdRng) -> Term {
         0 => {
             let lit = match rng.gen_range(0u8..4) {
                 0 => Value::Text(NAMES[rng.gen_range(0..NAMES.len())].to_string()),
-                1 => Value::Text("zz-not-in-dictionary".to_string()),
+                1 => Value::Text("zz-not-in-the-column".to_string()),
                 2 => Value::Int(3), // cross-type vs. text
                 _ => Value::Null,
             };
@@ -416,10 +418,11 @@ fn random_mixed_term(rng: &mut StdRng) -> Term {
             }
         }
         1 => {
-            let lit = match rng.gen_range(0u8..4) {
+            let lit = match rng.gen_range(0u8..6) {
                 0 => Value::Float(rng.gen_range(-50i64..50) as f64 / 10.0),
                 1 => Value::Int(rng.gen_range(-5i64..5)), // cross-type vs. float
                 2 => Value::Float(f64::NAN),
+                3 => Value::Float(if rng.gen_bool(0.5) { 0.0 } else { -0.0 }),
                 _ => Value::Null,
             };
             Term::Compare {
@@ -494,10 +497,15 @@ fn row_evaluate(query: &SpjQuery, join: &JoinedRelation) -> qfe_query::Result<Qu
     Ok(BoundQuery::bind(query, join)?.evaluate(join))
 }
 
+/// A query's selection bitmap, assembled from the term-bitmap cache (one
+/// cache carried across each instance's queries, so later queries are
+/// served partly from earlier ones' bitmaps), equals `matches_row` on every
+/// row, and materializes to the row evaluator's result.
 #[test]
 fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
     use qfe_query::TermBitmapCache;
     let mut rng = StdRng::seed_from_u64(109);
+    let mut hits = 0;
     for _ in 0..48 {
         let db = build_mixed(&mut rng);
         let join = foreign_key_join(&db, &["T".to_string()]).unwrap();
@@ -520,7 +528,9 @@ fn columnar_evaluation_equals_row_evaluation_on_random_schemas() {
             let col_result = bound.materialize_selection(&join, &bitmap);
             assert_eq!(row_result.rows(), col_result.rows(), "{query}");
         }
+        hits += cache.hits();
     }
+    assert!(hits > 0, "some term lookups must be served from the cache");
 }
 
 /// [`build_mixed`] plus a child table `U(uid, tid → T.id)` holding 0–2 rows
@@ -630,7 +640,7 @@ fn verify_batch_agrees_with_per_query_row_verification() {
         ));
         let expected = row_evaluate(&frontier[0], &join).unwrap();
         let verify_all = |verifier: &mut BatchVerifier| -> Vec<bool> {
-            frontier.iter().map(|q| verifier.verify(&join, q)).collect()
+            frontier.iter().map(|q| verifier.verify(q)).collect()
         };
         let verdicts = verify_all(&mut BatchVerifier::new(&join, &expected));
         assert_eq!(verdicts.len(), frontier.len());
