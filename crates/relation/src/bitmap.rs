@@ -175,8 +175,13 @@ mod tests {
         assert_eq!(or.iter_ones().collect::<Vec<_>>(), vec![1, 3, 5, 7]);
     }
 
+    /// The rows of `b` flipped, built bit by bit through the public API.
+    fn complement(b: &Bitmap) -> Bitmap {
+        from_indices(b.len(), (0..b.len()).filter(|&i| !b.get(i)))
+    }
+
     #[test]
-    fn equality_is_canonical_across_construction_paths() {
+    fn all_set_keeps_padding_clear_and_not_round_trips() {
         // `all_set` keeps the last word's padding clear, so it equals the
         // bitmap built bit by bit.
         for len in [64, 65, 70] {
@@ -184,6 +189,13 @@ mod tests {
             assert_eq!(a.count_ones(), len);
             assert_eq!(a, from_indices(len, 0..len));
         }
+        let b = complement(&Bitmap::all_set(70));
+        assert!(b.is_zero());
+        assert_eq!(complement(&b), Bitmap::all_set(70));
+    }
+
+    #[test]
+    fn equality_is_canonical_across_construction_paths() {
         let mut a = Bitmap::all_set(65);
         a.and_assign(&from_indices(65, (0..65).filter(|i| i % 2 == 0)));
         let b = from_indices(65, (0..65).filter(|i| i % 2 == 0));
