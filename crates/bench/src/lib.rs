@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use qfe_core::{
-    pick_stc_dtc_subset, skyline_stc_dtc_pairs, CostModelKind, CostParams, DatabaseGenerator,
+    generate_round, pick_stc_dtc_subset, skyline_stc_dtc_pairs, CostModelKind, CostParams,
     GenerationContext, IterationEstimator, OracleUser, QfeSession, SessionReport,
     SimulatedHumanUser, WorstCaseUser,
 };
@@ -520,7 +520,6 @@ pub fn table7(scale: Scale) -> String {
     let result = workload.example_result("Q2").expect("result");
     let params = default_params(scale);
     let full = candidates_for(&workload.database, &target, *TABLE6_SIZES.last().unwrap());
-    let generator = DatabaseGenerator::new(params);
     let mut out = String::new();
     writeln!(
         out,
@@ -540,18 +539,18 @@ pub fn table7(scale: Scale) -> String {
         }
         let ctx = GenerationContext::new(&workload.database, &result, &candidates)
             .expect("context builds");
-        let generated = generator
-            .generate_with_context(&ctx)
-            .expect("generation succeeds");
+        let stats = generate_round(&ctx, &params)
+            .expect("generation succeeds")
+            .stats;
         writeln!(
             out,
             "{:<6} {:>12} {:>12} {:>12} {:>12} {:>12}",
             format!("S{}", i + 1),
             candidates.len(),
-            fmt_duration(generated.skyline_time),
-            fmt_duration(generated.pick_time),
-            fmt_duration(generated.modify_time),
-            fmt_duration(generated.total_time())
+            fmt_duration(stats.skyline_time),
+            fmt_duration(stats.pick_time),
+            fmt_duration(stats.modify_time),
+            fmt_duration(stats.execution_time)
         )
         .unwrap();
     }

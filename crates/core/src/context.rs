@@ -34,8 +34,8 @@ use crate::error::{QfeError, Result};
 use crate::kernel::{MatchScratch, OutcomeCodes, OutcomeKernel, PairStats};
 use crate::tuple_class::{ActiveDomains, TupleClass, TupleClassSpace};
 
-/// Which path [`GenerationContext::advance`] took for the relational state
-/// (database, join, join index).
+/// Which path [`GenerationContext::advance_with_report`] took for the
+/// relational state (database, join, join index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdvancePath {
     /// No cell edits: the successor was built on the predecessor's
@@ -223,23 +223,14 @@ impl GenerationContext {
         })
     }
 
-    /// Derives the context of the *next* feedback round from this one.
+    /// Derives the context of the *next* feedback round from this one, with
+    /// an [`AdvanceReport`] saying which path was taken.
     ///
     /// `surviving` holds the indices (into [`Self::queries`], strictly
     /// ascending) of the candidates kept by the user's answer. With no
     /// `edits` (the feedback loop never changes `D`) the successor is built
     /// on this context's [`SessionJoin`]; non-empty `edits` are applied to
     /// `D` and the successor is rebuilt from the edited database.
-    pub fn advance(
-        &self,
-        surviving: &[usize],
-        edits: &[crate::realize::CellEdit],
-    ) -> Result<GenerationContext> {
-        Ok(self.advance_with_report(surviving, edits)?.0)
-    }
-
-    /// [`Self::advance`] plus an [`AdvanceReport`] saying which path was
-    /// taken.
     pub fn advance_with_report(
         &self,
         surviving: &[usize],
@@ -278,11 +269,6 @@ impl GenerationContext {
 
     /// The original database `D`.
     pub fn database(&self) -> &Database {
-        &self.session.db
-    }
-
-    /// The original database `D`, shared.
-    pub fn database_arc(&self) -> &Arc<Database> {
         &self.session.db
     }
 
@@ -791,7 +777,7 @@ mod tests {
     fn advance_without_edits_matches_fresh_context() {
         let ctx = employee_context();
         // Keep candidates {0, 2}.
-        let advanced = ctx.advance(&[0, 2], &[]).unwrap();
+        let (advanced, _) = ctx.advance_with_report(&[0, 2], &[]).unwrap();
         let fresh = GenerationContext::new(
             ctx.database(),
             ctx.original_result(),
@@ -832,7 +818,7 @@ mod tests {
             column: "salary".to_string(),
             new_value: Value::Int(3900),
         }];
-        let advanced = ctx.advance(&[0, 1, 2], &edits).unwrap();
+        let (advanced, _) = ctx.advance_with_report(&[0, 1, 2], &edits).unwrap();
         let patched = crate::realize::apply_edits(ctx.database(), &edits).unwrap();
         let fresh = GenerationContext::new(&patched, ctx.original_result(), ctx.queries()).unwrap();
         assert_eq!(advanced.source_classes(), fresh.source_classes());
@@ -871,17 +857,20 @@ mod tests {
         }];
         let (advanced, report) = ctx.advance_with_report(&[0, 1, 2], &edits).unwrap();
         assert_eq!(report.path, AdvancePath::FullRebuild);
-        assert!(!Arc::ptr_eq(advanced.database_arc(), ctx.database_arc()));
+        assert!(!std::ptr::eq(advanced.database(), ctx.database()));
         assert!(!Arc::ptr_eq(advanced.session_join(), ctx.session_join()));
     }
 
     #[test]
     fn advance_validates_surviving_indices() {
         let ctx = employee_context();
-        assert!(matches!(ctx.advance(&[], &[]), Err(QfeError::NoCandidates)));
-        assert!(ctx.advance(&[1, 0], &[]).is_err());
-        assert!(ctx.advance(&[0, 0], &[]).is_err());
-        assert!(ctx.advance(&[7], &[]).is_err());
+        assert!(matches!(
+            ctx.advance_with_report(&[], &[]),
+            Err(QfeError::NoCandidates)
+        ));
+        assert!(ctx.advance_with_report(&[1, 0], &[]).is_err());
+        assert!(ctx.advance_with_report(&[0, 0], &[]).is_err());
+        assert!(ctx.advance_with_report(&[7], &[]).is_err());
     }
 
     #[test]

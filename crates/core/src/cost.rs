@@ -67,11 +67,6 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// Convenience constructor matching the paper's defaults (β = 1, δ = 1 s).
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// Sets β.
     pub fn with_beta(mut self, beta: f64) -> Self {
         self.beta = beta;
@@ -391,7 +386,7 @@ mod tests {
 
     #[test]
     fn params_builders() {
-        let p = CostParams::paper_defaults()
+        let p = CostParams::default()
             .with_beta(2.0)
             .with_skyline_budget(Duration::from_millis(100))
             .with_estimator(IterationEstimator::Simple)

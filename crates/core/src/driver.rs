@@ -6,14 +6,15 @@
 //! and the candidate results on it, prunes the candidates inconsistent with
 //! the user's choice, and repeats until a single query remains.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use qfe_qbo::{QboConfig, QueryGenerator};
 use qfe_query::{QueryResult, SpjQuery};
 use qfe_relation::Database;
 
 use crate::cost::CostParams;
-use crate::engine::{QfeEngine, Step};
+use crate::engine::{QfeEngine, SessionSnapshot, Step};
 use crate::error::{QfeError, Result};
 use crate::feedback::FeedbackUser;
 use crate::stats::SessionReport;
@@ -27,12 +28,8 @@ pub const DEFAULT_MAX_ITERATIONS: usize = 64;
 /// generator parameters.
 #[derive(Debug, Clone)]
 pub struct QfeSession {
-    database: Database,
-    result: QueryResult,
-    candidates: Vec<SpjQuery>,
-    params: CostParams,
-    max_iterations: usize,
-    query_generation_time: Duration,
+    /// The state every engine starts from: no round answered yet.
+    initial: SessionSnapshot,
 }
 
 /// The outcome of a QFE session: the identified query and the session record.
@@ -86,31 +83,27 @@ impl QfeSession {
 
     /// The candidate queries the session starts from.
     pub fn candidates(&self) -> &[SpjQuery] {
-        &self.candidates
+        &self.initial.candidates
     }
 
     /// The example database `D`.
     pub fn database(&self) -> &Database {
-        &self.database
+        &self.initial.database
     }
 
     /// The example result `R`.
     pub fn original_result(&self) -> &QueryResult {
-        &self.result
+        &self.initial.result
     }
 
     /// The cost-model parameters in use.
     pub fn params(&self) -> &CostParams {
-        &self.params
+        &self.initial.params
     }
 
     /// The iteration safety cap.
     pub fn max_iterations(&self) -> usize {
-        self.max_iterations
-    }
-
-    pub(crate) fn query_generation_time(&self) -> Duration {
-        self.query_generation_time
+        self.initial.max_iterations
     }
 
     /// Starts the session as a sans-IO state machine: the returned engine
@@ -119,7 +112,7 @@ impl QfeSession {
     /// instead of [`QfeSession::run`] whenever the answering side is a real
     /// user, another process, or anything else that must not be blocked on.
     pub fn start(&self) -> QfeEngine {
-        QfeEngine::from_session(self)
+        QfeEngine::from_state(self.initial.clone())
     }
 
     /// Runs the feedback loop (Algorithm 1) against the given user.
@@ -210,12 +203,19 @@ impl QfeSessionBuilder {
             return Err(QfeError::NoCandidates);
         }
         Ok(QfeSession {
-            database: self.database,
-            result: self.result,
-            candidates,
-            params: self.params,
-            max_iterations: self.max_iterations,
-            query_generation_time,
+            initial: SessionSnapshot {
+                database: Arc::new(self.database),
+                result: Arc::new(self.result),
+                remaining: (0..candidates.len()).collect(),
+                candidates,
+                params: self.params,
+                max_iterations: self.max_iterations,
+                query_generation_time,
+                iterations: Vec::new(),
+                pending: None,
+                rejected: false,
+                indistinguishable: false,
+            },
         })
     }
 }
@@ -407,6 +407,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(session.params().beta, 4.0);
-        assert_eq!(session.max_iterations, 7);
+        assert_eq!(session.max_iterations(), 7);
     }
 }

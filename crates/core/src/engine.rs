@@ -1,12 +1,12 @@
 //! The sans-IO session engine: Algorithm 1 as a resumable state machine.
 //!
-//! [`QfeSession::run`] drives the feedback loop against a callback, which
-//! cannot suspend while a real user thinks, cannot survive a process restart
-//! and cannot serve many concurrent users. [`QfeEngine`] inverts the control
-//! flow: the caller *pulls* each feedback round out of the engine with
-//! [`QfeEngine::step`] and *pushes* the user's selection back in with
-//! [`QfeEngine::answer`] — the engine performs no IO and never blocks on a
-//! user.
+//! [`QfeSession::run`](crate::QfeSession::run) drives the feedback loop
+//! against a callback, which cannot suspend while a real user thinks, cannot
+//! survive a process restart and cannot serve many concurrent users.
+//! [`QfeEngine`] inverts the control flow: the caller *pulls* each feedback
+//! round out of the engine with [`QfeEngine::step`] and *pushes* the user's
+//! selection back in with [`QfeEngine::answer`] — the engine performs no IO
+//! and never blocks on a user.
 //!
 //! ```text
 //! loop {
@@ -17,12 +17,13 @@
 //! }
 //! ```
 //!
-//! All loop state lives in the engine: the surviving candidate indices, the
-//! per-iteration statistics, and the generated-but-unanswered round (cached,
-//! so repeated `step` calls re-present the same round without re-running
-//! Algorithms 2–4). The whole state externalizes as a [`SessionSnapshot`] —
-//! see [`QfeEngine::snapshot`] / [`QfeEngine::resume`] — so a session can be
-//! persisted mid-round, shipped across processes, and continued elsewhere.
+//! All loop state lives in the engine's [`SessionSnapshot`]: the surviving
+//! candidate indices, the per-iteration statistics, and the
+//! generated-but-unanswered round (cached, so repeated `step` calls
+//! re-present the same round without re-running Algorithms 2–4).
+//! [`QfeEngine::snapshot`] hands out a copy and [`QfeEngine::resume`] wraps
+//! one again, so a session can be persisted mid-round, shipped across
+//! processes, and continued elsewhere.
 
 use std::fmt;
 use std::sync::Arc;
@@ -33,11 +34,10 @@ use qfe_relation::Database;
 
 use crate::context::{GenerationContext, SessionJoin};
 use crate::cost::CostParams;
-use crate::dbgen::{DatabaseGenerator, GeneratedDatabase};
-use crate::delta::{DatabaseDelta, ResultDelta};
-use crate::driver::{QfeOutcome, QfeSession};
+use crate::dbgen::{generate_round, PendingRound};
+use crate::driver::QfeOutcome;
 use crate::error::{QfeError, Result};
-use crate::feedback::{FeedbackChoice, FeedbackRound};
+use crate::feedback::FeedbackRound;
 use crate::stats::{IterationStats, SessionReport};
 
 /// What the engine needs next.
@@ -48,17 +48,6 @@ pub enum Step {
     AwaitFeedback(FeedbackRound),
     /// The session is finished.
     Done(QfeOutcome),
-}
-
-/// A generated feedback round that has not been answered yet, together with
-/// the machine-side statistics of its generation (the user's response time is
-/// filled in when the round is answered).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingRound {
-    /// The round to present.
-    pub round: FeedbackRound,
-    /// Machine-side statistics of the round's generation.
-    pub stats: IterationStats,
 }
 
 /// Opaque handle to a hosted session: the id a server frontend
@@ -89,44 +78,22 @@ impl fmt::Display for SessionId {
 
 /// The resumable state machine behind a QFE session (Algorithm 1, sans-IO).
 ///
-/// Obtained from [`QfeSession::start`] or [`QfeEngine::resume`].
+/// Obtained from [`QfeSession::start`](crate::QfeSession::start) or
+/// [`QfeEngine::resume`].
 #[derive(Debug, Clone)]
 pub struct QfeEngine {
-    database: Arc<Database>,
-    result: Arc<QueryResult>,
-    candidates: Vec<SpjQuery>,
-    params: CostParams,
-    max_iterations: usize,
-    query_generation_time: Duration,
-    /// Indices (into `candidates`) of the queries still alive.
-    remaining: Vec<usize>,
-    /// Statistics of the answered iterations, in order.
-    iterations: Vec<IterationStats>,
-    /// The generated-but-unanswered round, if any.
-    pending: Option<PendingRound>,
-    /// The user reported that no presented result matches their intent.
-    rejected: bool,
-    /// The generator certified the remaining candidates indistinguishable.
-    indistinguishable: bool,
+    /// The whole session state; [`QfeEngine::snapshot`] hands out a copy.
+    state: SessionSnapshot,
     /// The session join every round is built on, once the first round has
     /// built it. Purely a cache: never serialized, rebuilt after a resume.
     session_join: Option<Arc<SessionJoin>>,
 }
 
 impl QfeEngine {
-    pub(crate) fn from_session(session: &QfeSession) -> QfeEngine {
+    /// Wraps a state already known to be consistent.
+    pub(crate) fn from_state(state: SessionSnapshot) -> QfeEngine {
         QfeEngine {
-            database: Arc::new(session.database().clone()),
-            result: Arc::new(session.original_result().clone()),
-            candidates: session.candidates().to_vec(),
-            params: session.params().clone(),
-            max_iterations: session.max_iterations(),
-            query_generation_time: session.query_generation_time(),
-            remaining: (0..session.candidates().len()).collect(),
-            iterations: Vec::new(),
-            pending: None,
-            rejected: false,
-            indistinguishable: false,
+            state,
             session_join: None,
         }
     }
@@ -139,88 +106,53 @@ impl QfeEngine {
     /// re-presented without re-running Algorithms 2–4, so a front end may
     /// re-render freely.
     pub fn step(&mut self) -> Result<Step> {
-        if self.rejected {
+        let state = &self.state;
+        if state.rejected {
             return Err(QfeError::TargetNotInCandidates);
         }
-        if let Some(pending) = &self.pending {
+        if let Some(pending) = &state.pending {
             return Ok(Step::AwaitFeedback(pending.round.clone()));
         }
-        if self.remaining.is_empty() {
+        if state.remaining.is_empty() {
             return Err(QfeError::NoCandidates);
         }
-        if self.remaining.len() == 1 || self.indistinguishable {
+        if state.remaining.len() == 1 || state.indistinguishable {
             return Ok(Step::Done(self.outcome()));
         }
 
-        let iteration = self.iterations.len() + 1;
-        if iteration > self.max_iterations {
+        let iteration = state.iterations.len() + 1;
+        if iteration > state.max_iterations {
             return Err(QfeError::IterationLimitExceeded {
-                limit: self.max_iterations,
+                limit: state.max_iterations,
             });
         }
 
         let round_start = Instant::now();
-        let generated = match self.generate_round() {
-            Ok(g) => g,
+        let mut pending = match self.next_round() {
+            Ok(pending) => pending,
             // No valid modification separates the survivors: they are
             // equivalent over every database the generator can reach, so
             // showing the user more rounds cannot help. Terminate with the
             // whole equivalence class reported in the outcome.
             Err(QfeError::NoDistinguishingDatabase { .. }) => {
-                self.indistinguishable = true;
+                self.state.indistinguishable = true;
                 return Ok(Step::Done(self.outcome()));
             }
             Err(e) => return Err(e),
         };
-
-        let database_delta = DatabaseDelta {
-            edits: generated.edits.clone(),
-        };
-        let choices: Vec<FeedbackChoice> = generated
-            .partition
-            .groups
-            .iter()
-            .map(|g| FeedbackChoice {
-                result: g.result.clone(),
-                result_delta: ResultDelta::between(&self.result, &g.result),
-                candidate_count: g.query_indices.len(),
-                query_indices: g.query_indices.clone(),
-            })
-            .collect();
-        let round = FeedbackRound {
-            iteration,
-            database: generated.database.clone(),
-            database_delta,
-            choices,
-        };
-        // The paper folds the candidate-generation time into the first
-        // iteration's machine time.
-        let machine_time = round_start.elapsed()
+        pending.round.iteration = iteration;
+        pending.stats.iteration = iteration;
+        // The round's machine time includes building its context, and the
+        // paper folds the candidate-generation time into the first
+        // iteration's.
+        pending.stats.execution_time = round_start.elapsed()
             + if iteration == 1 {
-                self.query_generation_time
+                self.state.query_generation_time
             } else {
                 Duration::ZERO
             };
-        let stats = IterationStats {
-            iteration,
-            candidate_count: self.remaining.len(),
-            group_count: round.choices.len(),
-            skyline_pairs: generated.skyline_pair_count,
-            execution_time: machine_time,
-            skyline_time: generated.skyline_time,
-            skyline_timed_out: generated.skyline_timed_out,
-            pick_time: generated.pick_time,
-            modify_time: generated.modify_time,
-            db_cost: generated.db_edit_cost,
-            result_cost: generated.result_cost,
-            modified_relations: generated.modified_relations,
-            modified_tuples: generated.modified_tuples,
-            user_time: Duration::ZERO,
-        };
-        self.pending = Some(PendingRound {
-            round: round.clone(),
-            stats,
-        });
+        let round = pending.round.clone();
+        self.state.pending = Some(pending);
         Ok(Step::AwaitFeedback(round))
     }
 
@@ -228,22 +160,23 @@ impl QfeEngine {
     /// from the session join (`D` and `R` never change within a session, so
     /// the join and its join index are built once, by the first round after
     /// the engine starts or resumes).
-    fn generate_round(&mut self) -> Result<GeneratedDatabase> {
-        let queries: Vec<SpjQuery> = self
+    fn next_round(&mut self) -> Result<PendingRound> {
+        let state = &self.state;
+        let queries: Vec<SpjQuery> = state
             .remaining
             .iter()
-            .map(|&i| self.candidates[i].clone())
+            .map(|&i| state.candidates[i].clone())
             .collect();
         let ctx = match &self.session_join {
             Some(join) => GenerationContext::for_round(Arc::clone(join), queries)?,
             None => GenerationContext::new_shared(
-                Arc::clone(&self.database),
-                Arc::clone(&self.result),
+                Arc::clone(&state.database),
+                Arc::clone(&state.result),
                 queries,
             )?,
         };
         self.session_join = Some(Arc::clone(ctx.session_join()));
-        DatabaseGenerator::new(self.params.clone()).generate_with_context(&ctx)
+        generate_round(&ctx, &self.state.params)
     }
 
     /// Answers the pending round: keeps the candidate queries behind choice
@@ -260,7 +193,8 @@ impl QfeEngine {
     /// [`QfeEngine::answer`] with the user's measured (or simulated) response
     /// time recorded in the iteration statistics.
     pub fn answer_timed(&mut self, choice_idx: usize, user_time: Duration) -> Result<()> {
-        let available = match &self.pending {
+        let state = &mut self.state;
+        let available = match &state.pending {
             None => return Err(QfeError::NoPendingRound),
             Some(p) => p.round.choices.len(),
         };
@@ -270,14 +204,14 @@ impl QfeEngine {
                 available,
             });
         }
-        let mut pending = self.pending.take().expect("pending round checked above");
+        let mut pending = state.pending.take().expect("pending round checked above");
         pending.stats.user_time = user_time;
-        self.iterations.push(pending.stats);
+        state.iterations.push(pending.stats);
         let kept = &pending.round.choices[choice_idx];
-        self.remaining = kept
+        state.remaining = kept
             .query_indices
             .iter()
-            .map(|&i| self.remaining[i])
+            .map(|&i| state.remaining[i])
             .collect();
         Ok(())
     }
@@ -292,38 +226,41 @@ impl QfeEngine {
 
     /// [`QfeEngine::reject`] with the user's response time recorded.
     pub fn reject_timed(&mut self, user_time: Duration) -> Result<()> {
-        let mut pending = self.pending.take().ok_or(QfeError::NoPendingRound)?;
+        let state = &mut self.state;
+        let mut pending = state.pending.take().ok_or(QfeError::NoPendingRound)?;
         pending.stats.user_time = user_time;
-        self.iterations.push(pending.stats);
-        self.rejected = true;
+        state.iterations.push(pending.stats);
+        state.rejected = true;
         Ok(())
     }
 
     fn outcome(&self) -> QfeOutcome {
+        let state = &self.state;
         // With several indistinguishable survivors the choice among them is
         // immaterial (they agree on every reachable database); pick the
         // simplest deterministically so reports are stable.
-        let best = self
+        let best = state
             .remaining
             .iter()
             .copied()
             .min_by_key(|&i| {
                 (
-                    self.candidates[i].complexity(),
-                    self.candidates[i].to_string(),
+                    state.candidates[i].complexity(),
+                    state.candidates[i].to_string(),
                 )
             })
             .expect("outcome requires at least one remaining candidate");
-        let indistinguishable = if self.remaining.len() > 1 {
-            self.remaining
+        let indistinguishable = if state.remaining.len() > 1 {
+            state
+                .remaining
                 .iter()
-                .map(|&i| self.candidates[i].clone())
+                .map(|&i| state.candidates[i].clone())
                 .collect()
         } else {
             Vec::new()
         };
         QfeOutcome {
-            query: self.candidates[best].clone(),
+            query: state.candidates[best].clone(),
             indistinguishable,
             report: self.report(),
         }
@@ -332,48 +269,49 @@ impl QfeEngine {
     /// The session record so far (also available before the session ends).
     pub fn report(&self) -> SessionReport {
         SessionReport {
-            query_generation_time: self.query_generation_time,
-            initial_candidates: self.candidates.len(),
-            iterations: self.iterations.clone(),
+            query_generation_time: self.state.query_generation_time,
+            initial_candidates: self.state.candidates.len(),
+            iterations: self.state.iterations.clone(),
         }
     }
 
     /// The example database `D`.
     pub fn database(&self) -> &Database {
-        &self.database
+        &self.state.database
     }
 
     /// The example result `R`.
     pub fn original_result(&self) -> &QueryResult {
-        &self.result
+        &self.state.result
     }
 
     /// The full candidate set the session started from.
     pub fn candidates(&self) -> &[SpjQuery] {
-        &self.candidates
+        &self.state.candidates
     }
 
     /// The queries still alive.
     pub fn remaining_candidates(&self) -> Vec<&SpjQuery> {
-        self.remaining
+        self.state
+            .remaining
             .iter()
-            .map(|&i| &self.candidates[i])
+            .map(|&i| &self.state.candidates[i])
             .collect()
     }
 
     /// Number of queries still alive.
     pub fn remaining_count(&self) -> usize {
-        self.remaining.len()
+        self.state.remaining.len()
     }
 
     /// Number of answered feedback iterations.
     pub fn iterations_completed(&self) -> usize {
-        self.iterations.len()
+        self.state.iterations.len()
     }
 
     /// True when a generated round awaits an answer.
     pub fn awaiting_feedback(&self) -> bool {
-        self.pending.is_some()
+        self.state.pending.is_some()
     }
 
     /// The cached round awaiting an answer, by reference. Front ends that
@@ -381,33 +319,22 @@ impl QfeEngine {
     /// [`QfeEngine::step`] calls: stepping clones the round (including the
     /// whole modified database) each time, this borrow is free.
     pub fn pending_round(&self) -> Option<&FeedbackRound> {
-        self.pending.as_ref().map(|p| &p.round)
+        self.state.pending.as_ref().map(|p| &p.round)
     }
 
     /// True when the session has terminated (one survivor, certified
     /// indistinguishability, or user rejection).
     pub fn is_done(&self) -> bool {
-        self.rejected
-            || (self.pending.is_none() && (self.remaining.len() <= 1 || self.indistinguishable))
+        let state = &self.state;
+        state.rejected
+            || (state.pending.is_none() && (state.remaining.len() <= 1 || state.indistinguishable))
     }
 
     /// Externalizes the engine's complete state. The example pair is shared
     /// (`Arc`), not copied: a snapshot of an engine with a 10k-row database
     /// costs a pointer bump until it is serialized.
     pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            database: Arc::clone(&self.database),
-            result: Arc::clone(&self.result),
-            candidates: self.candidates.clone(),
-            params: self.params.clone(),
-            max_iterations: self.max_iterations,
-            query_generation_time: self.query_generation_time,
-            remaining: self.remaining.clone(),
-            iterations: self.iterations.clone(),
-            pending: self.pending.clone(),
-            rejected: self.rejected,
-            indistinguishable: self.indistinguishable,
-        }
+        self.state.clone()
     }
 
     /// Rebuilds an engine from a snapshot (possibly created by another
@@ -473,25 +400,13 @@ impl QfeEngine {
                 }
             }
         }
-        Ok(QfeEngine {
-            database: snapshot.database,
-            result: snapshot.result,
-            candidates: snapshot.candidates,
-            params: snapshot.params,
-            max_iterations: snapshot.max_iterations,
-            query_generation_time: snapshot.query_generation_time,
-            remaining: snapshot.remaining,
-            iterations: snapshot.iterations,
-            pending: snapshot.pending,
-            rejected: snapshot.rejected,
-            indistinguishable: snapshot.indistinguishable,
-            session_join: None,
-        })
+        Ok(QfeEngine::from_state(snapshot))
     }
 }
 
-/// The externalized state of a [`QfeEngine`]: everything needed to continue a
-/// session in a fresh engine, possibly in another process.
+/// The state of a QFE session: what [`QfeSession`](crate::QfeSession) starts
+/// every engine from and what a [`QfeEngine`] advances — everything needed
+/// to continue a session in a fresh engine, possibly in another process.
 ///
 /// Serialize with [`SessionSnapshot::serialize`] and rebuild with
 /// [`SessionSnapshot::deserialize`]; the JSON is produced by the workspace's
@@ -544,6 +459,7 @@ impl SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::QfeSession;
     use crate::feedback::{FeedbackUser, OracleUser};
     use qfe_datasets::example_1_1;
 

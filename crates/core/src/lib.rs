@@ -9,7 +9,7 @@
 //!
 //! 1. a candidate set `QC` of queries with `Q(D) = R` is generated
 //!    (`qfe-qbo`);
-//! 2. at each feedback round the **Database Generator** ([`DatabaseGenerator`],
+//! 2. at each feedback round the **Database Generator** ([`generate_round`],
 //!    Algorithm 2) computes a minimally modified database `D'` that splits the
 //!    surviving candidates into subsets with distinct results, minimizing the
 //!    **user-effort cost model** ([`CostParams`], Section 3) via a search over
@@ -25,10 +25,11 @@
 //! callback loop for automated responders; [`QfeSession::start`] yields a
 //! sans-IO [`QfeEngine`] whose [`step`](QfeEngine::step) /
 //! [`answer`](QfeEngine::answer) API suspends cleanly while a real user
-//! thinks, serializes to a [`SessionSnapshot`] for cross-process resume, and
-//! scales to many concurrent users behind `qfe_snapstore::SessionHost`,
-//! which hosts engines under [`SessionId`] handles (over a `MemoryStore`
-//! when nothing needs to outlive the process).
+//! thinks, keeps its whole state in one [`SessionSnapshot`] (the session
+//! holds the initial one) for cross-process resume, and scales to many
+//! concurrent users behind `qfe_snapstore::SessionHost`, which hosts engines
+//! under [`SessionId`] handles (over a `MemoryStore` when nothing needs to
+//! outlive the process).
 //!
 //! ## The generation kernel: bitsets, one row join, shared contexts
 //!
@@ -58,8 +59,8 @@
 //!   space, source classes, kernel). The class space reads each selection
 //!   attribute's active domain straight off the row join. [`QfeEngine`]
 //!   keeps its session join across rounds and rebuilds it after a resume;
-//!   the engine, its snapshots and the session join share one `Arc`'d copy
-//!   of `(D, R)`.
+//!   the session, its engines, their snapshots and the session join share
+//!   one `Arc`'d copy of `(D, R)`.
 //! * **One join format.** The session join, every round and QBO's
 //!   verifier all read the row join; no columnar copy of a join exists.
 //!   QBO's `BatchVerifier` caches one selection bitmap per term, computed
@@ -174,14 +175,14 @@ pub use cost::{
     balance_score, estimate_iterations, objective, user_effort_cost, CostInputs, CostModelKind,
     CostParams, IterationEstimator,
 };
-pub use dbgen::{DatabaseGenerator, GeneratedDatabase};
+pub use dbgen::{generate_round, PendingRound};
 pub use delta::{DatabaseDelta, ResultDelta};
 pub use domain::{
     partition_categorical_domain, partition_numeric_domain, partition_numeric_domain_for,
     DomainBlock,
 };
 pub use driver::{QfeOutcome, QfeSession, QfeSessionBuilder, DEFAULT_MAX_ITERATIONS};
-pub use engine::{PendingRound, QfeEngine, SessionId, SessionSnapshot, Step};
+pub use engine::{QfeEngine, SessionId, SessionSnapshot, Step};
 pub use error::{QfeError, Result};
 pub use feedback::{
     FeedbackChoice, FeedbackRound, FeedbackUser, InteractiveUser, OracleUser, SimulatedHumanUser,

@@ -12,8 +12,9 @@ use qfe_wire::{FromJson, Json, ToJson, WireError, WireResult};
 use qfe_query::SpjQuery;
 
 use crate::cost::{CostModelKind, CostParams, IterationEstimator};
+use crate::dbgen::PendingRound;
 use crate::delta::{DatabaseDelta, ResultDelta};
-use crate::engine::{PendingRound, SessionSnapshot};
+use crate::engine::SessionSnapshot;
 use crate::feedback::{FeedbackChoice, FeedbackRound};
 use crate::stats::{IterationStats, SessionReport};
 

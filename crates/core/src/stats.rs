@@ -17,7 +17,10 @@ pub struct IterationStats {
     pub candidate_count: usize,
     /// Number of query subsets the generated database partitions them into.
     pub group_count: usize,
-    /// Number of skyline tuple-class pairs enumerated by Algorithm 3.
+    /// Number of skyline tuple-class pairs Algorithm 3 kept (the pairs it
+    /// examined are counted by [`SkylineOutcome::enumerated`]).
+    ///
+    /// [`SkylineOutcome::enumerated`]: crate::SkylineOutcome::enumerated
     pub skyline_pairs: usize,
     /// Total machine time of the iteration (database generation + applying
     /// the modification). The first iteration additionally includes the

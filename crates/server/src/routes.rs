@@ -354,10 +354,10 @@ impl ServiceState {
         };
         let answered = match doc.get("user_millis") {
             Some(millis) => match millis.as_f64() {
-                Ok(ms) if ms >= 0.0 => {
-                    self.backend
-                        .answer_timed(id, choice, Duration::from_secs_f64(ms / 1000.0))
-                }
+                Ok(ms) if ms >= 0.0 => match Duration::try_from_secs_f64(ms / 1000.0) {
+                    Ok(user_time) => self.backend.answer_timed(id, choice, user_time),
+                    Err(e) => return error_response(400, "bad_request", e),
+                },
                 Ok(_) => return error_response(400, "bad_request", "user_millis must be >= 0"),
                 Err(e) => return error_response(400, "bad_request", e),
             },
@@ -716,6 +716,16 @@ mod tests {
             "{\"choice\":0,\"user_millis\":-1}",
         ));
         assert_eq!(neg.status, 400);
+        // A response time no Duration can hold is refused, not a panic (1e400
+        // reads as infinity).
+        for millis in ["1e23", "1e300", "1e400"] {
+            let huge = service.handle(&req(
+                "POST",
+                &format!("/sessions/{id}/answer"),
+                &format!("{{\"choice\":0,\"user_millis\":{millis}}}"),
+            ));
+            assert_eq!(huge.status, 400, "{millis}: {}", huge.body);
+        }
         // Out-of-range choice is a conflict, not a panic.
         let wild = service.handle(&req(
             "POST",
@@ -723,6 +733,13 @@ mod tests {
             "{\"choice\":999}",
         ));
         assert_eq!(wild.status, 409, "{}", wild.body);
+        // The refused answers left the round pending: a valid one lands.
+        let valid = service.handle(&req(
+            "POST",
+            &format!("/sessions/{id}/answer"),
+            "{\"choice\":0,\"user_millis\":1500}",
+        ));
+        assert_eq!(valid.status, 200, "{}", valid.body);
     }
 
     #[test]

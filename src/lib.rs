@@ -308,9 +308,9 @@ pub use qfe_wire as wire;
 pub mod prelude {
     pub use qfe_cluster::{Cluster, ClusterConfig, ShardRouter};
     pub use qfe_core::{
-        AltCostModel, CostModelKind, CostParams, DatabaseGenerator, FeedbackUser, InteractiveUser,
-        IterationStats, OracleUser, QfeEngine, QfeError, QfeOutcome, QfeSession, SessionId,
-        SessionReport, SessionSnapshot, SimulatedHumanUser, Step, WorstCaseUser,
+        AltCostModel, CostModelKind, CostParams, FeedbackUser, InteractiveUser, IterationStats,
+        OracleUser, QfeEngine, QfeError, QfeOutcome, QfeSession, SessionId, SessionReport,
+        SessionSnapshot, SimulatedHumanUser, Step, WorstCaseUser,
     };
     pub use qfe_qbo::{QboConfig, QueryGenerator};
     pub use qfe_query::{ComparisonOp, DnfPredicate, QueryResult, SpjQuery};

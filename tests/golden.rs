@@ -49,9 +49,8 @@ fn golden_path(example: &str) -> PathBuf {
         .join(format!("{}.txt", example.replace('/', "-")))
 }
 
-/// Runs `example` (`dataset/label`) with an oracle user and renders what
-/// the session showed and decided.
-fn transcript(example: &str) -> String {
+/// The session of `example` (`dataset/label`) and its target query.
+fn golden_session(example: &str) -> (QfeSession, SpjQuery) {
     let (dataset, label) = example.split_once('/').expect("dataset/label");
     let workload = small_workload(dataset);
     let target = workload.query(label).expect("labelled query").clone();
@@ -61,6 +60,13 @@ fn transcript(example: &str) -> String {
         .with_params(CostParams::default().with_skyline_budget(DELTA))
         .build()
         .expect("session builds");
+    (session, target)
+}
+
+/// Runs `example` (`dataset/label`) with an oracle user and renders what
+/// the session showed and decided.
+fn transcript(example: &str) -> String {
+    let (session, target) = golden_session(example);
     let oracle = OracleUser::new(target);
     let mut engine = session.start();
 
@@ -175,6 +181,62 @@ fn assert_matches_golden(example: &str) {
         path.display(),
         line + 1,
     );
+}
+
+/// Drives `session` with an oracle for `target` and checks that every
+/// round's statistics describe the round the user was shown.
+fn assert_round_stats_describe_the_rounds(name: &str, session: &QfeSession, target: &SpjQuery) {
+    let oracle = OracleUser::new(target.clone());
+    let mut engine = session.start();
+    let mut rounds = Vec::new();
+    let outcome = loop {
+        match engine.step().expect("session steps") {
+            Step::Done(outcome) => break outcome,
+            Step::AwaitFeedback(round) => {
+                engine
+                    .answer(oracle.choose(&round).expect("oracle finds its result"))
+                    .expect("answer lands");
+                rounds.push(round);
+            }
+        }
+    };
+    assert!(!rounds.is_empty(), "{name}: no round was shown");
+    assert_eq!(outcome.report.iterations.len(), rounds.len(), "{name}");
+    let arity = session.original_result().arity();
+    for (round, stats) in rounds.iter().zip(&outcome.report.iterations) {
+        let at = format!("{name} round {}", round.iteration);
+        assert_eq!(stats.iteration, round.iteration, "{at}");
+        assert_eq!(stats.db_cost, round.database_delta.edits.len(), "{at}");
+        assert_eq!(
+            stats.db_cost,
+            qfe::relation::min_edit_databases(session.database(), &round.database),
+            "{at}"
+        );
+        assert_eq!(stats.group_count, round.choices.len(), "{at}");
+        let result_cost: usize = round
+            .choices
+            .iter()
+            .map(|choice| choice.result_delta.cost(arity))
+            .sum();
+        assert_eq!(stats.result_cost, result_cost, "{at}");
+    }
+}
+
+#[test]
+fn round_stats_describe_the_presented_round() {
+    let (db, result, candidates, _) = qfe::datasets::example_1_1();
+    for target in &candidates {
+        let session = QfeSession::builder(db.clone(), result.clone())
+            .with_candidates(candidates.clone())
+            .build()
+            .expect("session builds");
+        let name = format!("example 1.1 ({})", target.label.as_deref().unwrap_or("?"));
+        assert_round_stats_describe_the_rounds(&name, &session, target);
+    }
+    for example in EXAMPLES {
+        let (session, target) = golden_session(example);
+        assert_round_stats_describe_the_rounds(example, &session, &target);
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Round advancement: after every feedback round,
-//! [`GenerationContext::advance`] builds the next round on the session's
-//! shared join, and must yield a context equal to one built from scratch
-//! with `GenerationContext::new` — same class space, same source classes,
-//! bit-identical skyline results, and term bitmaps that a cache carried
-//! across rounds serves exactly as a cold one computes them.
+//! [`GenerationContext::advance_with_report`] builds the next round on the
+//! session's shared join, and must yield a context equal to one built from
+//! scratch with `GenerationContext::new` — same class space, same source
+//! classes, bit-identical skyline results, and term bitmaps that a cache
+//! carried across rounds serves exactly as a cold one computes them.
 //!
 //! Rounds are shaped like real sessions: `D` and `R` stay fixed and every
 //! answer keeps a strictly smaller, non-empty subset of the candidates. The
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qfe::prelude::*;
-use qfe_core::{skyline_stc_dtc_pairs, AdvancePath, DatabaseGenerator, GenerationContext};
+use qfe_core::{generate_round, skyline_stc_dtc_pairs, AdvancePath, GenerationContext};
 use qfe_query::{evaluate, QueryResult, SpjQuery, TermBitmapCache};
 use qfe_relation::Database;
 
@@ -120,7 +120,7 @@ fn check_random_round_chains(
 /// Drives generation rounds with worst-case (largest-group) feedback,
 /// checking advance-vs-fresh equivalence at every round.
 fn drive_rounds_checking_advance(db: &Database, result: &QueryResult, candidates: Vec<SpjQuery>) {
-    let generator = DatabaseGenerator::default();
+    let params = CostParams::default();
     let mut queries = candidates;
     let mut ctx = GenerationContext::new(db, result, &queries).unwrap();
     let mut cache = TermBitmapCache::new(ctx.join());
@@ -128,23 +128,24 @@ fn drive_rounds_checking_advance(db: &Database, result: &QueryResult, candidates
         if queries.len() <= 1 {
             break;
         }
-        let generated = match generator.generate_with_context(&ctx) {
-            Ok(g) => g,
+        let round = match generate_round(&ctx, &params) {
+            Ok(pending) => pending.round,
             Err(_) => break, // indistinguishable survivors: nothing to advance
         };
         // Worst-case user: keep the largest group (ties broken by order).
-        let surviving: Vec<usize> = generated
-            .partition
-            .groups
+        let surviving: Vec<usize> = round
+            .choices
             .iter()
-            .max_by_key(|g| g.query_indices.len())
+            .max_by_key(|c| c.query_indices.len())
             .expect("at least one group")
             .query_indices
             .clone();
         if surviving.len() == queries.len() {
             break; // no progress possible
         }
-        let advanced = ctx.advance(&surviving, &[]).expect("advance succeeds");
+        let (advanced, _) = ctx
+            .advance_with_report(&surviving, &[])
+            .expect("advance succeeds");
         queries = surviving.iter().map(|&i| queries[i].clone()).collect();
         let fresh = GenerationContext::new(db, result, &queries).unwrap();
         assert_round_equivalent(&advanced, &fresh, &mut cache);

@@ -1212,7 +1212,10 @@ fn pick_matches_the_seen_set_extension_loop_on_small_rounds() {
             if group.query_indices.len() == 1 {
                 break;
             }
-            ctx = ctx.advance(&group.query_indices, &[]).unwrap();
+            ctx = ctx
+                .advance_with_report(&group.query_indices, &[])
+                .unwrap()
+                .0;
         }
     }
 }
