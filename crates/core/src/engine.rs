@@ -176,7 +176,7 @@ impl QfeEngine {
             )?,
         };
         self.session_join = Some(Arc::clone(ctx.session_join()));
-        generate_round(&ctx, &self.state.params)
+        generate_round(&ctx, &state.params)
     }
 
     /// Answers the pending round: keeps the candidate queries behind choice
