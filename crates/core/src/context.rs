@@ -12,8 +12,9 @@
 //! * [`GenerationContext`], built each round by one constructor,
 //!   [`GenerationContext::for_round`], from the session join and the
 //!   surviving candidates: the bound queries, the tuple-class space, the
-//!   source classes, the outcome kernel, the modifiable attributes and block
-//!   realizability. It provides the cheap, class-level reasoning that
+//!   source classes with each join row's class (one integer per row), the
+//!   outcome kernel, the modifiable attributes and block realizability. It
+//!   provides the cheap, class-level reasoning that
 //!   Algorithms 3 and 4 are built on: whether a class satisfies a
 //!   candidate, how one pair splits the candidates, and the table of every
 //!   pair's per-candidate outcome codes from which Algorithm 4 partitions
@@ -28,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use qfe_query::{BoundQuery, QueryResult, SpjQuery};
-use qfe_relation::{foreign_key_join, Database, JoinIndex, JoinedRelation, Tuple};
+use qfe_relation::{foreign_key_join, Database, JoinIndex, JoinedRelation};
 
 use crate::error::{QfeError, Result};
 use crate::kernel::{MatchScratch, OutcomeCodes, OutcomeKernel, PairStats};
@@ -120,6 +121,13 @@ pub struct GenerationContext {
     bound: Vec<BoundQuery>,
     space: TupleClassSpace,
     source_classes: BTreeMap<TupleClass, Vec<usize>>,
+    /// Per join row, the position of its source class in `source_classes`,
+    /// or [`NO_CLASS`] when a selection value of the row lies in no block
+    /// (a NULL).
+    row_class: Vec<u32>,
+    /// The blocks of every source class, in `source_classes` order and
+    /// concatenated: class `k` is the `k`-th run of `attribute_count` blocks.
+    class_blocks: Vec<usize>,
     modifiable: Vec<bool>,
     projection_columns: BTreeSet<usize>,
     kernel: OutcomeKernel,
@@ -131,6 +139,9 @@ pub struct GenerationContext {
     /// (`None` when the table does not participate).
     attribute_tables: Vec<Option<usize>>,
 }
+
+/// [`GenerationContext`]'s per-row class index of a join row in no class.
+const NO_CLASS: u32 = u32::MAX;
 
 fn assert_sync_send<T: Sync + Send>() {}
 #[allow(dead_code)]
@@ -195,6 +206,15 @@ impl GenerationContext {
             .map(|q| BoundQuery::bind(q, join))
             .collect::<std::result::Result<_, _>>()?;
         let source_classes = space.source_classes(join);
+        let mut row_class = vec![NO_CLASS; join.len()];
+        let mut class_blocks = Vec::with_capacity(source_classes.len() * space.attribute_count());
+        for (k, (class, members)) in source_classes.iter().enumerate() {
+            let k = u32::try_from(k).expect("fewer than 2^32 source classes");
+            class_blocks.extend_from_slice(class);
+            for &jrow in members {
+                row_class[jrow] = k;
+            }
+        }
 
         // Projection columns (shared by all candidates: R determines ℓ).
         let projection_columns: BTreeSet<usize> =
@@ -215,6 +235,8 @@ impl GenerationContext {
             bound,
             space,
             source_classes,
+            row_class,
+            class_blocks,
             modifiable,
             projection_columns,
             kernel,
@@ -312,6 +334,19 @@ impl GenerationContext {
         &self.source_classes
     }
 
+    /// The source class of join row `jrow`, as its blocks, or `None` when
+    /// the row belongs to no class. Every tuple of a class satisfies the
+    /// same candidates (Section 5.1), so the class's match row is the row's.
+    pub(crate) fn row_class(&self, jrow: usize) -> Option<&[usize]> {
+        let k = self.row_class[jrow];
+        if k == NO_CLASS {
+            return None;
+        }
+        let n = self.space.attribute_count();
+        let start = k as usize * n;
+        Some(&self.class_blocks[start..start + n])
+    }
+
     /// Which selection attributes may be modified (non-key attributes).
     pub fn modifiable_attributes(&self) -> &[bool] {
         &self.modifiable
@@ -349,7 +384,7 @@ impl GenerationContext {
     /// query `q`). Borrow is tied to `scratch`; no allocation.
     pub(crate) fn class_match_words<'a>(
         &'a self,
-        class: &TupleClass,
+        class: &[usize],
         scratch: &'a mut MatchScratch,
     ) -> &'a [u64] {
         self.kernel.match_words(class, scratch)
@@ -419,53 +454,6 @@ impl GenerationContext {
         );
         out
     }
-
-    /// Applies a set of cell edits *virtually* to the joined relation: for
-    /// every joined row containing an edited base tuple, in ascending row
-    /// order, returns `(join row index, original tuple, patched tuple)`. The
-    /// original tuple is borrowed from the join. Edits of the same row apply
-    /// in `edits` order.
-    pub(crate) fn patched_join_rows(
-        &self,
-        edits: &[crate::realize::CellEdit],
-    ) -> Vec<(usize, &Tuple, Tuple)> {
-        let join = self.join();
-        // Every (joined row, edit) hit, with the edit's join column resolved
-        // once: the column of the edited base cell.
-        let mut hits: Vec<(usize, usize)> = Vec::new();
-        let mut columns: Vec<Option<usize>> = Vec::with_capacity(edits.len());
-        for (e, edit) in edits.iter().enumerate() {
-            let Some(table) = join.table_position(&edit.table) else {
-                columns.push(None);
-                continue;
-            };
-            columns.push(
-                join.columns()
-                    .iter()
-                    .position(|c| c.column == edit.column && c.table == edit.table),
-            );
-            hits.extend(
-                self.join_index()
-                    .joined_rows_of(table, edit.row)
-                    .iter()
-                    .map(|&jrow| (jrow, e)),
-            );
-        }
-        // By row, and within a row in edit order.
-        hits.sort_unstable();
-        let mut patched: Vec<(usize, &Tuple, Tuple)> = Vec::new();
-        for (jrow, e) in hits {
-            let old = &join.rows()[jrow].tuple;
-            if patched.last().is_none_or(|&(last, _, _)| last != jrow) {
-                patched.push((jrow, old, old.clone()));
-            }
-            if let Some(column) = columns[e] {
-                let new = &mut patched.last_mut().expect("pushed above").2;
-                new.set(column, edits[e].new_value.clone());
-            }
-        }
-        patched
-    }
 }
 
 /// Which selection attributes may be modified: an attribute is locked when
@@ -526,7 +514,7 @@ fn block_realizability(db: &Database, space: &TupleClassSpace) -> Vec<Vec<bool>>
 mod tests {
     use super::*;
     use qfe_query::{ComparisonOp, DnfPredicate, Term};
-    use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema, Value};
+    use qfe_relation::{tuple, ColumnDef, DataType, Table, TableSchema, Tuple, Value};
 
     #[test]
     fn cached_active_domains_equal_the_join_domains_on_a_small_workload() {
@@ -557,6 +545,19 @@ mod tests {
     }
 
     fn employee_context() -> GenerationContext {
+        employee_context_with(ColumnDef::new("salary", DataType::Int), vec![])
+    }
+
+    /// Example 1.1 with the `salary` column defined as given and `extra`
+    /// rows after Alice, Bob, Celina and Darren.
+    fn employee_context_with(salary: ColumnDef, extra: Vec<Tuple>) -> GenerationContext {
+        let mut rows = vec![
+            tuple![1i64, "Alice", "F", "Sales", 3700i64],
+            tuple![2i64, "Bob", "M", "IT", 4200i64],
+            tuple![3i64, "Celina", "F", "Service", 3000i64],
+            tuple![4i64, "Darren", "M", "IT", 5000i64],
+        ];
+        rows.extend(extra);
         let employee = Table::with_rows(
             TableSchema::new(
                 "Employee",
@@ -565,18 +566,13 @@ mod tests {
                     ColumnDef::new("name", DataType::Text),
                     ColumnDef::new("gender", DataType::Text),
                     ColumnDef::new("dept", DataType::Text),
-                    ColumnDef::new("salary", DataType::Int),
+                    salary,
                 ],
             )
             .unwrap()
             .with_primary_key(&["Eid"])
             .unwrap(),
-            vec![
-                tuple![1i64, "Alice", "F", "Sales", 3700i64],
-                tuple![2i64, "Bob", "M", "IT", 4200i64],
-                tuple![3i64, "Celina", "F", "Service", 3000i64],
-                tuple![4i64, "Darren", "M", "IT", 5000i64],
-            ],
+            rows,
         )
         .unwrap();
         let mut db = Database::new();
@@ -593,6 +589,50 @@ mod tests {
         ];
         let result = qfe_query::evaluate(&queries[0], &db).unwrap();
         GenerationContext::new(&db, &result, &queries).unwrap()
+    }
+
+    /// Asserts that every join row's class index names the class
+    /// `classify` gives its tuple, and "no class" exactly where it gives
+    /// `None`. Returns how many rows have no class.
+    fn assert_row_classes_agree_with_classify(ctx: &GenerationContext) -> usize {
+        let mut classless = 0;
+        for (jrow, row) in ctx.join().rows().iter().enumerate() {
+            let classified = ctx.class_space().classify(&row.tuple);
+            assert_eq!(ctx.row_class(jrow), classified.as_deref(), "row {jrow}");
+            classless += usize::from(classified.is_none());
+        }
+        classless
+    }
+
+    #[test]
+    fn row_class_index_agrees_with_classify() {
+        // Example 1.1, and again with a fifth employee whose salary (a
+        // selection attribute) is NULL.
+        assert_eq!(
+            assert_row_classes_agree_with_classify(&employee_context()),
+            0
+        );
+        let nullable = employee_context_with(
+            ColumnDef::nullable("salary", DataType::Int),
+            vec![tuple![5i64, "Eve", "F", "IT", Value::Null]],
+        );
+        assert_eq!(nullable.join().len(), 5);
+        assert_eq!(assert_row_classes_agree_with_classify(&nullable), 1);
+        assert_eq!(nullable.row_class(4), None);
+
+        // A round of adult at the Small scale.
+        let workload = qfe_datasets::adult_scaled(5, 600);
+        let target = workload.query("U2").unwrap();
+        let queries: Vec<SpjQuery> = workload
+            .queries
+            .iter()
+            .filter(|q| q.join_signature() == target.join_signature())
+            .cloned()
+            .collect();
+        let result = workload.example_result("U2").unwrap();
+        let ctx = GenerationContext::new(&workload.database, &result, &queries).unwrap();
+        assert!(ctx.source_classes().len() > 1);
+        assert_row_classes_agree_with_classify(&ctx);
     }
 
     #[test]
@@ -871,23 +911,5 @@ mod tests {
         assert!(ctx.advance_with_report(&[1, 0], &[]).is_err());
         assert!(ctx.advance_with_report(&[0, 0], &[]).is_err());
         assert!(ctx.advance_with_report(&[7], &[]).is_err());
-    }
-
-    #[test]
-    fn patched_join_rows_applies_edits_virtually() {
-        let ctx = employee_context();
-        let edits = vec![crate::realize::CellEdit {
-            table: "Employee".to_string(),
-            row: 1,
-            column: "salary".to_string(),
-            new_value: qfe_relation::Value::Int(3900),
-        }];
-        let patched = ctx.patched_join_rows(&edits);
-        assert_eq!(patched.len(), 1);
-        let (jrow, old, new) = &patched[0];
-        assert_eq!(*jrow, 1);
-        let salary_col = ctx.join().resolve_column("salary").unwrap();
-        assert_eq!(old.get(salary_col), Some(&qfe_relation::Value::Int(4200)));
-        assert_eq!(new.get(salary_col), Some(&qfe_relation::Value::Int(3900)));
     }
 }

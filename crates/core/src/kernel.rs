@@ -19,6 +19,8 @@
 //! * when the class space is small enough the kernel additionally
 //!   materializes the **full per-class match table**, making `class_matches`
 //!   a single bit probe;
+//! * a candidate with no conjunct (`WHERE TRUE`) matches every class, as
+//!   it matches every row;
 //! * a per-attribute **projection-touch mask** answers "did this modification
 //!   change a projected column?" without consulting the column sets.
 //!
@@ -40,6 +42,11 @@
 //! and slot, so [`OutcomeCodes::refining_extensions`] scores each (row,
 //! slot) once per parent from per-group code counts, and its balances are
 //! bit-identical to grouping each extension on its own.
+//!
+//! The exact evaluation of a realized set (Algorithm 4, Section 5.4) reads
+//! the kernel too: a patched join row's old match row is its source class's
+//! row, and its new match row is its destination class's, each one
+//! [`OutcomeKernel::match_words`] probe (see [`crate::realize`]).
 //!
 //! Everything is immutable after construction, so the kernel — and with it
 //! the whole `GenerationContext` — is `Sync`. Each context builds its own
@@ -357,6 +364,9 @@ pub(crate) struct OutcomeKernel {
     single_conjunct: bool,
     conj_total: usize,
     query_masks: Vec<Vec<u64>>,
+    /// The candidates with no conjunct (`WHERE TRUE`), which every class
+    /// satisfies: bit `q` set when query `q`'s predicate is empty.
+    unconditional: Vec<u64>,
     /// Per attribute: `blocks × conj_words` words; the slice for block `b`
     /// has bit `j` set when block `b` satisfies every term of conjunct `j`
     /// on this attribute.
@@ -402,6 +412,13 @@ impl OutcomeKernel {
             })
             .collect();
 
+        let mut unconditional = vec![0u64; query_words];
+        for (q, &(_, n)) in conj_ranges.iter().enumerate() {
+            if n == 0 {
+                unconditional[q / 64] |= 1u64 << (q % 64);
+            }
+        }
+
         let terms_by_pos = terms_by_position(queries, &conj_ranges, join, attrs)?;
 
         // Per (attribute, block): which conjuncts have all their terms on the
@@ -435,6 +452,7 @@ impl OutcomeKernel {
             single_conjunct,
             conj_total,
             query_masks,
+            unconditional,
             attr_conj_ok,
             strides,
             block_counts,
@@ -536,9 +554,7 @@ impl OutcomeKernel {
             // Conjunct bit j == query bit j.
             scratch.query[..self.query_words].copy_from_slice(&sat[..self.query_words]);
         } else {
-            for w in scratch.query.iter_mut() {
-                *w = 0;
-            }
+            scratch.query.copy_from_slice(&self.unconditional);
             for (q, mask) in self.query_masks.iter().enumerate() {
                 if sat.iter().zip(mask).any(|(&s, &m)| s & m != 0) {
                     scratch.query[q / 64] |= 1u64 << (q % 64);
@@ -555,6 +571,9 @@ impl OutcomeKernel {
         if let Some(table) = &self.table {
             let id = self.class_id(class);
             return table[id * self.query_words + q / 64] & (1u64 << (q % 64)) != 0;
+        }
+        if self.unconditional[q / 64] & (1u64 << (q % 64)) != 0 {
+            return true;
         }
         let mask = &self.query_masks[q];
         for (w, &m) in mask.iter().enumerate() {
@@ -790,6 +809,44 @@ mod tests {
                 let expected = space.class_matches(class, b);
                 assert_eq!(kernel.class_matches(class, qi), expected, "q{qi} {class:?}");
                 assert_eq!(words[qi / 64] & (1 << (qi % 64)) != 0, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn a_candidate_without_conjuncts_matches_every_class() {
+        // `WHERE TRUE` next to a two-conjunct DNF: the mask-fold path.
+        let queries = vec![
+            q(DnfPredicate::always_true()),
+            q(DnfPredicate::new(vec![
+                Conjunct::new(vec![Term::eq("dept", "IT")]),
+                Conjunct::new(vec![Term::eq("gender", "F")]),
+            ])),
+        ];
+        let (join, space, queries) = setup(queries);
+        let bound: Vec<BoundQuery> = queries
+            .iter()
+            .map(|qq| BoundQuery::bind(qq, &join).unwrap())
+            .collect();
+        let with_table =
+            OutcomeKernel::build(&space, &queries, &join, &std::collections::BTreeSet::new())
+                .unwrap();
+        let mut without_table = with_table.clone();
+        without_table.table = None;
+        for kernel in [&with_table, &without_table] {
+            let mut scratch = kernel.scratch();
+            for row in join.rows() {
+                let class = space.classify(&row.tuple).unwrap();
+                let words = kernel.match_words(&class, &mut scratch).to_vec();
+                for (qi, b) in bound.iter().enumerate() {
+                    let expected = b.matches_row(&row.tuple);
+                    assert_eq!(
+                        kernel.class_matches(&class, qi),
+                        expected,
+                        "q{qi} {class:?}"
+                    );
+                    assert_eq!(words[qi / 64] & (1 << (qi % 64)) != 0, expected);
+                }
             }
         }
     }

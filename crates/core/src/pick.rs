@@ -28,11 +28,14 @@
 //! stored.
 //!
 //! Each visited set is realized and evaluated exactly, side effects
-//! included ([`realize_pairs`], [`evaluate_modification`]). The set is
-//! realized straight from its indices into the skyline: no pair is cloned
-//! until the chosen set is returned. The evaluation touches each patched
-//! join row once and groups the candidates by their row-level code rows
-//! (one code per patched row), not by per-candidate projected tuples.
+//! included, on integers: the realization yields integer edits (attribute
+//! position, base row, join-table position, destination block) from the
+//! pairs' source-class members, looked up once per call, and the
+//! evaluation reads each patched join row's old and new match rows from the
+//! outcome kernel (see [`crate::realize`]). No pair is cloned and no
+//! `CellEdit` is built until the chosen set is returned. Once the count of
+//! cost evaluations reaches its cap, the current level ends: the search
+//! stops after it anyway.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -41,7 +44,8 @@ use crate::context::{ClassPair, GenerationContext};
 use crate::cost::{objective, CostInputs, CostParams};
 use crate::error::{QfeError, Result};
 use crate::realize::{
-    evaluate_modification, realize_pairs, ModificationEvaluation, RealizedModification,
+    evaluate_class_edits, modified_counts, realize_class_edits, realized_modification, ClassEdit,
+    ModificationEvaluation, RealizedModification,
 };
 
 /// Safety cap on the number of candidate sets kept per extension level.
@@ -72,7 +76,7 @@ pub struct PickOutcome {
 
 struct EvaluatedSet {
     indices: Vec<usize>,
-    realized: RealizedModification,
+    edits: Vec<ClassEdit>,
     evaluation: ModificationEvaluation,
     cost: f64,
     abstract_balance: f64,
@@ -96,6 +100,12 @@ pub fn pick_stc_dtc_subset(
     }
 
     let codes = ctx.outcome_codes(skyline);
+    // Each pair's source-class members, looked up once.
+    let sources = ctx.source_classes();
+    let members: Vec<Option<&[usize]>> = skyline
+        .iter()
+        .map(|pair| sources.get(&pair.source).map(Vec::as_slice))
+        .collect();
     let cost_evaluations = std::cell::Cell::new(0usize);
     let mut best: Vec<EvaluatedSet> = Vec::new();
     let mut min_cost = f64::INFINITY;
@@ -107,18 +117,20 @@ pub fn pick_stc_dtc_subset(
             return;
         }
         cost_evaluations.set(cost_evaluations.get() + 1);
-        let Some(realized) = realize_pairs(ctx, indices.iter().map(|&i| &skyline[i])) else {
+        let pairs = indices.iter().map(|&i| (&skyline[i], members[i]));
+        let Some(edits) = realize_class_edits(ctx, pairs) else {
             return;
         };
-        let evaluation = evaluate_modification(ctx, &realized.edits);
+        let evaluation = evaluate_class_edits(ctx, &edits);
         // A realization that fails to split the candidates is useless.
         if evaluation.group_count() <= 1 {
             return;
         }
+        let (modified_relations, modified_tuples) = modified_counts(&edits);
         let inputs = CostInputs {
-            db_edit_cost: realized.db_edit_cost,
-            modified_relations: realized.modified_relations,
-            modified_tuples: realized.modified_tuples,
+            db_edit_cost: edits.len(),
+            modified_relations,
+            modified_tuples,
             result_edit_costs: evaluation.result_edit_costs(),
             partition_sizes: evaluation.partition_sizes(),
             best_binary_x,
@@ -132,7 +144,7 @@ pub fn pick_stc_dtc_subset(
         }
         best.push(EvaluatedSet {
             indices: indices.to_vec(),
-            realized,
+            edits,
             evaluation,
             cost,
             abstract_balance,
@@ -149,7 +161,7 @@ pub fn pick_stc_dtc_subset(
     // Steps 9–21: extend sets while the balance score improves.
     let mut extended: Vec<usize> = Vec::new();
     let mut without: Vec<usize> = Vec::new();
-    loop {
+    while cost_evaluations.get() < MAX_COST_EVALUATIONS {
         let position: HashMap<&[usize], usize> = current_level
             .iter()
             .enumerate()
@@ -176,13 +188,18 @@ pub fn pick_stc_dtc_subset(
                     continue;
                 }
                 evaluate_set(&extended, extended_balance);
+                // Capped: the search ends with this level, whose rest
+                // would be discarded.
+                if cost_evaluations.get() >= MAX_COST_EVALUATIONS {
+                    break 'level;
+                }
                 next_level.push(extended.clone());
                 if next_level.len() >= MAX_SETS_PER_LEVEL {
                     break 'level;
                 }
             }
         }
-        if next_level.is_empty() || cost_evaluations.get() >= MAX_COST_EVALUATIONS {
+        if next_level.is_empty() {
             break;
         }
         current_level = next_level;
@@ -205,7 +222,7 @@ pub fn pick_stc_dtc_subset(
 
     Ok(PickOutcome {
         chosen: chosen.indices.iter().map(|&i| skyline[i].clone()).collect(),
-        realized: chosen.realized,
+        realized: realized_modification(ctx, &chosen.edits),
         evaluation: chosen.evaluation,
         cost: chosen.cost,
         cost_evaluations: cost_evaluations.get(),

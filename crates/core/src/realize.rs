@@ -10,17 +10,26 @@
 //! join index.
 //!
 //! Algorithm 4 realizes and evaluates every candidate set it visits, so both
-//! steps avoid per-candidate copies:
+//! steps run on integers, and `CellEdit`s are built only for the set it
+//! returns:
 //!
-//! * [`realize_pairs`] reads each attribute's join-table position from the
-//!   round context and keys edited cells by integers (attribute position,
-//!   base row), in short vectors.
-//! * [`evaluate_modification`] handles each patched join row once: it
-//!   borrows the row's old tuple from the join and projects the old and new
-//!   tuples once per distinct candidate projection. Each candidate gets one
-//!   code row: one Lemma 5.1 code per patched row (none, removed, added,
-//!   replaced). The removed/added multisets are built once per distinct code
-//!   row, and code rows with equal multisets share a group.
+//! * The realization ([`realize_pairs`], and pick's own entry into the same
+//!   search) keys edited cells by integers (attribute position, base row)
+//!   and yields integer edits: (attribute position, base row, join-table
+//!   position, destination block).
+//! * The evaluation ([`evaluate_modification`], and pick's integer entry
+//!   into the same core) reads match rows from the outcome kernel, not from
+//!   the predicates. Every tuple of a class satisfies the same candidates
+//!   (Section 5.1), so a patched join row's old match row is its source
+//!   class's row, and its new one is the row of the class with the edited
+//!   attributes' blocks swapped in. Only a row without a class (a NULL
+//!   selection cell) or an edit whose value lies in no block is matched per
+//!   candidate on a patched copy of its tuple. A new projection is the old
+//!   one with the edited projected cells overwritten, so no joined row is
+//!   cloned. Each candidate gets the sets of patched rows its result loses
+//!   and gains; the removed/added multisets are built once per distinct
+//!   (projection, row sets) key, and keys with equal multisets share a
+//!   group.
 
 use std::collections::BTreeMap;
 
@@ -29,6 +38,7 @@ use qfe_relation::{min_edit_rows, Database, EditOp, Tuple, Value};
 
 use crate::context::{ClassPair, GenerationContext};
 use crate::error::{QfeError, Result};
+use crate::kernel::words_for;
 
 /// A single-cell modification of a base table.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +110,18 @@ impl ModificationEvaluation {
     }
 }
 
+/// One realized cell edit in integers: the selection attribute it writes
+/// (its position in the class space), the base row, the position of the
+/// attribute's base table in the join, and the destination block whose
+/// representative it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClassEdit {
+    pub attribute: usize,
+    pub row: usize,
+    pub table: usize,
+    pub block: usize,
+}
+
 /// Maps each tuple-class pair to a concrete tuple modification.
 ///
 /// For every pair, a join row belonging to the source class is selected,
@@ -107,24 +129,33 @@ impl ModificationEvaluation {
 /// (fewest side effects), then the lowest join row, among the rows no
 /// earlier pair used and whose cells no earlier pair edited. Returns `None`
 /// when some pair has no realizable tuple (e.g. all members already used).
-///
-/// The bookkeeping is integer-keyed: a cell is its (attribute position, base
-/// row), since an attribute is one column of one base table, and the used
-/// join rows and the edits sit in short vectors (one entry per pair and per
-/// edit).
 pub fn realize_pairs<'a>(
     ctx: &GenerationContext,
     pairs: impl IntoIterator<Item = &'a ClassPair>,
 ) -> Option<RealizedModification> {
+    let sources = ctx.source_classes();
+    let pairs = pairs
+        .into_iter()
+        .map(|pair| (pair, sources.get(&pair.source).map(Vec::as_slice)));
+    let edits = realize_class_edits(ctx, pairs)?;
+    Some(realized_modification(ctx, &edits))
+}
+
+/// The search behind [`realize_pairs`], on integers. Each pair comes with
+/// the member join rows of its source class (`None` when no row has the
+/// class). A cell is its (attribute position, base row), since an attribute
+/// is one column of one base table; the used join rows and the edits sit in
+/// short vectors (one entry per pair and per edit).
+pub(crate) fn realize_class_edits<'a>(
+    ctx: &GenerationContext,
+    pairs: impl IntoIterator<Item = (&'a ClassPair, Option<&'a [usize]>)>,
+) -> Option<Vec<ClassEdit>> {
     let join = ctx.join();
-    let attributes = ctx.class_space().attributes();
     let mut used_join_rows: Vec<usize> = Vec::new();
-    // (attribute position, base row, table position, destination block) of
-    // every edit.
-    let mut edited: Vec<(usize, usize, usize, usize)> = Vec::new();
+    let mut edits: Vec<ClassEdit> = Vec::new();
     let mut tables: Vec<usize> = Vec::new();
 
-    for pair in pairs {
+    for (pair, members) in pairs {
         // A destination block whose representative cannot be stored in the
         // column's declared type is unrealizable: e.g. the open interval
         // (80, 81) of a BIGINT column contains no integers, so its fractional
@@ -135,7 +166,7 @@ pub fn realize_pairs<'a>(
                 return None;
             }
         }
-        let members = ctx.source_classes().get(&pair.source)?;
+        let members = members?;
         // The base table (its provenance column in the join) behind each
         // changed attribute.
         tables.clear();
@@ -163,7 +194,7 @@ pub fn realize_pairs<'a>(
                 .zip(&tables)
                 .all(|(&pos, &t)| {
                     let row = join.provenance(t)[jrow];
-                    !edited.iter().any(|e| (e.0, e.1) == (pos, row))
+                    !edits.iter().any(|e| (e.attribute, e.row) == (pos, row))
                 });
             if free {
                 chosen = Some((fan_out, jrow));
@@ -171,35 +202,54 @@ pub fn realize_pairs<'a>(
         }
         let (_, jrow) = chosen?;
         for (&pos, &t) in pair.changed_attributes.iter().zip(&tables) {
-            edited.push((pos, join.provenance(t)[jrow], t, pair.destination[pos]));
+            edits.push(ClassEdit {
+                attribute: pos,
+                row: join.provenance(t)[jrow],
+                table: t,
+                block: pair.destination[pos],
+            });
         }
         used_join_rows.push(jrow);
     }
+    Some(edits)
+}
 
-    let edits: Vec<CellEdit> = edited
-        .iter()
-        .map(|&(pos, row, _, block)| {
-            let attr = &attributes[pos];
-            CellEdit {
-                table: attr.table.clone(),
-                row,
-                column: attr.base_column.clone(),
-                new_value: attr.blocks[block].representative().clone(),
-            }
-        })
-        .collect();
-    // Distinct relations and base tuples; a table position names one table.
-    let mut tuples: Vec<(usize, usize)> = edited.iter().map(|&(_, row, t, _)| (t, row)).collect();
+/// The numbers of distinct relations and of distinct base tuples that
+/// integer edits modify (`n` of Equation 3 and `µ` of Equation 5); a table
+/// position names one table.
+pub(crate) fn modified_counts(edits: &[ClassEdit]) -> (usize, usize) {
+    let mut tuples: Vec<(usize, usize)> = edits.iter().map(|e| (e.table, e.row)).collect();
     tuples.sort_unstable();
     tuples.dedup();
     let mut relations: Vec<usize> = tuples.iter().map(|&(t, _)| t).collect();
     relations.dedup();
-    Some(RealizedModification {
+    (relations.len(), tuples.len())
+}
+
+/// The concrete cell edits of integer edits, with their counts.
+pub(crate) fn realized_modification(
+    ctx: &GenerationContext,
+    edits: &[ClassEdit],
+) -> RealizedModification {
+    let attributes = ctx.class_space().attributes();
+    let (modified_relations, modified_tuples) = modified_counts(edits);
+    RealizedModification {
+        edits: edits
+            .iter()
+            .map(|e| {
+                let attr = &attributes[e.attribute];
+                CellEdit {
+                    table: attr.table.clone(),
+                    row: e.row,
+                    column: attr.base_column.clone(),
+                    new_value: attr.blocks[e.block].representative().clone(),
+                }
+            })
+            .collect(),
         db_edit_cost: edits.len(),
-        modified_relations: relations.len(),
-        modified_tuples: tuples.len(),
-        edits,
-    })
+        modified_relations,
+        modified_tuples,
+    }
 }
 
 /// Applies cell edits to a clone of the database and verifies its integrity
@@ -271,22 +321,161 @@ pub fn edits_to_ops(db: &Database, edits: &[CellEdit]) -> Result<Vec<EditOp>> {
 /// which makes the cost evaluation inside Algorithm 4 cheap even on larger
 /// joins. The computation accounts for side effects exactly.
 ///
-/// Each patched row is projected once per distinct projection among the
-/// candidates (its old and its new tuple). Each candidate then gets one
-/// code per patched row, Lemma 5.1's outcome at the row level: `0` none,
-/// `1` removed, `2` added, `3` replaced (satisfied before and after, with
-/// the projection changed). Candidates with the same projection and code
-/// row see the same result, so the sorted removed/added multisets are built
-/// once per distinct code row. Code rows whose multisets are equal share a
-/// group. Groups come in `(removed, added)` order, each with its candidate
-/// indices ascending.
+/// Each edit is resolved once: its join column, and when that column is a
+/// selection attribute, the block its value lies in. Pick's own integer
+/// edits reach the same evaluation without the lookups. Groups come in
+/// `(removed, added)` order, each with its candidate indices ascending.
 pub fn evaluate_modification(
     ctx: &GenerationContext,
     edits: &[CellEdit],
 ) -> ModificationEvaluation {
-    let patched = ctx.patched_join_rows(edits);
+    let join = ctx.join();
+    let attributes = ctx.class_space().attributes();
+    let resolved: Vec<JoinEdit> = edits
+        .iter()
+        .filter_map(|edit| {
+            // An edit outside the join's tables or columns patches no row.
+            let table = join.table_position(&edit.table)?;
+            let column = join
+                .columns()
+                .iter()
+                .position(|c| c.table == edit.table && c.column == edit.column)?;
+            let class = attributes
+                .iter()
+                .position(|a| a.column == column)
+                .map(|pos| {
+                    let blocks = &attributes[pos].blocks;
+                    (pos, blocks.iter().position(|b| b.contains(&edit.new_value)))
+                });
+            Some(JoinEdit {
+                table,
+                row: edit.row,
+                column,
+                class,
+                value: &edit.new_value,
+            })
+        })
+        .collect();
+    evaluate_join_edits(ctx, &resolved)
+}
+
+/// [`evaluate_modification`] of integer edits (Algorithm 4's realizations).
+pub(crate) fn evaluate_class_edits(
+    ctx: &GenerationContext,
+    edits: &[ClassEdit],
+) -> ModificationEvaluation {
+    let attributes = ctx.class_space().attributes();
+    let resolved: Vec<JoinEdit> = edits
+        .iter()
+        .map(|e| {
+            let attr = &attributes[e.attribute];
+            JoinEdit {
+                table: e.table,
+                row: e.row,
+                column: attr.column,
+                class: Some((e.attribute, Some(e.block))),
+                value: attr.blocks[e.block].representative(),
+            }
+        })
+        .collect();
+    evaluate_join_edits(ctx, &resolved)
+}
+
+/// A cell edit resolved against the round's join.
+struct JoinEdit<'a> {
+    /// The position of the edited base table in the join's tables.
+    table: usize,
+    /// The edited base row.
+    row: usize,
+    /// The edited join column.
+    column: usize,
+    /// When the column is a selection attribute: its position, and the block
+    /// that holds `value` (`None` when no block does).
+    class: Option<(usize, Option<usize>)>,
+    /// The new value.
+    value: &'a Value,
+}
+
+/// The evaluation core. A patched join row's old match row is its source
+/// class's row, and its new match row is the row of the class with the
+/// edited attributes' blocks swapped in; both come from the outcome kernel.
+/// A row whose old tuple has no class (a NULL selection cell), or that an
+/// edit writes a value in no block, is matched exactly, per candidate, on a
+/// patched copy of its tuple.
+///
+/// Each patched row is projected once per distinct projection among the
+/// candidates: its old projection, and the new one with the edited
+/// projected cells overwritten. Each candidate then gets two sets of
+/// patched rows, Lemma 5.1's outcomes at the row level: the rows it loses
+/// (removed, or replaced: satisfied before and after, with the projection
+/// changed) and the rows it gains (added, or replaced). Candidates with the
+/// same projection and row sets see the same result, so the sorted
+/// removed/added multisets are built once per distinct key. Keys whose
+/// multisets are equal share a group.
+fn evaluate_join_edits(ctx: &GenerationContext, edits: &[JoinEdit]) -> ModificationEvaluation {
+    let join = ctx.join();
     let bound = ctx.bound_queries();
     let arity = bound[0].projection_indices().len();
+
+    // Every (joined row, edit) hit: by row, and within a row in edit order.
+    let mut hits: Vec<(usize, usize)> = Vec::new();
+    for (e, edit) in edits.iter().enumerate() {
+        hits.extend(
+            ctx.join_index()
+                .joined_rows_of(edit.table, edit.row)
+                .iter()
+                .map(|&jrow| (jrow, e)),
+        );
+    }
+    hits.sort_unstable();
+    let patched: Vec<&[(usize, usize)]> = hits.chunk_by(|a, b| a.0 == b.0).collect();
+    let np = patched.len();
+    let old_tuple = |row: &[(usize, usize)]| &join.rows()[row[0].0].tuple;
+
+    // Per patched row, the candidates its old and its new tuple satisfy.
+    let mut scratch = ctx.match_scratch();
+    let words = words_for(bound.len().max(1));
+    let mut before = vec![0u64; np * words];
+    let mut after = vec![0u64; np * words];
+    let mut class: Vec<usize> = Vec::new();
+    for (r, row) in patched.iter().enumerate() {
+        let (before, after) = (
+            &mut before[r * words..(r + 1) * words],
+            &mut after[r * words..(r + 1) * words],
+        );
+        let in_blocks = row
+            .iter()
+            .all(|&(_, e)| !matches!(edits[e].class, Some((_, None))));
+        match ctx.row_class(row[0].0).filter(|_| in_blocks) {
+            Some(source) => {
+                before.copy_from_slice(ctx.class_match_words(source, &mut scratch));
+                class.clear();
+                class.extend_from_slice(source);
+                for &(_, e) in row.iter() {
+                    if let Some((pos, Some(block))) = edits[e].class {
+                        class[pos] = block;
+                    }
+                }
+                after.copy_from_slice(ctx.class_match_words(&class, &mut scratch));
+            }
+            None => {
+                let old = old_tuple(row);
+                let mut new = old.clone();
+                for &(_, e) in row.iter() {
+                    new.set(edits[e].column, edits[e].value.clone());
+                }
+                for (q, b) in bound.iter().enumerate() {
+                    let bit = 1u64 << (q % 64);
+                    if b.matches_row(old) {
+                        before[q / 64] |= bit;
+                    }
+                    if b.matches_row(&new) {
+                        after[q / 64] |= bit;
+                    }
+                }
+            }
+        }
+    }
 
     // The distinct projections, and each candidate's.
     let mut projections: Vec<&[usize]> = Vec::new();
@@ -300,52 +489,83 @@ pub fn evaluate_modification(
             })
         })
         .collect();
-    // Per projection, per patched row: (old projected, new projected).
-    let projected: Vec<Vec<(Tuple, Tuple)>> = projections
+    // Per projection, per patched row: (old projected, new projected, whether
+    // they differ). An edited projected cell takes its row's last edit.
+    let projected: Vec<Vec<(Tuple, Tuple, bool)>> = projections
         .iter()
         .map(|p| {
             patched
                 .iter()
-                .map(|(_, old, new)| (old.project(p), new.project(p)))
+                .map(|row| {
+                    let old = old_tuple(row).project(p);
+                    let mut new: Option<Vec<Value>> = None;
+                    for (i, &column) in p.iter().enumerate() {
+                        let edit = row.iter().rev().find(|&&(_, e)| edits[e].column == column);
+                        if let Some(&(_, e)) = edit {
+                            if old.values()[i] != *edits[e].value {
+                                new.get_or_insert_with(|| old.values().to_vec())[i] =
+                                    edits[e].value.clone();
+                            }
+                        }
+                    }
+                    match new {
+                        Some(values) => (old, Tuple::new(values), true),
+                        None => (old.clone(), old, false),
+                    }
+                })
                 .collect()
         })
         .collect();
 
-    // One code row per candidate. Sorting the candidates by (projection,
-    // code row), stably, puts each distinct code row's candidates in one
+    // Per candidate, the patched rows its result loses and gains, as row
+    // bitsets: row `r` leaves the result when its old tuple satisfied the
+    // candidate and its new tuple does not or projects differently, and
+    // enters it in the mirror case (Lemma 5.1 at the row level: removed,
+    // added, or both for replaced). Sorting the candidates by (projection,
+    // row sets), stably, puts each distinct key's candidates in one
     // ascending run.
-    let np = patched.len();
-    let mut codes: Vec<u8> = Vec::with_capacity(bound.len() * np);
-    for (b, &p) in bound.iter().zip(&projection_of) {
-        codes.extend(patched.iter().zip(&projected[p]).map(
-            |((_, old, new), (old_proj, new_proj))| match (b.matches_row(old), b.matches_row(new)) {
-                (true, false) => 1,
-                (false, true) => 2,
-                (true, true) if old_proj != new_proj => 3,
-                _ => 0,
-            },
-        ));
-    }
-    let code_row = |q: usize| (projection_of[q], &codes[q * np..(q + 1) * np]);
-    let mut order: Vec<usize> = (0..bound.len()).collect();
-    order.sort_by(|&a, &b| code_row(a).cmp(&code_row(b)));
-
-    let mut groups: BTreeMap<(Vec<Tuple>, Vec<Tuple>), Vec<usize>> = BTreeMap::new();
-    for run in order.chunk_by(|&a, &b| code_row(a) == code_row(b)) {
-        let (p, row) = code_row(run[0]);
-        let mut removed: Vec<Tuple> = Vec::new();
-        let mut added: Vec<Tuple> = Vec::new();
-        for (&code, (old_proj, new_proj)) in row.iter().zip(&projected[p]) {
-            if code & 1 != 0 {
-                removed.push(old_proj.clone());
-            }
-            if code & 2 != 0 {
-                added.push(new_proj.clone());
+    let row_words = words_for(np.max(1));
+    let mut row_sets = vec![0u64; bound.len() * 2 * row_words];
+    for r in 0..np {
+        let (row_bit, rw) = (1u64 << (r % 64), r / 64);
+        for w in 0..words {
+            let (old, new) = (before[r * words + w], after[r * words + w]);
+            let mut bits = old | new;
+            while bits != 0 {
+                let q = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let bit = 1u64 << (q % 64);
+                let (old, new) = (old & bit != 0, new & bit != 0);
+                let changed = projected[projection_of[q]][r].2;
+                let sets = &mut row_sets[q * 2 * row_words..(q + 1) * 2 * row_words];
+                if old && (!new || changed) {
+                    sets[rw] |= row_bit;
+                }
+                if new && (!old || changed) {
+                    sets[row_words + rw] |= row_bit;
+                }
             }
         }
+    }
+    let key = |q: usize| {
+        let sets = &row_sets[q * 2 * row_words..(q + 1) * 2 * row_words];
+        (projection_of[q], sets)
+    };
+    let mut order: Vec<usize> = (0..bound.len()).collect();
+    order.sort_by(|&a, &b| key(a).cmp(&key(b)));
+
+    let mut groups: BTreeMap<(Vec<Tuple>, Vec<Tuple>), Vec<usize>> = BTreeMap::new();
+    for run in order.chunk_by(|&a, &b| key(a) == key(b)) {
+        let (p, sets) = key(run[0]);
+        let mut removed: Vec<Tuple> = set_bits(&sets[..row_words])
+            .map(|r| projected[p][r].0.clone())
+            .collect();
+        let mut added: Vec<Tuple> = set_bits(&sets[row_words..])
+            .map(|r| projected[p][r].1.clone())
+            .collect();
         removed.sort();
         added.sort();
-        // Code rows with equal multisets merge into one group.
+        // Keys with equal multisets merge into one group.
         let indices = groups.entry((removed, added)).or_default();
         let merged = !indices.is_empty();
         indices.extend_from_slice(run);
@@ -367,6 +587,20 @@ pub fn evaluate_modification(
         })
         .collect();
     ModificationEvaluation { groups }
+}
+
+/// The positions of the set bits of a bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Materializes the query result of one group on the modified database by
@@ -554,6 +788,50 @@ mod tests {
             eval.total_result_cost(),
             eval.result_edit_costs().iter().sum::<usize>()
         );
+    }
+
+    #[test]
+    fn evaluation_patches_the_edited_join_row_virtually() {
+        let ctx = employee_context();
+        let edit = |column: &str, new_value: Value| CellEdit {
+            table: "Employee".into(),
+            row: 1,
+            column: column.into(),
+            new_value,
+        };
+        // Bob's salary leaves Q2's block, and his projected name changes.
+        let edits = [
+            edit("salary", Value::Int(3900)),
+            edit("name", Value::from("Robert")),
+        ];
+        let eval = evaluate_modification(&ctx, &edits);
+        let group = |query_indices: Vec<usize>, added: Vec<Tuple>| GroupEffect {
+            query_indices,
+            removed: vec![tuple!["Bob"]],
+            added,
+            // One deleted row, or one modified cell.
+            result_edit_cost: 1,
+        };
+        // Q2 drops Bob; Q1 (gender) and Q3 (dept) replace him by Robert.
+        assert_eq!(
+            eval.groups,
+            vec![
+                group(vec![1], vec![]),
+                group(vec![0, 2], vec![tuple!["Robert"]])
+            ]
+        );
+        // The join itself is untouched.
+        let salary = ctx.join().resolve_column("salary").unwrap();
+        assert_eq!(
+            ctx.join().rows()[1].tuple.get(salary),
+            Some(&Value::Int(4200))
+        );
+        // An edit of a table outside the join patches nothing.
+        let outside = CellEdit {
+            table: "Other".into(),
+            ..edit("salary", Value::Int(0))
+        };
+        assert_eq!(evaluate_modification(&ctx, &[outside]).group_count(), 1);
     }
 
     #[test]

@@ -1229,8 +1229,11 @@ const CATEGORIES: [&str; 3] = ["x", "y", "z"];
 /// A random foreign-key chain `A ← B` or `A ← B ← C` over tiny domains.
 /// Each parent row has 0–3 child rows, so one edit of a parent cell patches
 /// up to 3 (or 9) join rows, and childless parents drop out of the join.
+/// With `nulls`, the column `A.a_num` is nullable and about a third of its
+/// cells are NULL, so every join row of such an `A` row has a NULL there;
+/// without, the draws are the same as before that option existed.
 /// Returns the database and its table names in chain order.
-fn build_fk_chain(rng: &mut StdRng) -> (Database, Vec<&'static str>) {
+fn build_fk_chain(rng: &mut StdRng, nulls: bool) -> (Database, Vec<&'static str>) {
     let tables = if rng.gen_bool(0.5) {
         vec!["A", "B"]
     } else {
@@ -1241,7 +1244,11 @@ fn build_fk_chain(rng: &mut StdRng) -> (Database, Vec<&'static str>) {
         "A",
         vec![
             ColumnDef::new("aid", DataType::Int),
-            ColumnDef::new("a_num", DataType::Int),
+            if nulls {
+                ColumnDef::nullable("a_num", DataType::Int)
+            } else {
+                ColumnDef::new("a_num", DataType::Int)
+            },
             ColumnDef::new("a_cat", DataType::Text),
         ],
     )
@@ -1250,9 +1257,14 @@ fn build_fk_chain(rng: &mut StdRng) -> (Database, Vec<&'static str>) {
     .unwrap();
     let a_rows: Vec<Tuple> = (0..rng.gen_range(2i64..6))
         .map(|aid| {
+            let a_num = Value::Int(rng.gen_range(0i64..4));
             Tuple::new(vec![
                 Value::Int(aid),
-                Value::Int(rng.gen_range(0i64..4)),
+                if nulls && rng.gen_bool(0.35) {
+                    Value::Null
+                } else {
+                    a_num
+                },
                 Value::Text(CATEGORIES[rng.gen_range(0..CATEGORIES.len())].to_string()),
             ])
         })
@@ -1351,7 +1363,12 @@ fn random_chain_candidates(rng: &mut StdRng, tables: &[&'static str]) -> Vec<Spj
 /// A context over a random chain and candidates, or `None` when the draw is
 /// degenerate (e.g. an empty join).
 fn random_chain_context(rng: &mut StdRng) -> Option<qfe_core::GenerationContext> {
-    let (db, tables) = build_fk_chain(rng);
+    random_chain_context_with(rng, false)
+}
+
+/// [`random_chain_context`] over [`build_fk_chain`]`(rng, nulls)`.
+fn random_chain_context_with(rng: &mut StdRng, nulls: bool) -> Option<qfe_core::GenerationContext> {
+    let (db, tables) = build_fk_chain(rng, nulls);
     let queries = random_chain_candidates(rng, &tables);
     let result = evaluate(&queries[0], &db).ok()?;
     let ctx = qfe_core::GenerationContext::new(&db, &result, &queries).ok()?;
@@ -1363,6 +1380,18 @@ fn random_chain_context(rng: &mut StdRng) -> Option<qfe_core::GenerationContext>
 fn random_chain_edits(
     rng: &mut StdRng,
     ctx: &qfe_core::GenerationContext,
+) -> Vec<qfe_core::CellEdit> {
+    random_chain_edits_with(rng, ctx, false)
+}
+
+/// [`random_chain_edits`], where with `strays` about a quarter of the
+/// edits write a value that may lie in no block of the column: a category
+/// outside `x`, `y`, `z` into `a_cat`, or NULL into the other columns.
+/// Without `strays` it draws what [`random_chain_edits`] draws.
+fn random_chain_edits_with(
+    rng: &mut StdRng,
+    ctx: &qfe_core::GenerationContext,
+    strays: bool,
 ) -> Vec<qfe_core::CellEdit> {
     let tables = ctx.join_tables();
     (0..rng.gen_range(1usize..4))
@@ -1381,6 +1410,11 @@ fn random_chain_edits(
                     format!("{}_num", t.to_lowercase()),
                     Value::Int(rng.gen_range(0i64..4)),
                 ),
+            };
+            let new_value = match new_value {
+                Value::Text(_) if strays && rng.gen_bool(0.25) => Value::Text("w".into()),
+                _ if strays && rng.gen_bool(0.25) => Value::Null,
+                value => value,
             };
             Some(qfe_core::CellEdit {
                 table: table.clone(),
@@ -1484,6 +1518,79 @@ fn evaluate_modification_matches_the_per_candidate_reference_on_fk_chains() {
     assert!(replaced > 0, "no candidate saw a Replaced row");
     assert!(mixed > 0, "no context mixed projections");
     assert!(merged > 0, "no two code rows merged into one group");
+}
+
+/// Whether `edit` writes a selection attribute a value that lies in none of
+/// its blocks, in a base row that reaches the join.
+fn writes_a_value_in_no_block(
+    ctx: &qfe_core::GenerationContext,
+    edit: &qfe_core::CellEdit,
+) -> bool {
+    let reaches_the_join = ctx
+        .join()
+        .table_position(&edit.table)
+        .is_some_and(|t| !ctx.join_index().joined_rows_of(t, edit.row).is_empty());
+    reaches_the_join
+        && ctx.class_space().attributes().iter().any(|a| {
+            a.table == edit.table
+                && a.base_column == edit.column
+                && !a.blocks.iter().any(|b| b.contains(&edit.new_value))
+        })
+}
+
+#[test]
+fn evaluate_modification_matches_the_reference_on_null_cells_and_values_in_no_block() {
+    use qfe_core::{evaluate_modification, realize_pairs};
+    let mut rng = StdRng::seed_from_u64(125);
+    // Patched rows read from their class, patched rows without a class, and
+    // edits writing a value in no block (the last two are matched per
+    // candidate).
+    let (mut checked, mut class_rows, mut classless_rows, mut strays) = (0, 0, 0, 0);
+    for case in 0..96 {
+        let Some(ctx) = random_chain_context_with(&mut rng, true) else {
+            continue;
+        };
+        let pairs = chain_pairs(&ctx);
+        let mut edit_sets: Vec<Vec<qfe_core::CellEdit>> = (0..6)
+            .map(|_| random_chain_edits_with(&mut rng, &ctx, true))
+            .collect();
+        for _ in 0..3 {
+            if pairs.is_empty() {
+                break;
+            }
+            let pool: Vec<_> = (0..rng.gen_range(1usize..4))
+                .map(|_| &pairs[rng.gen_range(0..pairs.len())])
+                .collect();
+            if let Some(realized) = realize_pairs(&ctx, pool) {
+                edit_sets.push(realized.edits);
+            }
+        }
+        for edits in &edit_sets {
+            let got = evaluate_modification(&ctx, edits);
+            let want = reference_evaluate_modification(&ctx, edits);
+            assert_eq!(got, want, "case {case}: {edits:?}");
+            checked += 1;
+            let stray = edits
+                .iter()
+                .filter(|e| writes_a_value_in_no_block(&ctx, e))
+                .count();
+            strays += stray;
+            for (_, old, _) in reference_patched_join_rows(&ctx, edits) {
+                match ctx.class_space().classify(&old) {
+                    None => classless_rows += 1,
+                    Some(_) if stray == 0 => class_rows += 1,
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+    assert!(checked >= 400, "too few evaluations ({checked})");
+    assert!(class_rows > 0, "no patched row was read from its class");
+    assert!(
+        classless_rows > 0,
+        "no patched row had a NULL selection cell"
+    );
+    assert!(strays > 0, "no edit wrote a value in no block");
 }
 
 #[test]
