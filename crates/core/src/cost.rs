@@ -97,14 +97,20 @@ impl CostParams {
 /// A partitioning with a single subset distinguishes nothing and scores
 /// `+∞` so that it is never preferred.
 pub fn balance_score(sizes: &[usize]) -> f64 {
-    if sizes.len() <= 1 {
+    balance_of(sizes.len(), sizes.iter().sum(), sizes.iter().copied())
+}
+
+/// [`balance_score`] of `count` subset sizes that sum to `total`, given in
+/// order by `sizes`: the same float operations in the same order, for a
+/// caller that knows the count and the total without collecting the sizes.
+pub(crate) fn balance_of(count: usize, total: usize, sizes: impl Iterator<Item = usize>) -> f64 {
+    if count <= 1 {
         return f64::INFINITY;
     }
-    let n = sizes.len() as f64;
-    let mean = sizes.iter().sum::<usize>() as f64 / n;
+    let n = count as f64;
+    let mean = total as f64 / n;
     let variance = sizes
-        .iter()
-        .map(|&s| {
+        .map(|s| {
             let d = s as f64 - mean;
             d * d
         })

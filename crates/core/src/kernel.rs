@@ -41,7 +41,12 @@
 //! candidates with that code. That sequence depends only on `p`'s code row
 //! and slot, so [`OutcomeCodes::refining_extensions`] scores each (row,
 //! slot) once per parent from per-group code counts, and its balances are
-//! bit-identical to grouping each extension on its own.
+//! bit-identical to grouping each extension on its own. All slots of one
+//! row share the count and the total of their sizes, so each slot's balance
+//! only sums its squares ([`crate::cost`]'s `balance_of`), and a slot's
+//! pairs are found by an exponential search from the previous slot's end.
+//! The search passes one [`ExtensionScratch`] to every parent and takes the
+//! extensions in a vector it owns, so no parent allocates.
 //!
 //! The exact evaluation of a realized set (Algorithm 4, Section 5.4) reads
 //! the kernel too: a patched join row's old match row is its source class's
@@ -53,6 +58,7 @@
 //! kernel; nothing is carried across rounds.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 
 use qfe_query::SpjQuery;
 use qfe_relation::JoinedRelation;
@@ -196,104 +202,149 @@ impl OutcomeCodes {
     /// order, and the end (exclusive) of each group in that list.
     #[cfg(test)]
     fn groups(&self, indices: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        let (order, mut runs) = self.suffix_groups(indices);
-        (order, runs.swap_remove(0))
+        let mut scratch = ExtensionScratch::default();
+        self.suffix_groups(indices, &mut scratch);
+        (scratch.order, scratch.runs.swap_remove(0))
     }
 
     /// The balance of every single-pair set `{p}`, indexed by pair.
     pub fn single_balances(&self) -> Vec<f64> {
         let mut balances = vec![f64::INFINITY; self.pair_count()];
-        self.extensions(&[], |pairs, balance| {
-            for &p in pairs {
-                balances[p] = balance;
+        let mut scratch = ExtensionScratch::default();
+        self.extensions(&[], &mut scratch);
+        for slot in &scratch.slots {
+            for &p in &self.rows[slot.row][slot.pairs.clone()] {
+                balances[p] = slot.balance;
             }
-        });
+        }
         balances
     }
 
     /// Every pair `p ∉ parent` (`parent` ascending) for which
     /// `parent ∪ {p}` balances strictly lower than `parent`, ascending, with
-    /// that balance. Both balances are bit-identical to
-    /// [`crate::cost::balance_score`] over the sets' partition sizes.
-    pub fn refining_extensions(&self, parent: &[usize]) -> Vec<(usize, f64)> {
-        let mut slots: Vec<(&[usize], f64)> = Vec::new();
-        let bound = self.extensions(parent, |pairs, balance| slots.push((pairs, balance)));
-        let mut found: Vec<(usize, f64)> = slots
-            .into_iter()
-            .filter(|&(_, balance)| balance < bound)
-            .flat_map(|(pairs, balance)| pairs.iter().map(move |&p| (p, balance)))
-            .collect();
+    /// that balance, into `found` (cleared first). Both balances are
+    /// bit-identical to [`crate::cost::balance_score`] over the sets'
+    /// partition sizes. `scratch` carries the buffers from one parent to the
+    /// next.
+    pub fn refining_extensions(
+        &self,
+        parent: &[usize],
+        scratch: &mut ExtensionScratch,
+        found: &mut Vec<(usize, f64)>,
+    ) {
+        let bound = self.extensions(parent, scratch);
+        found.clear();
+        for slot in &scratch.slots {
+            if slot.balance < bound {
+                let pairs = &self.rows[slot.row][slot.pairs.clone()];
+                found.extend(pairs.iter().map(|&p| (p, slot.balance)));
+            }
+        }
         found.sort_unstable_by_key(|&(p, _)| p);
-        found
     }
 
-    /// Enumerates the extensions `parent ∪ {p}`, `p ∉ parent`, by distinct
-    /// code row and insertion slot (the position `p` takes in `parent`):
-    /// calls `visit(pairs, balance)` once per (row, slot) that holds pairs,
-    /// with those pairs ascending and the balance they all share. Returns
-    /// the parent's own balance.
+    /// Scores the extensions `parent ∪ {p}`, `p ∉ parent`, by distinct code
+    /// row and insertion slot (the position `p` takes in `parent`): fills
+    /// `scratch.slots` with one entry per (row, slot) that holds pairs,
+    /// naming those pairs (a range of the row's pairs, ascending) and the
+    /// balance they all share. Returns the parent's own balance.
     ///
     /// Slot `t`'s runs are the groups the pairs `parent[t..]` form; the
     /// extension's sizes are, run by run, code by code, the non-zero counts
     /// of the parent's groups inside the run (see the module docs).
-    fn extensions<'a>(&'a self, parent: &[usize], mut visit: impl FnMut(&'a [usize], f64)) -> f64 {
+    fn extensions(&self, parent: &[usize], scratch: &mut ExtensionScratch) -> f64 {
         let nq = self.query_count;
-        let (order, mut runs) = self.suffix_groups(parent);
-        let groups = runs[0].clone();
-        // Each candidate's parent group; each run's end as a group count.
-        let mut group_of = vec![0usize; nq];
-        let mut groups_before = vec![0usize; nq + 1];
+        self.suffix_groups(parent, scratch);
+        let ExtensionScratch {
+            order,
+            runs,
+            group_of,
+            groups_before,
+            counts,
+            sizes,
+            slots,
+            ..
+        } = scratch;
+        let group_count = runs[0].len();
         let mut start = 0;
-        for (g, &end) in groups.iter().enumerate() {
+        let group_sizes = runs[0].iter().map(|&end| {
+            let size = end - start;
+            start = end;
+            size
+        });
+        let parent_balance = crate::cost::balance_of(group_count, nq, group_sizes);
+        // Each candidate's parent group, and each run's end as a group
+        // count.
+        group_of.clear();
+        group_of.resize(nq, 0);
+        groups_before.clear();
+        groups_before.resize(nq + 1, 0);
+        let mut start = 0;
+        for (g, &end) in runs[0].iter().enumerate() {
             for &q in &order[start..end] {
                 group_of[q] = g;
             }
             groups_before[end] = g + 1;
             start = end;
         }
-        for ends in &mut runs {
+        for ends in runs.iter_mut() {
             for end in ends.iter_mut() {
                 *end = groups_before[*end];
             }
         }
-        let mut sizes: Vec<usize> = Vec::with_capacity(4 * groups.len());
-        let mut start = 0;
-        sizes.extend(groups.iter().map(|&end| {
-            let size = end - start;
-            start = end;
-            size
-        }));
-        let parent_balance = crate::cost::balance_score(&sizes);
 
         let pair_count = self.pair_count();
-        let mut counts = vec![0usize; 4 * groups.len()];
+        counts.clear();
+        counts.resize(4 * group_count, 0);
+        slots.clear();
         for (r, members) in self.rows.iter().enumerate() {
-            // `counts[4g + c]`: parent group `g`'s candidates with code `c`.
+            // The row's pairs outside the parent, by slot: slot `t` holds
+            // the pairs between `parent[t - 1]` and `parent[t]`.
+            let row_slots = slots.len();
+            let mut from = 0;
+            for t in 0..=parent.len() {
+                let hi = parent.get(t).copied().unwrap_or(pair_count);
+                let to = gallop(members, from, hi);
+                let pairs = from..to;
+                // The next slot starts past `parent[t]` itself.
+                from = to + usize::from(members.get(to) == Some(&hi));
+                if !pairs.is_empty() {
+                    slots.push(Slot {
+                        row: r,
+                        slot: t,
+                        pairs,
+                        balance: f64::INFINITY,
+                    });
+                }
+            }
+            if slots.len() == row_slots {
+                continue;
+            }
+            // `counts[c * groups + g]`: parent group `g`'s candidates with
+            // code `c`. Every slot's extension has the same non-zero counts,
+            // in its own order.
             counts.fill(0);
             for (q, &code) in self.row(r).iter().enumerate() {
-                counts[4 * group_of[q] + usize::from(code)] += 1;
+                counts[usize::from(code) * group_count + group_of[q]] += 1;
             }
-            for (t, ends) in runs.iter().enumerate() {
-                let lo = if t == 0 { 0 } else { parent[t - 1] + 1 };
-                let hi = parent.get(t).copied().unwrap_or(pair_count);
-                let from = members.partition_point(|&p| p < lo);
-                let to = members.partition_point(|&p| p < hi);
-                if from == to {
-                    continue;
-                }
-                sizes.clear();
-                let mut first = 0;
-                for &end in ends {
+            let count = counts.iter().filter(|&&n| n > 0).count();
+            sizes.resize(4 * group_count, 0);
+            for slot in &mut slots[row_slots..] {
+                // The slot's non-zero counts in order, compacted without a
+                // branch on each count.
+                let (mut k, mut first) = (0, 0);
+                for &end in &runs[slot.slot] {
                     for code in 0..4 {
-                        sizes.extend(
-                            (first..end)
-                                .map(|g| counts[4 * g + code])
-                                .filter(|&n| n > 0),
-                        );
+                        let at = code * group_count;
+                        for &n in &counts[at + first..at + end] {
+                            sizes[k] = n;
+                            k += usize::from(n > 0);
+                        }
                     }
                     first = end;
                 }
-                visit(&members[from..to], crate::cost::balance_score(&sizes));
+                let sizes = sizes[..k].iter().copied();
+                slot.balance = crate::cost::balance_of(count, nq, sizes);
             }
         }
         parent_balance
@@ -301,28 +352,36 @@ impl OutcomeCodes {
 
     /// Groups the candidates by the pairs `indices` (ascending): starts
     /// from one group of all candidates and splits every group by code, stably,
-    /// taking the pairs from the last to the first. Returns the candidates in
-    /// final group order and, for every `t` in `0..=indices.len()`, the ends
-    /// (exclusive, in that list) of the groups `indices[t..]` form. Every
-    /// such group is a contiguous range of the final list, so `[0]` holds the
-    /// final groups and `[indices.len()]` is one group of all.
-    fn suffix_groups(&self, indices: &[usize]) -> (Vec<usize>, Vec<Vec<usize>>) {
+    /// taking the pairs from the last to the first. Leaves the candidates in
+    /// final group order in `scratch.order` and, for every `t` in
+    /// `0..=indices.len()`, the ends (exclusive, in that list) of the groups
+    /// `indices[t..]` form in `scratch.runs[t]`. Every such group is a
+    /// contiguous range of the final list, so `runs[0]` holds the final
+    /// groups and `runs[indices.len()]` is one group of all.
+    fn suffix_groups(&self, indices: &[usize], scratch: &mut ExtensionScratch) {
         let nq = self.query_count;
-        let mut order: Vec<usize> = (0..nq).collect();
-        let mut next = vec![0usize; nq];
-        let mut runs = vec![Vec::new(); indices.len() + 1];
-        // The end (exclusive) of each group in `order`.
-        let mut ends = vec![nq];
-        let mut next_ends = Vec::new();
+        let ExtensionScratch {
+            order, next, runs, ..
+        } = scratch;
+        order.clear();
+        order.extend(0..nq);
+        next.clear();
+        next.resize(nq, 0);
+        runs.resize_with(indices.len() + 1, Vec::new);
+        runs[indices.len()].clear();
+        runs[indices.len()].push(nq);
         for (t, &pair) in indices.iter().enumerate().rev() {
-            runs[t + 1].clone_from(&ends);
+            let (head, tail) = runs.split_at_mut(t + 1);
+            let (ends, next_ends) = (&tail[0], &mut head[t]);
+            next_ends.clear();
             if ends.len() == nq {
-                continue; // all singletons: nothing left to split
+                // All singletons: nothing left to split.
+                next_ends.extend_from_slice(ends);
+                continue;
             }
             let row = &self.codes[pair * nq..(pair + 1) * nq];
-            next_ends.clear();
             let mut start = 0;
-            for &end in &ends {
+            for &end in ends {
                 // Counting sort of the group by code, stable.
                 let mut slot = [0usize; 4];
                 for &q in &order[start..end] {
@@ -344,12 +403,49 @@ impl OutcomeCodes {
                 }
                 start = end;
             }
-            std::mem::swap(&mut order, &mut next);
-            std::mem::swap(&mut ends, &mut next_ends);
+            std::mem::swap(order, next);
         }
-        runs[0] = ends;
-        (order, runs)
     }
+}
+
+/// The first position at or after `from` of the ascending `members` whose
+/// pair is not below `hi`: an exponential search from `from`, so that a
+/// slot of few pairs costs a few comparisons.
+fn gallop(members: &[usize], from: usize, hi: usize) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step <= members.len() && members[lo + step - 1] < hi {
+        lo += step;
+        step *= 2;
+    }
+    let end = (lo + step).min(members.len());
+    lo + members[lo..end].partition_point(|&p| p < hi)
+}
+
+/// The buffers [`OutcomeCodes::refining_extensions`] reuses from one parent
+/// to the next.
+#[derive(Debug, Default)]
+pub(crate) struct ExtensionScratch {
+    /// The candidates in the parent's group order.
+    order: Vec<usize>,
+    next: Vec<usize>,
+    /// `runs[t]`: the ends of the groups the parent's pairs from `t` on form.
+    runs: Vec<Vec<usize>>,
+    group_of: Vec<usize>,
+    groups_before: Vec<usize>,
+    counts: Vec<usize>,
+    sizes: Vec<usize>,
+    slots: Vec<Slot>,
+}
+
+/// A (code row, insertion slot) that holds pairs outside the parent.
+#[derive(Debug)]
+struct Slot {
+    row: usize,
+    slot: usize,
+    /// The pairs, a range of the row's pairs.
+    pairs: Range<usize>,
+    /// The balance of every extension by one of the pairs.
+    balance: f64,
 }
 
 /// The bit-packed class-level reasoning kernel. See the module docs.
@@ -986,9 +1082,14 @@ mod tests {
             .collect()
     }
 
-    fn extension_bits(table: &OutcomeCodes, parent: &[usize]) -> Vec<(usize, u64)> {
-        table
-            .refining_extensions(parent)
+    fn extension_bits(
+        table: &OutcomeCodes,
+        parent: &[usize],
+        scratch: &mut ExtensionScratch,
+    ) -> Vec<(usize, u64)> {
+        let mut found = Vec::new();
+        table.refining_extensions(parent, scratch, &mut found);
+        found
             .into_iter()
             .map(|(p, balance)| (p, balance.to_bits()))
             .collect()
@@ -998,6 +1099,8 @@ mod tests {
     fn refining_extensions_are_exactly_the_lower_balanced_extensions() {
         let mut rng = 21u64;
         let (mut parents, mut found, mut long, mut singletons) = (0, 0, 0, 0);
+        // One scratch for every parent of every table, as pick keeps it.
+        let mut scratch = ExtensionScratch::default();
         for case in 0..240u64 {
             // Every fourth table has 2–6 candidates, so that parents often
             // split them into singletons.
@@ -1042,7 +1145,7 @@ mod tests {
                 parent.sort_unstable();
                 let expected = lower_extensions(&table, &parent);
                 assert_eq!(
-                    extension_bits(&table, &parent),
+                    extension_bits(&table, &parent, &mut scratch),
                     expected,
                     "case {case}: parent {parent:?}"
                 );
@@ -1076,7 +1179,10 @@ mod tests {
         assert_eq!(table.partition_sizes(&[0, 1, 2]), [1, 1, 1, 1, 1, 2]);
         let lower = table.balance(&[0, 1, 2]);
         assert!(lower < table.balance(&[0, 1]));
-        assert_eq!(extension_bits(&table, &[0, 1]), [(2, lower.to_bits())]);
+        assert_eq!(
+            extension_bits(&table, &[0, 1], &mut scratch),
+            [(2, lower.to_bits())]
+        );
     }
 
     #[test]

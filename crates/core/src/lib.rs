@@ -191,8 +191,8 @@ pub use feedback::{
 pub use join_groups::{group_by_join_schema, run_grouped};
 pub use pick::{pick_stc_dtc_subset, PickOutcome};
 pub use realize::{
-    apply_edits, edits_to_ops, evaluate_modification, group_result, realize_pairs, CellEdit,
-    GroupEffect, ModificationEvaluation, RealizedModification,
+    apply_edits, edits_to_ops, evaluate_modification, group_result, modification_scores,
+    realize_pairs, CellEdit, GroupEffect, ModificationEvaluation, RealizedModification,
 };
 pub use serial::WorkloadPayload;
 pub use set_semantics::{all_set_semantics, mixed_semantics, with_set_semantics};

@@ -30,12 +30,18 @@
 //! Each visited set is realized and evaluated exactly, side effects
 //! included, on integers: the realization yields integer edits (attribute
 //! position, base row, join-table position, destination block) from the
-//! pairs' source-class members, looked up once per call, and the
-//! evaluation reads each patched join row's old and new match rows from the
-//! outcome kernel (see [`crate::realize`]). No pair is cloned and no
-//! `CellEdit` is built until the chosen set is returned. Once the count of
-//! cost evaluations reaches its cap, the current level ends: the search
-//! stops after it anyway.
+//! pairs' source-class members, looked up once per call, and the first step
+//! of the evaluation core groups the candidates on interned projected-tuple
+//! ids, reading each patched join row's old and new match rows from the
+//! outcome kernel (see [`crate::realize`]). Equation 5 needs only the group
+//! count, the largest group and Σ `minEdit(R, R_i)`, so a visited set costs
+//! no tuple, value or group. The search keeps `(indices, edits, cost,
+//! balance)` of the tied sets; only the chosen set's evaluation and cell
+//! edits are built, at the end. The realization, the evaluator, the cost
+//! inputs, the extension scratch and the levels (one flat vector each, as a
+//! level's sets all have the same size) are reused across the call. Once
+//! the count of cost evaluations reaches its cap, the current level ends:
+//! the search stops after it anyway.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -43,9 +49,10 @@ use std::time::{Duration, Instant};
 use crate::context::{ClassPair, GenerationContext};
 use crate::cost::{objective, CostInputs, CostParams};
 use crate::error::{QfeError, Result};
+use crate::kernel::ExtensionScratch;
 use crate::realize::{
-    evaluate_class_edits, modified_counts, realize_class_edits, realized_modification, ClassEdit,
-    ModificationEvaluation, RealizedModification,
+    modified_counts, realized_modification, resolve_class_edits, ClassEdit, Evaluator,
+    ModificationEvaluation, Realization, RealizedModification,
 };
 
 /// Safety cap on the number of candidate sets kept per extension level.
@@ -74,12 +81,13 @@ pub struct PickOutcome {
     pub elapsed: Duration,
 }
 
-struct EvaluatedSet {
+/// A minimum-cost set kept for the final tie-break.
+#[derive(Debug, Default)]
+struct Kept {
     indices: Vec<usize>,
     edits: Vec<ClassEdit>,
-    evaluation: ModificationEvaluation,
     cost: f64,
-    abstract_balance: f64,
+    balance: f64,
 }
 
 /// Runs Algorithm 4 over the skyline pairs.
@@ -107,69 +115,95 @@ pub fn pick_stc_dtc_subset(
         .map(|pair| sources.get(&pair.source).map(Vec::as_slice))
         .collect();
     let cost_evaluations = std::cell::Cell::new(0usize);
-    let mut best: Vec<EvaluatedSet> = Vec::new();
+    let mut realization = Realization::default();
+    let mut resolved = Vec::new();
+    let mut evaluator = Evaluator::new(ctx);
+    let mut inputs = CostInputs {
+        db_edit_cost: 0,
+        modified_relations: 0,
+        modified_tuples: 0,
+        result_edit_costs: Vec::new(),
+        partition_sizes: Vec::new(),
+        best_binary_x,
+    };
+    // The sets tied at the minimum cost so far are `best[..kept]`; the
+    // entries past `kept` only keep their buffers.
+    let mut best: Vec<Kept> = Vec::new();
+    let mut kept = 0;
     let mut min_cost = f64::INFINITY;
 
-    // Evaluates one candidate set (realize, partition incrementally, cost)
-    // and keeps it when its cost ties or beats the best so far.
-    let mut evaluate_set = |indices: &[usize], abstract_balance: f64| {
+    // Evaluates one candidate set (realize, group, cost) and keeps it when
+    // its cost ties or beats the best so far.
+    let mut evaluate_set = |indices: &[usize], balance: f64| {
         if cost_evaluations.get() >= MAX_COST_EVALUATIONS {
             return;
         }
         cost_evaluations.set(cost_evaluations.get() + 1);
         let pairs = indices.iter().map(|&i| (&skyline[i], members[i]));
-        let Some(edits) = realize_class_edits(ctx, pairs) else {
-            return;
-        };
-        let evaluation = evaluate_class_edits(ctx, &edits);
-        // A realization that fails to split the candidates is useless.
-        if evaluation.group_count() <= 1 {
+        if !realization.realize(ctx, pairs) {
             return;
         }
-        let (modified_relations, modified_tuples) = modified_counts(&edits);
-        let inputs = CostInputs {
-            db_edit_cost: edits.len(),
-            modified_relations,
-            modified_tuples,
-            result_edit_costs: evaluation.result_edit_costs(),
-            partition_sizes: evaluation.partition_sizes(),
-            best_binary_x,
-        };
+        let edits = &realization.edits;
+        resolve_class_edits(ctx, edits, &mut resolved);
+        let groups = evaluator.score(&resolved);
+        // A realization that fails to split the candidates is useless.
+        if groups.len() <= 1 {
+            return;
+        }
+        (inputs.modified_relations, inputs.modified_tuples) = modified_counts(edits);
+        inputs.db_edit_cost = edits.len();
+        inputs.result_edit_costs.clear();
+        inputs
+            .result_edit_costs
+            .extend(groups.iter().map(|group| group.cost));
+        inputs.partition_sizes.clear();
+        inputs
+            .partition_sizes
+            .extend(groups.iter().map(|group| group.size));
         let cost = objective(params, &inputs);
         if cost < min_cost {
             min_cost = cost;
-            best.clear();
+            kept = 0;
         } else if cost != min_cost {
             return;
         }
-        best.push(EvaluatedSet {
-            indices: indices.to_vec(),
-            edits,
-            evaluation,
-            cost,
-            abstract_balance,
-        });
+        if kept == best.len() {
+            best.push(Kept::default());
+        }
+        let slot = &mut best[kept];
+        slot.indices.clear();
+        slot.indices.extend_from_slice(indices);
+        slot.edits.clear();
+        slot.edits.extend_from_slice(edits);
+        slot.cost = cost;
+        slot.balance = balance;
+        kept += 1;
     };
 
-    // Steps 1–8: single-pair sets.
-    let mut current_level: Vec<Vec<usize>> = Vec::new();
+    // Steps 1–8: single-pair sets. A level's sets all have `size` pairs and
+    // lie back to back in one vector.
     for (i, balance) in codes.single_balances().into_iter().enumerate() {
-        current_level.push(vec![i]);
         evaluate_set(&[i], balance);
     }
+    let mut size = 1;
+    let mut current_level: Vec<usize> = (0..skyline.len()).collect();
+    let mut next_level: Vec<usize> = Vec::new();
 
     // Steps 9–21: extend sets while the balance score improves.
+    let mut scratch = ExtensionScratch::default();
+    let mut found: Vec<(usize, f64)> = Vec::new();
     let mut extended: Vec<usize> = Vec::new();
     let mut without: Vec<usize> = Vec::new();
     while cost_evaluations.get() < MAX_COST_EVALUATIONS {
         let position: HashMap<&[usize], usize> = current_level
-            .iter()
+            .chunks_exact(size)
             .enumerate()
-            .map(|(k, indices)| (indices.as_slice(), k))
+            .map(|(k, indices)| (indices, k))
             .collect();
-        let mut next_level: Vec<Vec<usize>> = Vec::new();
-        'level: for (k, indices) in current_level.iter().enumerate() {
-            for (p, extended_balance) in codes.refining_extensions(indices) {
+        next_level.clear();
+        'level: for (k, indices) in current_level.chunks_exact(size).enumerate() {
+            codes.refining_extensions(indices, &mut scratch, &mut found);
+            for &(p, extended_balance) in &found {
                 let at = indices
                     .binary_search(&p)
                     .expect_err("an extension adds a pair outside its parent");
@@ -193,8 +227,8 @@ pub fn pick_stc_dtc_subset(
                 if cost_evaluations.get() >= MAX_COST_EVALUATIONS {
                     break 'level;
                 }
-                next_level.push(extended.clone());
-                if next_level.len() >= MAX_SETS_PER_LEVEL {
+                next_level.extend_from_slice(&extended);
+                if next_level.len() >= MAX_SETS_PER_LEVEL * (size + 1) {
                     break 'level;
                 }
             }
@@ -202,16 +236,18 @@ pub fn pick_stc_dtc_subset(
         if next_level.is_empty() {
             break;
         }
-        current_level = next_level;
+        std::mem::swap(&mut current_level, &mut next_level);
+        size += 1;
     }
 
     // Step 22: among the minimum-cost sets, pick the one with the lowest
     // balance score.
+    best.truncate(kept);
     let chosen = best
         .into_iter()
         .min_by(|a, b| {
-            a.abstract_balance
-                .partial_cmp(&b.abstract_balance)
+            a.balance
+                .partial_cmp(&b.balance)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.indices.len().cmp(&b.indices.len()))
                 .then_with(|| a.indices.cmp(&b.indices))
@@ -220,10 +256,14 @@ pub fn pick_stc_dtc_subset(
             remaining: ctx.queries().iter().map(|q| q.display_name()).collect(),
         })?;
 
+    // Only the chosen set gets tuples: group it again, then build its
+    // evaluation and its cell edits.
+    resolve_class_edits(ctx, &chosen.edits, &mut resolved);
+    evaluator.score(&resolved);
     Ok(PickOutcome {
         chosen: chosen.indices.iter().map(|&i| skyline[i].clone()).collect(),
         realized: realized_modification(ctx, &chosen.edits),
-        evaluation: chosen.evaluation,
+        evaluation: evaluator.evaluation(),
         cost: chosen.cost,
         cost_evaluations: cost_evaluations.get(),
         elapsed: start.elapsed(),

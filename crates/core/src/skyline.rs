@@ -313,14 +313,66 @@ mod tests {
         }
     }
 
+    /// Twelve rows over three attributes, and candidates with thresholds on
+    /// all of them, so the walk has hundreds of pairs to examine.
+    fn many_pairs_context() -> GenerationContext {
+        let rows = (0..12i64)
+            .map(|i| {
+                tuple![
+                    i,
+                    i * 10,
+                    (i * 7) % 12 * 10,
+                    ["x", "y", "z"][i as usize % 3]
+                ]
+            })
+            .collect();
+        let table = Table::with_rows(
+            TableSchema::new(
+                "T",
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Int),
+                    ColumnDef::new("c", DataType::Text),
+                ],
+            )
+            .unwrap()
+            .with_primary_key(&["id"])
+            .unwrap(),
+            rows,
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.add_table(table).unwrap();
+        let q = |term| SpjQuery::new(vec!["T"], vec!["id"], DnfPredicate::single(term));
+        let queries = vec![
+            q(Term::compare("a", ComparisonOp::Gt, 15i64)),
+            q(Term::compare("a", ComparisonOp::Gt, 45i64)),
+            q(Term::compare("a", ComparisonOp::Gt, 75i64)),
+            q(Term::compare("b", ComparisonOp::Lt, 35i64)),
+            q(Term::compare("b", ComparisonOp::Lt, 65i64)),
+            q(Term::eq("c", "x")),
+            q(Term::eq("c", "y")),
+        ];
+        let result = evaluate(&queries[0], &db).unwrap();
+        GenerationContext::new(&db, &result, &queries).unwrap()
+    }
+
     #[test]
     fn zero_budget_times_out_quickly() {
-        let ctx = employee_context();
+        let ctx = many_pairs_context();
+        let full = skyline_stc_dtc_pairs(&ctx, Duration::from_secs(5));
+        assert!(!full.timed_out);
+        assert!(
+            full.enumerated > TIME_CHECK_INTERVAL,
+            "only {} pairs to examine",
+            full.enumerated
+        );
+        // The first clock check, after `TIME_CHECK_INTERVAL` pairs, finds
+        // the zero budget spent and ends the walk there.
         let outcome = skyline_stc_dtc_pairs(&ctx, Duration::from_secs(0));
-        // With a zero budget the enumeration may stop at any point, but it
-        // must terminate and report the timeout (or finish within the first
-        // check interval on this tiny example).
-        let _ = outcome.timed_out;
+        assert!(outcome.timed_out);
+        assert!(outcome.enumerated <= TIME_CHECK_INTERVAL);
         assert!(outcome.elapsed < Duration::from_secs(5));
     }
 

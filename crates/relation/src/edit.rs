@@ -101,7 +101,7 @@ pub fn min_edit_rows(a: &[Tuple], b: &[Tuple], arity: usize) -> usize {
     }
     let n = a.len().max(b.len());
     if n <= EXACT_MATCHING_LIMIT {
-        exact_min_edit(a, b, arity)
+        exact_min_edit_by(a.len(), b.len(), arity, |i, j| a[i].hamming_distance(&b[j]))
     } else {
         greedy_min_edit(a, b, arity)
     }
@@ -125,23 +125,42 @@ fn pair_cost(x: &Tuple, y: &Tuple, arity: usize) -> usize {
     x.hamming_distance(y).min(arity)
 }
 
-/// Exact assignment via the Hungarian (Kuhn–Munkres) algorithm on a padded
-/// square cost matrix. Unmatched rows are modelled by padding with
-/// "delete/insert" slots of cost `arity`.
-fn exact_min_edit(a: &[Tuple], b: &[Tuple], arity: usize) -> usize {
-    let n = a.len().max(b.len());
-    // cost[i][j]: cost of assigning a-row i to b-row j (or padding).
+/// The exact `minEdit` of two bags of `a_len` and `b_len` rows, where
+/// `distance(i, j)` is the Hamming distance between row `i` of the first bag
+/// and row `j` of the second: a minimum-cost assignment (Hungarian
+/// algorithm) on a square cost matrix padded with "delete/insert" slots of
+/// cost `arity`. The minimum does not depend on the order of either bag, so
+/// a caller that holds rows elsewhere (e.g. as interned ids) need not build
+/// or sort them. [`min_edit_rows`] uses it up to [`EXACT_MATCHING_LIMIT`]
+/// rows; it takes `O(n³)` time.
+pub fn exact_min_edit_by(
+    a_len: usize,
+    b_len: usize,
+    arity: usize,
+    distance: impl Fn(usize, usize) -> usize,
+) -> usize {
+    if a_len == 0 {
+        return b_len * arity;
+    }
+    if b_len == 0 {
+        return a_len * arity;
+    }
+    if a_len == 1 && b_len == 1 {
+        // The only assignment matches the two rows.
+        return distance(0, 0).min(arity);
+    }
+    // cost(i, j): cost of assigning a-row i to b-row j (or padding).
     // Padded a-row matched with real b-row j => insert cost (arity).
     // Real a-row i matched with padded b-row => delete cost (arity).
     // Padded-with-padded => 0.
     let cost = |i: usize, j: usize| -> i64 {
-        match (a.get(i), b.get(j)) {
-            (Some(x), Some(y)) => pair_cost(x, y, arity) as i64,
-            (Some(_), None) | (None, Some(_)) => arity as i64,
-            (None, None) => 0,
+        match (i < a_len, j < b_len) {
+            (true, true) => distance(i, j).min(arity) as i64,
+            (true, false) | (false, true) => arity as i64,
+            (false, false) => 0,
         }
     };
-    hungarian_min_cost(n, cost)
+    hungarian_min_cost(a_len.max(b_len), cost)
 }
 
 /// Greedy upper bound: match identical rows first, then remaining rows in
@@ -494,8 +513,9 @@ mod tests {
                 tuple![4i64, 5i64, 6i64],
             ],
         );
-        let exact = exact_min_edit(a.rows(), b.rows(), 3);
-        let greedy = greedy_min_edit(a.rows(), b.rows(), 3);
+        let (ra, rb) = (a.rows(), b.rows());
+        let exact = exact_min_edit_by(ra.len(), rb.len(), 3, |i, j| ra[i].hamming_distance(&rb[j]));
+        let greedy = greedy_min_edit(ra, rb, 3);
         assert!(greedy >= exact);
         assert_eq!(min_edit_tables(&a, &b), exact);
     }

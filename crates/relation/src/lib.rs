@@ -57,7 +57,10 @@ mod value;
 
 pub use bitmap::Bitmap;
 pub use database::Database;
-pub use edit::{min_edit_databases, min_edit_rows, min_edit_tables, EditOp, EXACT_MATCHING_LIMIT};
+pub use edit::{
+    exact_min_edit_by, min_edit_databases, min_edit_rows, min_edit_tables, EditOp,
+    EXACT_MATCHING_LIMIT,
+};
 pub use error::{RelationError, Result};
 pub use foreign_key::ForeignKey;
 pub use join::{foreign_key_join, full_foreign_key_join, JoinedColumn, JoinedRelation, JoinedRow};

@@ -1470,6 +1470,7 @@ fn evaluate_modification_matches_the_per_candidate_reference_on_fk_chains() {
     use qfe_core::{evaluate_modification, realize_pairs};
     let mut rng = StdRng::seed_from_u64(123);
     let (mut checked, mut multi_row, mut replaced, mut mixed, mut merged) = (0, 0, 0, 0, 0);
+    let mut cross_projection = 0;
     for case in 0..96 {
         let Some(ctx) = random_chain_context(&mut rng) else {
             continue;
@@ -1511,6 +1512,16 @@ fn evaluate_modification_matches_the_per_candidate_reference_on_fk_chains() {
                     .zip(rows.iter().skip(1))
                     .any(|(a, b)| a.0 == b.0)
             }));
+            // Candidates of different projections in one group whose
+            // result changes: their patched rows project to equal tuples.
+            cross_projection += usize::from(got.groups.iter().any(|group| {
+                let projections: std::collections::BTreeSet<_> = group
+                    .query_indices
+                    .iter()
+                    .map(|&q| &code_rows[q].0)
+                    .collect();
+                projections.len() > 1 && !(group.removed.is_empty() && group.added.is_empty())
+            }));
         }
     }
     assert!(checked >= 400, "too few evaluations ({checked})");
@@ -1518,6 +1529,10 @@ fn evaluate_modification_matches_the_per_candidate_reference_on_fk_chains() {
     assert!(replaced > 0, "no candidate saw a Replaced row");
     assert!(mixed > 0, "no context mixed projections");
     assert!(merged > 0, "no two code rows merged into one group");
+    assert!(
+        cross_projection > 0,
+        "no group merged candidates of different projections"
+    );
 }
 
 /// Whether `edit` writes a selection attribute a value that lies in none of
@@ -1586,6 +1601,86 @@ fn evaluate_modification_matches_the_reference_on_null_cells_and_values_in_no_bl
     }
     assert!(checked >= 400, "too few evaluations ({checked})");
     assert!(class_rows > 0, "no patched row was read from its class");
+    assert!(
+        classless_rows > 0,
+        "no patched row had a NULL selection cell"
+    );
+    assert!(strays > 0, "no edit wrote a value in no block");
+}
+
+/// Each group's (size, result edit cost) of an evaluation, ascending.
+fn group_scores(evaluation: &qfe_core::ModificationEvaluation) -> Vec<(usize, usize)> {
+    let mut scores: Vec<(usize, usize)> = evaluation
+        .partition_sizes()
+        .into_iter()
+        .zip(evaluation.result_edit_costs())
+        .collect();
+    scores.sort_unstable();
+    scores
+}
+
+#[test]
+fn integer_scores_match_the_materialized_and_reference_evaluations() {
+    use qfe_core::{evaluate_modification, modification_scores, realize_pairs};
+    let mut rng = StdRng::seed_from_u64(126);
+    // Algorithm 4 scores every set it visits on integers alone: the group
+    // count, the (size, cost) pairs and Σ cost must be those of the
+    // evaluation it builds for the chosen set, and of the reference.
+    let (mut checked, mut split, mut classless_rows, mut strays) = (0, 0, 0, 0);
+    for case in 0..96 {
+        let Some(ctx) = random_chain_context_with(&mut rng, true) else {
+            continue;
+        };
+        let pairs = chain_pairs(&ctx);
+        let mut edit_sets: Vec<Vec<qfe_core::CellEdit>> = Vec::new();
+        for _ in 0..8 {
+            if pairs.is_empty() {
+                break;
+            }
+            let pool: Vec<_> = (0..rng.gen_range(1usize..5))
+                .map(|_| &pairs[rng.gen_range(0..pairs.len())])
+                .collect();
+            if let Some(realized) = realize_pairs(&ctx, pool) {
+                edit_sets.push(realized.edits);
+            }
+        }
+        edit_sets.extend((0..2).map(|_| random_chain_edits_with(&mut rng, &ctx, true)));
+        for edits in &edit_sets {
+            let scores = modification_scores(&ctx, edits);
+            let materialized = evaluate_modification(&ctx, edits);
+            let reference = reference_evaluate_modification(&ctx, edits);
+            for (label, evaluation) in [("materialized", &materialized), ("reference", &reference)]
+            {
+                assert_eq!(
+                    scores.len(),
+                    evaluation.group_count(),
+                    "case {case} {label}: {edits:?}"
+                );
+                assert_eq!(
+                    scores,
+                    group_scores(evaluation),
+                    "case {case} {label}: {edits:?}"
+                );
+                assert_eq!(
+                    scores.iter().map(|&(_, cost)| cost).sum::<usize>(),
+                    evaluation.total_result_cost(),
+                    "case {case} {label}: {edits:?}"
+                );
+            }
+            checked += 1;
+            split += usize::from(scores.len() > 1);
+            strays += edits
+                .iter()
+                .filter(|e| writes_a_value_in_no_block(&ctx, e))
+                .count();
+            classless_rows += reference_patched_join_rows(&ctx, edits)
+                .iter()
+                .filter(|(_, old, _)| ctx.class_space().classify(old).is_none())
+                .count();
+        }
+    }
+    assert!(checked >= 400, "too few evaluations ({checked})");
+    assert!(split >= 100, "too few sets split the candidates ({split})");
     assert!(
         classless_rows > 0,
         "no patched row had a NULL selection cell"
