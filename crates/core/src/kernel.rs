@@ -18,7 +18,13 @@
 //!   candidate is a single conjunct — the common case);
 //! * when the class space is small enough the kernel additionally
 //!   materializes the **full per-class match table**, making `class_matches`
-//!   a single bit probe;
+//!   a single bit probe. The fill visits the classes in id order as an
+//!   odometer and keeps the AND of the blocks' conjunct bitsets up to each
+//!   attribute, so a step recomputes only from the attribute it changed
+//!   (usually just the last); the satisfied conjuncts are folded into query
+//!   bits through a conjunct→query map, visiting only the set bits. Every
+//!   row equals what the factorized computation returns for that class;
+//!   the factorized path itself serves the spaces too large for a table;
 //! * a candidate with no conjunct (`WHERE TRUE`) matches every class, as
 //!   it matches every row;
 //! * a per-attribute **projection-touch mask** answers "did this modification
@@ -561,27 +567,81 @@ impl OutcomeKernel {
         // small: every later `class_matches` becomes a single bit probe.
         if let Some(total) = kernel.class_count {
             if total <= MAX_TABLE_CLASSES {
-                let mut table = vec![0u64; total * kernel.query_words];
-                let mut scratch = kernel.scratch();
-                let mut class = vec![0usize; kernel.block_counts.len()];
-                for id in 0..total {
-                    let bits = kernel.compute_match_words(&class, &mut scratch);
-                    table[id * kernel.query_words..(id + 1) * kernel.query_words]
-                        .copy_from_slice(bits);
-                    // Odometer increment, last attribute fastest (= stride
-                    // order, so `id` tracks `class_id(&class)`).
-                    for pos in (0..class.len()).rev() {
-                        class[pos] += 1;
-                        if class[pos] < kernel.block_counts[pos] {
-                            break;
-                        }
-                        class[pos] = 0;
-                    }
-                }
-                kernel.table = Some(table);
+                kernel.table = Some(kernel.fill_table(total, &conj_ranges));
             }
         }
         Ok(kernel)
+    }
+
+    /// The dense per-class match table, `total × query_words` words in
+    /// class-id order: row `id` is what [`Self::compute_match_words`]
+    /// returns for the class with that id.
+    ///
+    /// The classes are visited in odometer order (last attribute fastest,
+    /// which is stride order), keeping one conjunct bitmap per attribute
+    /// position: the AND of the blocks' conjunct bitmaps up to that
+    /// position. A step of the odometer recomputes these prefix ANDs only
+    /// from the position it changed. The satisfied conjuncts are then folded
+    /// into query bits through a conjunct→query map, visiting only the set
+    /// bits (identity when every candidate is a single conjunct).
+    fn fill_table(&self, total: usize, conj_ranges: &[(usize, usize)]) -> Vec<u64> {
+        let cw = self.conj_words;
+        let qw = self.query_words;
+        let attrs = self.block_counts.len();
+        let mut query_of = vec![0usize; self.conj_total];
+        for (q, &(start, n)) in conj_ranges.iter().enumerate() {
+            query_of[start..start + n].fill(q);
+        }
+        // The conjunct bits in use, for the fold.
+        let mut used = vec![0u64; cw];
+        for j in 0..self.conj_total {
+            used[j / 64] |= 1u64 << (j % 64);
+        }
+        // `prefix[0]` is the factorized path's starting bitmap ("every
+        // conjunct satisfied"); `prefix[pos + 1]` ANDs in the block of
+        // attribute `pos`.
+        let mut prefix = vec![0u64; (attrs + 1) * cw];
+        prefix[..cw].fill(u64::MAX);
+        if !self.conj_total.is_multiple_of(64) {
+            prefix[self.conj_total / 64] &= (1u64 << (self.conj_total % 64)) - 1;
+        }
+        let mut table = vec![0u64; total * qw];
+        let mut class = vec![0usize; attrs];
+        let mut changed = 0;
+        for row in table.chunks_exact_mut(qw) {
+            for pos in changed..attrs {
+                let block = &self.attr_conj_ok[pos][class[pos] * cw..(class[pos] + 1) * cw];
+                let (done, rest) = prefix.split_at_mut((pos + 1) * cw);
+                for ((out, &p), &b) in rest[..cw].iter_mut().zip(&done[pos * cw..]).zip(block) {
+                    *out = p & b;
+                }
+            }
+            let sat = &prefix[attrs * cw..];
+            if self.single_conjunct {
+                row.copy_from_slice(&sat[..qw]);
+            } else {
+                row.copy_from_slice(&self.unconditional);
+                for (w, (&bits, &used)) in sat.iter().zip(&used).enumerate() {
+                    let mut bits = bits & used;
+                    while bits != 0 {
+                        let q = query_of[w * 64 + bits.trailing_zeros() as usize];
+                        row[q / 64] |= 1u64 << (q % 64);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            // Odometer increment, last attribute fastest (= stride order, so
+            // the row index tracks `class_id(&class)`).
+            for pos in (0..attrs).rev() {
+                class[pos] += 1;
+                changed = pos;
+                if class[pos] < self.block_counts[pos] {
+                    break;
+                }
+                class[pos] = 0;
+            }
+        }
+        table
     }
 
     /// Whether the dense per-class table is materialized.
@@ -989,6 +1049,78 @@ mod tests {
                 class[pos] = 0;
             }
         }
+    }
+
+    /// The table fill (prefix ANDs in odometer order, conjunct→query fold)
+    /// against the factorized computation it replaces, on every class id:
+    /// multi-conjunct DNFs, `WHERE TRUE` candidates, and more than 64
+    /// conjuncts and candidates, so both bitmaps span several words and the
+    /// last word of each is padded.
+    #[test]
+    fn table_rows_equal_the_factorized_computation() {
+        let mut queries = Vec::new();
+        for i in 0..70i64 {
+            queries.push(match i % 7 {
+                0 => q(DnfPredicate::always_true()),
+                1 => q(DnfPredicate::single(Term::compare(
+                    "salary",
+                    ComparisonOp::Gt,
+                    2900 + 30 * i,
+                ))),
+                _ => q(DnfPredicate::new(vec![
+                    Conjunct::new(vec![Term::compare(
+                        "salary",
+                        ComparisonOp::Gt,
+                        3000 + 25 * i,
+                    )]),
+                    Conjunct::new(vec![
+                        Term::eq("gender", if i % 2 == 0 { "M" } else { "F" }),
+                        Term::compare("salary", ComparisonOp::Le, 2800 + 35 * i),
+                    ]),
+                    Conjunct::new(vec![Term::eq(
+                        "dept",
+                        ["IT", "Sales", "HR"][i as usize % 3],
+                    )]),
+                ])),
+            });
+        }
+        let (join, space, queries) = setup(queries);
+        let kernel =
+            OutcomeKernel::build(&space, &queries, &join, &std::collections::BTreeSet::new())
+                .unwrap();
+        assert!(kernel.conj_total > 64 && !kernel.conj_total.is_multiple_of(64));
+        assert!(kernel.conj_words >= 2 && kernel.query_words >= 2);
+        assert!(!kernel.single_conjunct);
+        let table = kernel.table.as_ref().expect("the class space is small");
+        let counts: Vec<usize> = space.attributes().iter().map(|a| a.blocks.len()).collect();
+        let total: usize = counts.iter().product();
+        assert!(total > 1);
+        assert_eq!(table.len(), total * kernel.query_words);
+        let mut scratch = kernel.scratch();
+        let mut class = vec![0usize; counts.len()];
+        let mut seen = 0;
+        'classes: loop {
+            let id = kernel.class_id(&class);
+            assert_eq!(
+                &table[id * kernel.query_words..(id + 1) * kernel.query_words],
+                kernel.compute_match_words(&class, &mut scratch),
+                "{class:?}"
+            );
+            seen += 1;
+            let mut pos = class.len();
+            loop {
+                if pos == 0 {
+                    break 'classes;
+                }
+                pos -= 1;
+                class[pos] += 1;
+                if class[pos] < counts[pos] {
+                    break;
+                }
+                class[pos] = 0;
+            }
+        }
+        assert_eq!(seen, total);
     }
 
     /// A deterministic SplitMix64 stream for the random code tables.

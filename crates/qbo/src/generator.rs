@@ -54,7 +54,9 @@ impl QueryGenerator {
         if result.is_empty() {
             return Err(QboError::EmptyResult);
         }
-        let mut candidates: Vec<SpjQuery> = Vec::new();
+        // Each candidate with its sort key: its complexity and its SQL,
+        // rendered once (the SQL is also the dedup key).
+        let mut candidates: Vec<(usize, String, SpjQuery)> = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         let mut saw_projection = false;
         let mut stats = VerifyStats::default();
@@ -71,7 +73,7 @@ impl QueryGenerator {
                 continue;
             }
             // One term-bitmap cache serves every candidate enumerated on
-            // this join.
+            // this join, and the enumeration itself.
             let mut verifier = BatchVerifier::new(&join, result);
             let space = AttributeSpace::new(&join);
             for projection in
@@ -87,7 +89,14 @@ impl QueryGenerator {
                 let Some(split) = split_rows(&join, &proj_idx, result) else {
                     continue;
                 };
-                for predicate in enumerate_predicates(&join, &space, &split, &self.config) {
+                let predicates = enumerate_predicates(
+                    &join,
+                    &space,
+                    &split,
+                    &self.config,
+                    verifier.term_cache(),
+                );
+                for predicate in predicates {
                     if candidates.len() >= self.config.max_candidates {
                         break;
                     }
@@ -95,9 +104,9 @@ impl QueryGenerator {
                     // Verify by evaluation (defence in depth: the
                     // enumeration already checked row membership).
                     if verifier.verify(&query) {
-                        let key = query.to_string();
-                        if seen.insert(key) {
-                            candidates.push(query);
+                        let sql = query.to_string();
+                        if seen.insert(sql.clone()) {
+                            candidates.push((query.complexity(), sql, query));
                         }
                     }
                 }
@@ -113,12 +122,8 @@ impl QueryGenerator {
             });
         }
         // Deterministic order: simple queries first, then lexicographic.
-        candidates.sort_by(|a, b| {
-            a.complexity()
-                .cmp(&b.complexity())
-                .then_with(|| a.to_string().cmp(&b.to_string()))
-        });
-        Ok((candidates, stats))
+        candidates.sort_by(|(ca, sa, _), (cb, sb, _)| (ca, sa).cmp(&(cb, sb)));
+        Ok((candidates.into_iter().map(|(_, _, q)| q).collect(), stats))
     }
 
     /// Generates candidates and guarantees that `target` (which must satisfy

@@ -7,22 +7,41 @@
 //! by the generator configuration: single-attribute terms, tight ranges,
 //! multi-attribute conjunctions and (as a fallback) greedy disjunctive
 //! covers.
+//!
+//! The split is a pair of row bitmaps, and every row-set question the
+//! enumeration asks is answered by AND/popcount over the term bitmaps of
+//! the join's [`TermBitmapCache`] — the cache the generator's
+//! [`BatchVerifier`](crate::BatchVerifier) then verifies the candidates
+//! with, so the bitmaps computed here are the ones verification reads back:
+//!
+//! * whether a predicate selects exactly the positives (AND within a
+//!   conjunct, OR across conjuncts, compared with the positives);
+//! * an attribute's discrimination (the negatives outside the AND of its
+//!   covering terms);
+//! * a greedy-cover step's gain (the uncovered positives a pure conjunct
+//!   covers).
+//!
+//! Each column's values are read once per split and by reference
+//! ([`ColumnValues`]): the distinct positive values, sorted, and one pass
+//! over the negatives that locates each value among them. The analyses and
+//! the cover's pure conjuncts are read off that summary, so no value is
+//! cloned except into the terms of the predicates returned.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use qfe_query::{ComparisonOp, Conjunct, DnfPredicate, QueryResult, Term};
-use qfe_relation::{bag_equal_rows, DataType, JoinedRelation, Value};
+use qfe_query::{ComparisonOp, Conjunct, DnfPredicate, QueryResult, Term, TermBitmapCache};
+use qfe_relation::{bag_equal_rows, Bitmap, DataType, JoinedRelation, Value};
 
 use crate::config::QboConfig;
 
 /// The positive/negative split of the join's rows w.r.t. a projection and an
-/// example result.
+/// example result, as two complementary row bitmaps.
 #[derive(Debug, Clone)]
 pub struct RowSplit {
-    /// Join-row indices that must be selected.
-    pub positives: Vec<usize>,
-    /// Join-row indices that must not be selected.
-    pub negatives: Vec<usize>,
+    /// Join rows that must be selected.
+    pub positives: Bitmap,
+    /// Join rows that must not be selected.
+    pub negatives: Bitmap,
 }
 
 /// Splits the join's rows into positives and negatives.
@@ -36,25 +55,24 @@ pub fn split_rows(
     projection_idx: &[usize],
     result: &QueryResult,
 ) -> Option<RowSplit> {
-    let wanted: BTreeSet<_> = result.rows().iter().cloned().collect();
-    let mut positives = Vec::new();
-    let mut negatives = Vec::new();
+    let wanted: BTreeSet<_> = result.rows().iter().collect();
+    let mut positives = Bitmap::new(join.len());
     let mut projected_positives = Vec::new();
     for (i, row) in join.rows().iter().enumerate() {
         let projected = row.tuple.project(projection_idx);
         if wanted.contains(&projected) {
             projected_positives.push(projected);
-            positives.push(i);
-        } else {
-            negatives.push(i);
+            positives.set(i);
         }
     }
-    if positives.is_empty() {
+    if projected_positives.is_empty() {
         return None;
     }
     if !bag_equal_rows(&projected_positives, result.rows()) {
         return None;
     }
+    let mut negatives = Bitmap::all_set(join.len());
+    negatives.and_not_assign(&positives);
     Some(RowSplit {
         positives,
         negatives,
@@ -63,8 +81,8 @@ pub fn split_rows(
 
 /// Attribute-name resolution for predicate construction: maps every join
 /// column to the reference string used in generated predicates (bare column
-/// name when unambiguous, otherwise `Table.column`) and provides value
-/// lookup for evaluation.
+/// name when unambiguous, otherwise `Table.column`) and evaluates predicates
+/// as row bitmaps.
 #[derive(Debug, Clone)]
 pub struct AttributeSpace {
     refs: Vec<String>,
@@ -125,27 +143,148 @@ impl AttributeSpace {
         self.refs.is_empty()
     }
 
-    /// Evaluates a DNF predicate on one join row. A term over a column this
-    /// space does not know reads NULL, so it fails.
-    pub fn matches(&self, join: &JoinedRelation, row: usize, pred: &DnfPredicate) -> bool {
-        let tuple = &join.rows()[row].tuple;
-        let holds = |term: &Term| {
-            self.resolve(term.attribute())
-                .and_then(|i| tuple.get(i))
-                .is_some_and(|v| term.eval(v))
-        };
-        pred.conjuncts().is_empty() || pred.conjuncts().iter().any(|c| c.terms().iter().all(holds))
+    /// The rows of the cache's join on which every one of `terms` holds:
+    /// the AND of their term bitmaps. A term over a column this space does
+    /// not know reads NULL, so it holds on no row.
+    fn conjunct_rows(&self, cache: &mut TermBitmapCache, terms: &[Term]) -> Bitmap {
+        let mut rows = Bitmap::all_set(cache.join().len());
+        for term in terms {
+            match self.resolve(term.attribute()) {
+                Some(col) => rows.and_assign(cache.term_bitmap(col, term)),
+                None => rows = Bitmap::new(rows.len()),
+            }
+            if rows.is_zero() {
+                break;
+            }
+        }
+        rows
     }
 
-    /// True when `pred` selects exactly the positive rows of `split`.
+    /// The rows of the cache's join that `pred` selects: each conjunct's
+    /// term bitmaps ANDed, the conjuncts ORed. A predicate without conjuncts
+    /// selects every row.
+    fn selection(&self, cache: &mut TermBitmapCache, pred: &DnfPredicate) -> Bitmap {
+        let rows = cache.join().len();
+        if pred.conjuncts().is_empty() {
+            return Bitmap::all_set(rows);
+        }
+        let mut selected = Bitmap::new(rows);
+        for conjunct in pred.conjuncts() {
+            selected.or_assign(&self.conjunct_rows(cache, conjunct.terms()));
+        }
+        selected
+    }
+
+    /// True when `pred` selects exactly the positive rows of `split` on the
+    /// join `cache` holds.
     pub fn selects_exactly(
         &self,
-        join: &JoinedRelation,
+        cache: &mut TermBitmapCache,
         split: &RowSplit,
         pred: &DnfPredicate,
     ) -> bool {
-        split.positives.iter().all(|&r| self.matches(join, r, pred))
-            && !split.negatives.iter().any(|&r| self.matches(join, r, pred))
+        self.selection(cache, pred) == split.positives
+    }
+}
+
+/// A missing cell reads NULL.
+static NULL: Value = Value::Null;
+
+/// One column's values under a split, read by reference in one pass over
+/// the positives and one over the negatives.
+///
+/// Values are compared by `Value`'s total order, and where several values
+/// are equal under it the first in row order stands for them all — what an
+/// ordered set of the values would keep.
+struct ColumnValues<'j> {
+    /// The distinct values of the positive rows, ascending (NULL first when
+    /// some positive row holds it).
+    pos: Vec<&'j Value>,
+    /// For every positive row, in row order, the index of its value in
+    /// `pos`.
+    pos_index: Vec<usize>,
+    /// `pos_in_neg[k]`: some negative row holds `pos[k]`.
+    pos_in_neg: Vec<bool>,
+    /// `neg_in_gap[k]`: some non-NULL negative value lies strictly between
+    /// `pos[k - 1]` and `pos[k]` (below `pos[0]` for `k == 0`, above the
+    /// last positive value for `k == pos.len()`).
+    neg_in_gap: Vec<bool>,
+    /// The least non-NULL negative value above every positive value.
+    neg_above: Option<&'j Value>,
+    /// The greatest non-NULL negative value below every positive value.
+    neg_below: Option<&'j Value>,
+    /// The distinct negative values (NULL included), ascending — `None`
+    /// once there are more than the `IN`-list bound, or when not asked for.
+    neg_list: Option<Vec<&'j Value>>,
+}
+
+impl<'j> ColumnValues<'j> {
+    /// Reads column `col`. `neg_list_cap` asks for [`Self::neg_list`] up to
+    /// that many values.
+    fn read(
+        join: &'j JoinedRelation,
+        split: &RowSplit,
+        col: usize,
+        neg_list_cap: Option<usize>,
+    ) -> ColumnValues<'j> {
+        let value_of = |r: usize| join.rows()[r].tuple.get(col).unwrap_or(&NULL);
+        let pos_rows: Vec<&Value> = split.positives.iter_ones().map(value_of).collect();
+        // A stable sort keeps equal values in row order, so `dedup` keeps
+        // the first of each.
+        let mut pos = pos_rows.clone();
+        pos.sort();
+        pos.dedup();
+        let pos_index = pos_rows
+            .iter()
+            .map(|v| {
+                pos.binary_search(v)
+                    .expect("every positive value is listed")
+            })
+            .collect();
+
+        let mut pos_in_neg = vec![false; pos.len()];
+        let mut neg_in_gap = vec![false; pos.len() + 1];
+        let (mut neg_above, mut neg_below): (Option<&Value>, Option<&Value>) = (None, None);
+        let mut neg_list = neg_list_cap.map(|_| Vec::new());
+        for v in split.negatives.iter_ones().map(value_of) {
+            match pos.binary_search(&v) {
+                Ok(k) => pos_in_neg[k] = true,
+                Err(k) if !v.is_null() => {
+                    neg_in_gap[k] = true;
+                    if k == pos.len() && neg_above.is_none_or(|a| v < a) {
+                        neg_above = Some(v);
+                    }
+                    if k == 0 && neg_below.is_none_or(|b| v > b) {
+                        neg_below = Some(v);
+                    }
+                }
+                Err(_) => {}
+            }
+            if let (Some(list), Some(cap)) = (&mut neg_list, neg_list_cap) {
+                if let Err(i) = list.binary_search(&v) {
+                    if list.len() == cap {
+                        neg_list = None;
+                    } else {
+                        list.insert(i, v);
+                    }
+                }
+            }
+        }
+        ColumnValues {
+            pos,
+            pos_index,
+            pos_in_neg,
+            neg_in_gap,
+            neg_above,
+            neg_below,
+            neg_list,
+        }
+    }
+
+    /// Whether some non-NULL negative value lies within the positive values'
+    /// range (bounds included). Only meaningful when no positive is NULL.
+    fn neg_inside_range(&self) -> bool {
+        self.pos_in_neg.iter().any(|&b| b) || self.neg_in_gap[1..self.pos.len()].iter().any(|&b| b)
     }
 }
 
@@ -163,22 +302,15 @@ struct AttributeAnalysis {
 }
 
 fn analyze_attribute(
-    join: &JoinedRelation,
+    cache: &mut TermBitmapCache,
     space: &AttributeSpace,
     split: &RowSplit,
+    values: &ColumnValues<'_>,
     col: usize,
     config: &QboConfig,
 ) -> Option<AttributeAnalysis> {
-    let value_of = |row: usize| {
-        join.rows()[row]
-            .tuple
-            .get(col)
-            .cloned()
-            .unwrap_or(Value::Null)
-    };
-    let pos_vals: BTreeSet<Value> = split.positives.iter().map(|&r| value_of(r)).collect();
-    let neg_vals: BTreeSet<Value> = split.negatives.iter().map(|&r| value_of(r)).collect();
-    if pos_vals.iter().any(Value::is_null) {
+    let pos = &values.pos;
+    if pos[0].is_null() {
         return None; // NULL-valued positives cannot be captured by comparisons
     }
     let attr = space.reference(col).to_string();
@@ -188,24 +320,11 @@ fn analyze_attribute(
     let mut covering: Vec<Term> = Vec::new();
 
     if numeric {
-        let min_pos = pos_vals.iter().next().cloned().unwrap();
-        let max_pos = pos_vals.iter().next_back().cloned().unwrap();
-        let negs_nonnull: Vec<&Value> = neg_vals.iter().filter(|v| !v.is_null()).collect();
-        let min_neg_above = negs_nonnull
-            .iter()
-            .filter(|v| ***v > max_pos)
-            .min()
-            .cloned();
-        let max_neg_below = negs_nonnull
-            .iter()
-            .filter(|v| ***v < min_pos)
-            .max()
-            .cloned();
-        let neg_le_max_pos = negs_nonnull.iter().any(|v| **v <= max_pos);
-        let neg_ge_min_pos = negs_nonnull.iter().any(|v| **v >= min_pos);
-        let neg_inside_range = negs_nonnull
-            .iter()
-            .any(|v| **v >= min_pos && **v <= max_pos);
+        let min_pos = pos[0].clone();
+        let max_pos = pos[pos.len() - 1].clone();
+        let neg_inside_range = values.neg_inside_range();
+        let neg_le_max_pos = neg_inside_range || values.neg_in_gap[0];
+        let neg_ge_min_pos = neg_inside_range || values.neg_in_gap[pos.len()];
 
         // Upper-bounded predicates: all positives ≤ max_pos, valid when no
         // negative is ≤ max_pos.
@@ -215,8 +334,8 @@ fn analyze_attribute(
                 ComparisonOp::Le,
                 max_pos.clone(),
             )]);
-            if let Some(nn) = &min_neg_above {
-                exact.push(vec![Term::compare(&attr, ComparisonOp::Lt, (*nn).clone())]);
+            if let Some(nn) = values.neg_above {
+                exact.push(vec![Term::compare(&attr, ComparisonOp::Lt, nn.clone())]);
             }
         }
         // Lower-bounded predicates.
@@ -226,8 +345,8 @@ fn analyze_attribute(
                 ComparisonOp::Ge,
                 min_pos.clone(),
             )]);
-            if let Some(nn) = &max_neg_below {
-                exact.push(vec![Term::compare(&attr, ComparisonOp::Gt, (*nn).clone())]);
+            if let Some(nn) = values.neg_below {
+                exact.push(vec![Term::compare(&attr, ComparisonOp::Gt, nn.clone())]);
             }
         }
         // Two-sided range.
@@ -238,39 +357,37 @@ fn analyze_attribute(
             ]);
         }
         // Single positive value: equality.
-        if pos_vals.len() == 1 && !neg_vals.contains(&min_pos) {
+        if pos.len() == 1 && !values.pos_in_neg[0] {
             exact.push(vec![Term::eq(&attr, min_pos.clone())]);
         }
 
         // Covering terms (tightest bounds containing every positive).
         covering.push(Term::compare(&attr, ComparisonOp::Ge, min_pos.clone()));
-        covering.push(Term::compare(&attr, ComparisonOp::Le, max_pos.clone()));
-        if pos_vals.len() == 1 {
+        covering.push(Term::compare(&attr, ComparisonOp::Le, max_pos));
+        if pos.len() == 1 {
             covering.push(Term::eq(&attr, min_pos));
         }
     } else {
         // Categorical attribute.
-        let disjoint = pos_vals.intersection(&neg_vals).next().is_none();
+        let pos_vals = || pos.iter().map(|&v| v.clone()).collect::<Vec<Value>>();
+        let disjoint = !values.pos_in_neg.iter().any(|&b| b);
         if disjoint {
-            if pos_vals.len() == 1 {
-                exact.push(vec![Term::eq(
-                    &attr,
-                    pos_vals.iter().next().cloned().unwrap(),
-                )]);
-            } else if pos_vals.len() <= config.max_in_list {
-                exact.push(vec![Term::is_in(&attr, pos_vals.iter().cloned().collect())]);
+            if pos.len() == 1 {
+                exact.push(vec![Term::eq(&attr, pos[0].clone())]);
+            } else if pos.len() <= config.max_in_list {
+                exact.push(vec![Term::is_in(&attr, pos_vals())]);
             }
-            if !neg_vals.is_empty() && neg_vals.len() <= config.max_in_list {
+            if let Some(neg) = values.neg_list.as_ref().filter(|n| !n.is_empty()) {
                 exact.push(vec![Term::not_in(
                     &attr,
-                    neg_vals.iter().cloned().collect(),
+                    neg.iter().map(|&v| v.clone()).collect(),
                 )]);
             }
         }
-        if pos_vals.len() == 1 {
-            covering.push(Term::eq(&attr, pos_vals.iter().next().cloned().unwrap()));
-        } else if pos_vals.len() <= config.max_in_list {
-            covering.push(Term::is_in(&attr, pos_vals.iter().cloned().collect()));
+        if pos.len() == 1 {
+            covering.push(Term::eq(&attr, pos[0].clone()));
+        } else if pos.len() <= config.max_in_list {
+            covering.push(Term::is_in(&attr, pos_vals()));
         }
     }
 
@@ -279,12 +396,8 @@ fn analyze_attribute(
     let discrimination = if covering.is_empty() {
         0
     } else {
-        let tight = DnfPredicate::conjunction(covering.clone());
-        split
-            .negatives
-            .iter()
-            .filter(|&&r| !space.matches(join, r, &tight))
-            .count()
+        let tight = space.conjunct_rows(cache, &covering);
+        split.negatives.count_ones() - tight.and_count(&split.negatives)
     };
 
     Some(AttributeAnalysis {
@@ -297,7 +410,8 @@ fn analyze_attribute(
 
 /// Enumerates candidate predicates that select exactly the positive rows.
 ///
-/// The returned predicates are deduplicated and capped at
+/// `cache` must hold `join` (the generator passes its verifier's). The
+/// returned predicates are deduplicated and capped at
 /// `config.max_candidates`; every one of them satisfies
 /// [`AttributeSpace::selects_exactly`] (callers re-verify against the real
 /// evaluator anyway).
@@ -306,9 +420,23 @@ pub fn enumerate_predicates(
     space: &AttributeSpace,
     split: &RowSplit,
     config: &QboConfig,
+    cache: &mut TermBitmapCache,
 ) -> Vec<DnfPredicate> {
-    let mut analyses: Vec<AttributeAnalysis> = (0..join.arity())
-        .filter_map(|col| analyze_attribute(join, space, split, col, config))
+    debug_assert_eq!(
+        cache.join().len(),
+        join.len(),
+        "the cache holds another join"
+    );
+    let columns: Vec<ColumnValues<'_>> = (0..join.arity())
+        .map(|col| {
+            let categorical = !space.data_type(col).is_numeric();
+            ColumnValues::read(join, split, col, categorical.then_some(config.max_in_list))
+        })
+        .collect();
+    let mut analyses: Vec<AttributeAnalysis> = columns
+        .iter()
+        .enumerate()
+        .filter_map(|(col, values)| analyze_attribute(cache, space, split, values, col, config))
         .collect();
 
     let mut out: Vec<DnfPredicate> = Vec::new();
@@ -325,7 +453,7 @@ pub fn enumerate_predicates(
 
     // The trivial predicate: when there are no negatives at all, selecting
     // everything is a valid (and the simplest) candidate.
-    if split.negatives.is_empty() {
+    if split.negatives.is_zero() {
         push(DnfPredicate::always_true(), &mut out);
     }
 
@@ -352,6 +480,26 @@ pub fn enumerate_predicates(
         .collect();
     let max_attrs = config.max_selection_attributes.min(useful.len());
     if max_attrs >= 2 {
+        // Each useful attribute's blocks: one covering term each (plus, for
+        // numeric attributes, the two-sided combination), with the rows each
+        // block selects.
+        let blocks: Vec<Vec<(Vec<Term>, Bitmap)>> = useful
+            .iter()
+            .map(|a| {
+                let mut terms: Vec<Vec<Term>> =
+                    a.covering.iter().map(|t| vec![t.clone()]).collect();
+                if a.covering.len() == 2 {
+                    terms.push(a.covering.clone()); // both bounds
+                }
+                terms
+                    .into_iter()
+                    .map(|block| {
+                        let rows = space.conjunct_rows(cache, &block);
+                        (block, rows)
+                    })
+                    .collect()
+            })
+            .collect();
         // Enumerate attribute subsets of size 2..=max_attrs.
         let n = useful.len();
         for mask in 1u32..(1 << n.min(16)) {
@@ -362,33 +510,21 @@ pub fn enumerate_predicates(
             if out.len() >= config.max_candidates {
                 break;
             }
-            let chosen: Vec<&AttributeAnalysis> = (0..n)
+            let chosen: Vec<&Vec<(Vec<Term>, Bitmap)>> = (0..n)
                 .filter(|i| mask & (1 << i) != 0)
-                .map(|i| useful[i])
+                .map(|i| &blocks[i])
                 .collect();
-            // Cartesian product of each chosen attribute's covering terms,
-            // taking one term per attribute (plus, for numeric attributes,
-            // the two-sided combination).
-            let per_attr_blocks: Vec<Vec<Vec<Term>>> = chosen
-                .iter()
-                .map(|a| {
-                    let mut blocks: Vec<Vec<Term>> =
-                        a.covering.iter().map(|t| vec![t.clone()]).collect();
-                    if a.covering.len() == 2 {
-                        blocks.push(a.covering.clone()); // both bounds
-                    }
-                    blocks
-                })
-                .collect();
-            let mut combos: Vec<Vec<Term>> = vec![Vec::new()];
-            for blocks in &per_attr_blocks {
+            // Cartesian product of the chosen attributes' blocks, one block
+            // per attribute, as block picks with their term count.
+            let mut combos: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), 0)];
+            for attr_blocks in &chosen {
                 let mut next = Vec::new();
-                for partial in &combos {
-                    for block in blocks {
-                        let mut ext = partial.clone();
-                        ext.extend(block.iter().cloned());
-                        if ext.len() <= config.max_terms_per_conjunct {
-                            next.push(ext);
+                for (picks, terms) in &combos {
+                    for (b, (block, _)) in attr_blocks.iter().enumerate() {
+                        if terms + block.len() <= config.max_terms_per_conjunct {
+                            let mut ext = picks.clone();
+                            ext.push(b);
+                            next.push((ext, terms + block.len()));
                         }
                     }
                 }
@@ -397,13 +533,21 @@ pub fn enumerate_predicates(
                     combos.truncate(256);
                 }
             }
-            for terms in combos {
-                if terms.is_empty() {
+            for (picks, terms) in combos {
+                if terms == 0 {
                     continue;
                 }
-                let pred = DnfPredicate::conjunction(terms);
-                if space.selects_exactly(join, split, &pred) {
-                    push(pred, &mut out);
+                let mut rows = Bitmap::all_set(split.positives.len());
+                for (attr_blocks, &b) in chosen.iter().zip(&picks) {
+                    rows.and_assign(&attr_blocks[b].1);
+                }
+                if rows == split.positives {
+                    let conjunct = chosen
+                        .iter()
+                        .zip(&picks)
+                        .flat_map(|(attr_blocks, &b)| attr_blocks[b].0.iter().cloned())
+                        .collect();
+                    push(DnfPredicate::conjunction(conjunct), &mut out);
                 }
             }
         }
@@ -411,8 +555,8 @@ pub fn enumerate_predicates(
 
     // 3. Greedy disjunctive cover fallback (also adds diversity when allowed).
     if config.max_disjuncts >= 2 {
-        if let Some(pred) = greedy_disjunctive_cover(join, space, split, config) {
-            if space.selects_exactly(join, split, &pred) {
+        if let Some(pred) = greedy_disjunctive_cover(space, split, &columns, config) {
+            if space.selects_exactly(cache, split, &pred) {
                 push(pred, &mut out);
             }
         }
@@ -425,87 +569,62 @@ pub fn enumerate_predicates(
 /// conjuncts (conjuncts that match no negative row).  Returns `None` when the
 /// positives cannot be covered within the configured number of disjuncts.
 fn greedy_disjunctive_cover(
-    join: &JoinedRelation,
     space: &AttributeSpace,
     split: &RowSplit,
+    columns: &[ColumnValues<'_>],
     config: &QboConfig,
 ) -> Option<DnfPredicate> {
     // Candidate pure conjuncts: per categorical attribute, equality with each
     // positive value that no negative shares; per numeric attribute, maximal
-    // positive-only intervals.
-    let mut pure: Vec<(Conjunct, BTreeSet<usize>)> = Vec::new();
-    for col in 0..join.arity() {
-        let attr = space.reference(col).to_string();
-        let value_of = |row: usize| {
-            join.rows()[row]
-                .tuple
-                .get(col)
-                .cloned()
-                .unwrap_or(Value::Null)
-        };
-        let neg_vals: BTreeSet<Value> = split.negatives.iter().map(|&r| value_of(r)).collect();
+    // positive-only intervals. Each comes with the positive rows it covers.
+    let rows = split.positives.len();
+    let mut pure: Vec<(Conjunct, Bitmap)> = Vec::new();
+    for (col, values) in columns.iter().enumerate() {
+        let attr = space.reference(col);
+        let pos = &values.pos;
+        // Each pure conjunct's slot in `pure`, by positive value.
+        let mut slot_of: Vec<Option<usize>> = vec![None; pos.len()];
         if space.data_type(col).is_numeric() {
-            // Intervals between consecutive positive values not containing
-            // any negative value.
-            let mut pos_sorted: Vec<Value> = split
-                .positives
-                .iter()
-                .map(|&r| value_of(r))
-                .filter(|v| !v.is_null())
-                .collect();
-            pos_sorted.sort();
-            pos_sorted.dedup();
-            let mut i = 0usize;
-            while i < pos_sorted.len() {
-                // Grow a run [i, j) such that no negative lies within
-                // [pos_sorted[i], pos_sorted[j-1]].
+            // Maximal runs of consecutive non-NULL positive values with no
+            // negative value inside their range.
+            let mut i = usize::from(pos.first().is_some_and(|v| v.is_null()));
+            while i < pos.len() {
                 let mut j = i + 1;
-                while j < pos_sorted.len()
-                    && !neg_vals
-                        .iter()
-                        .any(|nv| !nv.is_null() && *nv >= pos_sorted[i] && *nv <= pos_sorted[j])
-                {
+                if values.pos_in_neg[i] {
+                    i = j;
+                    continue;
+                }
+                while j < pos.len() && !values.pos_in_neg[j] && !values.neg_in_gap[j] {
                     j += 1;
                 }
-                let lo = pos_sorted[i].clone();
-                let hi = pos_sorted[j - 1].clone();
-                if !neg_vals
-                    .iter()
-                    .any(|nv| !nv.is_null() && *nv >= lo && *nv <= hi)
-                {
-                    let conjunct = if lo == hi {
-                        Conjunct::new(vec![Term::eq(&attr, lo.clone())])
-                    } else {
-                        Conjunct::new(vec![
-                            Term::compare(&attr, ComparisonOp::Ge, lo.clone()),
-                            Term::compare(&attr, ComparisonOp::Le, hi.clone()),
-                        ])
-                    };
-                    let covered: BTreeSet<usize> = split
-                        .positives
-                        .iter()
-                        .filter(|&&r| {
-                            let v = value_of(r);
-                            !v.is_null() && v >= lo && v <= hi
-                        })
-                        .copied()
-                        .collect();
-                    if !covered.is_empty() {
-                        pure.push((conjunct, covered));
-                    }
-                }
+                let (lo, hi) = (pos[i].clone(), pos[j - 1].clone());
+                let conjunct = if j == i + 1 {
+                    Conjunct::new(vec![Term::eq(attr, lo)])
+                } else {
+                    Conjunct::new(vec![
+                        Term::compare(attr, ComparisonOp::Ge, lo),
+                        Term::compare(attr, ComparisonOp::Le, hi),
+                    ])
+                };
+                slot_of[i..j].fill(Some(pure.len()));
+                pure.push((conjunct, Bitmap::new(rows)));
                 i = j;
             }
         } else {
-            let mut by_value: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
-            for &r in &split.positives {
-                by_value.entry(value_of(r)).or_default().insert(r);
-            }
-            for (v, covered) in by_value {
-                if v.is_null() || neg_vals.contains(&v) {
+            for (k, v) in pos.iter().enumerate() {
+                if v.is_null() || values.pos_in_neg[k] {
                     continue;
                 }
-                pure.push((Conjunct::new(vec![Term::eq(&attr, v)]), covered));
+                slot_of[k] = Some(pure.len());
+                pure.push((
+                    Conjunct::new(vec![Term::eq(attr, (*v).clone())]),
+                    Bitmap::new(rows),
+                ));
+            }
+        }
+        for (r, &k) in split.positives.iter_ones().zip(&values.pos_index) {
+            if let Some(slot) = slot_of[k] {
+                pure[slot].1.set(r);
             }
         }
     }
@@ -514,23 +633,19 @@ fn greedy_disjunctive_cover(
     }
 
     // Greedy cover.
-    let all_pos: BTreeSet<usize> = split.positives.iter().copied().collect();
-    let mut uncovered = all_pos;
+    let mut uncovered = split.positives.clone();
     let mut chosen: Vec<Conjunct> = Vec::new();
-    while !uncovered.is_empty() {
+    while !uncovered.is_zero() {
         if chosen.len() >= config.max_disjuncts {
             return None;
         }
         let best = pure
             .iter()
-            .max_by_key(|(_, covered)| covered.intersection(&uncovered).count())?;
-        let gain = best.1.intersection(&uncovered).count();
-        if gain == 0 {
+            .max_by_key(|(_, covered)| covered.and_count(&uncovered))?;
+        if best.1.and_count(&uncovered) == 0 {
             return None;
         }
-        for r in &best.1 {
-            uncovered.remove(r);
-        }
+        uncovered.and_not_assign(&best.1);
         chosen.push(best.0.clone());
     }
     Some(DnfPredicate::new(chosen))
@@ -591,7 +706,9 @@ mod tests {
         assert_eq!(space.resolve("Employee.salary"), Some(4));
         assert_eq!(space.resolve("unknown"), None);
         assert_eq!(space.data_type(1), DataType::Text);
-        assert!(space.matches(&join, 1, &DnfPredicate::single(Term::eq("name", "Bob"))));
+        let mut cache = TermBitmapCache::new(&join);
+        let bob = space.selection(&mut cache, &DnfPredicate::single(Term::eq("name", "Bob")));
+        assert!(bob.get(1));
     }
 
     #[test]
@@ -599,8 +716,8 @@ mod tests {
         let (join, _space) = employee_join();
         let proj = vec![join.resolve_column("name").unwrap()];
         let split = split_rows(&join, &proj, &bob_darren_result()).unwrap();
-        assert_eq!(split.positives, vec![1, 3]);
-        assert_eq!(split.negatives, vec![0, 2]);
+        assert_eq!(split.positives.iter_ones().collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(split.negatives.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
@@ -620,7 +737,8 @@ mod tests {
         let (join, space) = employee_join();
         let proj = vec![join.resolve_column("name").unwrap()];
         let split = split_rows(&join, &proj, &bob_darren_result()).unwrap();
-        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default());
+        let mut cache = TermBitmapCache::new(&join);
+        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default(), &mut cache);
         let rendered: Vec<String> = preds.iter().map(|p| p.to_string()).collect();
         // The three candidates of Example 1.1 must all be discovered:
         assert!(rendered.iter().any(|s| s == "gender = 'M'"), "{rendered:?}");
@@ -631,7 +749,7 @@ mod tests {
         );
         // Every enumerated predicate selects exactly the positives.
         for p in &preds {
-            assert!(space.selects_exactly(&join, &split, p), "{p}");
+            assert!(space.selects_exactly(&mut cache, &split, p), "{p}");
         }
     }
 
@@ -649,8 +767,9 @@ mod tests {
             ],
         );
         let split = split_rows(&join, &proj, &all).unwrap();
-        assert!(split.negatives.is_empty());
-        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default());
+        let mut cache = TermBitmapCache::new(&join);
+        assert!(split.negatives.is_zero());
+        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default(), &mut cache);
         assert!(preds.iter().any(DnfPredicate::is_always_true));
     }
 
@@ -666,10 +785,11 @@ mod tests {
             vec![tuple!["Alice"], tuple!["Darren"]],
         );
         let split = split_rows(&join, &proj, &r).unwrap();
-        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default());
+        let mut cache = TermBitmapCache::new(&join);
+        let preds = enumerate_predicates(&join, &space, &split, &QboConfig::default(), &mut cache);
         assert!(!preds.is_empty());
         for p in &preds {
-            assert!(space.selects_exactly(&join, &split, p), "{p}");
+            assert!(space.selects_exactly(&mut cache, &split, p), "{p}");
         }
         assert!(preds.iter().any(|p| p.conjuncts().len() >= 2));
     }
@@ -679,11 +799,12 @@ mod tests {
         let (join, space) = employee_join();
         let proj = vec![join.resolve_column("name").unwrap()];
         let split = split_rows(&join, &proj, &bob_darren_result()).unwrap();
+        let mut cache = TermBitmapCache::new(&join);
         let config = QboConfig {
             max_candidates: 2,
             ..QboConfig::default()
         };
-        let preds = enumerate_predicates(&join, &space, &split, &config);
+        let preds = enumerate_predicates(&join, &space, &split, &config, &mut cache);
         assert!(preds.len() <= 2);
     }
 }

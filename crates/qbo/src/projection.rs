@@ -5,8 +5,12 @@
 //! resolve against the candidate join those names are used directly; when
 //! they do not (anonymous or renamed result columns), candidate projections
 //! are inferred by value containment.
-
-use std::collections::BTreeSet;
+//!
+//! Containment is tested without materializing any column: each result
+//! column's distinct values are sorted once (by reference), and one pass
+//! over the join's rows looks every join column's cell up among them,
+//! dropping a join column as soon as its last value has turned up. Nothing
+//! is cloned, and each result column costs at most one pass over the join.
 
 use qfe_query::QueryResult;
 use qfe_relation::{JoinedRelation, Value};
@@ -48,18 +52,14 @@ pub fn candidate_projections(
     //    domain is a superset of the result column's values.
     let mut per_column_candidates: Vec<Vec<usize>> = Vec::new();
     for col_pos in 0..result.arity() {
-        let needed: BTreeSet<Value> = result
+        let mut needed: Vec<&Value> = result
             .rows()
             .iter()
-            .filter_map(|r| r.get(col_pos).cloned())
+            .filter_map(|r| r.get(col_pos))
             .collect();
-        let mut candidates = Vec::new();
-        for (join_col, _meta) in join.columns().iter().enumerate() {
-            let domain: BTreeSet<Value> = join.active_domain(join_col).into_iter().collect();
-            if needed.is_subset(&domain) {
-                candidates.push(join_col);
-            }
-        }
+        needed.sort();
+        needed.dedup();
+        let candidates = containing_columns(join, &needed);
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -102,6 +102,36 @@ pub fn candidate_projections(
         );
     }
     projections
+}
+
+/// The join columns that hold every value of `needed` (sorted and
+/// deduplicated), ascending. One pass over the join's rows tests every
+/// column, and a column drops out of the pass as soon as its last missing
+/// value turns up.
+fn containing_columns(join: &JoinedRelation, needed: &[&Value]) -> Vec<usize> {
+    if needed.is_empty() {
+        return (0..join.arity()).collect();
+    }
+    // Per column: which of the values have turned up, and how many have not.
+    let mut found = vec![false; join.arity() * needed.len()];
+    let mut missing = vec![needed.len(); join.arity()];
+    let mut open: Vec<usize> = (0..join.arity()).collect();
+    for row in join.rows() {
+        if open.is_empty() {
+            break;
+        }
+        open.retain(|&col| {
+            if let Some(Ok(i)) = row.tuple.get(col).map(|v| needed.binary_search(&v)) {
+                let seen = &mut found[col * needed.len() + i];
+                if !*seen {
+                    *seen = true;
+                    missing[col] -= 1;
+                }
+            }
+            missing[col] > 0
+        });
+    }
+    (0..join.arity()).filter(|&col| missing[col] == 0).collect()
 }
 
 #[cfg(test)]

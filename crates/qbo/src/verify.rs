@@ -22,6 +22,11 @@
 //!   bitmap) produce the same result, so the verdict is computed once and
 //!   replayed for every signature-equal candidate.
 //!
+//! The cache is shared with predicate enumeration
+//! ([`enumerate_predicates`](crate::enumerate_predicates) reads it through
+//! [`BatchVerifier::term_cache`]), which builds its candidates from the
+//! same terms it has just computed bitmaps for.
+//!
 //! The verdicts are exactly those of the row evaluator
 //! ([`BoundQuery::evaluate`]) followed by [`QueryResult::bag_equal`]: each
 //! term bitmap is computed with the row evaluator's own term test, and
@@ -47,7 +52,8 @@ pub struct VerifyStats {
     /// Candidates rejected on selection cardinality alone (no rows
     /// materialized).
     pub cardinality_rejects: u64,
-    /// Joined rows touched: full column scans for term-bitmap misses plus
+    /// Joined rows touched: full column scans for term-bitmap misses
+    /// (predicate enumeration's included, as it shares the cache) plus
     /// selected rows materialized for bag comparison.
     pub rows_scanned: u64,
     /// Term bitmaps served from the cache.
@@ -101,6 +107,12 @@ impl BatchVerifier {
         self.cache.join()
     }
 
+    /// The term-bitmap cache candidates are verified through, for predicate
+    /// enumeration to compute its row sets with (see the module docs).
+    pub fn term_cache(&mut self) -> &mut TermBitmapCache {
+        &mut self.cache
+    }
+
     /// Whether `query`, bound against the verifier's join, reproduces the
     /// expected result.
     ///
@@ -111,10 +123,7 @@ impl BatchVerifier {
         let Ok(bound) = BoundQuery::bind(query, self.cache.join()) else {
             return false;
         };
-        let misses_before = self.cache.misses();
         let bitmap = bound.selection_bitmap(&mut self.cache);
-        self.stats.rows_scanned +=
-            (self.cache.misses() - misses_before) * self.cache.join().len() as u64;
 
         let selected = bitmap.count_ones();
         if !bound.is_distinct() && selected != self.expected.len() {
@@ -146,12 +155,13 @@ impl BatchVerifier {
         verdict
     }
 
-    /// The counters accumulated so far. The term-bitmap counters are read off
-    /// the live cache.
+    /// The counters accumulated so far. The term-bitmap counters, and the
+    /// column scans behind the misses, are read off the live cache.
     pub fn stats(&self) -> VerifyStats {
         let mut stats = self.stats;
         stats.term_bitmap_hits = self.cache.hits();
         stats.term_bitmap_misses = self.cache.misses();
+        stats.rows_scanned += self.cache.misses() * self.cache.join().len() as u64;
         stats
     }
 }

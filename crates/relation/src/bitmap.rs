@@ -104,6 +104,31 @@ impl Bitmap {
         }
     }
 
+    /// `self &= !other`.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch.
+    pub fn and_not_assign(&mut self, other: &Bitmap) {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
+
+    /// Number of bits set in both `self` and `other`, without building
+    /// their intersection.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch.
+    pub fn and_count(&self, other: &Bitmap) -> usize {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(&a, &b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Iterator over the set bit positions, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -173,6 +198,10 @@ mod tests {
         let mut or = a.clone();
         or.or_assign(&b);
         assert_eq!(or.iter_ones().collect::<Vec<_>>(), vec![1, 3, 5, 7]);
+        let mut and_not = a.clone();
+        and_not.and_not_assign(&b);
+        assert_eq!(and_not.iter_ones().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(a.and_count(&b), 2);
     }
 
     /// The rows of `b` flipped, built bit by bit through the public API.

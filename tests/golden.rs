@@ -7,7 +7,7 @@
 //! numbers), the oracle's choice, and the final query. Any change to what a
 //! user sees fails here with the first line that differs. When a change is
 //! meant to alter it, re-record the files with
-//! `cargo test --test golden -- --ignored` and review their diff.
+//! `cargo test --release --test golden rewrite -- --ignored` and review their diff.
 //!
 //! The datasets use the seeds and sizes of `qfe_bench::Scale::Small`, and δ
 //! is 120 s so that the skyline runs to completion on any machine; the
@@ -17,6 +17,13 @@
 //! labelled query of the three Small workloads, the SQL that
 //! `generate_including` returns and the SQL that `grow_candidates` returns
 //! when asked for 19 more (the mutation frontier).
+//!
+//! `tests/golden/qbo-paper.txt` does the same for the paper-scale
+//! workloads, `generate_including` only. Its joins run to thousands of rows
+//! and its anonymous result columns send QBO through value-based projection
+//! inference, which the Small listing never reaches at that size. It is
+//! ignored by default (slow in a debug build); run it with `cargo test
+//! --release --test golden qbo_paper -- --include-ignored`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -40,6 +47,17 @@ fn small_workload(dataset: &str) -> Workload {
         "baseball" => qfe::datasets::baseball_scaled(11, 40, 48, 900),
         "adult" => qfe::datasets::adult_scaled(5, 600),
         other => panic!("no Small workload named {other}"),
+    }
+}
+
+/// The paper-scale workloads, with the seeds and sizes of
+/// `qfe_bench::Scale::Paper`.
+fn paper_workload(dataset: &str) -> Workload {
+    match dataset {
+        "scientific" => qfe::datasets::scientific_scaled(42, 3926, 424, 7),
+        "baseball" => qfe::datasets::baseball_scaled(11, 200, 252, 6977),
+        "adult" => qfe::datasets::adult_scaled(5, 5227),
+        other => panic!("no paper-scale workload named {other}"),
     }
 }
 
@@ -115,14 +133,14 @@ fn transcript(example: &str) -> String {
     }
 }
 
-/// Lists, for every labelled query of the Small workloads, the candidates
-/// QBO generates (with the target included, under the join bound
-/// `qfe_bench::candidates_for` uses) and the set `grow_candidates` grows
-/// from them.
-fn qbo_listing() -> String {
-    let mut out = String::from("# QBO candidates (Small)\n");
+/// Lists, for every labelled query of the workloads `workload` builds, the
+/// candidates QBO generates (with the target included, under the join
+/// bound `qfe_bench::candidates_for` uses) and, when `growth` is set, the
+/// set `grow_candidates` grows from them by that many.
+fn qbo_listing(title: &str, workload: fn(&str) -> Workload, growth: Option<usize>) -> String {
+    let mut out = format!("# QBO candidates ({title})\n");
     for dataset in ["scientific", "baseball", "adult"] {
-        let workload = small_workload(dataset);
+        let workload = workload(dataset);
         for target in &workload.queries {
             let label = target.label.as_deref().expect("labelled query");
             let result = workload.example_result(label).expect("query evaluates");
@@ -134,13 +152,14 @@ fn qbo_listing() -> String {
             let generated = QueryGenerator::new(config)
                 .generate_including(db, &result, target)
                 .expect("candidate generation");
-            let want = generated.len() + GROWTH;
-            let grown = grow_candidates(db, &result, &generated, want).expect("candidate growth");
             writeln!(out, "## {dataset}/{label}").unwrap();
             writeln!(out, "generate_including: {}", generated.len()).unwrap();
             for (i, query) in generated.iter().enumerate() {
                 writeln!(out, "  {i}: {query}").unwrap();
             }
+            let Some(growth) = growth else { continue };
+            let want = generated.len() + growth;
+            let grown = grow_candidates(db, &result, &generated, want).expect("candidate growth");
             writeln!(out, "grow_candidates(.., {want}): {}", grown.len()).unwrap();
             for (i, query) in grown.iter().enumerate() {
                 writeln!(out, "  {i}: {query}").unwrap();
@@ -152,15 +171,22 @@ fn qbo_listing() -> String {
 
 const QBO_GOLDEN: &str = "qbo-small";
 
+const QBO_PAPER_GOLDEN: &str = "qbo-paper";
+
+/// The text a golden file pins: a QBO listing or a session transcript.
+fn golden_text(example: &str) -> String {
+    match example {
+        QBO_GOLDEN => qbo_listing("Small", small_workload, Some(GROWTH)),
+        QBO_PAPER_GOLDEN => qbo_listing("paper scale", paper_workload, None),
+        _ => transcript(example),
+    }
+}
+
 fn assert_matches_golden(example: &str) {
     let path = golden_path(example);
     let golden =
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let actual = if example == QBO_GOLDEN {
-        qbo_listing()
-    } else {
-        transcript(example)
-    };
+    let actual = golden_text(example);
     if actual == golden {
         return;
     }
@@ -177,7 +203,7 @@ fn assert_matches_golden(example: &str) {
         .expect("texts differ in some line");
     panic!(
         "{example} differs from {} at line {}:\n  golden: {want}\n  actual: {got}\n\
-         (re-record with `cargo test --test golden -- --ignored` if the change is meant)",
+         (re-record with `cargo test --release --test golden rewrite -- --ignored` if the change is meant)",
         path.display(),
         line + 1,
     );
@@ -260,12 +286,17 @@ fn qbo_candidates_match_their_golden_listing() {
 }
 
 #[test]
+#[ignore = "paper-scale QBO is slow in a debug build; CI runs it in release with --include-ignored"]
+fn qbo_paper_candidates_match_their_golden_listing() {
+    assert_matches_golden(QBO_PAPER_GOLDEN);
+}
+
+#[test]
 #[ignore = "rewrites the golden files; run only when a change is meant to alter the transcripts"]
 fn rewrite_golden_transcripts() {
-    for example in EXAMPLES {
+    for example in EXAMPLES.into_iter().chain([QBO_GOLDEN, QBO_PAPER_GOLDEN]) {
         let path = golden_path(example);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, transcript(example)).unwrap();
+        std::fs::write(&path, golden_text(example)).unwrap();
     }
-    std::fs::write(golden_path(QBO_GOLDEN), qbo_listing()).unwrap();
 }

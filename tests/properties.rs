@@ -1741,3 +1741,701 @@ fn realize_pairs_matches_the_string_keyed_reference_on_fk_chains() {
     );
     assert!(skips > 0, "no edited cell forced a member to be skipped");
 }
+
+// ---------------------------------------------------------------------------
+// QBO's projection inference and predicate enumeration == the per-row code
+// they replaced
+// ---------------------------------------------------------------------------
+
+/// Projection inference as it was before it scanned columns in place: each
+/// join column's active domain collected into an ordered set and tested
+/// for containing each result column's values.
+fn reference_candidate_projections(
+    join: &JoinedRelation,
+    result: &QueryResult,
+    by_values: bool,
+) -> Vec<Vec<String>> {
+    use std::collections::BTreeSet;
+    const MAX_INFERRED_PROJECTIONS: usize = 16;
+    let mut named = Vec::with_capacity(result.columns().len());
+    let mut all_resolved = true;
+    for col in result.columns() {
+        if join.resolve_column(col).is_ok() {
+            named.push(col.clone());
+        } else {
+            all_resolved = false;
+            break;
+        }
+    }
+    if all_resolved && !named.is_empty() {
+        return vec![named];
+    }
+    if !by_values {
+        return Vec::new();
+    }
+    let mut per_column_candidates: Vec<Vec<usize>> = Vec::new();
+    for col_pos in 0..result.arity() {
+        let needed: BTreeSet<Value> = result
+            .rows()
+            .iter()
+            .filter_map(|r| r.get(col_pos).cloned())
+            .collect();
+        let mut candidates = Vec::new();
+        for join_col in 0..join.arity() {
+            let domain: BTreeSet<Value> = join.active_domain(join_col).into_iter().collect();
+            if needed.is_subset(&domain) {
+                candidates.push(join_col);
+            }
+        }
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        per_column_candidates.push(candidates);
+    }
+    let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
+    for candidates in &per_column_candidates {
+        let mut next = Vec::new();
+        for partial in &stack {
+            for &c in candidates {
+                if partial.contains(&c) {
+                    continue;
+                }
+                let mut ext = partial.clone();
+                ext.push(c);
+                next.push(ext);
+                if next.len() >= MAX_INFERRED_PROJECTIONS {
+                    break;
+                }
+            }
+            if next.len() >= MAX_INFERRED_PROJECTIONS {
+                break;
+            }
+        }
+        stack = next;
+        if stack.is_empty() {
+            return Vec::new();
+        }
+    }
+    stack
+        .into_iter()
+        .map(|combo| {
+            combo
+                .into_iter()
+                .map(|i| join.columns()[i].qualified_name())
+                .collect()
+        })
+        .collect()
+}
+
+/// The positive/negative split as row-index lists.
+struct ReferenceSplit {
+    positives: Vec<usize>,
+    negatives: Vec<usize>,
+}
+
+fn reference_split_rows(
+    join: &JoinedRelation,
+    projection_idx: &[usize],
+    result: &QueryResult,
+) -> Option<ReferenceSplit> {
+    let wanted: std::collections::BTreeSet<_> = result.rows().iter().cloned().collect();
+    let mut positives = Vec::new();
+    let mut negatives = Vec::new();
+    let mut projected_positives = Vec::new();
+    for (i, row) in join.rows().iter().enumerate() {
+        let projected = row.tuple.project(projection_idx);
+        if wanted.contains(&projected) {
+            projected_positives.push(projected);
+            positives.push(i);
+        } else {
+            negatives.push(i);
+        }
+    }
+    if positives.is_empty() || !bag_equal_rows(&projected_positives, result.rows()) {
+        return None;
+    }
+    Some(ReferenceSplit {
+        positives,
+        negatives,
+    })
+}
+
+/// A DNF predicate on one join row, each term's attribute resolved through
+/// the space's name map.
+fn reference_matches(
+    space: &qfe_qbo::AttributeSpace,
+    join: &JoinedRelation,
+    row: usize,
+    pred: &DnfPredicate,
+) -> bool {
+    let tuple = &join.rows()[row].tuple;
+    let holds = |term: &Term| {
+        space
+            .resolve(term.attribute())
+            .and_then(|i| tuple.get(i))
+            .is_some_and(|v| term.eval(v))
+    };
+    pred.conjuncts().is_empty() || pred.conjuncts().iter().any(|c| c.terms().iter().all(holds))
+}
+
+fn reference_selects_exactly(
+    space: &qfe_qbo::AttributeSpace,
+    join: &JoinedRelation,
+    split: &ReferenceSplit,
+    pred: &DnfPredicate,
+) -> bool {
+    split
+        .positives
+        .iter()
+        .all(|&r| reference_matches(space, join, r, pred))
+        && !split
+            .negatives
+            .iter()
+            .any(|&r| reference_matches(space, join, r, pred))
+}
+
+struct ReferenceAnalysis {
+    col: usize,
+    exact: Vec<Vec<Term>>,
+    covering: Vec<Term>,
+    discrimination: usize,
+}
+
+fn reference_analyze_attribute(
+    join: &JoinedRelation,
+    space: &qfe_qbo::AttributeSpace,
+    split: &ReferenceSplit,
+    col: usize,
+    config: &qfe_qbo::QboConfig,
+) -> Option<ReferenceAnalysis> {
+    use std::collections::BTreeSet;
+    let value_of = |row: usize| {
+        join.rows()[row]
+            .tuple
+            .get(col)
+            .cloned()
+            .unwrap_or(Value::Null)
+    };
+    let pos_vals: BTreeSet<Value> = split.positives.iter().map(|&r| value_of(r)).collect();
+    let neg_vals: BTreeSet<Value> = split.negatives.iter().map(|&r| value_of(r)).collect();
+    if pos_vals.iter().any(Value::is_null) {
+        return None;
+    }
+    let attr = space.reference(col).to_string();
+    let mut exact: Vec<Vec<Term>> = Vec::new();
+    let mut covering: Vec<Term> = Vec::new();
+    if space.data_type(col).is_numeric() {
+        let min_pos = pos_vals.iter().next().cloned().unwrap();
+        let max_pos = pos_vals.iter().next_back().cloned().unwrap();
+        let negs_nonnull: Vec<&Value> = neg_vals.iter().filter(|v| !v.is_null()).collect();
+        let min_neg_above = negs_nonnull
+            .iter()
+            .filter(|v| ***v > max_pos)
+            .min()
+            .cloned();
+        let max_neg_below = negs_nonnull
+            .iter()
+            .filter(|v| ***v < min_pos)
+            .max()
+            .cloned();
+        let neg_le_max_pos = negs_nonnull.iter().any(|v| **v <= max_pos);
+        let neg_ge_min_pos = negs_nonnull.iter().any(|v| **v >= min_pos);
+        let neg_inside_range = negs_nonnull
+            .iter()
+            .any(|v| **v >= min_pos && **v <= max_pos);
+        if !neg_le_max_pos {
+            exact.push(vec![Term::compare(
+                &attr,
+                ComparisonOp::Le,
+                max_pos.clone(),
+            )]);
+            if let Some(nn) = &min_neg_above {
+                exact.push(vec![Term::compare(&attr, ComparisonOp::Lt, (*nn).clone())]);
+            }
+        }
+        if !neg_ge_min_pos {
+            exact.push(vec![Term::compare(
+                &attr,
+                ComparisonOp::Ge,
+                min_pos.clone(),
+            )]);
+            if let Some(nn) = &max_neg_below {
+                exact.push(vec![Term::compare(&attr, ComparisonOp::Gt, (*nn).clone())]);
+            }
+        }
+        if exact.is_empty() && !neg_inside_range {
+            exact.push(vec![
+                Term::compare(&attr, ComparisonOp::Ge, min_pos.clone()),
+                Term::compare(&attr, ComparisonOp::Le, max_pos.clone()),
+            ]);
+        }
+        if pos_vals.len() == 1 && !neg_vals.contains(&min_pos) {
+            exact.push(vec![Term::eq(&attr, min_pos.clone())]);
+        }
+        covering.push(Term::compare(&attr, ComparisonOp::Ge, min_pos.clone()));
+        covering.push(Term::compare(&attr, ComparisonOp::Le, max_pos.clone()));
+        if pos_vals.len() == 1 {
+            covering.push(Term::eq(&attr, min_pos));
+        }
+    } else {
+        let disjoint = pos_vals.intersection(&neg_vals).next().is_none();
+        if disjoint {
+            if pos_vals.len() == 1 {
+                exact.push(vec![Term::eq(
+                    &attr,
+                    pos_vals.iter().next().cloned().unwrap(),
+                )]);
+            } else if pos_vals.len() <= config.max_in_list {
+                exact.push(vec![Term::is_in(&attr, pos_vals.iter().cloned().collect())]);
+            }
+            if !neg_vals.is_empty() && neg_vals.len() <= config.max_in_list {
+                exact.push(vec![Term::not_in(
+                    &attr,
+                    neg_vals.iter().cloned().collect(),
+                )]);
+            }
+        }
+        if pos_vals.len() == 1 {
+            covering.push(Term::eq(&attr, pos_vals.iter().next().cloned().unwrap()));
+        } else if pos_vals.len() <= config.max_in_list {
+            covering.push(Term::is_in(&attr, pos_vals.iter().cloned().collect()));
+        }
+    }
+    let discrimination = if covering.is_empty() {
+        0
+    } else {
+        let tight = DnfPredicate::conjunction(covering.clone());
+        split
+            .negatives
+            .iter()
+            .filter(|&&r| !reference_matches(space, join, r, &tight))
+            .count()
+    };
+    Some(ReferenceAnalysis {
+        col,
+        exact,
+        covering,
+        discrimination,
+    })
+}
+
+/// Predicate enumeration as it was before it ran on row bitmaps: every
+/// row-set question answered row by row, through the space's name map.
+fn reference_enumerate_predicates(
+    join: &JoinedRelation,
+    space: &qfe_qbo::AttributeSpace,
+    split: &ReferenceSplit,
+    config: &qfe_qbo::QboConfig,
+) -> Vec<DnfPredicate> {
+    let mut analyses: Vec<ReferenceAnalysis> = (0..join.arity())
+        .filter_map(|col| reference_analyze_attribute(join, space, split, col, config))
+        .collect();
+    let mut out: Vec<DnfPredicate> = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut push = |pred: DnfPredicate, out: &mut Vec<DnfPredicate>| {
+        if out.len() >= config.max_candidates {
+            return;
+        }
+        if seen.insert(pred.to_string()) {
+            out.push(pred);
+        }
+    };
+    if split.negatives.is_empty() {
+        push(DnfPredicate::always_true(), &mut out);
+    }
+    for a in &analyses {
+        for conjunct in &a.exact {
+            if conjunct.len() <= config.max_terms_per_conjunct {
+                push(DnfPredicate::conjunction(conjunct.clone()), &mut out);
+            }
+        }
+    }
+    analyses.sort_by(|a, b| {
+        b.discrimination
+            .cmp(&a.discrimination)
+            .then(a.col.cmp(&b.col))
+    });
+    let useful: Vec<&ReferenceAnalysis> = analyses
+        .iter()
+        .filter(|a| a.discrimination > 0 && !a.covering.is_empty())
+        .take(8)
+        .collect();
+    let max_attrs = config.max_selection_attributes.min(useful.len());
+    if max_attrs >= 2 {
+        let n = useful.len();
+        for mask in 1u32..(1 << n.min(16)) {
+            let size = mask.count_ones() as usize;
+            if !(2..=max_attrs).contains(&size) {
+                continue;
+            }
+            if out.len() >= config.max_candidates {
+                break;
+            }
+            let chosen: Vec<&ReferenceAnalysis> = (0..n)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| useful[i])
+                .collect();
+            let per_attr_blocks: Vec<Vec<Vec<Term>>> = chosen
+                .iter()
+                .map(|a| {
+                    let mut blocks: Vec<Vec<Term>> =
+                        a.covering.iter().map(|t| vec![t.clone()]).collect();
+                    if a.covering.len() == 2 {
+                        blocks.push(a.covering.clone());
+                    }
+                    blocks
+                })
+                .collect();
+            let mut combos: Vec<Vec<Term>> = vec![Vec::new()];
+            for blocks in &per_attr_blocks {
+                let mut next = Vec::new();
+                for partial in &combos {
+                    for block in blocks {
+                        let mut ext = partial.clone();
+                        ext.extend(block.iter().cloned());
+                        if ext.len() <= config.max_terms_per_conjunct {
+                            next.push(ext);
+                        }
+                    }
+                }
+                combos = next;
+                if combos.len() > 256 {
+                    combos.truncate(256);
+                }
+            }
+            for terms in combos {
+                if terms.is_empty() {
+                    continue;
+                }
+                let pred = DnfPredicate::conjunction(terms);
+                if reference_selects_exactly(space, join, split, &pred) {
+                    push(pred, &mut out);
+                }
+            }
+        }
+    }
+    if config.max_disjuncts >= 2 {
+        if let Some(pred) = reference_greedy_disjunctive_cover(join, space, split, config) {
+            if reference_selects_exactly(space, join, split, &pred) {
+                push(pred, &mut out);
+            }
+        }
+    }
+    out
+}
+
+fn reference_greedy_disjunctive_cover(
+    join: &JoinedRelation,
+    space: &qfe_qbo::AttributeSpace,
+    split: &ReferenceSplit,
+    config: &qfe_qbo::QboConfig,
+) -> Option<DnfPredicate> {
+    use qfe_query::Conjunct;
+    use std::collections::{BTreeMap, BTreeSet};
+    let mut pure: Vec<(Conjunct, BTreeSet<usize>)> = Vec::new();
+    for col in 0..join.arity() {
+        let attr = space.reference(col).to_string();
+        let value_of = |row: usize| {
+            join.rows()[row]
+                .tuple
+                .get(col)
+                .cloned()
+                .unwrap_or(Value::Null)
+        };
+        let neg_vals: BTreeSet<Value> = split.negatives.iter().map(|&r| value_of(r)).collect();
+        if space.data_type(col).is_numeric() {
+            let mut pos_sorted: Vec<Value> = split
+                .positives
+                .iter()
+                .map(|&r| value_of(r))
+                .filter(|v| !v.is_null())
+                .collect();
+            pos_sorted.sort();
+            pos_sorted.dedup();
+            let mut i = 0usize;
+            while i < pos_sorted.len() {
+                let mut j = i + 1;
+                while j < pos_sorted.len()
+                    && !neg_vals
+                        .iter()
+                        .any(|nv| !nv.is_null() && *nv >= pos_sorted[i] && *nv <= pos_sorted[j])
+                {
+                    j += 1;
+                }
+                let lo = pos_sorted[i].clone();
+                let hi = pos_sorted[j - 1].clone();
+                if !neg_vals
+                    .iter()
+                    .any(|nv| !nv.is_null() && *nv >= lo && *nv <= hi)
+                {
+                    let conjunct = if lo == hi {
+                        Conjunct::new(vec![Term::eq(&attr, lo.clone())])
+                    } else {
+                        Conjunct::new(vec![
+                            Term::compare(&attr, ComparisonOp::Ge, lo.clone()),
+                            Term::compare(&attr, ComparisonOp::Le, hi.clone()),
+                        ])
+                    };
+                    let covered: BTreeSet<usize> = split
+                        .positives
+                        .iter()
+                        .filter(|&&r| {
+                            let v = value_of(r);
+                            !v.is_null() && v >= lo && v <= hi
+                        })
+                        .copied()
+                        .collect();
+                    if !covered.is_empty() {
+                        pure.push((conjunct, covered));
+                    }
+                }
+                i = j;
+            }
+        } else {
+            let mut by_value: BTreeMap<Value, BTreeSet<usize>> = BTreeMap::new();
+            for &r in &split.positives {
+                by_value.entry(value_of(r)).or_default().insert(r);
+            }
+            for (v, covered) in by_value {
+                if v.is_null() || neg_vals.contains(&v) {
+                    continue;
+                }
+                pure.push((Conjunct::new(vec![Term::eq(&attr, v)]), covered));
+            }
+        }
+    }
+    if pure.is_empty() {
+        return None;
+    }
+    let mut uncovered: BTreeSet<usize> = split.positives.iter().copied().collect();
+    let mut chosen: Vec<Conjunct> = Vec::new();
+    while !uncovered.is_empty() {
+        if chosen.len() >= config.max_disjuncts {
+            return None;
+        }
+        let best = pure
+            .iter()
+            .max_by_key(|(_, covered)| covered.intersection(&uncovered).count())?;
+        if best.1.intersection(&uncovered).count() == 0 {
+            return None;
+        }
+        for r in &best.1 {
+            uncovered.remove(r);
+        }
+        chosen.push(best.0.clone());
+    }
+    Some(DnfPredicate::new(chosen))
+}
+
+const QBO_WORDS: [&str; 6] = ["ant", "bee", "cat", "dog", "eel", "fox"];
+
+/// Two foreign-key-linked tables that share the column name `tag`:
+/// `P(pid, tag, score, grp)` and `K(kid, pid → P.pid, tag, qty)`, with
+/// NULLs in `P.score`, `P.tag`, `K.tag` and `K.qty`, small value ranges
+/// (so values repeat across positives and negatives), and 0–3 children per
+/// parent.
+fn build_shared_name_join(rng: &mut StdRng) -> Database {
+    let mut db = Database::new();
+    let p_schema = TableSchema::new(
+        "P",
+        vec![
+            ColumnDef::new("pid", DataType::Int),
+            ColumnDef::nullable("tag", DataType::Text),
+            ColumnDef::nullable("score", DataType::Float),
+            ColumnDef::new("grp", DataType::Text),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["pid"])
+    .unwrap();
+    let parents = rng.gen_range(3i64..9);
+    let word = |rng: &mut StdRng, k: usize| Value::Text(QBO_WORDS[rng.gen_range(0..k)].to_string());
+    let p_rows: Vec<Tuple> = (0..parents)
+        .map(|pid| {
+            let tag = if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                word(rng, 4)
+            };
+            let score = if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Float(rng.gen_range(-4i64..5) as f64 / 2.0)
+            };
+            Tuple::new(vec![Value::Int(pid), tag, score, word(rng, 3)])
+        })
+        .collect();
+    db.add_table(Table::with_rows(p_schema, p_rows).unwrap())
+        .unwrap();
+    let k_schema = TableSchema::new(
+        "K",
+        vec![
+            ColumnDef::new("kid", DataType::Int),
+            ColumnDef::new("pid", DataType::Int),
+            ColumnDef::nullable("tag", DataType::Text),
+            ColumnDef::nullable("qty", DataType::Int),
+        ],
+    )
+    .unwrap()
+    .with_primary_key(&["kid"])
+    .unwrap();
+    let mut k_rows = Vec::new();
+    for pid in 0..parents {
+        for _ in 0..rng.gen_range(0usize..4) {
+            let tag = if rng.gen_bool(0.15) {
+                Value::Null
+            } else {
+                word(rng, 6)
+            };
+            let qty = if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Int(rng.gen_range(0i64..7))
+            };
+            k_rows.push(Tuple::new(vec![
+                Value::Int(k_rows.len() as i64),
+                Value::Int(pid),
+                tag,
+                qty,
+            ]));
+        }
+    }
+    db.add_table(Table::with_rows(k_schema, k_rows).unwrap())
+        .unwrap();
+    db.add_foreign_key(qfe_relation::ForeignKey::new("K", "pid", "P", "pid"))
+        .unwrap();
+    db
+}
+
+/// A random example result over `join`: the projection of a random subset
+/// of its rows onto one or two random columns, the columns named either so
+/// that they resolve against the join or anonymously. Now and then a value
+/// the join does not hold is added, so that inference finds nothing.
+fn random_example_result(rng: &mut StdRng, join: &JoinedRelation) -> QueryResult {
+    let arity = rng.gen_range(1usize..3);
+    let cols: Vec<usize> = (0..arity).map(|_| rng.gen_range(0..join.arity())).collect();
+    let named = rng.gen_bool(0.3);
+    let names: Vec<String> = cols
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            if named {
+                join.columns()[c].qualified_name()
+            } else {
+                format!("c{i}")
+            }
+        })
+        .collect();
+    let keep = rng.gen_range(0.1f64..0.9);
+    let mut rows: Vec<Tuple> = join
+        .rows()
+        .iter()
+        .filter(|_| rng.gen_bool(keep))
+        .map(|r| r.tuple.project(&cols))
+        .collect();
+    if rows.is_empty() {
+        rows.push(join.rows()[0].tuple.project(&cols));
+    }
+    if rng.gen_bool(0.1) {
+        let mut odd = rows[0].clone();
+        odd.set(0, Value::Text("not-in-the-join".to_string()));
+        rows.push(odd);
+    }
+    QueryResult::new(names, rows)
+}
+
+/// Projection inference and predicate enumeration return exactly what the
+/// per-row code they replaced returned — the same projection lists and the
+/// same predicates in the same order — on random two-table joins with a
+/// shared column name, NULL cells, text and numeric columns, and named and
+/// anonymous result columns.
+#[test]
+fn qbo_projection_and_enumeration_match_the_per_row_reference() {
+    use qfe_qbo::{
+        candidate_projections, enumerate_predicates, split_rows, AttributeSpace, QboConfig,
+    };
+    use qfe_query::TermBitmapCache;
+    let mut rng = StdRng::seed_from_u64(130);
+    let configs = [
+        QboConfig::default(),
+        QboConfig::exhaustive(),
+        QboConfig {
+            max_in_list: 2,
+            max_candidates: 5,
+            ..QboConfig::default()
+        },
+    ];
+    let (mut inferred, mut splits, mut predicates, mut disjunctive) = (0, 0, 0, 0);
+    for case in 0..160 {
+        let db = build_shared_name_join(&mut rng);
+        let tables = if case % 4 == 0 {
+            vec!["P".to_string()]
+        } else {
+            vec!["P".to_string(), "K".to_string()]
+        };
+        let join = foreign_key_join(&db, &tables).unwrap();
+        if join.is_empty() {
+            continue;
+        }
+        let result = random_example_result(&mut rng, &join);
+        let by_values = rng.gen_bool(0.9);
+        let projections = candidate_projections(&join, &result, by_values);
+        assert_eq!(
+            projections,
+            reference_candidate_projections(&join, &result, by_values),
+            "case {case}: {result:?}"
+        );
+        if !result
+            .columns()
+            .iter()
+            .all(|c| join.resolve_column(c).is_ok())
+        {
+            inferred += usize::from(!projections.is_empty());
+        }
+        let space = AttributeSpace::new(&join);
+        for projection in &projections {
+            let proj_idx: Vec<usize> = projection
+                .iter()
+                .map(|c| join.resolve_column(c).unwrap())
+                .collect();
+            let split = split_rows(&join, &proj_idx, &result);
+            let reference = reference_split_rows(&join, &proj_idx, &result);
+            assert_eq!(split.is_some(), reference.is_some(), "case {case}");
+            let (Some(split), Some(reference)) = (split, reference) else {
+                continue;
+            };
+            assert_eq!(
+                split.positives.iter_ones().collect::<Vec<_>>(),
+                reference.positives
+            );
+            assert_eq!(
+                split.negatives.iter_ones().collect::<Vec<_>>(),
+                reference.negatives
+            );
+            splits += 1;
+            let config = &configs[case % configs.len()];
+            let mut cache = TermBitmapCache::new(&join);
+            let got = enumerate_predicates(&join, &space, &split, config, &mut cache);
+            let want = reference_enumerate_predicates(&join, &space, &reference, config);
+            // Debug output keeps literal variants apart (`Int(2)` is not
+            // `Float(2.0)`), which the rendered SQL would not.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "case {case}: {projection:?}"
+            );
+            for pred in &got {
+                assert!(space.selects_exactly(&mut cache, &split, pred), "{pred}");
+            }
+            predicates += got.len();
+            disjunctive += got.iter().filter(|p| p.conjuncts().len() > 1).count();
+        }
+    }
+    assert!(
+        inferred >= 20,
+        "too few value-inferred projections ({inferred})"
+    );
+    assert!(splits >= 60, "too few splits ({splits})");
+    assert!(predicates >= 200, "too few predicates ({predicates})");
+    assert!(disjunctive > 0, "no greedy cover was enumerated");
+}
